@@ -327,7 +327,10 @@ class Chain:
         # versioned state
         self._current: dict[str, tuple[Value, Version]] = {}
         self._history: dict[str, list[tuple[Version, Value]]] = {}
-        self._version_log: list[tuple[Version, str, Value]] = []
+        # writes committed at each height, in version order (one entry per block)
+        self._writes_at: list[tuple[tuple[Version, str, Value], ...]] = []
+        # authenticated state at the current height
+        self._tree = MerkleMap({})
 
         self.blocks: list[Block] = []
         self.mempool: list[Transaction] = []
@@ -345,7 +348,6 @@ class Chain:
         # execution overlay, populated only while a block is being produced
         self._overlay: Optional[dict[str, tuple[Value, Version]]] = None
         self._overlay_log: list[tuple[Version, str, Value]] = []
-        self._block_policy_snapshot: Optional[dict[str, Value]] = None
 
         # hooks installed by the simulation (policy engine, observers)
         self.policy_evaluator = None  # fn(policy_src, request, ctx) -> Decision
@@ -397,14 +399,15 @@ class Chain:
             raise InvalidRange(
                 f"bad range [{from_height}, {to_height}] at height {self.height}"
             )
-        out = []
-        for version, key, value in self._version_log:
-            if from_height <= version[0] <= to_height and key.startswith(key_prefix):
-                out.append((key, value, version))
-        if self._overlay is not None:
-            for version, key, value in self._overlay_log:
-                if from_height <= version[0] <= to_height and key.startswith(key_prefix):
-                    out.append((key, value, version))
+        logs = self._writes_at[from_height : to_height + 1]
+        if to_height > self.height:
+            logs.append(self._overlay_log)
+        out = [
+            (key, value, version)
+            for log in logs
+            for version, key, value in log
+            if key.startswith(key_prefix)
+        ]
         out.sort(key=lambda e: (e[2], e[0]))
         return out
 
@@ -436,21 +439,15 @@ class Chain:
             if key.startswith(prefix)
         ]
 
-    def _snapshot_at(self, height: int) -> dict[bytes, Value]:
-        snap: dict[bytes, Value] = {}
-        for key, hist in self._history.items():
-            idx = bisect.bisect_right(hist, ((height, 1 << 62), None))
-            if idx:
-                snap[key.encode("utf-8")] = hist[idx - 1][1]
-        return snap
-
     def get_proof(self, key: str, height: Optional[int] = None) -> MerkleProof:
+        """Membership or absence proof; served at the current height only."""
         if height is None:
             height = self.height
         if height > self.height:
             raise FutureHeight(f"height {height} > current {self.height}")
-        tree = MerkleMap(self._snapshot_at(height))
-        return tree.prove(key.encode("utf-8"), root_height=height)
+        if height < self.height:
+            raise InvalidRange(f"proofs are served at the current height {self.height}")
+        return self._tree.prove(key.encode("utf-8"), root_height=height)
 
     def state_root_at(self, height: int) -> bytes:
         if height > self.height:
@@ -472,11 +469,9 @@ class Chain:
         self.contracts[cid] = contract
         self.submit_sys_txn("sys.registry", "register", [cid])
 
-    def contract_active(self, cid: str, snapshot: Optional[dict] = None) -> bool:
-        marker = f"sys.contract.{cid}"
-        if snapshot is not None:
-            return snapshot.get(marker, False) is True
-        entry = self._current.get(marker)
+    def contract_active(self, cid: str) -> bool:
+        """Registered as of the last committed block."""
+        entry = self._current.get(f"sys.contract.{cid}")
         return entry is not None and entry[0] is True
 
     # ------------------------------------------------------------- mempool
@@ -541,12 +536,13 @@ class Chain:
             height=0,
             prev_digest=ZERO_DIGEST,
             txn_root=root_of_digests([]),
-            state_root=MerkleMap({}).root,
+            state_root=self._tree.root,
             tick=0,
         )
         # genesis is a config artifact; behavior flags model runtime faults
         cert = self._certify(header, ignore_byzantine=True)
         self.blocks.append(Block(header=header, txns=(), receipts=(), cert=cert))
+        self._writes_at.append(())
 
     def _certify(self, header: BlockHeader, ignore_byzantine: bool = False) -> QuorumCert:
         hd = header.digest
@@ -579,34 +575,27 @@ class Chain:
         self.mempool = []
         height = self.height + 1
 
-        policy_snapshot = {
-            k: v for k, (v, _) in self._current.items() if k.startswith("sys.policy.")
-        }
-        active_snapshot = {
-            k: v for k, (v, _) in self._current.items() if k.startswith("sys.contract.")
-        }
-
+        # until commit, _current holds the state as of the block's start: the
+        # policies and contract registrations this block executes under
         self._overlay = {}
         self._overlay_log = []
-        self._block_policy_snapshot = policy_snapshot
         receipts = []
         out_events: list[EventDraft] = []
         try:
             for idx, txn in enumerate(txns):
-                receipt, events = self._execute(txn, height, idx, active_snapshot)
+                receipt, events = self._execute(txn, height, idx)
                 receipts.append(receipt)
                 out_events.extend(events)
-            merged = {
-                **{k.encode("utf-8"): v for k, (v, _) in self._current.items()},
-                **{k.encode("utf-8"): v for k, (v, _) in self._overlay.items()},
-            }
-            state_root = MerkleMap(merged).root
+            tree = MerkleMap(
+                {k.encode("utf-8"): v for k, (v, _) in self._overlay.items()},
+                base=self._tree,
+            )
             header = BlockHeader(
                 chain_id=self.chain_id,
                 height=height,
                 prev_digest=self.blocks[-1].header.digest,
                 txn_root=root_of_digests([t.txn_id for t in txns]),
-                state_root=state_root,
+                state_root=tree.root,
                 tick=tick,
             )
             cert = self._certify(header)
@@ -615,14 +604,13 @@ class Chain:
             self._overlay = None
             self._overlay_log = []
             raise
-        finally:
-            self._block_policy_snapshot = None
 
         # commit: fold overlay into history and current state
         for version, key, value in self._overlay_log:
             self._history.setdefault(key, []).append((version, value))
-            self._version_log.append((version, key, value))
             self._current[key] = (value, version)
+        self._writes_at.append(tuple(self._overlay_log))
+        self._tree = tree
         self._overlay = None
         self._overlay_log = []
 
@@ -645,7 +633,7 @@ class Chain:
         return items
 
     def _execute(
-        self, txn: Transaction, height: int, idx: int, active_snapshot: dict
+        self, txn: Transaction, height: int, idx: int
     ) -> tuple[Receipt, list[EventDraft]]:
         target = txn.target_contract
         try:
@@ -665,7 +653,7 @@ class Chain:
                 return handler(self, txn, height, idx)
 
             contract = self.contracts.get(target)
-            if contract is None or not self.contract_active(target, active_snapshot):
+            if contract is None or not self.contract_active(target):
                 raise UnknownContract(f"{target} not active")
             ctx = ExecContext(self, target, txn, height)
             if txn.method == "__event__":
@@ -707,9 +695,7 @@ class Chain:
         return self.submit_sys_txn("sys.policy", "attach", [contract_id, src])
 
     def policy_source(self, contract_id: str) -> Optional[str]:
-        snap = getattr(self, "_block_policy_snapshot", None)
-        if snap is not None:
-            return snap.get(f"sys.policy.{contract_id}")
+        """The policy attached as of the last committed block."""
         entry = self._current.get(f"sys.policy.{contract_id}")
         return entry[0] if entry else None
 

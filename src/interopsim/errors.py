@@ -93,10 +93,6 @@ class VersionConflict(SimError):
     pass
 
 
-class VoteQuorumFailure(SimError):
-    pass
-
-
 class TxnAborted(SimError):
     def __init__(self, reason: str):
         self.reason = reason

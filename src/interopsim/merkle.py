@@ -1,19 +1,29 @@
-"""Authenticated key-value map: binary Merkle tree over bytewise-sorted keys.
+"""Authenticated key-value map: a persistent binary trie over sha256(key) bits.
 
-Leaves are digest(key || canonical(value)); odd levels pad by duplicating
-the last node.  Membership proofs carry the sibling path; absence proofs
-carry the adjacent leaf pair bracketing the missing key (or one neighbor
-plus an edge check when the key falls outside the key range).
+Each key sits at the shortest prefix of its key hash that no other key
+shares.  The commitment of a set S of (key, value) items, splitting on the
+next key-hash bit at each level:
 
-Leaf indices are recoverable from path directions ('L' sibling-on-left
-means the node was a right child), which lets the verifier check that two
-neighbor leaves are adjacent without trusting a leaf count.
+    root(empty)  = EMPTY_ROOT = digest(b"")
+    root({x})    = digest(0x00 || lp(key) || encode(value))          leaf
+    root(S)      = digest(0x01 || root(S0) || root(S1))              inner
+
+Membership proofs carry the sibling digests from the key's leaf up to the
+root.  An absence proof carries the same path for the absent key's hash,
+ending either at an empty slot or at the leaf of a different key whose hash
+shares the path's prefix.  The verifier derives every step's direction from
+sha256(key) and rejects a proof whose stated direction disagrees.
+
+A map is immutable: `MerkleMap(items, base)` applies `items` on top of `base`
+by path copying, so its cost is the writes times the depth, and `base` stays
+valid.  Chains keep only their latest map, so proofs are served at the
+current height.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from .errors import EncodingError
@@ -27,50 +37,71 @@ ABSENCE = "absence"
 # path direction: "L" = sibling hash goes on the left, "R" = on the right
 PathStep = tuple[bytes, str]
 
+# Nodes are plain tuples (untracked by the cycle collector); an empty slot is
+# None.  leaf: (digest, key hash as int, key, value); inner: (digest, left, right)
+_KEY_BITS = itemgetter(1)
+
 
 def leaf_digest(key: bytes, value: Value) -> bytes:
-    return digest(key + encode_value(value))
+    return digest(b"\x00" + lp(key) + encode_value(value))
 
 
-def fold_path(leaf: bytes, path: list[PathStep]) -> bytes:
-    h = leaf
+def inner_digest(left: bytes, right: bytes) -> bytes:
+    return digest(b"\x01" + left + right)
+
+
+def key_bits(key: bytes) -> int:
+    """The key's position in the trie: sha256(key) as a 256-bit integer."""
+    return int.from_bytes(digest(key), "big")
+
+
+def _bit(bits: int, depth: int) -> int:
+    return (bits >> (255 - depth)) & 1
+
+
+def _leaf(key: bytes, value: Value) -> tuple:
+    return (leaf_digest(key, value), key_bits(key), key, value)
+
+
+def _node_digest(node: Optional[tuple]) -> bytes:
+    return EMPTY_ROOT if node is None else node[0]
+
+
+def _put(node: Optional[tuple], depth: int, batch: list[tuple]) -> tuple:
+    """The slot at `depth` after writing `batch`: new leaves sorted by key hash."""
+    if node is not None and len(node) == 4:
+        # a leaf's slot becomes a subtree of the batch plus the leaf, if not overwritten
+        if not any(leaf[2] == node[2] for leaf in batch):
+            batch = sorted(batch + [node], key=_KEY_BITS)
+        node = None
+    if node is None:
+        if len(batch) == 1:
+            return batch[0]
+        left = right = None
+    else:
+        left, right = node[1], node[2]
+    split = 0
+    while split < len(batch) and not _bit(batch[split][1], depth):
+        split += 1
+    if split:
+        left = _put(left, depth + 1, batch[:split])
+    if split < len(batch):
+        right = _put(right, depth + 1, batch[split:])
+    return (inner_digest(_node_digest(left), _node_digest(right)), left, right)
+
+
+def fold_path(node: bytes, bits: int, path: tuple[PathStep, ...]) -> bytes:
+    """Fold a node digest up to the root along the key hash `bits`."""
+    depth = len(path)
+    if depth > 256:
+        raise EncodingError("path longer than the key hash")
+    h = node
     for sibling, direction in path:
-        if direction == "L":
-            h = digest(sibling + h)
-        elif direction == "R":
-            h = digest(h + sibling)
-        else:
-            raise EncodingError(f"bad path direction {direction!r}")
+        depth -= 1
+        if direction != ("L" if _bit(bits, depth) else "R"):
+            raise EncodingError("path direction disagrees with the key hash")
+        h = inner_digest(sibling, h) if direction == "L" else inner_digest(h, sibling)
     return h
-
-
-def path_index(path: list[PathStep]) -> int:
-    """Leaf index implied by the directions (bit i set = right child at level i)."""
-    idx = 0
-    for i, (_, direction) in enumerate(path):
-        if direction == "L":
-            idx |= 1 << i
-    return idx
-
-
-def path_is_rightmost(leaf: bytes, path: list[PathStep]) -> bool:
-    """True iff every right-hand sibling is the node's own duplicate."""
-    h = leaf
-    for sibling, direction in path:
-        if direction == "R":
-            if sibling != h:
-                return False
-            h = digest(h + sibling)
-        else:
-            h = digest(sibling + h)
-    return True
-
-
-@dataclass(frozen=True)
-class Neighbor:
-    key: bytes
-    value: Value
-    path: tuple[PathStep, ...]
 
 
 @dataclass(frozen=True)
@@ -78,109 +109,62 @@ class MerkleProof:
     kind: str
     leaf_key: bytes
     leaf_value: Value = None
-    path: tuple[PathStep, ...] = ()
+    path: tuple[PathStep, ...] = ()  # leaf level first
     root_height: int = 0
-    left: Optional[Neighbor] = None
-    right: Optional[Neighbor] = None
+    # absence only: (key, value) of the leaf the path ends at; None = empty slot
+    terminal: Optional[tuple[bytes, Value]] = None
 
 
 class MerkleMap:
-    """Tree snapshot over a fixed set of (key, value) items."""
+    """Immutable trie snapshot: `items` written on top of `base`."""
 
-    def __init__(self, items: dict[bytes, Value]):
-        self.keys = sorted(items.keys())
-        self.values = {k: items[k] for k in self.keys}
-        self.levels: list[list[bytes]] = []
-        if self.keys:
-            level = [leaf_digest(k, items[k]) for k in self.keys]
-            self.levels.append(level)
-            while len(level) > 1:
-                nxt = []
-                for i in range(0, len(level), 2):
-                    left = level[i]
-                    right = level[i + 1] if i + 1 < len(level) else level[i]
-                    nxt.append(digest(left + right))
-                self.levels.append(nxt)
-                level = nxt
+    def __init__(self, items: dict[bytes, Value], base: Optional["MerkleMap"] = None):
+        node = base._node if base is not None else None
+        if items:
+            leaves = sorted((_leaf(k, v) for k, v in items.items()), key=_KEY_BITS)
+            node = _put(node, 0, leaves)
+        self._node = node
 
     @property
     def root(self) -> bytes:
-        if not self.levels:
-            return EMPTY_ROOT
-        return self.levels[-1][0]
-
-    def _path_for_index(self, idx: int) -> tuple[PathStep, ...]:
-        path = []
-        for level in self.levels[:-1]:
-            if idx % 2 == 0:
-                sibling = level[idx + 1] if idx + 1 < len(level) else level[idx]
-                path.append((sibling, "R"))
-            else:
-                path.append((level[idx - 1], "L"))
-            idx //= 2
-        return tuple(path)
-
-    def _neighbor(self, idx: int) -> Neighbor:
-        key = self.keys[idx]
-        return Neighbor(key=key, value=self.values[key], path=self._path_for_index(idx))
+        return _node_digest(self._node)
 
     def prove(self, key: bytes, root_height: int = 0) -> MerkleProof:
-        if key in self.values:
-            idx = self.keys.index(key)
-            return MerkleProof(
-                kind=MEMBERSHIP,
-                leaf_key=key,
-                leaf_value=self.values[key],
-                path=self._path_for_index(idx),
-                root_height=root_height,
-            )
-        # absence: bracket the missing key with its sorted neighbors
-        pos = bisect.bisect_left(self.keys, key)
-        left = self._neighbor(pos - 1) if pos > 0 else None
-        right = self._neighbor(pos) if pos < len(self.keys) else None
-        return MerkleProof(
-            kind=ABSENCE,
-            leaf_key=key,
-            path=(),
-            root_height=root_height,
-            left=left,
-            right=right,
-        )
-
-
-def _verify_neighbor(root: bytes, n: Neighbor) -> bool:
-    try:
-        leaf = leaf_digest(n.key, n.value)
-    except EncodingError:
-        return False
-    return fold_path(leaf, list(n.path)) == root
+        bits = key_bits(key)
+        node, depth, siblings = self._node, 0, []
+        while node is not None and len(node) == 3:
+            if _bit(bits, depth):
+                siblings.append((_node_digest(node[1]), "L"))
+                node = node[2]
+            else:
+                siblings.append((_node_digest(node[2]), "R"))
+                node = node[1]
+            depth += 1
+        path = tuple(reversed(siblings))
+        if node is not None and node[2] == key:
+            return MerkleProof(MEMBERSHIP, key, node[3], path, root_height)
+        terminal = None if node is None else (node[2], node[3])
+        return MerkleProof(ABSENCE, key, None, path, root_height, terminal)
 
 
 def verify_proof(state_root: bytes, proof: MerkleProof) -> bool:
     """True iff the proof is consistent with state_root; false on any defect."""
     try:
-        if proof.kind == MEMBERSHIP:
-            leaf = leaf_digest(proof.leaf_key, proof.leaf_value)
-            return fold_path(leaf, list(proof.path)) == state_root
-        if proof.kind != ABSENCE:
+        bits = key_bits(proof.leaf_key)
+        if proof.kind == MEMBERSHIP and proof.terminal is None:
+            node = leaf_digest(proof.leaf_key, proof.leaf_value)
+        elif proof.kind != ABSENCE or proof.leaf_value is not None:
             return False
-        left, right = proof.left, proof.right
-        if left is None and right is None:
-            return state_root == EMPTY_ROOT
-        if left is not None:
-            if not (left.key < proof.leaf_key and _verify_neighbor(state_root, left)):
+        elif proof.terminal is None:
+            node = EMPTY_ROOT
+        else:
+            other_key, other_value = proof.terminal
+            # the other leaf must sit on the absent key's path
+            shared = (key_bits(other_key) ^ bits) >> (256 - len(proof.path))
+            if other_key == proof.leaf_key or shared:
                 return False
-        if right is not None:
-            if not (proof.leaf_key < right.key and _verify_neighbor(state_root, right)):
-                return False
-        if left is not None and right is not None:
-            return path_index(list(left.path)) + 1 == path_index(list(right.path))
-        if right is not None:
-            # key precedes every leaf: neighbor must be the leftmost leaf
-            return path_index(list(right.path)) == 0
-        # key follows every leaf: neighbor must be the rightmost leaf
-        leaf = leaf_digest(left.key, left.value)
-        return path_is_rightmost(leaf, list(left.path))
+            node = leaf_digest(other_key, other_value)
+        return fold_path(node, bits, proof.path) == state_root
     except Exception:
         return False
 
@@ -227,27 +211,11 @@ def _decode_path(data: bytes, offset: int) -> tuple[tuple[PathStep, ...], int]:
     return tuple(path), offset
 
 
-def _encode_neighbor(n: Optional[Neighbor]) -> bytes:
-    if n is None:
-        return b"\x00"
-    return b"\x01" + lp(n.key) + encode_value(n.value) + _encode_path(n.path)
-
-
-def _decode_neighbor(data: bytes, offset: int) -> tuple[Optional[Neighbor], int]:
-    if offset >= len(data):
-        raise EncodingError("truncated neighbor")
-    flag = data[offset]
-    offset += 1
-    if flag == 0:
-        return None, offset
-    key, offset = read_lp(data, offset)
-    value, offset = decode_value(data, offset)
-    path, offset = _decode_path(data, offset)
-    return Neighbor(key=key, value=value, path=path), offset
-
-
 def encode_proof(p: MerkleProof) -> bytes:
     kind = b"\x01" if p.kind == MEMBERSHIP else b"\x00"
+    terminal = b"\x00"
+    if p.terminal is not None:
+        terminal = b"\x01" + lp(p.terminal[0]) + encode_value(p.terminal[1])
     return b"".join(
         [
             kind,
@@ -255,8 +223,7 @@ def encode_proof(p: MerkleProof) -> bytes:
             encode_value(p.leaf_value),
             _encode_path(p.path),
             p.root_height.to_bytes(8, "big"),
-            _encode_neighbor(p.left),
-            _encode_neighbor(p.right),
+            terminal,
         ]
     )
 
@@ -269,12 +236,17 @@ def decode_proof(data: bytes, offset: int = 0) -> tuple[MerkleProof, int]:
     leaf_key, offset = read_lp(data, offset)
     leaf_value, offset = decode_value(data, offset)
     path, offset = _decode_path(data, offset)
-    if offset + 8 > len(data):
+    if offset + 9 > len(data):
         raise EncodingError("truncated proof height")
     root_height = int.from_bytes(data[offset : offset + 8], "big")
     offset += 8
-    left, offset = _decode_neighbor(data, offset)
-    right, offset = _decode_neighbor(data, offset)
+    terminal = None
+    has_terminal = data[offset]
+    offset += 1
+    if has_terminal:
+        other_key, offset = read_lp(data, offset)
+        other_value, offset = decode_value(data, offset)
+        terminal = (other_key, other_value)
     return (
         MerkleProof(
             kind=kind,
@@ -282,8 +254,7 @@ def decode_proof(data: bytes, offset: int = 0) -> tuple[MerkleProof, int]:
             leaf_value=leaf_value,
             path=path,
             root_height=root_height,
-            left=left,
-            right=right,
+            terminal=terminal,
         ),
         offset,
     )

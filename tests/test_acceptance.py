@@ -16,7 +16,7 @@ from interopsim.fixtures import (
     policy_text,
     scenario_path,
 )
-from interopsim.merkle import MEMBERSHIP, MerkleMap, MerkleProof, Neighbor, verify_proof
+from interopsim.merkle import ABSENCE, MEMBERSHIP, MerkleMap, MerkleProof, verify_proof
 from interopsim.policy import (
     AccessRequest,
     MapEvalContext,
@@ -417,25 +417,19 @@ def _mutate_and_check(rng, root, proof) -> bool:
             bad_path = proof.path[:i] + ((_flip(sib, rng), d),) + proof.path[i + 1 :]
             bad = MerkleProof(MEMBERSHIP, proof.leaf_key, proof.leaf_value, bad_path)
         return not verify_proof(root, bad)
-    # absence: mutate a committed neighbor (key, value, or path digest)
-    neighbors = [n for n in (proof.left, proof.right) if n is not None]
-    if not neighbors:
-        # vacuous proof against the empty tree: mutate the root instead
-        return not verify_proof(_flip(root, rng), proof)
-    n = rng.choice(neighbors)
-    what = rng.choice(["key", "value"] + (["path"] if n.path else []))
+    # absence: mutate the terminal leaf (key or value) or a path sibling; a
+    # tree of at least one item always gives the proof one of them
+    what = rng.choice((["key", "value"] if proof.terminal else []) + (["path"] if proof.path else []))
+    terminal, path = proof.terminal, proof.path
     if what == "key":
-        mutated = Neighbor(_flip(n.key, rng), n.value, n.path)
+        terminal = (_flip(terminal[0], rng), terminal[1])
     elif what == "value":
-        mutated = Neighbor(n.key, _mutate_value(n.value, rng), n.path)
+        terminal = (terminal[0], _mutate_value(terminal[1], rng))
     else:
-        i = rng.randrange(len(n.path))
-        sib, d = n.path[i]
-        mutated = Neighbor(n.key, n.value, n.path[:i] + ((_flip(sib, rng), d),) + n.path[i + 1 :])
-    if n is proof.left:
-        bad = MerkleProof("absence", proof.leaf_key, left=mutated, right=proof.right)
-    else:
-        bad = MerkleProof("absence", proof.leaf_key, left=proof.left, right=mutated)
+        i = rng.randrange(len(path))
+        sib, d = path[i]
+        path = path[:i] + ((_flip(sib, rng), d),) + path[i + 1 :]
+    bad = MerkleProof(ABSENCE, proof.leaf_key, path=path, terminal=terminal)
     return not verify_proof(root, bad)
 
 

@@ -1,7 +1,11 @@
 import itertools
+import math
+import random
 
 import pytest
 
+import interopsim.chain
+import interopsim.merkle
 from interopsim.chain import (
     Behavior,
     Chain,
@@ -19,7 +23,7 @@ from interopsim.errors import (
     QuorumFailure,
     UnknownContract,
 )
-from interopsim.merkle import EMPTY_ROOT, verify_proof
+from interopsim.merkle import EMPTY_ROOT, MerkleMap, verify_proof
 
 
 class KvContract(Contract):
@@ -28,10 +32,19 @@ class KvContract(Contract):
     def _set(self, ctx, args):
         ctx.put(args[0], args[1])
 
+    def _fill(self, ctx, args):
+        for i in range(args[0]):
+            ctx.put(f"f{i}", i)
+
+    def _probe(self, ctx, args):
+        # what a policy aggregate sees: history up to the block being produced
+        seen = ctx.history(args[0], args[1], ctx.height)
+        self.probes.append((ctx.height, args[0], args[1], seen))
+
     def _get(self, view, args):
         return view.get(args[0])
 
-    handlers = {"set": _set}
+    handlers = {"set": _set, "fill": _fill, "probe": _probe}
     query_handlers = {"get": _get}
 
 
@@ -219,6 +232,108 @@ def test_get_proof_membership_and_verification():
     # anchored to a different height's root: fails
     set_kv(ch, "alice", "x", 6)
     assert not verify_proof(ch.state_root_at(ch.height), proof)
+
+
+def full_state_root(chain):
+    return MerkleMap({k.encode(): v for k, v, _ in chain.state_items()}).root
+
+
+def test_get_proof_only_at_current_height():
+    ch = ready_kv(mk_chain())
+    set_kv(ch, "alice", "x", 5)
+    set_kv(ch, "alice", "y", 6)
+    assert verify_proof(ch.state_root_at(ch.height), ch.get_proof("kv.x", ch.height))
+    with pytest.raises(InvalidRange):
+        ch.get_proof("kv.x", ch.height - 1)
+    with pytest.raises(FutureHeight):
+        ch.get_proof("kv.x", ch.height + 1)
+
+
+def test_quorum_failure_leaves_committed_tree_untouched():
+    ch = ready_kv(mk_chain(chain_id="x"))
+    set_kv(ch, "alice", "a", 1)
+    root = ch.state_root_at(ch.height)
+    assert full_state_root(ch) == root
+    ch.byzantine.update({"x:node1": Behavior.SILENT, "x:node2": Behavior.SILENT})
+    ch.submit_call("alice", "kv", "set", ["a", 2])
+    ch.submit_call("alice", "kv", "set", ["b", 3])
+    with pytest.raises(QuorumFailure):
+        ch.produce_block(tick=0)
+    # proofs still come from the committed tree: a is 1 and b is absent
+    member, absent = ch.get_proof("kv.a"), ch.get_proof("kv.b")
+    assert (member.kind, member.leaf_value, absent.kind) == ("membership", 1, "absence")
+    assert verify_proof(root, member) and verify_proof(root, absent)
+    assert full_state_root(ch) == root
+    ch.byzantine.clear()
+    block, _ = ch.produce_block(tick=1)
+    assert ch.read_state("kv.a") == 2 and ch.read_state("kv.b") == 3
+    assert block.header.state_root == full_state_root(ch) != root
+    assert verify_proof(block.header.state_root, ch.get_proof("kv.b"))
+
+
+def brute_history(chain, prefix, frm, to, before=None):
+    """Scan every block's receipts; `before` caps the version (exclusive)."""
+    out = []
+    for block in chain.blocks:
+        h = block.header.height
+        for idx, receipt in enumerate(block.receipts):
+            if frm <= h <= to and (before is None or (h, idx) < before):
+                out += [(k, v, (h, idx)) for k, v in receipt.writes if k.startswith(prefix)]
+    return sorted(out, key=lambda e: (e[2], e[0]))
+
+
+def test_history_index_matches_receipt_scan():
+    rng = random.Random(11)
+    ch = mk_chain()
+    kv = KvContract()
+    kv.probes = []
+    ch.register_contract(kv)
+    ch.produce_block(tick=0)
+    probes = []  # (height, index in block)
+    for _ in range(25):
+        for _ in range(rng.randint(1, 5)):
+            r = rng.random()
+            if r < 0.7:
+                key = rng.choice(["a", "ab", "b"]) + str(rng.randrange(3))
+                ch.submit_call("alice", "kv", "set", [key, rng.randrange(100)])
+            elif r < 0.85:
+                ch.submit_call("alice", "kv", "nosuch", [])  # a failed receipt
+            else:
+                probes.append((ch.height + 1, len(ch.mempool)))
+                frm = rng.randint(0, ch.height + 1)
+                ch.submit_call("alice", "kv", "probe", [rng.choice(["", "a", "b"]), frm])
+        ch.produce_block(tick=0)
+    assert len(kv.probes) == len(probes) > 0
+    for (h, idx), (height, prefix, frm, seen) in zip(probes, kv.probes):
+        assert height == h
+        assert seen == brute_history(ch, "kv." + prefix, frm, h, before=(h, idx))
+    for _ in range(200):
+        frm = rng.randint(0, ch.height)
+        to = rng.randint(frm, ch.height)
+        prefix = "kv." + rng.choice(["", "a", "ab", "b1", "c"])
+        assert ch.get_history(prefix, frm, to) == brute_history(ch, prefix, frm, to)
+
+
+@pytest.mark.parametrize("n", [100, 5000])
+def test_one_write_block_digests_scale_with_log_of_state(n, monkeypatch):
+    # a deterministic guard against an O(state) commitment: a full rebuild
+    # hashes every key, at least n digests, far above 3·log2(n)
+    ch = ready_kv(mk_chain())
+    ch.submit_call("alice", "kv", "fill", [n - 1])
+    ch.produce_block(tick=0)
+    assert len(ch.state_items()) == n
+    ch.submit_call("alice", "kv", "set", ["new", 1])
+    calls = []
+    real_digest = interopsim.merkle.digest
+
+    def counted(data):
+        calls.append(data)
+        return real_digest(data)
+
+    monkeypatch.setattr(interopsim.merkle, "digest", counted)
+    monkeypatch.setattr(interopsim.chain, "digest", counted)
+    ch.produce_block(tick=0)
+    assert 0 < len(calls) < 3 * math.log2(n)
 
 
 def test_get_proof_absence():

@@ -9,7 +9,6 @@ from interopsim.merkle import (
     MEMBERSHIP,
     MerkleMap,
     MerkleProof,
-    Neighbor,
     decode_proof,
     encode_proof,
     verify_proof,
@@ -17,30 +16,60 @@ from interopsim.merkle import (
 from interopsim.values import encode_value
 
 
-def reference_root(items):
-    """Independent tree rebuild: sorted keys, duplicate-last padding."""
-    keys = sorted(items)
-    if not keys:
-        return hashlib.sha256(b"").digest()
-    level = [
-        hashlib.sha256(k + encode_value(items[k])).digest() for k in keys
-    ]
-    while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level), 2):
-            l = level[i]
-            r = level[i + 1] if i + 1 < len(level) else level[i]
-            nxt.append(hashlib.sha256(l + r).digest())
-        level = nxt
-    return level[0]
+def _sha(raw: bytes) -> bytes:
+    return hashlib.sha256(raw).digest()
 
 
-def reference_neighbors(items, key):
-    """Bracketing pair for an absent key by direct sorted scan."""
-    keys = sorted(items)
-    left = max((k for k in keys if k < key), default=None)
-    right = min((k for k in keys if k > key), default=None)
-    return left, right
+def _bit(key: bytes, depth: int) -> int:
+    h = _sha(key)
+    return (h[depth // 8] >> (7 - depth % 8)) & 1
+
+
+def _leaf(key: bytes, value) -> bytes:
+    return _sha(b"\x00" + len(key).to_bytes(4, "big") + key + encode_value(value))
+
+
+def reference_root(items, depth=0):
+    """Independent recursive commitment: split on the next key-hash bit."""
+    if not items:
+        return _sha(b"")
+    if len(items) == 1:
+        ((key, value),) = items.items()
+        return _leaf(key, value)
+    halves = ({}, {})
+    for key, value in items.items():
+        halves[_bit(key, depth)][key] = value
+    return _sha(
+        b"\x01" + reference_root(halves[0], depth + 1) + reference_root(halves[1], depth + 1)
+    )
+
+
+def reference_terminal(items, key):
+    """Where an absent key's path ends, by brute force: (depth, other key or None).
+
+    The path stops at the first depth whose slot holds at most one key.
+    """
+    depth = 0
+    while True:
+        sharing = [k for k in items if all(_bit(k, d) == _bit(key, d) for d in range(depth))]
+        if len(sharing) <= 1:
+            return depth, (sharing[0] if sharing else None)
+        depth += 1
+
+
+def _random_items(rng, n):
+    items = {}
+    while len(items) < n:
+        k = bytes(rng.randrange(256) for _ in range(rng.randint(1, 12)))
+        items[k] = rng.choice([rng.randrange(-5000, 5000), "s" * rng.randint(0, 3), None, True])
+    return items
+
+
+def _absent_key(rng, items):
+    while True:
+        key = bytes(rng.randrange(256) for _ in range(rng.randint(1, 12)))
+        if key not in items:
+            return key
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 7, 8, 13])
@@ -52,6 +81,32 @@ def test_root_matches_reference(n):
 def test_empty_tree_root():
     assert MerkleMap({}).root == EMPTY_ROOT
     assert EMPTY_ROOT == hashlib.sha256(b"").digest()
+
+
+def test_root_independent_of_insertion_order():
+    rng = random.Random(5)
+    items = _random_items(rng, 30)
+    keys = list(items)
+    for _ in range(5):
+        rng.shuffle(keys)
+        assert MerkleMap({k: items[k] for k in keys}).root == reference_root(items)
+        tree = MerkleMap({})
+        for k in keys:
+            tree = MerkleMap({k: items[k]}, base=tree)
+        assert tree.root == reference_root(items)
+
+
+def test_writes_on_a_base_equal_a_full_build():
+    rng = random.Random(6)
+    for _ in range(40):
+        a = _random_items(rng, rng.randint(0, 25))
+        b = _random_items(rng, rng.randint(0, 10))
+        for k in rng.sample(sorted(a), min(3, len(a))):
+            b[k] = rng.randrange(100)  # overwrite some keys of the base
+        base = MerkleMap(a)
+        before = base.root
+        assert MerkleMap(b, base=base).root == MerkleMap(a | b).root == reference_root(a | b)
+        assert base.root == before  # the base is not modified
 
 
 def test_membership_proof_verifies():
@@ -76,31 +131,36 @@ def test_membership_tamper_fails():
     assert not verify_proof(tree.root, bad)
 
 
-def test_absence_proof_with_bracketing_neighbors():
-    items = {b"a": 1, b"c": 2, b"e": 3}
-    tree = MerkleMap(items)
-    proof = tree.prove(b"b")
-    assert proof.kind == ABSENCE
-    lref, rref = reference_neighbors(items, b"b")
-    assert proof.left.key == lref and proof.right.key == rref
-    assert verify_proof(tree.root, proof)
+def test_absence_proof_ends_where_reference_says():
+    rng = random.Random(7)
+    for _ in range(40):
+        items = _random_items(rng, rng.randint(1, 20))
+        tree = MerkleMap(items)
+        absent = _absent_key(rng, items)
+        proof = tree.prove(absent)
+        assert proof.kind == ABSENCE
+        depth, other = reference_terminal(items, absent)
+        assert len(proof.path) == depth
+        assert proof.terminal == (None if other is None else (other, items[other]))
+        assert verify_proof(tree.root, proof)
 
 
-def test_absence_outside_range():
-    items = {b"b": 1, b"d": 2}
-    tree = MerkleMap(items)
-    low = tree.prove(b"a")
-    assert low.left is None and low.right.key == b"b"
-    assert verify_proof(tree.root, low)
-    high = tree.prove(b"z")
-    assert high.right is None and high.left.key == b"d"
-    assert verify_proof(tree.root, high)
+def test_absence_at_empty_slot_and_at_other_leaf():
+    rng = random.Random(8)
+    tree = MerkleMap(_random_items(rng, 16))
+    kinds = set()
+    for i in range(200):
+        proof = tree.prove(f"absent{i}".encode())
+        assert verify_proof(tree.root, proof)
+        kinds.add(proof.terminal is None)
+    assert kinds == {True, False}
 
 
 def test_absence_against_empty_tree():
     proof = MerkleProof(kind=ABSENCE, leaf_key=b"anything")
     assert verify_proof(EMPTY_ROOT, proof)
     assert not verify_proof(b"\x01" * 32, proof)
+    assert MerkleMap({}).prove(b"anything") == proof
 
 
 def test_proof_against_wrong_root_fails():
@@ -109,35 +169,75 @@ def test_proof_against_wrong_root_fails():
     assert not verify_proof(t2.root, t1.prove(b"a"))
 
 
-def test_absence_non_adjacent_neighbors_fail():
-    # neighbors that both verify but are not adjacent must be rejected
-    tree = MerkleMap({b"a": 1, b"c": 2, b"e": 3, b"g": 4})
-    pa = tree.prove(b"a")
-    pe = tree.prove(b"e")
-    forged = MerkleProof(
-        kind=ABSENCE,
-        leaf_key=b"b",
-        left=Neighbor(b"a", 1, pa.path),
-        right=Neighbor(b"e", 3, pe.path),
-    )
-    assert not verify_proof(tree.root, forged)
+def test_absence_for_present_key_fails():
+    rng = random.Random(9)
+    for _ in range(30):
+        items = _random_items(rng, rng.randint(1, 20))
+        key = rng.choice(sorted(items))
+        tree = MerkleMap(items)
+        without = MerkleMap({k: v for k, v in items.items() if k != key})
+        # an honest absence proof from the state before the key was written
+        assert not verify_proof(tree.root, without.prove(key))
+        # the key's own leaf presented as the terminal of an absence proof
+        member = tree.prove(key)
+        forged = MerkleProof(ABSENCE, key, path=member.path, terminal=(key, items[key]))
+        assert not verify_proof(tree.root, forged)
+        # an empty slot claimed anywhere on the key's path
+        for depth in range(len(member.path) + 1):
+            forged = MerkleProof(ABSENCE, key, path=member.path[len(member.path) - depth :])
+            assert not verify_proof(tree.root, forged)
 
 
-def test_absence_fake_boundary_fails():
-    # claiming an interior leaf is the rightmost must fail
-    tree = MerkleMap({b"a": 1, b"c": 2, b"e": 3})
-    pc = tree.prove(b"c")
+def _keys_by_first_bit(n):
+    out = ([], [])
+    i = 0
+    while min(len(out[0]), len(out[1])) < n:
+        key = f"key{i}".encode()
+        out[_bit(key, 0)].append(key)
+        i += 1
+    return out
+
+
+def test_absence_diverging_terminal_leaf_fails():
+    # a root that places a leaf on the wrong side of the first split: the
+    # path folds to it, so only the terminal's hash prefix check rejects it
+    zeros, ones = _keys_by_first_bit(2)
+    misplaced, other = ones[0], ones[1]
+    root = _sha(b"\x01" + _leaf(misplaced, 1) + _leaf(other, 2))
     forged = MerkleProof(
-        kind=ABSENCE,
-        leaf_key=b"z",
-        left=Neighbor(b"c", 2, pc.path),
+        ABSENCE, zeros[0], path=((_leaf(other, 2), "R"),), terminal=(misplaced, 1)
     )
-    assert not verify_proof(tree.root, forged)
+    assert not verify_proof(root, forged)
+    # the same check passes an honest shape: terminal on the absent key's side
+    root = _sha(b"\x01" + _leaf(zeros[1], 1) + _leaf(other, 2))
+    honest = MerkleProof(ABSENCE, zeros[0], path=((_leaf(other, 2), "R"),), terminal=(zeros[1], 1))
+    assert verify_proof(root, honest)
+
+
+def test_path_direction_must_match_key_hash():
+    zeros, ones = _keys_by_first_bit(1)
+    a, b = zeros[0], ones[0]
+    # a root with the two leaves swapped: folding b's stated direction gives it
+    swapped = _sha(b"\x01" + _leaf(b, 2) + _leaf(a, 1))
+    forged = MerkleProof(MEMBERSHIP, b, 2, path=((_leaf(a, 1), "R"),))
+    assert not verify_proof(swapped, forged)
+    tree = MerkleMap({a: 1, b: 2})
+    assert tree.root == _sha(b"\x01" + _leaf(a, 1) + _leaf(b, 2))
+    assert verify_proof(tree.root, tree.prove(b))
+    # flipping any stated direction of an honest proof is rejected
+    rng = random.Random(10)
+    big = MerkleMap(_random_items(rng, 40))
+    for key in list(_random_items(rng, 20)):
+        proof = big.prove(key)
+        for i, (sib, d) in enumerate(proof.path):
+            flipped = proof.path[:i] + ((sib, "L" if d == "R" else "R"),) + proof.path[i + 1 :]
+            bad = MerkleProof(proof.kind, key, proof.leaf_value, flipped, terminal=proof.terminal)
+            assert not verify_proof(big.root, bad)
 
 
 def test_proof_wire_roundtrip():
     tree = MerkleMap({b"a": 1, b"c": "v", b"e": None})
-    for key in (b"a", b"b", b"\x00", b"zzz"):
+    for key in (b"a", b"b", b"\x00", b"zzz", b"e"):
         proof = tree.prove(key, root_height=7)
         back, end = decode_proof(encode_proof(proof))
         assert back == proof
@@ -147,11 +247,7 @@ def test_proof_wire_roundtrip():
 def test_fuzz_proofs_and_mutations():
     rng = random.Random(1234)
     for round_ in range(60):
-        n = rng.randint(1, 40)
-        items = {}
-        while len(items) < n:
-            k = bytes(rng.randrange(256) for _ in range(rng.randint(1, 12)))
-            items[k] = rng.choice([rng.randrange(-5000, 5000), "s" * rng.randint(0, 3), None, True])
+        items = _random_items(rng, rng.randint(1, 40))
         tree = MerkleMap(items)
         assert tree.root == reference_root(items)
         # membership
@@ -159,15 +255,11 @@ def test_fuzz_proofs_and_mutations():
         proof = tree.prove(key)
         assert verify_proof(tree.root, proof)
         # absence of a fresh key
-        while True:
-            absent = bytes(rng.randrange(256) for _ in range(rng.randint(1, 12)))
-            if absent not in items:
-                break
+        absent = _absent_key(rng, items)
         aproof = tree.prove(absent)
         assert verify_proof(tree.root, aproof)
-        lref, rref = reference_neighbors(items, absent)
-        assert (aproof.left.key if aproof.left else None) == lref
-        assert (aproof.right.key if aproof.right else None) == rref
+        depth, other = reference_terminal(items, absent)
+        assert (len(aproof.path), aproof.terminal and aproof.terminal[0]) == (depth, other)
         # single-byte mutation of a committed sibling digest must fail
         if proof.path:
             i = rng.randrange(len(proof.path))
