@@ -28,13 +28,13 @@ from .sim import Future, SimConfig, Simulation
 from .txn import (
     Aborted,
     Committed,
-    GeneralTxn,
     MiniTxn,
     MODE_LOCKS,
     MODE_OCC,
     ReadRequest,
     ReadResponse,
     TwoPCRecord,
+    XTxn,
     XTxnEngine,
 )
 

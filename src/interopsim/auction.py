@@ -23,7 +23,7 @@ from .errors import (
     TxnAborted,
 )
 from .sim import Simulation
-from .txn import Aborted, GeneralTxn, MODE_OCC, XTxnEngine
+from .txn import Aborted, MODE_OCC, XTxn, XTxnEngine
 from .values import decode_values, encode_values
 
 KIND_START = KIND_APP_BASE  # auction-start notification to Bidder contracts
@@ -247,7 +247,7 @@ class AuctionApp:
                 return AuctionOutcome(status="aborted", attempts=attempt)
             yield self.sim.sleep(5)
 
-    def _conclude_once(self, t: GeneralTxn, auction_id: str):
+    def _conclude_once(self, t: XTxn, auction_id: str):
         """One settlement attempt; returns None when the commit aborted."""
         tickets = self.ticket_chain
         status = yield self.engine.txn_read_async(

@@ -22,12 +22,9 @@ EVENT_VERSION = 1
 # protocol kind bytes
 KIND_READ_REQ = 1
 KIND_READ_RESP = 2
-KIND_MT_PREPARE = 3
-KIND_MT_VOTE = 4
-KIND_MT_DECIDE = 5
-KIND_GT_PREPARE = 6
-KIND_GT_VOTE = 7
-KIND_GT_DECIDE = 8
+KIND_PREPARE = 3
+KIND_VOTE = 4
+KIND_DECIDE = 5
 # application events use kinds >= 16
 KIND_APP_BASE = 16
 

@@ -70,13 +70,6 @@ class ProofInvalid(SimError):
     pass
 
 
-class CompareFailed(SimError):
-    def __init__(self, chain: str, key: bytes):
-        self.chain = chain
-        self.key = key
-        super().__init__(f"compare failed on {chain}:{key!r}")
-
-
 class LockConflict(SimError):
     pass
 
@@ -86,10 +79,6 @@ class LockTimeout(SimError):
 
 
 class InvalidState(SimError):
-    pass
-
-
-class VersionConflict(SimError):
     pass
 
 

@@ -1,16 +1,24 @@
-"""Cross-chain transactions: verified reads, mini-transactions, general 2PC.
+"""Cross-chain transactions: verified reads and one two-phase commit path.
 
 Reads travel a direct request/response channel and come back either
 contract-path (every honest node signs digest(value || nonce || height),
 f+1 matching signatures required) or storage-path (one node signature plus
 a Merkle proof anchored to a certified state root).
 
-Mini-transactions (known compare/read/write sets) and general transactions
-(lock-based or optimistic) commit through two-phase commit run on a
-coordinator chain: prepare and decision records are ledger entries there,
-protocol messages are bus events, votes carry f+1 participant-node
-signatures by construction of the gateway path.  Prepared participants
-that miss the decision recover it by polling the coordinator's ledger.
+Every cross-chain transaction is an `XTxn` committed by the same 2PC run on
+a coordinator chain.  A mini-transaction knows its compare/read/write sets
+up front; a general one (lock-based or optimistic) builds its read (with
+versions), prefix, lock and write sets through verified reads first.  At
+commit the coordinator's `begin` block sends each participant one `Prepare`
+holding its share of every set; the participant checks write and read
+policy, compares, versions and held locks, takes its write locks and votes.
+Prepare and decision records are ledger entries on the coordinator,
+protocol messages are bus events, and votes carry f+1 participant-node
+signatures by construction of the gateway path.  Every abort once prepared
+(client abort, vote timeout) is a `decide` ledger transaction on the
+coordinator, so a decision is durable before any participant hears it.
+Prepared participants that miss the decision recover it by polling the
+coordinator's ledger.
 """
 
 from __future__ import annotations
@@ -18,17 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .bus import (
-    Event,
-    KIND_GT_DECIDE,
-    KIND_GT_PREPARE,
-    KIND_GT_VOTE,
-    KIND_MT_DECIDE,
-    KIND_MT_PREPARE,
-    KIND_MT_VOTE,
-    KIND_READ_REQ,
-    KIND_READ_RESP,
-)
+from .bus import Event, KIND_DECIDE, KIND_PREPARE, KIND_READ_REQ, KIND_READ_RESP, KIND_VOTE
 from .chain import Behavior, Chain, EventDraft, Receipt, Version
 from .errors import (
     EncodingError,
@@ -94,13 +92,6 @@ class MiniTxn:
     reads: tuple[tuple[str, str], ...]  # (chain, key)
     writes: tuple[tuple[str, str, Value], ...]  # (chain, key, value)
 
-    def chains(self) -> list[str]:
-        seen: list[str] = []
-        for chain, *_ in [*self.compares, *self.reads, *self.writes]:
-            if chain not in seen:
-                seen.append(chain)
-        return seen
-
 
 @dataclass
 class TwoPCRecord:
@@ -119,39 +110,134 @@ class Aborted:
     reason: str
 
 
-class GeneralTxn:
-    """Handle for an interactive cross-chain transaction."""
+@dataclass(eq=False)
+class XTxn:
+    """One cross-chain transaction, mini or general, and its 2PC bookkeeping.
 
-    def __init__(self, engine: "XTxnEngine", txn_id: str, coordinator: str, mode: str):
-        self.engine = engine
-        self.txn_id = txn_id
-        self.coordinator_chain = coordinator
-        self.mode = mode
-        self.status = ST_ACTIVE
-        self.read_set: list[tuple[str, str, Version]] = []
-        self.prefix_set: list[tuple[str, str, Version]] = []
-        self.write_set: dict[tuple[str, str], Value] = {}
-        self.lock_keys: dict[str, list[str]] = {}  # chain -> held lock keys
-        self.caller_id = "client"
-        self.caller_chain = coordinator
+    Sets are keyed by chain.  A mini-transaction fills `compare_set`,
+    `fetch_set` (keys whose values come back with the vote) and `write_set`
+    before commit; a general one fills `read_set` and `prefix_set` (with the
+    versions seen), `lock_keys` (locks mode) and `write_set` as it runs.
+    """
 
-    # sync конvenience wrappers live on the engine; handle keeps state only
+    txn_id: str
+    kind: str  # "mini" | "general": the type of the xtxn log record
+    coordinator_chain: str
+    caller_id: str = "client"
+    mode: str = ""  # general: MODE_LOCKS | MODE_OCC
+    status: str = ST_ACTIVE
+    decision: Optional[str] = None
+    reason: str = ""
+    future: Optional[Future] = None
+    participants: list[str] = field(default_factory=list)
+    votes: dict[str, tuple[str, str]] = field(default_factory=dict)
+    read_values: dict[tuple[str, str], Value] = field(default_factory=dict)
+    applied: set[str] = field(default_factory=set)
+    rt_prepare_done: bool = False
+    rt_decide_done: bool = False
+    compare_set: list[tuple[str, str, Value]] = field(default_factory=list)
+    fetch_set: list[tuple[str, str]] = field(default_factory=list)
+    read_set: list[tuple[str, str, Version]] = field(default_factory=list)
+    prefix_set: list[tuple[str, str, Version]] = field(default_factory=list)
+    lock_keys: dict[str, list[str]] = field(default_factory=dict)  # chain -> held lock keys
+    write_set: dict[tuple[str, str], Value] = field(default_factory=dict)
 
-    def touched_chains(self) -> list[str]:
-        seen: list[str] = []
-        for chain, _, _ in [*self.read_set, *self.prefix_set]:
-            if chain not in seen:
-                seen.append(chain)
-        for chain, _ in self.write_set:
-            if chain not in seen:
-                seen.append(chain)
+    def chains(self) -> list[str]:
+        """Every chain the sets name, in first-touch order: the participants."""
+        seen: dict[str, None] = {}
+        for chain, *_ in [
+            *self.compare_set,
+            *self.fetch_set,
+            *self.read_set,
+            *self.prefix_set,
+            *self.write_set,
+        ]:
+            seen.setdefault(chain)
         for chain in self.lock_keys:
-            if chain not in seen:
-                seen.append(chain)
-        return seen
+            seen.setdefault(chain)
+        return list(seen)
+
+    def prepare_for(self, chain: str) -> "Prepare":
+        occ = self.mode == MODE_OCC
+        return Prepare(
+            txn_id=self.txn_id,
+            coordinator=self.coordinator_chain,
+            caller_id=self.caller_id,
+            compares=tuple((k, v) for c, k, v in self.compare_set if c == chain),
+            reads=tuple(k for c, k in self.fetch_set if c == chain),
+            versions=tuple((k, ver) for c, k, ver in self.read_set if c == chain) if occ else (),
+            prefixes=tuple((p, ver) for c, p, ver in self.prefix_set if c == chain) if occ else (),
+            locks=tuple(self.lock_keys.get(chain, ())),
+            writes=tuple((k, v) for (c, k), v in self.write_set.items() if c == chain),
+        )
+
+
+@dataclass(frozen=True)
+class Prepare:
+    """One participant's share of a transaction, as the prepare event carries it.
+
+    The participant checks write policy, read policy on `reads`, compares,
+    versions and prefix versions (OCC), held locks (locks mode), then takes
+    the write locks, in that order.  A set the transaction does not use is
+    empty.
+    """
+
+    txn_id: str
+    coordinator: str
+    caller_id: str
+    compares: tuple[tuple[str, Value], ...] = ()  # (key, expected value)
+    reads: tuple[str, ...] = ()  # keys whose values return with the vote
+    versions: tuple[tuple[str, Version], ...] = ()  # (key, version read)
+    prefixes: tuple[tuple[str, Version], ...] = ()  # (prefix, latest version under it)
+    locks: tuple[str, ...] = ()  # keys, or prefixes ending in "*", locked while reading
+    writes: tuple[tuple[str, Value], ...] = ()  # (key, value)
 
 
 # ---------------------------------------------------------------- payloads
+
+# each Prepare set and the number of scalars one of its rows flattens to
+_PREPARE_SETS = (
+    ("compares", 2),
+    ("reads", 1),
+    ("versions", 3),
+    ("prefixes", 3),
+    ("locks", 1),
+    ("writes", 2),
+)
+
+
+def encode_prepare(p: Prepare) -> bytes:
+    vals: list[Value] = [p.txn_id, p.coordinator, p.caller_id]
+    for name, width in _PREPARE_SETS:
+        rows = getattr(p, name)
+        vals.append(len(rows))
+        for row in rows:
+            if width == 1:
+                vals.append(row)
+            elif width == 2:
+                vals.extend(row)
+            else:
+                vals.extend([row[0], *row[1]])
+    return encode_values(vals)
+
+
+def decode_prepare(raw: bytes) -> Prepare:
+    vals, _ = decode_values(raw, 0)
+    sets: dict[str, tuple] = {}
+    cursor = 3
+    for name, width in _PREPARE_SETS:
+        n = vals[cursor]
+        cursor += 1
+        flat = vals[cursor : cursor + n * width]
+        cursor += n * width
+        rows = [flat[i : i + width] for i in range(0, len(flat), width)]
+        if width == 1:
+            sets[name] = tuple(row[0] for row in rows)
+        elif width == 2:
+            sets[name] = tuple((row[0], row[1]) for row in rows)
+        else:
+            sets[name] = tuple((row[0], (row[1], row[2])) for row in rows)
+    return Prepare(vals[0], vals[1], vals[2], **sets)
 
 
 def _enc_read_req(req: ReadRequest) -> bytes:
@@ -233,6 +319,24 @@ def _dec_read_resp(raw: bytes) -> ReadResponse:
     )
 
 
+def _answer(
+    req: ReadRequest,
+    height: int,
+    value: Value,
+    signatures: tuple[tuple[str, bytes], ...],
+    proof: Optional[MerkleProof] = None,
+    version: Optional[Version] = None,
+) -> bytes:
+    return _enc_read_resp(ReadResponse(value, height, req.nonce, signatures, proof, version))
+
+
+def _refusal(req: ReadRequest, height: int, status: str, reason: str) -> bytes:
+    """A response carrying no value: status denied, locked or error."""
+    return _enc_read_resp(
+        ReadResponse(None, height, req.nonce, (), status=status, reason=reason)
+    )
+
+
 def _enc_rows(rows: list[tuple[str, Value, Version]]) -> bytes:
     vals: list[Value] = [len(rows)]
     for key, value, version in rows:
@@ -249,6 +353,16 @@ def _dec_rows(raw: bytes) -> list[tuple[str, Value, Version]]:
     return rows
 
 
+def _sys_event(dest_chain: str, kind: int, payload: bytes) -> EventDraft:
+    return EventDraft(
+        dest_chain=dest_chain,
+        dest_contract="sys.txn",
+        kind=kind,
+        payload=payload,
+        source_contract="sys.txn",
+    )
+
+
 # ------------------------------------------------------------- the engine
 
 
@@ -259,8 +373,8 @@ class XTxnEngine:
         self.sim = sim
         self._nonce = 0
         self._txn_seq = 0
-        # per-txn protocol bookkeeping (mirrors coordinator ledger records)
-        self.records: dict[str, dict] = {}
+        # every transaction begun here; the coordinator ledger mirrors decisions
+        self.records: dict[str, XTxn] = {}
         # participant-side pending writes: (txid, chain) -> [(key, value)]
         self._pending: dict[tuple[str, str], list[tuple[str, Value]]] = {}
         self._polling: set[tuple[str, str]] = set()
@@ -381,24 +495,21 @@ class XTxnEngine:
         head = key.split(".", 1)[0]
         return head if head in chain.contracts else ""
 
-    def _check_read_policy(self, chain: Chain, req: ReadRequest, resource: str, contract: str):
+    def _policy_denial(
+        self,
+        chain: Chain,
+        contract: str,
+        action: str,
+        resource: str,
+        caller_id: str,
+        caller_chain: str,
+        height: Optional[int] = None,
+    ) -> Optional[str]:
+        """The policy's reason (maybe "") when it refuses; None when allowed or no contract."""
         if not contract:
             return None
-        decision = chain.evaluate_policy(
-            contract, "read", resource, req.caller_id, req.caller_chain
-        )
-        if not decision.allowed:
-            return _enc_read_resp(
-                ReadResponse(
-                    value=None,
-                    anchor_height=chain.height,
-                    nonce=req.nonce,
-                    signatures=(),
-                    status="denied",
-                    reason=decision.reason,
-                )
-            )
-        return None
+        decision = chain.evaluate_policy(contract, action, resource, caller_id, caller_chain, height)
+        return None if decision.allowed else decision.reason
 
     def _sign_matching(
         self, chain: Chain, value: Value, nonce: int, height: int
@@ -423,108 +534,57 @@ class XTxnEngine:
         if req.method == "__unlock__":
             if chain.locks.release_owner(req.lock_for):
                 self._log_lock(chain.chain_id, "release", "*", req.lock_for)
-            return _enc_read_resp(
-                ReadResponse(
-                    value=True, anchor_height=height, nonce=req.nonce, signatures=()
-                )
-            )
-
-        # aggregate query: resource agg.<fn>.<prefix>, no row access implied
-        if req.method == "__agg__":
-            fn = req.args[0]
-            prefix = req.args[1]
-            frm = req.args[2] if len(req.args) > 2 else None
-            to = req.args[3] if len(req.args) > 3 else None
-            resource = f"agg.{fn}.{prefix.rstrip('.')}" if prefix else f"agg.{fn}"
-            denied = self._check_read_policy(chain, req, resource, req.contract)
-            if denied is not None:
-                return denied
-            try:
-                value = eval_aggregate(
-                    AggExpr(fn, prefix, frm, to),
-                    ChainEvalContext(chain, req.contract, height),
-                )
-            except Exception as exc:
-                return _enc_read_resp(
-                    ReadResponse(
-                        value=None,
-                        anchor_height=height,
-                        nonce=req.nonce,
-                        signatures=(),
-                        status="error",
-                        reason=f"{type(exc).__name__}: {exc}",
-                    )
-                )
-            sigs = self._sign_matching(chain, value, req.nonce, height)
-            return _enc_read_resp(
-                ReadResponse(value=value, anchor_height=height, nonce=req.nonce, signatures=sigs)
-            )
+            return _answer(req, height, True, ())
 
         # prefix snapshot: phantom-safe row listing with a prefix version guard
         if req.method == "__prefix__":
             prefix = req.key
             contract = req.contract or self._owning_contract(chain, prefix)
-            rel = prefix[len(contract) + 1 :] if contract and prefix.startswith(contract + ".") else prefix
             full_prefix = prefix if not req.contract else f"{req.contract}.{prefix}"
             rows = [
                 (key, value, version)
                 for key, value, version in chain.state_items(full_prefix)
                 if value is not None
             ]
-            if contract:
-                for key, _, _ in rows:
-                    row_rel = key[len(contract) + 1 :]
-                    denied = self._check_read_policy(chain, req, row_rel, contract)
-                    if denied is not None:
-                        return denied
+            for key, _, _ in rows:
+                denial = self._policy_denial(
+                    chain, contract, "read", key[len(contract) + 1 :], req.caller_id, req.caller_chain
+                )
+                if denial is not None:
+                    return _refusal(req, height, "denied", denial)
             if req.lock_for:
                 if not chain.locks.try_lock_prefix(full_prefix, req.lock_for):
-                    return _enc_read_resp(
-                        ReadResponse(
-                            value=None,
-                            anchor_height=height,
-                            nonce=req.nonce,
-                            signatures=(),
-                            status="locked",
-                            reason=full_prefix,
-                        )
-                    )
+                    return _refusal(req, height, "locked", full_prefix)
                 self._log_lock(chain.chain_id, "acquire", full_prefix, req.lock_for)
             guard = chain.latest_version_under(full_prefix)
             value = _enc_rows(rows)
             sigs = self._sign_matching(chain, value, req.nonce, height)
-            return _enc_read_resp(
-                ReadResponse(
-                    value=value,
-                    anchor_height=height,
-                    nonce=req.nonce,
-                    signatures=sigs,
-                    version=guard,
-                )
-            )
+            return _answer(req, height, value, sigs, version=guard)
 
-        # contract path: a read-only query handler executed by every node
+        # aggregate query (resource agg.<fn>.<prefix>, no row access implied)
+        # or contract path (a read-only query handler): every node signs
         if req.method:
-            denied = self._check_read_policy(chain, req, req.method, req.contract)
-            if denied is not None:
-                return denied
-            try:
-                value = chain.run_query(req.contract, req.method, list(req.args))
-            except Exception as exc:
-                return _enc_read_resp(
-                    ReadResponse(
-                        value=None,
-                        anchor_height=height,
-                        nonce=req.nonce,
-                        signatures=(),
-                        status="error",
-                        reason=f"{type(exc).__name__}: {exc}",
-                    )
-                )
-            sigs = self._sign_matching(chain, value, req.nonce, height)
-            return _enc_read_resp(
-                ReadResponse(value=value, anchor_height=height, nonce=req.nonce, signatures=sigs)
+            agg = req.method == "__agg__"
+            resource = req.method
+            if agg:
+                fn, prefix = req.args[0], req.args[1]
+                frm = req.args[2] if len(req.args) > 2 else None
+                to = req.args[3] if len(req.args) > 3 else None
+                resource = f"agg.{fn}.{prefix.rstrip('.')}" if prefix else f"agg.{fn}"
+            denial = self._policy_denial(
+                chain, req.contract, "read", resource, req.caller_id, req.caller_chain
             )
+            if denial is not None:
+                return _refusal(req, height, "denied", denial)
+            try:
+                if agg:
+                    expr = AggExpr(fn, prefix, frm, to)
+                    value = eval_aggregate(expr, ChainEvalContext(chain, req.contract, height))
+                else:
+                    value = chain.run_query(req.contract, req.method, list(req.args))
+            except Exception as exc:
+                return _refusal(req, height, "error", f"{type(exc).__name__}: {exc}")
+            return _answer(req, height, value, self._sign_matching(chain, value, req.nonce, height))
 
         # storage path: plain key, merkle proof, single (first honest) node
         full_key = f"{req.contract}.{req.key}" if req.contract else req.key
@@ -533,36 +593,20 @@ class XTxnEngine:
             rel = full_key[len(contract) + 1 :]
             if req.lock_only:
                 # write-lock acquisition: gate on write intent, not read
-                denial = self._check_write_policy(
-                    chain, full_key, req.caller_id, req.caller_chain, chain.height
+                denial = self._policy_denial(
+                    chain, contract, "write", rel, req.caller_id, req.caller_chain, chain.height
                 )
                 if denial is not None:
-                    return _enc_read_resp(
-                        ReadResponse(
-                            value=None,
-                            anchor_height=height,
-                            nonce=req.nonce,
-                            signatures=(),
-                            status="denied",
-                            reason=denial,
-                        )
-                    )
+                    return _refusal(req, height, "denied", denial or "policy denied")
             else:
-                denied = self._check_read_policy(chain, req, rel, contract)
-                if denied is not None:
-                    return denied
+                denial = self._policy_denial(
+                    chain, contract, "read", rel, req.caller_id, req.caller_chain
+                )
+                if denial is not None:
+                    return _refusal(req, height, "denied", denial)
         if req.lock_for:
             if not chain.locks.try_lock(full_key, req.lock_for):
-                return _enc_read_resp(
-                    ReadResponse(
-                        value=None,
-                        anchor_height=height,
-                        nonce=req.nonce,
-                        signatures=(),
-                        status="locked",
-                        reason=full_key,
-                    )
-                )
+                return _refusal(req, height, "locked", full_key)
             self._log_lock(chain.chain_id, "acquire", full_key, req.lock_for)
         value = chain.read_state(full_key, height)
         version = chain.current_version(full_key)
@@ -583,18 +627,9 @@ class XTxnEngine:
                     ),
                 ),
             )
-        return _enc_read_resp(
-            ReadResponse(
-                value=value,
-                anchor_height=height,
-                nonce=req.nonce,
-                signatures=sigs,
-                proof=proof,
-                version=version,
-            )
-        )
+        return _answer(req, height, value, sigs, proof=proof, version=version)
 
-    # ------------------------------------------------------ mini-txns
+    # ---------------------------------------------------- transactions
 
     def new_txn_id(self, prefix: str) -> str:
         self._txn_seq += 1
@@ -603,232 +638,158 @@ class XTxnEngine:
     def execute_minitxn_async(
         self, coordinator: str, mt: MiniTxn, caller_id: str = "client"
     ) -> Future:
-        txid = self.new_txn_id(f"mt|{coordinator}")
-        participants = mt.chains()
-        fut = Future()
-        self.records[txid] = {
-            "type": "mini",
-            "coordinator": coordinator,
-            "participants": participants,
-            "mt": mt,
-            "votes": {},
-            "decision": None,
-            "reason": "",
-            "applied": set(),
-            "future": fut,
-            "caller_id": caller_id,
-            "read_values": {},
-            "rt_prepare_done": False,
-            "rt_decide_done": False,
-        }
-        if not participants:
-            self.records[txid]["decision"] = "commit"
-            fut.set_result(Committed())
-            return fut
-        coord = self.sim.chains[coordinator]
-        coord.submit_sys_txn("sys.txn", "mt_begin", [txid], caller_id="sys.txn")
-        self._arm_vote_timeout(txid)
-        return fut
+        t = XTxn(
+            self.new_txn_id(f"mt|{coordinator}"),
+            "mini",
+            coordinator,
+            caller_id,
+            compare_set=list(mt.compares),
+            fetch_set=list(mt.reads),
+            write_set={(chain, key): value for chain, key, value in mt.writes},
+        )
+        self.records[t.txn_id] = t
+        return self._commit(t)
 
     def execute_minitxn(self, coordinator: str, mt: MiniTxn, caller_id: str = "client"):
-        result = self.sim.pump(self.execute_minitxn_async(coordinator, mt, caller_id))
-        return result
+        return self.sim.pump(self.execute_minitxn_async(coordinator, mt, caller_id))
 
-    def _arm_vote_timeout(self, txid: str) -> None:
-        deadline = self.sim.tick + self.sim.config.vote_timeout
-
-        def on_timeout():
-            rec = self.records.get(txid)
-            if rec is None or rec["decision"] is not None:
-                return
-            coord = self.sim.chains[rec["coordinator"]]
-            coord.submit_sys_txn("sys.txn", "decide_timeout", [txid], caller_id="sys.txn")
-
-        self.sim.call_at(deadline, on_timeout)
-
-    # ---------------------------------------------------- general txns
-
-    def begin_general(self, coordinator: str, mode: str, caller_id: str = "client") -> GeneralTxn:
+    def begin_general(self, coordinator: str, mode: str, caller_id: str = "client") -> XTxn:
         if mode not in (MODE_LOCKS, MODE_OCC):
             raise InvalidState(f"unknown mode {mode}")
-        txid = self.new_txn_id(f"gt|{coordinator}")
-        t = GeneralTxn(self, txid, coordinator, mode)
-        t.caller_id = caller_id
-        self.records[txid] = {
-            "type": "general",
-            "coordinator": coordinator,
-            "participants": [],
-            "handle": t,
-            "votes": {},
-            "decision": None,
-            "reason": "",
-            "applied": set(),
-            "future": None,
-            "caller_id": caller_id,
-            "read_values": {},
-            "rt_prepare_done": False,
-            "rt_decide_done": False,
-        }
+        t = XTxn(self.new_txn_id(f"gt|{coordinator}"), "general", coordinator, caller_id, mode)
+        self.records[t.txn_id] = t
         return t
 
-    def _require_active(self, t: GeneralTxn) -> None:
+    def _require_active(self, t: XTxn) -> None:
         if t.status != ST_ACTIVE:
             raise InvalidState(f"transaction is {t.status}")
 
-    def txn_read_async(self, t: GeneralTxn, chain_id: str, key: str) -> Future:
+    def _locked_request(self, t: XTxn, chain_id: str, what: str, **fields):
+        """Task body: send one read request, resending while the target is locked.
+
+        Past the lock timeout the transaction aborts with LockTimeout."""
+        deadline = self.sim.tick + self.sim.config.lock_timeout
+        while True:
+            req = self.make_read_request(
+                chain_id, caller_id=t.caller_id, caller_chain=t.coordinator_chain, **fields
+            )
+            raw = yield self.sim.direct_request(chain_id, _enc_read_req(req))
+            resp = self.verify_response(req, raw)
+            if resp.status != "locked":
+                break
+            if self.sim.tick >= deadline:
+                self.abort(t, "LockTimeout")
+                raise LockTimeout(f"{chain_id}:{what}")
+            yield self.sim.sleep(2)
+        self._require_active(t)
+        return resp
+
+    def txn_read_async(self, t: XTxn, chain_id: str, key: str) -> Future:
         self._require_active(t)
         if (chain_id, key) in t.write_set:
             fut = Future()
             fut.set_result(t.write_set[(chain_id, key)])
             return fut  # read-your-writes
-        task = self.sim.spawn(self._txn_read_task(t, chain_id, key))
-        return task.future
+        return self.sim.spawn(self._txn_read_task(t, chain_id, key, prefix=False)).future
 
-    def _txn_read_task(self, t: GeneralTxn, chain_id: str, key: str):
-        deadline = self.sim.tick + self.sim.config.lock_timeout
+    def txn_read_prefix_async(self, t: XTxn, chain_id: str, prefix: str) -> Future:
+        self._require_active(t)
+        return self.sim.spawn(self._txn_read_task(t, chain_id, prefix, prefix=True)).future
+
+    def _txn_read_task(self, t: XTxn, chain_id: str, key: str, prefix: bool):
         lock_for = t.txn_id if t.mode == MODE_LOCKS else ""
-        while True:
-            req = self.make_read_request(
-                chain_id,
-                key=key,
-                caller_id=t.caller_id,
-                caller_chain=t.caller_chain,
-                lock_for=lock_for,
-            )
-            raw = yield self.sim.direct_request(chain_id, _enc_read_req(req))
-            resp = self.verify_response(req, raw)
-            if resp.status == "locked":
-                if self.sim.tick >= deadline:
-                    self.abort(t, "LockTimeout")
-                    raise LockTimeout(f"{chain_id}:{key}")
-                yield self.sim.sleep(2)
-                continue
-            if t.status != ST_ACTIVE:
-                raise InvalidState(f"transaction is {t.status}")
-            if lock_for:
-                t.lock_keys.setdefault(chain_id, []).append(key)
-            version = resp.version or (0, 0)
-            t.read_set.append((chain_id, key, version))
-            if chain_id != t.coordinator_chain:
-                self.sim.meter.round_trip(t.txn_id)
-            return resp.value
+        what = key + "*" if prefix else key
+        method = "__prefix__" if prefix else ""
+        resp = yield from self._locked_request(
+            t, chain_id, what, method=method, key=key, lock_for=lock_for
+        )
+        if lock_for:
+            t.lock_keys.setdefault(chain_id, []).append(what)
+        (t.prefix_set if prefix else t.read_set).append((chain_id, key, resp.version or (0, 0)))
+        if chain_id != t.coordinator_chain:
+            self.sim.meter.round_trip(t.txn_id)
+        return _dec_rows(resp.value) if prefix else resp.value
 
-    def txn_read(self, t: GeneralTxn, chain_id: str, key: str) -> Value:
+    def txn_read(self, t: XTxn, chain_id: str, key: str) -> Value:
         return self.sim.pump(self.txn_read_async(t, chain_id, key))
 
-    def txn_read_prefix_async(self, t: GeneralTxn, chain_id: str, prefix: str) -> Future:
-        self._require_active(t)
-        task = self.sim.spawn(self._txn_read_prefix_task(t, chain_id, prefix))
-        return task.future
-
-    def _txn_read_prefix_task(self, t: GeneralTxn, chain_id: str, prefix: str):
-        deadline = self.sim.tick + self.sim.config.lock_timeout
-        lock_for = t.txn_id if t.mode == MODE_LOCKS else ""
-        while True:
-            req = self.make_read_request(
-                chain_id,
-                method="__prefix__",
-                key=prefix,
-                caller_id=t.caller_id,
-                caller_chain=t.caller_chain,
-                lock_for=lock_for,
-            )
-            raw = yield self.sim.direct_request(chain_id, _enc_read_req(req))
-            resp = self.verify_response(req, raw)
-            if resp.status == "locked":
-                if self.sim.tick >= deadline:
-                    self.abort(t, "LockTimeout")
-                    raise LockTimeout(f"{chain_id}:{prefix}*")
-                yield self.sim.sleep(2)
-                continue
-            if t.status != ST_ACTIVE:
-                raise InvalidState(f"transaction is {t.status}")
-            if lock_for:
-                t.lock_keys.setdefault(chain_id, []).append(prefix + "*")
-            t.prefix_set.append((chain_id, prefix, resp.version or (0, 0)))
-            if chain_id != t.coordinator_chain:
-                self.sim.meter.round_trip(t.txn_id)
-            return _dec_rows(resp.value)
-
-    def txn_read_prefix(self, t: GeneralTxn, chain_id: str, prefix: str):
+    def txn_read_prefix(self, t: XTxn, chain_id: str, prefix: str):
         return self.sim.pump(self.txn_read_prefix_async(t, chain_id, prefix))
 
-    def txn_write_async(self, t: GeneralTxn, chain_id: str, key: str, value: Value) -> Future:
+    def txn_write_async(self, t: XTxn, chain_id: str, key: str, value: Value) -> Future:
         self._require_active(t)
         if t.mode == MODE_LOCKS and not self._holds_lock(t, chain_id, key):
-            task = self.sim.spawn(self._txn_lock_write_task(t, chain_id, key, value))
-            return task.future
+            return self.sim.spawn(self._txn_lock_write_task(t, chain_id, key, value)).future
         t.write_set[(chain_id, key)] = value
         fut = Future()
         fut.set_result(None)
         return fut
 
-    def _holds_lock(self, t: GeneralTxn, chain_id: str, key: str) -> bool:
+    def _holds_lock(self, t: XTxn, chain_id: str, key: str) -> bool:
         for held in t.lock_keys.get(chain_id, []):
             if held == key or (held.endswith("*") and key.startswith(held[:-1])):
                 return True
         return False
 
-    def _txn_lock_write_task(self, t: GeneralTxn, chain_id: str, key: str, value: Value):
-        deadline = self.sim.tick + self.sim.config.lock_timeout
-        while True:
-            req = self.make_read_request(
-                chain_id,
-                key=key,
-                caller_id=t.caller_id,
-                caller_chain=t.caller_chain,
-                lock_for=t.txn_id,
-                lock_only=True,
-            )
-            raw = yield self.sim.direct_request(chain_id, _enc_read_req(req))
-            resp = self.verify_response(req, raw)
-            if resp.status == "locked":
-                if self.sim.tick >= deadline:
-                    self.abort(t, "LockTimeout")
-                    raise LockTimeout(f"{chain_id}:{key}")
-                yield self.sim.sleep(2)
-                continue
-            if t.status != ST_ACTIVE:
-                raise InvalidState(f"transaction is {t.status}")
-            t.lock_keys.setdefault(chain_id, []).append(key)
-            t.write_set[(chain_id, key)] = value
-            return None
+    def _txn_lock_write_task(self, t: XTxn, chain_id: str, key: str, value: Value):
+        yield from self._locked_request(
+            t, chain_id, key, key=key, lock_for=t.txn_id, lock_only=True
+        )
+        t.lock_keys.setdefault(chain_id, []).append(key)
+        t.write_set[(chain_id, key)] = value
+        return None
 
-    def txn_write(self, t: GeneralTxn, chain_id: str, key: str, value: Value) -> None:
+    def txn_write(self, t: XTxn, chain_id: str, key: str, value: Value) -> None:
         self.sim.pump(self.txn_write_async(t, chain_id, key, value))
 
-    def txn_commit_async(self, t: GeneralTxn) -> Future:
+    def txn_commit_async(self, t: XTxn) -> Future:
         self._require_active(t)
-        t.status = ST_PREPARED
-        rec = self.records[t.txn_id]
-        fut = Future()
-        rec["future"] = fut
-        participants = t.touched_chains()
-        rec["participants"] = participants
-        if not participants:
-            rec["decision"] = "commit"
-            t.status = ST_COMMITTED
-            fut.set_result(Committed())
-            return fut
-        coord = self.sim.chains[t.coordinator_chain]
-        coord.submit_sys_txn("sys.txn", "gt_begin", [t.txn_id], caller_id="sys.txn")
-        self._arm_vote_timeout(t.txn_id)
-        return fut
+        return self._commit(t)
 
-    def txn_commit(self, t: GeneralTxn):
+    def txn_commit(self, t: XTxn):
         return self.sim.pump(self.txn_commit_async(t))
 
-    def abort(self, t: GeneralTxn, reason: str = "client abort") -> None:
-        if t.status in (ST_COMMITTED, ST_ABORTED):
+    def _commit(self, t: XTxn) -> Future:
+        """Start 2PC: the coordinator's `begin` block sends every prepare."""
+        t.status = ST_PREPARED
+        t.future = Future()
+        t.participants = t.chains()
+        if not t.participants:
+            t.decision = "commit"
+            t.status = ST_COMMITTED
+            t.future.set_result(Committed())
+            return t.future
+        coord = self.sim.chains[t.coordinator_chain]
+        coord.submit_sys_txn("sys.txn", "begin", [t.txn_id], caller_id="sys.txn")
+        self._arm_vote_timeout(t)
+        return t.future
+
+    def _arm_vote_timeout(self, t: XTxn) -> None:
+        def on_timeout():
+            if t.decision is None:
+                self._submit_abort(t, "VoteTimeout")
+
+        self.sim.call_at(self.sim.tick + self.sim.config.vote_timeout, on_timeout)
+
+    def _submit_abort(self, t: XTxn, reason: str) -> None:
+        coord = self.sim.chains[t.coordinator_chain]
+        coord.submit_sys_txn("sys.txn", "decide", [t.txn_id, "abort", reason], caller_id="sys.txn")
+
+    def abort(self, t: XTxn, reason: str = "client abort") -> None:
+        """Abort `t`.  Once prepared, the abort is a `decide` on the coordinator
+        ledger and the commit future resolves when that block executes."""
+        if t.status == ST_PREPARED:
+            self._submit_abort(t, reason)
+            return
+        if t.status != ST_ACTIVE:
             return
         t.status = ST_ABORTED
-        rec = self.records[t.txn_id]
-        rec["decision"] = "abort"
-        rec["reason"] = reason
+        t.decision = "abort"
+        t.reason = reason
         self.sim.meter.abort(reason)
         # locks release via unlock messages: the release itself rides the
         # lossy channel and is retried, like any other protocol step
-        for chain_id in t.touched_chains():
+        for chain_id in t.chains():
             req = self.make_read_request(
                 chain_id,
                 method="__unlock__",
@@ -837,9 +798,7 @@ class XTxnEngine:
                 lock_for=t.txn_id,
             )
             self.sim.direct_request(chain_id, _enc_read_req(req))
-        self._log_xtxn(t.txn_id)
-        if rec["future"] is not None:
-            rec["future"].set_result(Aborted(reason))
+        self._log_xtxn(t)
 
     # ------------------------------------------------- block-exec handler
 
@@ -849,336 +808,139 @@ class XTxnEngine:
         if method == "__event__":
             event = Event.decode(txn.args[0])
             return self._handle_event(chain, event, txn, height, idx)
-        if method == "mt_begin":
-            return self._exec_mt_begin(chain, txn, height, idx)
-        if method == "gt_begin":
-            return self._exec_gt_begin(chain, txn, height, idx)
-        if method == "decide_timeout":
-            return self._exec_decide(chain, txn.args[0], "abort", "VoteTimeout", txn, height, idx)
-        if method == "gt_apply":
+        if method == "begin":
+            return self._exec_begin(chain, txn, height, idx)
+        if method == "decide":
+            txid, decision, reason = txn.args
+            return self._exec_decide(chain, txid, decision, reason, txn, height, idx)
+        if method == "apply":
             return self._exec_apply(chain, txn.args[0], txn.args[1], txn, height, idx)
         raise EncodingError(f"unknown sys.txn method {method}")
 
     # --- coordinator side ---
 
-    def _exec_mt_begin(self, chain: Chain, txn, height: int, idx: int):
-        txid = txn.args[0]
-        rec = self.records[txid]
-        mt: MiniTxn = rec["mt"]
+    def _exec_begin(self, chain: Chain, txn, height: int, idx: int):
+        t = self.records[txn.args[0]]
         writes = {
-            f"sys.2pc.{txid}.phase": "prepare",
-            f"sys.2pc.{txid}.participants": ",".join(rec["participants"]),
+            f"sys.2pc.{t.txn_id}.phase": "prepare",
+            f"sys.2pc.{t.txn_id}.participants": ",".join(t.participants),
         }
         applied = chain._commit_writes(writes, height, idx)
-        events = []
-        for part in rec["participants"]:
-            compares = [(k, v) for c, k, v in mt.compares if c == part]
-            reads = [k for c, k in mt.reads if c == part]
-            wr = [(k, v) for c, k, v in mt.writes if c == part]
-            vals: list[Value] = [txid, rec["caller_id"], chain.chain_id, len(compares)]
-            for k, v in compares:
-                vals.extend([k, v])
-            vals.append(len(reads))
-            vals.extend(reads)
-            vals.append(len(wr))
-            for k, v in wr:
-                vals.extend([k, v])
-            events.append(
-                EventDraft(
-                    dest_chain=part,
-                    dest_contract="sys.txn",
-                    kind=KIND_MT_PREPARE,
-                    payload=encode_values(vals),
-                    source_contract="sys.txn",
-                )
-            )
-        return Receipt(txn.txn_id, "ok", writes=applied, xchain_txn=txid), events
-
-    def _exec_gt_begin(self, chain: Chain, txn, height: int, idx: int):
-        txid = txn.args[0]
-        rec = self.records[txid]
-        t: GeneralTxn = rec["handle"]
-        writes = {
-            f"sys.2pc.{txid}.phase": "prepare",
-            f"sys.2pc.{txid}.participants": ",".join(rec["participants"]),
-        }
-        applied = chain._commit_writes(writes, height, idx)
-        events = []
-        for part in rec["participants"]:
-            checks = [(k, ver) for c, k, ver in t.read_set if c == part]
-            prefix_checks = [(p, ver) for c, p, ver in t.prefix_set if c == part]
-            lock_keys = t.lock_keys.get(part, [])
-            wr = [(k, v) for (c, k), v in t.write_set.items() if c == part]
-            vals: list[Value] = [txid, t.caller_id, t.caller_chain, t.mode, len(checks)]
-            for k, ver in checks:
-                vals.extend([k, ver[0], ver[1]])
-            vals.append(len(prefix_checks))
-            for p, ver in prefix_checks:
-                vals.extend([p, ver[0], ver[1]])
-            vals.append(len(lock_keys))
-            vals.extend(lock_keys)
-            vals.append(len(wr))
-            for k, v in wr:
-                vals.extend([k, v])
-            events.append(
-                EventDraft(
-                    dest_chain=part,
-                    dest_contract="sys.txn",
-                    kind=KIND_GT_PREPARE,
-                    payload=encode_values(vals),
-                    source_contract="sys.txn",
-                )
-            )
-        return Receipt(txn.txn_id, "ok", writes=applied, xchain_txn=txid), events
+        events = [
+            _sys_event(part, KIND_PREPARE, encode_prepare(t.prepare_for(part)))
+            for part in t.participants
+        ]
+        return Receipt(txn.txn_id, "ok", writes=applied, xchain_txn=t.txn_id), events
 
     def _exec_decide(
         self, chain: Chain, txid: str, decision: str, reason: str, txn, height: int, idx: int
     ):
-        rec = self.records.get(txid)
-        if rec is None or rec["decision"] is not None:
+        t = self.records.get(txid)
+        if t is None or t.decision is not None:
             return Receipt(txn.txn_id, "ok", writes=()), []
-        rec["decision"] = decision
-        rec["reason"] = reason
+        t.decision = decision
+        t.reason = reason
         writes = {
             f"sys.2pc.{txid}.decision": decision,
             f"sys.2pc.{txid}.reason": reason,
         }
         applied = chain._commit_writes(writes, height, idx)
-        kind = KIND_MT_DECIDE if rec["type"] == "mini" else KIND_GT_DECIDE
-        events = [
-            EventDraft(
-                dest_chain=part,
-                dest_contract="sys.txn",
-                kind=kind,
-                payload=encode_values([txid, decision, reason]),
-                source_contract="sys.txn",
-            )
-            for part in rec["participants"]
-        ]
-        self._log_xtxn(txid)
-        self._complete(txid)
+        payload = encode_values([txid, decision, reason])
+        events = [_sys_event(part, KIND_DECIDE, payload) for part in t.participants]
+        self._log_xtxn(t)
+        self._complete(t)
         return Receipt(txn.txn_id, "ok", writes=applied, xchain_txn=txid), events
 
-    def _complete(self, txid: str) -> None:
-        rec = self.records[txid]
-        fut = rec["future"]
-        handle = rec.get("handle")
-        if rec["decision"] == "commit":
-            if handle is not None:
-                handle.status = ST_COMMITTED
-            if fut is not None:
-                fut.set_result(Committed(read_values=dict(rec["read_values"])))
+    def _complete(self, t: XTxn) -> None:
+        if t.decision == "commit":
+            t.status = ST_COMMITTED
+            t.future.set_result(Committed(read_values=dict(t.read_values)))
         else:
-            self.sim.meter.abort(rec["reason"] or "abort")
-            if handle is not None:
-                handle.status = ST_ABORTED
-            if fut is not None:
-                fut.set_result(Aborted(rec["reason"]))
+            self.sim.meter.abort(t.reason or "abort")
+            t.status = ST_ABORTED
+            t.future.set_result(Aborted(t.reason))
 
     # --- participant side ---
 
     def _handle_event(self, chain: Chain, event: Event, txn, height: int, idx: int):
         kind = event.kind
-        if kind == KIND_MT_PREPARE:
-            return self._exec_mt_prepare(chain, event, txn, height, idx)
-        if kind == KIND_GT_PREPARE:
-            return self._exec_gt_prepare(chain, event, txn, height, idx)
-        if kind in (KIND_MT_VOTE, KIND_GT_VOTE):
+        if kind == KIND_PREPARE:
+            return self._exec_prepare(chain, decode_prepare(event.payload), txn, height, idx)
+        if kind == KIND_VOTE:
             return self._exec_vote(chain, event, txn, height, idx)
-        if kind in (KIND_MT_DECIDE, KIND_GT_DECIDE):
+        if kind == KIND_DECIDE:
             vals, _ = decode_values(event.payload, 0)
-            return self._exec_apply(chain, vals[0], vals[1], txn, height, idx, vals[2])
+            return self._exec_apply(chain, vals[0], vals[1], txn, height, idx)
         raise EncodingError(f"unexpected protocol event kind {kind}")
 
     def _vote_event(self, chain: Chain, coordinator: str, txid: str, vote: str, reason: str,
-                    reads: list[tuple[str, Value]], kind: int) -> EventDraft:
+                    reads: list[tuple[str, Value]]) -> EventDraft:
         vals: list[Value] = [txid, chain.chain_id, vote, reason, len(reads)]
         for k, v in reads:
             vals.extend([k, v])
-        return EventDraft(
-            dest_chain=coordinator,
-            dest_contract="sys.txn",
-            kind=kind,
-            payload=encode_values(vals),
-            source_contract="sys.txn",
-        )
+        return _sys_event(coordinator, KIND_VOTE, encode_values(vals))
 
-    def _check_write_policy(self, chain: Chain, key: str, caller_id: str, caller_chain: str, height: int):
-        if key.startswith("sys."):
-            return "writes to the sys namespace are reserved"
-        contract = self._owning_contract(chain, key)
-        if not contract:
-            return None
-        rel = key[len(contract) + 1 :]
-        decision = chain.evaluate_policy(contract, "write", rel, caller_id, caller_chain, height)
-        if not decision.allowed:
-            return decision.reason or "policy denied"
-        return None
-
-    def _check_read_policy_key(self, chain: Chain, key: str, caller_id: str, caller_chain: str, height: int):
-        if key.startswith("sys."):
-            return None
-        contract = self._owning_contract(chain, key)
-        if not contract:
-            return None
-        rel = key[len(contract) + 1 :]
-        decision = chain.evaluate_policy(contract, "read", rel, caller_id, caller_chain, height)
-        if not decision.allowed:
-            return decision.reason or "policy denied"
-        return None
-
-    def _exec_mt_prepare(self, chain: Chain, event: Event, txn, height: int, idx: int):
-        vals, _ = decode_values(event.payload, 0)
-        cursor = 0
-        txid = vals[cursor]; cursor += 1
-        caller_id = vals[cursor]; cursor += 1
-        coordinator = vals[cursor]; cursor += 1
-        n_cmp = vals[cursor]; cursor += 1
-        compares = []
-        for _ in range(n_cmp):
-            compares.append((vals[cursor], vals[cursor + 1]))
-            cursor += 2
-        n_reads = vals[cursor]; cursor += 1
-        read_keys = vals[cursor : cursor + n_reads]
-        cursor += n_reads
-        n_writes = vals[cursor]; cursor += 1
-        writes = []
-        for _ in range(n_writes):
-            writes.append((vals[cursor], vals[cursor + 1]))
-            cursor += 2
-
-        marker = f"sys.mt.{txid}.seen"
+    def _exec_prepare(self, chain: Chain, p: Prepare, txn, height: int, idx: int):
+        txid = p.txn_id
+        marker = f"sys.xt.{txid}.seen"
         if chain.current_value(marker) is not None:
             return Receipt(txn.txn_id, "ok", writes=(), xchain_txn=txid), []
         state_writes = {marker: True}
-
-        vote, reason = "yes", ""
+        reason = self._prepare_checks(chain, p, height)
         reads: list[tuple[str, Value]] = []
-        # policy over write targets and read keys, then compares, then locks
-        for key, _ in writes:
-            denial = self._check_write_policy(chain, key, caller_id, event.source_chain, height)
-            if denial is not None:
-                vote, reason = "no", f"PolicyDenied: {denial}"
-                break
-        if vote == "yes":
-            for key in read_keys:
-                denial = self._check_read_policy_key(chain, key, caller_id, event.source_chain, height)
-                if denial is not None:
-                    vote, reason = "no", f"PolicyDenied: {denial}"
-                    break
-        if vote == "yes":
-            for key, expected in compares:
-                if chain.current_value(key) != expected:
-                    vote, reason = "no", f"CompareFailed: {chain.chain_id}:{key}"
-                    break
-        if vote == "yes":
-            locked = []
-            for key, _ in writes:
-                if chain.locks.try_lock(key, txid):
-                    locked.append(key)
-                    self._log_lock(chain.chain_id, "acquire", key, txid)
-                else:
-                    vote, reason = "no", f"LockConflict: {key}"
-                    if locked and chain.locks.release_owner(txid):
-                        self._log_lock(chain.chain_id, "release", "*", txid)
-                    break
-        if vote == "yes":
-            for key in read_keys:
-                reads.append((key, chain.current_value(key)))
-            self._pending[(txid, chain.chain_id)] = list(writes)
-            state_writes[f"sys.mt.{txid}.vote"] = "yes"
-            self._arm_decision_poll(txid, chain.chain_id, coordinator)
-        applied = chain._commit_writes(state_writes, height, idx)
-        out = [self._vote_event(chain, coordinator, txid, vote, reason, reads, KIND_MT_VOTE)]
-        return Receipt(txn.txn_id, "ok", writes=applied, xchain_txn=txid), out
-
-    def _exec_gt_prepare(self, chain: Chain, event: Event, txn, height: int, idx: int):
-        vals, _ = decode_values(event.payload, 0)
-        cursor = 0
-        txid = vals[cursor]; cursor += 1
-        caller_id = vals[cursor]; cursor += 1
-        caller_chain = vals[cursor]; cursor += 1
-        mode = vals[cursor]; cursor += 1
-        n_checks = vals[cursor]; cursor += 1
-        checks = []
-        for _ in range(n_checks):
-            checks.append((vals[cursor], (vals[cursor + 1], vals[cursor + 2])))
-            cursor += 3
-        n_prefix = vals[cursor]; cursor += 1
-        prefix_checks = []
-        for _ in range(n_prefix):
-            prefix_checks.append((vals[cursor], (vals[cursor + 1], vals[cursor + 2])))
-            cursor += 3
-        n_locks = vals[cursor]; cursor += 1
-        lock_keys = vals[cursor : cursor + n_locks]
-        cursor += n_locks
-        n_writes = vals[cursor]; cursor += 1
-        writes = []
-        for _ in range(n_writes):
-            writes.append((vals[cursor], vals[cursor + 1]))
-            cursor += 2
-
-        marker = f"sys.gt.{txid}.seen"
-        if chain.current_value(marker) is not None:
-            return Receipt(txn.txn_id, "ok", writes=(), xchain_txn=txid), []
-        state_writes = {marker: True}
-
-        vote, reason = "yes", ""
-        for key, _ in writes:
-            denial = self._check_write_policy(chain, key, caller_id, caller_chain, height)
-            if denial is not None:
-                vote, reason = "no", f"PolicyDenied: {denial}"
-                break
-        if vote == "yes" and mode == MODE_OCC:
-            # first-committer-wins: newer versions abort the transaction
-            for key, ver in checks:
-                current = chain.current_version(key) or (0, 0)
-                if current != ver:
-                    vote, reason = "no", f"VersionConflict: {key}"
-                    break
-            if vote == "yes":
-                for prefix, ver in prefix_checks:
-                    if chain.latest_version_under(prefix) != ver:
-                        vote, reason = "no", f"VersionConflict: {prefix}*"
-                        break
-        if vote == "yes" and mode == MODE_LOCKS:
-            for key in lock_keys:
-                holder_ok = (
-                    chain.locks.prefix.get(key[:-1]) == txid
-                    if key.endswith("*")
-                    else chain.locks.exact.get(key) == txid
-                )
-                if not holder_ok:
-                    vote, reason = "no", f"LockLost: {key}"
-                    break
-        if vote == "yes":
-            acquired = []
-            for key, _ in writes:
-                if chain.locks.exact.get(key) == txid or self._covered_by_prefix(chain, key, txid):
-                    continue
-                if chain.locks.try_lock(key, txid):
-                    acquired.append(key)
-                    self._log_lock(chain.chain_id, "acquire", key, txid)
-                else:
-                    vote, reason = "no", f"LockConflict: {key}"
-                    if chain.locks.release_owner(txid):
-                        self._log_lock(chain.chain_id, "release", "*", txid)
-                    break
-        if vote == "yes":
-            self._pending[(txid, chain.chain_id)] = list(writes)
-            state_writes[f"sys.gt.{txid}.vote"] = "yes"
-            rec = self.records.get(txid)
-            coordinator = rec["coordinator"] if rec else caller_chain
-            self._arm_decision_poll(txid, chain.chain_id, coordinator)
-        elif mode == MODE_LOCKS:
+        if reason:
             # a no-vote releases every lock this txn holds here
             if chain.locks.release_owner(txid):
                 self._log_lock(chain.chain_id, "release", "*", txid)
-        rec = self.records.get(txid)
-        coordinator = rec["coordinator"] if rec else caller_chain
+        else:
+            reads = [(key, chain.current_value(key)) for key in p.reads]
+            self._pending[(txid, chain.chain_id)] = list(p.writes)
+            state_writes[f"sys.xt.{txid}.vote"] = "yes"
+            self._arm_decision_poll(txid, chain.chain_id, p.coordinator)
         applied = chain._commit_writes(state_writes, height, idx)
-        out = [self._vote_event(chain, coordinator, txid, vote, reason, [], KIND_GT_VOTE)]
+        vote = "no" if reason else "yes"
+        out = [self._vote_event(chain, p.coordinator, txid, vote, reason, reads)]
         return Receipt(txn.txn_id, "ok", writes=applied, xchain_txn=txid), out
+
+    def _prepare_checks(self, chain: Chain, p: Prepare, height: int) -> str:
+        """The reason to vote no, or "" after taking the write locks."""
+        txid = p.txn_id
+        for action, keys in (("write", [key for key, _ in p.writes]), ("read", p.reads)):
+            for key in keys:
+                if key.startswith("sys."):
+                    if action == "write":
+                        return "PolicyDenied: writes to the sys namespace are reserved"
+                    continue
+                contract = self._owning_contract(chain, key)
+                denial = self._policy_denial(
+                    chain, contract, action, key[len(contract) + 1 :], p.caller_id, p.coordinator, height
+                )
+                if denial is not None:
+                    return f"PolicyDenied: {denial or 'policy denied'}"
+        for key, expected in p.compares:
+            if chain.current_value(key) != expected:
+                return f"CompareFailed: {chain.chain_id}:{key}"
+        # first-committer-wins: newer versions abort the transaction
+        for key, ver in p.versions:
+            if (chain.current_version(key) or (0, 0)) != ver:
+                return f"VersionConflict: {key}"
+        for prefix, ver in p.prefixes:
+            if chain.latest_version_under(prefix) != ver:
+                return f"VersionConflict: {prefix}*"
+        for key in p.locks:
+            if key.endswith("*"):
+                holder = chain.locks.prefix.get(key[:-1])
+            else:
+                holder = chain.locks.exact.get(key)
+            if holder != txid:
+                return f"LockLost: {key}"
+        for key, _ in p.writes:
+            if chain.locks.exact.get(key) == txid or self._covered_by_prefix(chain, key, txid):
+                continue
+            if not chain.locks.try_lock(key, txid):
+                return f"LockConflict: {key}"
+            self._log_lock(chain.chain_id, "acquire", key, txid)
+        return ""
 
     def _covered_by_prefix(self, chain: Chain, key: str, owner: str) -> bool:
         return any(key.startswith(p) for p, o in chain.locks.prefix.items() if o == owner)
@@ -1188,22 +950,22 @@ class XTxnEngine:
         txid, part, vote, reason = vals[0], vals[1], vals[2], vals[3]
         n_reads = vals[4]
         reads = [(vals[5 + 2 * i], vals[6 + 2 * i]) for i in range(n_reads)]
-        rec = self.records.get(txid)
-        if rec is None:
+        t = self.records.get(txid)
+        if t is None:
             return Receipt(txn.txn_id, "ok", writes=()), []
         writes = {f"sys.2pc.{txid}.vote.{part}": f"{vote}:{reason}"}
         applied = chain._commit_writes(writes, height, idx)
-        if rec["decision"] is not None:
+        if t.decision is not None:
             return Receipt(txn.txn_id, "ok", writes=applied, xchain_txn=txid), []
-        if part not in rec["votes"]:
-            rec["votes"][part] = (vote, reason)
+        if part not in t.votes:
+            t.votes[part] = (vote, reason)
             for k, v in reads:
-                rec["read_values"][(part, k)] = v
-        if len(rec["votes"]) == len(rec["participants"]):
-            if not rec["rt_prepare_done"]:
-                rec["rt_prepare_done"] = True
+                t.read_values[(part, k)] = v
+        if len(t.votes) == len(t.participants):
+            if not t.rt_prepare_done:
+                t.rt_prepare_done = True
                 self.sim.meter.round_trip(txid)
-            no_votes = [(p, r) for p, (v, r) in rec["votes"].items() if v != "yes"]
+            no_votes = [(p, r) for p, (v, r) in t.votes.items() if v != "yes"]
             if no_votes:
                 decision, reason = "abort", no_votes[0][1]
             else:
@@ -1215,7 +977,7 @@ class XTxnEngine:
             return merged, events
         return Receipt(txn.txn_id, "ok", writes=applied, xchain_txn=txid), []
 
-    def _exec_apply(self, chain: Chain, txid: str, decision: str, txn, height: int, idx: int, reason: str = ""):
+    def _exec_apply(self, chain: Chain, txid: str, decision: str, txn, height: int, idx: int):
         marker = f"sys.applied.{txid}"
         if chain.current_value(marker) is not None:
             return Receipt(txn.txn_id, "ok", writes=(), xchain_txn=txid), []
@@ -1228,15 +990,11 @@ class XTxnEngine:
             self._log_lock(chain.chain_id, "release", "*", txid)
         self._pending.pop((txid, chain.chain_id), None)
         applied = chain._commit_writes(state_writes, height, idx)
-        rec = self.records.get(txid)
-        if rec is not None:
-            rec["applied"].add(chain.chain_id)
-            if (
-                not rec["rt_decide_done"]
-                and rec["decision"] is not None
-                and rec["applied"] >= set(rec["participants"])
-            ):
-                rec["rt_decide_done"] = True
+        t = self.records.get(txid)
+        if t is not None:
+            t.applied.add(chain.chain_id)
+            if not t.rt_decide_done and t.decision is not None and t.applied >= set(t.participants):
+                t.rt_decide_done = True
                 self.sim.meter.round_trip(txid)
         return Receipt(txn.txn_id, "ok", writes=applied, xchain_txn=txid), []
 
@@ -1275,7 +1033,7 @@ class XTxnEngine:
         if chain.current_value(f"sys.applied.{txid}") is not None:
             return None
         if resp is not None and resp.value in ("commit", "abort"):
-            chain.submit_sys_txn("sys.txn", "gt_apply", [txid, resp.value], caller_id="sys.txn")
+            chain.submit_sys_txn("sys.txn", "apply", [txid, resp.value], caller_id="sys.txn")
             return None
         # undecided: poll again later
         self._arm_decision_poll(txid, chain_id, coordinator)
@@ -1287,45 +1045,34 @@ class XTxnEngine:
         if self.sim.log is not None:
             self.sim.log.record("lock", chain=chain_id, op=op, key=key, owner=owner)
 
-    def _log_xtxn(self, txid: str) -> None:
+    def _log_xtxn(self, t: XTxn) -> None:
         if self.sim.log is None:
-            return
-        rec = self.records.get(txid)
-        if rec is None:
             return
         from .runlog import value_to_jsonable
 
-        if rec["type"] == "mini":
-            mt: MiniTxn = rec["mt"]
-            writes = [[c, k, value_to_jsonable(v)] for c, k, v in mt.writes]
-        else:
-            t: GeneralTxn = rec["handle"]
-            writes = [
-                [c, k, value_to_jsonable(v)] for (c, k), v in sorted(t.write_set.items())
-            ]
         self.sim.log.record(
             "xtxn",
-            txn=txid,
-            type=rec["type"],
-            coordinator=rec["coordinator"],
-            decision=rec["decision"],
-            reason=rec["reason"],
-            participants=sorted(rec["participants"]),
-            writes=writes,
+            txn=t.txn_id,
+            type=t.kind,
+            coordinator=t.coordinator_chain,
+            decision=t.decision,
+            reason=t.reason,
+            participants=sorted(t.participants),
+            writes=[[c, k, value_to_jsonable(v)] for (c, k), v in sorted(t.write_set.items())],
         )
 
     def two_pc_record(self, txid: str) -> Optional[TwoPCRecord]:
         """Typed view over the coordinator's ledger entries for a transaction."""
-        rec = self.records.get(txid)
-        if rec is None:
+        t = self.records.get(txid)
+        if t is None:
             return None
-        coord = self.sim.chains[rec["coordinator"]]
+        coord = self.sim.chains[t.coordinator_chain]
         decision = coord.read_state(f"sys.2pc.{txid}.decision")
         phase = decision or coord.read_state(f"sys.2pc.{txid}.phase")
         if phase is None:
             return None
         votes = {}
-        for part in rec["participants"]:
+        for part in t.participants:
             raw = coord.read_state(f"sys.2pc.{txid}.vote.{part}")
             if isinstance(raw, str) and ":" in raw:
                 vote, _, reason = raw.partition(":")

@@ -189,9 +189,9 @@ def test_late_bid_race_occ_aborts_then_settles_correctly():
     handle = None
     for _ in range(400):
         sim.step()
-        recs = [r for r in engine.records.values() if r["type"] == "general"]
-        if recs and recs[-1]["handle"].prefix_set:
-            handle = recs[-1]["handle"]
+        recs = [r for r in engine.records.values() if r.kind == "general"]
+        if recs and recs[-1].prefix_set:
+            handle = recs[-1]
             break
     assert handle is not None
     app.submit_bid("coinc", "carol", "a1", 40, settle=False)  # normalized 60
@@ -212,9 +212,9 @@ def test_late_bid_race_locks_blocks_the_bid():
     handle = None
     for _ in range(400):
         sim.step()
-        recs = [r for r in engine.records.values() if r["type"] == "general"]
-        if recs and recs[-1]["handle"].prefix_set:
-            handle = recs[-1]["handle"]
+        recs = [r for r in engine.records.values() if r.kind == "general"]
+        if recs and recs[-1].prefix_set:
+            handle = recs[-1]
             break
     assert handle is not None
     txid = app.submit_bid("coinc", "carol", "a1", 40, settle=False)

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from interopsim.audit import audit_records
 from interopsim.chain import Behavior
 from interopsim.errors import (
     InvalidState,
@@ -9,15 +12,19 @@ from interopsim.errors import (
     StaleQuorum,
 )
 from interopsim.merkle import MerkleProof
+from interopsim.metrics import RunMetrics
 from interopsim.txn import (
     Aborted,
     Committed,
     MODE_LOCKS,
     MODE_OCC,
     MiniTxn,
+    Prepare,
     ReadResponse,
     _dec_read_resp,
     _enc_read_resp,
+    decode_prepare,
+    encode_prepare,
 )
 
 from harness import World
@@ -239,6 +246,27 @@ def test_minitxn_write_policy_enforced():
     assert w.kv("beta", "y") is None
 
 
+def test_minitxn_read_policy_enforced_at_prepare():
+    w = World()
+    w.set_kv("beta", "secret", 7)
+    w.chains["beta"].submit_sys_txn(
+        "sys.policy", "attach", ["kv", "allow write on *; allow read on public.*;"]
+    )
+    w.settle()
+    mt = MiniTxn(
+        compares=(),
+        reads=(("beta", "kv.secret"),),
+        writes=(("alpha", "kv.x", 1), ("beta", "kv.y", 2)),
+    )
+    result = w.engine.execute_minitxn("alpha", mt)
+    w.settle()
+    assert isinstance(result, Aborted)
+    assert result.reason.startswith("PolicyDenied")
+    assert w.kv("alpha", "x") is None
+    assert w.kv("beta", "y") is None
+    assert w.locks_empty()
+
+
 def test_minitxn_exactly_two_round_trips_on_commit():
     w = World()
     mt = MiniTxn(compares=(), reads=(), writes=(("beta", "kv.y", 2),))
@@ -427,3 +455,74 @@ def test_two_pc_record_on_coordinator_ledger():
     assert rec.votes.get("beta", ("", ""))[0] == "yes"
     # the decision is a ledger entry on the coordinator chain
     assert w.chains["alpha"].read_state(f"sys.2pc.{t.txn_id}.decision") == "commit"
+
+
+def _audit(w):
+    """Audit the world's run log, closed by a final record as run_scenario writes it."""
+    w.sim.log.record(
+        "final",
+        locks={cid: sorted([*c.locks.exact, *c.locks.prefix]) for cid, c in w.chains.items()},
+        metrics=RunMetrics.from_sim(w.sim, 0, "", "ok", []).to_dict(),
+    )
+    return audit_records(w.sim.log.records)
+
+
+@pytest.mark.parametrize("mode", [MODE_OCC, MODE_LOCKS])
+def test_abort_after_prepare_is_a_ledger_decision(mode):
+    # a participant that voted yes must learn the abort from the coordinator
+    w = World()
+    t = w.engine.begin_general("alpha", mode)
+    w.engine.txn_write(t, "beta", "kv.x", 1)
+    fut = w.engine.txn_commit_async(t)
+    beta = w.chains["beta"]
+    vote_key = f"sys.xt.{t.txn_id}.vote"
+    for _ in range(100):
+        if beta.read_state(vote_key) == "yes":
+            break
+        w.sim.step()
+    assert beta.read_state(vote_key) == "yes"
+    w.engine.abort(t, "client abort")
+    w.settle()
+    assert fut.result() == Aborted("client abort")
+    assert t.status == "aborted"
+    assert w.chains["alpha"].read_state(f"sys.2pc.{t.txn_id}.decision") == "abort"
+    assert beta.read_state(f"sys.applied.{t.txn_id}") == "abort"
+    assert w.kv("beta", "x") is None
+    assert w.locks_empty()
+    report = _audit(w)
+    assert report.ok, report.render()
+
+
+def test_prepare_codec_round_trip():
+    rng = random.Random(11)
+    values = [None, True, False, 0, -1, 2**63 - 1, -(2**63), "", "v", b"", b"\x00\xff"]
+
+    def key():
+        return rng.choice(["kv.", "Bidder.bids.", "sys.2pc."]) + str(rng.randrange(100))
+
+    def version():
+        return (rng.randrange(1000), rng.randrange(50))
+
+    def some(make):
+        return tuple(make() for _ in range(rng.randrange(4)))
+
+    cases = [Prepare("t0", "alpha", "client")]
+    for i in range(300):
+        cases.append(
+            Prepare(
+                txn_id=f"t{i}",
+                coordinator=rng.choice(["alpha", "tickets"]),
+                caller_id=rng.choice(["client", "Auctioneer", ""]),
+                compares=some(lambda: (key(), rng.choice(values))),
+                reads=some(key),
+                versions=some(lambda: (key(), version())),
+                prefixes=some(lambda: (key() + ".", version())),
+                locks=some(lambda: rng.choice([key(), key() + ".*"])),
+                writes=some(lambda: (key(), rng.choice(values))),
+            )
+        )
+    for p in cases:
+        raw = encode_prepare(p)
+        back = decode_prepare(raw)
+        assert back == p
+        assert encode_prepare(back) == raw  # also tells True from 1
