@@ -5,13 +5,17 @@ nonce.  A gateway batches f+1 node signatures over an event digest before
 publishing; brokers are untrusted queues with injectable faults (drop,
 duplicate, replay, forge); consumers pull per tick, verify signatures
 against the source chain's published key set, and deduplicate by
-(source_chain, nonce).
+(source_chain, nonce).  Each inbox also remembers the exact wire bytes of
+every copy it has verified, so a redundant copy of those bytes is
+classified as a duplicate by one lookup, without decoding or verifying it
+again; an event computes its encoding and digest once.
 """
 
 from __future__ import annotations
 
 import base64
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .errors import EncodingError
@@ -41,6 +45,12 @@ class Event:
     version: int = EVENT_VERSION
 
     def encode(self) -> bytes:
+        return self._wire
+
+    # computed once per instance; the cache lives in __dict__, outside the
+    # dataclass fields, so equality and hashing do not see it
+    @cached_property
+    def _wire(self) -> bytes:
         return b"".join(
             [
                 bytes([self.version]),
@@ -54,9 +64,9 @@ class Event:
             ]
         )
 
-    @property
+    @cached_property
     def digest(self) -> bytes:
-        return digest(self.encode())
+        return digest(self._wire)
 
     @classmethod
     def decode(cls, data: bytes, offset: int = 0) -> "Event":
@@ -311,10 +321,18 @@ class Gateway:
 
 
 class InboxDedupe:
-    """Per-destination record of accepted (source_chain, nonce) pairs."""
+    """Per-destination record of accepted (source_chain, nonce) pairs.
+
+    verified maps the wire bytes of every copy that passed verify_batch and
+    the destination check here to its (source_chain, nonce).  Verification
+    depends only on the bytes and the key registry, which only ever gains
+    chains, so those bytes would pass again and their pair is in seen: a
+    later copy of them is a duplicate without being decoded or verified.
+    """
 
     def __init__(self):
         self.seen: set[tuple[str, int]] = set()
+        self.verified: dict[bytes, tuple[str, int]] = {}
 
     def accept(self, source_chain: str, nonce: int) -> bool:
         key = (source_chain, nonce)

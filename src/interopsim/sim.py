@@ -410,7 +410,8 @@ class Simulation:
         raw = batch.encode()
         topic = batch.event.dest_chain
         self._publish_raw(topic, raw)
-        # bus-level retransmission: linear backoff, consumer dedupe absorbs copies
+        # bus-level retransmission: linear backoff; each inbox classifies a
+        # copy of bytes it already verified as a duplicate by one lookup
         for i in range(1, self.config.bus_retries + 1):
             self.call_at(
                 self.tick + i * self.config.bus_backoff,
@@ -436,6 +437,11 @@ class Simulation:
         dedupe = self.dedupe[chain_id]
         for broker in self.brokers:
             for raw in broker.pull(chain_id, self.tick):
+                known = dedupe.verified.get(raw)
+                if known is not None:
+                    # these exact bytes passed here before: a duplicate
+                    self._reject_duplicate(chain_id, *known)
+                    continue
                 batch = verify_batch(raw, self.registry)
                 if batch is None:
                     self.meter.rejected_sig += 1
@@ -453,16 +459,9 @@ class Simulation:
                             "deliver", chain=chain_id, result="misrouted"
                         )
                     continue
+                dedupe.verified[raw] = (event.source_chain, event.nonce)
                 if not dedupe.accept(event.source_chain, event.nonce):
-                    self.meter.rejected_dup += 1
-                    if self.log is not None:
-                        self.log.record(
-                            "deliver",
-                            chain=chain_id,
-                            source_chain=event.source_chain,
-                            nonce=event.nonce,
-                            result="duplicate",
-                        )
+                    self._reject_duplicate(chain_id, event.source_chain, event.nonce)
                     continue
                 self.meter.delivered += 1
                 if self.log is not None:
@@ -481,6 +480,17 @@ class Simulation:
                     source_contract=event.source_contract,
                     dest_contract=event.dest_contract,
                 )
+
+    def _reject_duplicate(self, chain_id: str, source_chain: str, nonce: int) -> None:
+        self.meter.rejected_dup += 1
+        if self.log is not None:
+            self.log.record(
+                "deliver",
+                chain=chain_id,
+                source_chain=source_chain,
+                nonce=nonce,
+                result="duplicate",
+            )
 
     # ------------------------------------------------ direct req/resp path
 

@@ -883,7 +883,12 @@ class XTxnEngine:
     def _exec_prepare(self, chain: Chain, p: Prepare, txn, height: int, idx: int):
         txid = p.txn_id
         marker = f"sys.xt.{txid}.seen"
-        if chain.current_value(marker) is not None:
+        # a prepare seen before, or arriving after a decision was applied here
+        # (say a retransmit past a VoteTimeout abort), must take no locks
+        if (
+            chain.current_value(marker) is not None
+            or chain.current_value(f"sys.applied.{txid}") is not None
+        ):
             return Receipt(txn.txn_id, "ok", writes=(), xchain_txn=txid), []
         state_writes = {marker: True}
         reason = self._prepare_checks(chain, p, height)

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+import interopsim.sim
 from interopsim.bus import (
     Broker,
     BrokerFaults,
@@ -10,6 +13,7 @@ from interopsim.bus import (
 )
 from interopsim.chain import Behavior
 from interopsim.errors import EncodingError
+from interopsim.values import digest
 
 from harness import World
 
@@ -41,6 +45,39 @@ def test_event_wire_format_pinned():
     )
     assert raw == expect
     assert Event.decode(raw) == e
+
+
+def test_event_digest_and_encoding_are_cached_consistently():
+    built = sample_event()
+    decoded = Event.decode(sample_event().encode())
+    for e in (built, decoded):
+        assert e.digest == digest(e.encode())
+        assert e.encode() is e.encode()  # computed once per instance
+    assert decoded.digest == built.digest
+
+
+def test_event_cache_does_not_affect_equality_or_hash():
+    filled, empty = sample_event(), sample_event()
+    filled.digest
+    assert "digest" in filled.__dict__ and "digest" not in empty.__dict__
+    assert filled == empty and hash(filled) == hash(empty)
+    assert len({filled, empty}) == 1
+    assert filled != sample_event(nonce=8)
+
+
+def test_batch_wire_format_pinned():
+    e = Event("a", "b", "c", "d", nonce=1, kind=16, payload=b"pp")
+    e.digest  # a filled cache must not change the bytes
+    batch = SignedEventBatch(event=e, signatures=(("n0", b"s0"), ("n1", b"sig1")))
+    expect = (
+        e.encode()
+        + (2).to_bytes(2, "big")
+        + b"\x00\x00\x00\x02n0"
+        + b"\x00\x00\x00\x02s0"
+        + b"\x00\x00\x00\x02n1"
+        + b"\x00\x00\x00\x04sig1"
+    )
+    assert batch.encode() == expect
 
 
 def test_batch_wire_roundtrip():
@@ -272,3 +309,92 @@ def test_file_broker_crash_replay(tmp_path):
     after = w.chains["beta"].state_items("kv.inbox.")
     assert after == before
     assert w.sim.meter.rejected_dup >= 1
+
+
+def count_verifies(monkeypatch) -> list[bytes]:
+    """Record every raw batch _deliver hands to verify_batch."""
+    calls: list[bytes] = []
+    real = interopsim.sim.verify_batch
+
+    def counting(raw, registry):
+        calls.append(raw)
+        return real(raw, registry)
+
+    monkeypatch.setattr(interopsim.sim, "verify_batch", counting)
+    return calls
+
+
+def test_redundant_copies_verified_once_per_inbox(monkeypatch):
+    w = World(duplicate=1.0, replay=0.5, seed=3)
+    calls = count_verifies(monkeypatch)
+    pulled: list[tuple[str, bytes]] = []
+    for broker in w.sim.brokers:
+        def pull(topic, now, _pull=broker.pull):
+            due = _pull(topic, now)
+            pulled.extend((topic, raw) for raw in due)
+            return due
+
+        broker.pull = pull
+    emit_via_contract(w, value=b"once")
+    emit_via_contract(w, value=b"twice")
+    meter = w.sim.meter
+    assert meter.delivered == 2
+    assert meter.rejected_sig == 0
+    assert meter.rejected_dup == len(pulled) - 2 == 54  # the same as full verification gave
+    # every event here goes to beta, so one inbox sees every copy
+    assert {topic for topic, _ in pulled} == {"beta"}
+    assert Counter(calls) == Counter(set(raw for _, raw in pulled))
+    assert len(calls) < len(pulled)
+    verified = w.sim.dedupe["beta"].verified
+    assert set(verified) == set(calls)
+    assert sorted(verified.values()) == sorted(w.sim.dedupe["beta"].seen)
+
+
+def test_tampered_copy_of_accepted_event_still_rejected_sig(monkeypatch):
+    w = World(n_brokers=0)
+    w.sim.add_broker(Broker("forger", BrokerFaults(forge=True)))
+    calls = count_verifies(monkeypatch)
+    emit_via_contract(w, value=b"original")
+    meter = w.sim.meter
+    # every publish queues the batch and a tampered copy, in that order
+    assert meter.delivered == 1
+    assert meter.rejected_sig == meter.sent
+    assert meter.rejected_dup == meter.sent - 1
+    assert len(calls) == 1 + meter.sent  # the batch once, each tampered copy
+    assert len(w.sim.dedupe["beta"].verified) == 1
+
+
+def test_recovered_broker_copies_need_no_verification(tmp_path, monkeypatch):
+    path = str(tmp_path / "broker.log")
+    w = World(n_brokers=0)
+    w.sim.add_broker(FileBroker("fb", path))
+    emit_via_contract(w, value=b"logged")
+    dup_before = w.sim.meter.rejected_dup
+    recovered = FileBroker.recover("fb", path)
+    copies = [raw for queue in recovered.queues.values() for _, raw in queue]
+    known = w.sim.dedupe["beta"].verified
+    assert copies and all(raw in known for raw in copies)
+    assert not any(raw is k for raw in copies for k in known)  # equal, not identical
+    calls = count_verifies(monkeypatch)
+    w.sim.brokers = [recovered]
+    w.sim.run_until_quiescent(w.sim.tick + 200)
+    assert calls == []
+    assert w.sim.meter.rejected_dup == dup_before + len(copies)
+    assert len(w.chains["beta"].state_items("kv.inbox.")) == 1
+
+
+def test_misrouted_batch_never_enters_the_map(monkeypatch):
+    w = World(n_brokers=0)
+    broker = w.sim.add_broker(Broker("b0"))
+    e = sample_event(nonce=31337)
+    w.sim.emit_event(w.chains["alpha"], e)
+    raw = w.sim.gateways["alpha"].emitted[e.digest]
+    w.settle()
+    calls = count_verifies(monkeypatch)
+    for _ in range(2):
+        broker._enqueue("alpha", w.sim.tick, raw)  # a beta batch on alpha's topic
+        w.sim.step()
+    assert calls == [raw, raw]  # verified, and refused, each time
+    assert raw not in w.sim.dedupe["alpha"].verified
+    misrouted = [r for r in w.sim.log.records if r.get("result") == "misrouted"]
+    assert len(misrouted) == 2

@@ -493,6 +493,22 @@ def test_abort_after_prepare_is_a_ledger_decision(mode):
     assert report.ok, report.render()
 
 
+@pytest.mark.parametrize("seed", [4, 73, 94, 186, 187, 197])
+def test_late_prepare_after_applied_abort_takes_no_locks(seed):
+    # under heavy drops the prepare to beta is retransmitted past a
+    # VoteTimeout abort that beta has already applied; it must not lock kv.x
+    w = World(drop=0.6, seed=seed)
+    w.sim.config.vote_timeout = 8
+    t = w.engine.begin_general("alpha", MODE_OCC)
+    w.engine.txn_write(t, "beta", "kv.x", 1)
+    w.engine.txn_commit_async(t)
+    w.settle()
+    assert w.locks_empty()
+    assert not w.engine._pending
+    report = _audit(w)
+    assert report.ok, report.render()
+
+
 def test_prepare_codec_round_trip():
     rng = random.Random(11)
     values = [None, True, False, 0, -1, 2**63 - 1, -(2**63), "", "v", b"", b"\x00\xff"]
