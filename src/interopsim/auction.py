@@ -24,7 +24,7 @@ from .errors import (
 )
 from .sim import Simulation
 from .txn import Aborted, MODE_OCC, XTxn, XTxnEngine
-from .values import decode_values, encode_values
+from .values import decode_record, encode_record
 
 KIND_START = KIND_APP_BASE  # auction-start notification to Bidder contracts
 
@@ -62,7 +62,7 @@ class AuctioneerContract(Contract):
         ctx.put(f"auction.{auction_id}.seller", ctx.caller_id)
         ctx.put(f"auction.{auction_id}.status", "open")
         ctx.put(f"auction.{auction_id}.close_height", close_height)
-        payload = encode_values([auction_id, close_height])
+        payload = encode_record((auction_id, close_height))
         for endpoint in (ctx.get("config.bidders") or "").split(","):
             if not endpoint:
                 continue
@@ -104,7 +104,7 @@ class BidderContract(Contract):
         if event.kind != KIND_START:
             raise TxnAborted(f"unexpected event kind {event.kind}")
         ctx.require_access("invoke", "start_auction")
-        auction_id, close_height = decode_values(event.payload, 0)[0]
+        auction_id, close_height = decode_record(event.payload, 2)
         ctx.put("auction.id", auction_id)
         ctx.put("auction.status", "open")
         ctx.put("auction.close_height", close_height)

@@ -8,13 +8,14 @@ against the source chain's published key set, and deduplicate by
 (source_chain, nonce).  Each inbox also remembers the exact wire bytes of
 every copy it has verified, so a redundant copy of those bytes is
 classified as a duplicate by one lookup, without decoding or verifying it
-again; an event computes its encoding and digest once.
+again; an event computes its encoding and digest once, a signed batch its
+encoding.
 """
 
 from __future__ import annotations
 
 import base64
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -31,6 +32,8 @@ KIND_VOTE = 4
 KIND_DECIDE = 5
 # application events use kinds >= 16
 KIND_APP_BASE = 16
+
+GATEWAY_TIMEOUT = 50  # ticks a gateway keeps collecting one event's signatures
 
 
 @dataclass(frozen=True)
@@ -112,6 +115,12 @@ class SignedEventBatch:
     signatures: tuple[tuple[str, bytes], ...]
 
     def encode(self) -> bytes:
+        return self._wire
+
+    # computed once per instance, like Event._wire: the gateway keeps and
+    # every broker queues the same bytes object
+    @cached_property
+    def _wire(self) -> bytes:
         parts = [self.event.encode(), len(self.signatures).to_bytes(2, "big")]
         for node_id, sig in self.signatures:
             parts.append(lps(node_id))
@@ -274,15 +283,23 @@ class FileBroker(Broker):
         return broker
 
 
+@dataclass
+class PendingBatch:
+    """The signatures a gateway has collected so far for one event."""
+
+    since: int  # tick of the first signature
+    sigs: dict[str, bytes] = field(default_factory=dict)
+
+
 class Gateway:
     """Per-chain relay batching f+1 node signatures over one event digest."""
 
-    def __init__(self, chain_id: str, f: int, registry: KeyRegistry, timeout: int = 50):
+    def __init__(self, chain_id: str, f: int, registry: KeyRegistry):
         self.chain_id = chain_id
         self.f = f
         self.registry = registry
-        self.timeout = timeout
-        self.pending: dict[bytes, dict] = {}
+        self.timeout = GATEWAY_TIMEOUT
+        self.pending: dict[bytes, PendingBatch] = {}
         self.emitted: dict[bytes, bytes] = {}  # digest -> batch wire form
         self.invalid_signatures = 0
 
@@ -295,22 +312,17 @@ class Gateway:
         if not self.registry.verify(self.chain_id, node_id, d, sig):
             self.invalid_signatures += 1
             return None
-        entry = self.pending.setdefault(
-            d, {"event": event, "sigs": {}, "since": now}
-        )
-        entry["sigs"][node_id] = sig
-        if len(entry["sigs"]) >= self.f + 1:
-            batch = SignedEventBatch(
-                event=event,
-                signatures=tuple(sorted(entry["sigs"].items())),
-            )
+        entry = self.pending.setdefault(d, PendingBatch(now))
+        entry.sigs[node_id] = sig
+        if len(entry.sigs) >= self.f + 1:
+            batch = SignedEventBatch(event=event, signatures=tuple(sorted(entry.sigs.items())))
             del self.pending[d]
             self.emitted[d] = batch.encode()
             return batch
         return None
 
     def expire(self, now: int) -> None:
-        stale = [d for d, e in self.pending.items() if now - e["since"] > self.timeout]
+        stale = [d for d, e in self.pending.items() if now - e.since > self.timeout]
         for d in stale:
             del self.pending[d]
 

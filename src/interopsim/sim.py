@@ -32,21 +32,22 @@ from .errors import MaxTicksExceeded, QuorumFailure
 from .runlog import RunLog
 
 
+BROKER_LATENCY = 1
+NODE_RETRANSMIT_INTERVAL = 6
+NODE_RETENTION = 120  # give up re-forwarding unbatchable events
+BUS_RETRIES = 5
+BUS_BACKOFF = 4  # linear: re-publish at +b, +2b, ... +retries*b
+DECISION_POLL = 20  # a prepared participant asks the coordinator this often
+
+
 @dataclass
 class SimConfig:
     seed: int = 0
-    broker_latency: int = 1
     latency_jitter: int = 0  # extra 0..jitter ticks drawn per publish/send
     direct_drop_rate: float = 0.0
     direct_timeout: int = 8  # per-attempt wait on the request/response channel
-    gateway_timeout: int = 50
-    node_retransmit_interval: int = 6
-    node_retention: int = 120  # give up re-forwarding unbatchable events
-    bus_retries: int = 5
-    bus_backoff: int = 4  # linear: re-publish at +b, +2b, ... +retries*b
     lock_timeout: int = 50
     vote_timeout: int = 40
-    decision_poll: int = 20
     retry_limit: int = 5
     max_ticks: int = 20_000
 
@@ -118,12 +119,12 @@ class Task:
 
 
 class MessageMeter:
-    def __init__(self):
+    """Message counters; dropped, duplicated and replayed sum the brokers' own."""
+
+    def __init__(self, sim: "Simulation"):
+        self._sim = sim
         self.sent = 0
         self.delivered = 0
-        self.dropped = 0
-        self.duplicated = 0
-        self.replayed = 0
         self.rejected_sig = 0
         self.rejected_dup = 0
         self.direct_sent = 0
@@ -132,6 +133,21 @@ class MessageMeter:
         self.quorum_failures = 0
         self.round_trips: dict[str, int] = {}
         self.aborts: dict[str, int] = {}
+
+    def _brokers_total(self, name: str) -> int:
+        return sum(broker.metrics[name] for broker in self._sim.brokers)
+
+    @property
+    def dropped(self) -> int:
+        return self._brokers_total("dropped")
+
+    @property
+    def duplicated(self) -> int:
+        return self._brokers_total("duplicated")
+
+    @property
+    def replayed(self) -> int:
+        return self._brokers_total("replayed")
 
     def round_trip(self, txn_id: str) -> None:
         self.round_trips[txn_id] = self.round_trips.get(txn_id, 0) + 1
@@ -168,7 +184,7 @@ class Simulation:
         self.brokers: list[Broker] = []
         self.registry = KeyRegistry()
         self.dedupe: dict[str, InboxDedupe] = {}
-        self.meter = MessageMeter()
+        self.meter = MessageMeter(self)
         self.log = log
         self.tasks: list[Task] = []
         self._timers: list[tuple[int, int, Callable]] = []
@@ -191,12 +207,7 @@ class Simulation:
         chain.observer = self
         self.chains[cfg.chain_id] = chain
         self.chain_order.append(cfg.chain_id)
-        self.gateways[cfg.chain_id] = Gateway(
-            cfg.chain_id,
-            cfg.f,
-            self.registry,
-            timeout=self.config.gateway_timeout,
-        )
+        self.gateways[cfg.chain_id] = Gateway(cfg.chain_id, cfg.f, self.registry)
         self.dedupe[cfg.chain_id] = InboxDedupe()
         self.registry.register_chain(
             cfg.chain_id,
@@ -381,7 +392,7 @@ class Simulation:
         if chain_id in self._outbox_timer_armed:
             return
         self._outbox_timer_armed.add(chain_id)
-        self.call_later(self.config.node_retransmit_interval, lambda: self._outbox_scan(chain_id))
+        self.call_later(NODE_RETRANSMIT_INTERVAL, lambda: self._outbox_scan(chain_id))
 
     def _outbox_scan(self, chain_id: str) -> None:
         """Nodes re-forward unacknowledged signatures (gateway crash recovery)."""
@@ -391,7 +402,7 @@ class Simulation:
         done = [
             d
             for d, (_, _, created) in outbox.items()
-            if d in gw.emitted or self.tick - created > self.config.node_retention
+            if d in gw.emitted or self.tick - created > NODE_RETENTION
         ]
         for d in done:
             del outbox[d]
@@ -412,23 +423,20 @@ class Simulation:
         self._publish_raw(topic, raw)
         # bus-level retransmission: linear backoff; each inbox classifies a
         # copy of bytes it already verified as a duplicate by one lookup
-        for i in range(1, self.config.bus_retries + 1):
+        for i in range(1, BUS_RETRIES + 1):
             self.call_at(
-                self.tick + i * self.config.bus_backoff,
+                self.tick + i * BUS_BACKOFF,
                 lambda topic=topic, raw=raw: self._publish_raw(topic, raw),
             )
 
     def _publish_raw(self, topic: str, raw: bytes) -> None:
         # draw order: per broker in registration order (drop, dup, replay)
         self.meter.sent += 1
-        latency = self.config.broker_latency
+        latency = BROKER_LATENCY
         if self.config.latency_jitter:
             latency += self.rng.randrange(self.config.latency_jitter + 1)
         for broker in self.brokers:
-            before_drop = broker.metrics["dropped"]
             broker.publish(topic, raw, self.tick, latency, self.rng)
-            if broker.metrics["dropped"] > before_drop:
-                self.meter.dropped += 1
 
     # ------------------------------------------------------- delivery path
 

@@ -23,8 +23,10 @@ coordinator's ledger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields as dataclass_fields
+from functools import cache
+from operator import attrgetter
+from typing import Callable, Optional
 
 from .bus import Event, KIND_DECIDE, KIND_PREPARE, KIND_READ_REQ, KIND_READ_RESP, KIND_VOTE
 from .chain import Behavior, Chain, EventDraft, Receipt, Version
@@ -38,8 +40,8 @@ from .errors import (
 )
 from .merkle import MerkleProof, decode_proof, encode_proof, verify_proof
 from .policy import AggExpr, ChainEvalContext, eval_aggregate
-from .sim import Future, Simulation
-from .values import Value, decode_values, digest, encode_value, encode_values
+from .sim import DECISION_POLL, Future, Simulation
+from .values import Value, decode_record, digest, encode_record, encode_value
 
 MODE_LOCKS = "locks"
 MODE_OCC = "occ"
@@ -54,7 +56,7 @@ ST_ABORTED = "aborted"
 class ReadRequest:
     nonce: int
     target_chain: str
-    contract: str
+    contract: str = ""
     method: str = ""  # "" selects the storage path (plain key)
     key: str = ""
     args: tuple[Value, ...] = ()
@@ -195,128 +197,65 @@ class Prepare:
 
 # ---------------------------------------------------------------- payloads
 
-# each Prepare set and the number of scalars one of its rows flattens to
-_PREPARE_SETS = (
-    ("compares", 2),
-    ("reads", 1),
-    ("versions", 3),
-    ("prefixes", 3),
-    ("locks", 1),
-    ("writes", 2),
-)
+# Every protocol message is a record (values.encode_record): a dataclass's
+# fields in declaration order, or a plain tuple for the vote
+# (txid, participant, vote, reason, reads), the decision
+# (txid, decision, reason) and the `__prefix__` rows (key, value, version).
+# Read requests and responses lead with their kind byte; a Merkle proof
+# rides in its response as its own binary form.
+
+_READ_REQ_HEAD = bytes([KIND_READ_REQ])
+_READ_RESP_HEAD = bytes([KIND_READ_RESP])
+
+
+@cache
+def _shape(cls) -> tuple[Callable, int]:
+    """A getter of a dataclass's fields, as one tuple, and their number."""
+    names = [f.name for f in dataclass_fields(cls)]
+    return attrgetter(*names), len(names)
+
+
+def _enc_fields(obj) -> bytes:
+    return encode_record(_shape(type(obj))[0](obj))
+
+
+def _dec_fields(cls, raw: bytes, offset: int = 0):
+    return cls(*decode_record(raw, _shape(cls)[1], offset))
 
 
 def encode_prepare(p: Prepare) -> bytes:
-    vals: list[Value] = [p.txn_id, p.coordinator, p.caller_id]
-    for name, width in _PREPARE_SETS:
-        rows = getattr(p, name)
-        vals.append(len(rows))
-        for row in rows:
-            if width == 1:
-                vals.append(row)
-            elif width == 2:
-                vals.extend(row)
-            else:
-                vals.extend([row[0], *row[1]])
-    return encode_values(vals)
+    return _enc_fields(p)
 
 
 def decode_prepare(raw: bytes) -> Prepare:
-    vals, _ = decode_values(raw, 0)
-    sets: dict[str, tuple] = {}
-    cursor = 3
-    for name, width in _PREPARE_SETS:
-        n = vals[cursor]
-        cursor += 1
-        flat = vals[cursor : cursor + n * width]
-        cursor += n * width
-        rows = [flat[i : i + width] for i in range(0, len(flat), width)]
-        if width == 1:
-            sets[name] = tuple(row[0] for row in rows)
-        elif width == 2:
-            sets[name] = tuple((row[0], row[1]) for row in rows)
-        else:
-            sets[name] = tuple((row[0], (row[1], row[2])) for row in rows)
-    return Prepare(vals[0], vals[1], vals[2], **sets)
+    return _dec_fields(Prepare, raw)
 
 
 def _enc_read_req(req: ReadRequest) -> bytes:
-    vals: list[Value] = [
-        req.nonce,
-        req.target_chain,
-        req.contract,
-        req.method,
-        req.key,
-        req.caller_id,
-        req.caller_chain,
-        req.lock_for,
-        req.lock_only,
-        len(req.args),
-        *req.args,
-    ]
-    return bytes([KIND_READ_REQ]) + encode_values(vals)
+    return _READ_REQ_HEAD + _enc_fields(req)
 
 
 def _dec_read_req(raw: bytes) -> ReadRequest:
     if not raw or raw[0] != KIND_READ_REQ:
         raise EncodingError("not a read request")
-    vals, _ = decode_values(raw, 1)
-    n_args = vals[9]
-    return ReadRequest(
-        nonce=vals[0],
-        target_chain=vals[1],
-        contract=vals[2],
-        method=vals[3],
-        key=vals[4],
-        caller_id=vals[5],
-        caller_chain=vals[6],
-        lock_for=vals[7],
-        lock_only=vals[8],
-        args=tuple(vals[10 : 10 + n_args]),
-    )
+    return _dec_fields(ReadRequest, raw, 1)
 
 
 def _enc_read_resp(resp: ReadResponse) -> bytes:
-    vals: list[Value] = [
-        resp.status,
-        resp.reason,
-        resp.value,
-        resp.anchor_height,
-        resp.nonce,
-        resp.version[0] if resp.version else -1,
-        resp.version[1] if resp.version else -1,
-        len(resp.signatures),
-    ]
-    for node_id, sig in resp.signatures:
-        vals.append(node_id)
-        vals.append(sig)
-    vals.append(encode_proof(resp.proof) if resp.proof is not None else b"")
-    return bytes([KIND_READ_RESP]) + encode_values(vals)
+    proof = None if resp.proof is None else encode_proof(resp.proof)
+    return _READ_RESP_HEAD + encode_record(
+        (resp.value, resp.anchor_height, resp.nonce, resp.signatures, proof,
+         resp.version, resp.status, resp.reason)
+    )
 
 
 def _dec_read_resp(raw: bytes) -> ReadResponse:
     if not raw or raw[0] != KIND_READ_RESP:
         raise EncodingError("not a read response")
-    vals, _ = decode_values(raw, 1)
-    n_sigs = vals[7]
-    sigs = []
-    for i in range(n_sigs):
-        sigs.append((vals[8 + 2 * i], vals[9 + 2 * i]))
-    proof_raw = vals[8 + 2 * n_sigs]
-    proof = decode_proof(proof_raw)[0] if proof_raw else None
-    version = None
-    if vals[5] >= 0:
-        version = (vals[5], vals[6])
-    return ReadResponse(
-        value=vals[2],
-        anchor_height=vals[3],
-        nonce=vals[4],
-        signatures=tuple(sigs),
-        proof=proof,
-        version=version,
-        status=vals[0],
-        reason=vals[1],
-    )
+    value, height, nonce, sigs, proof, version, status, reason = decode_record(raw, 8, 1)
+    if proof is not None:
+        proof = decode_proof(proof)[0]
+    return ReadResponse(value, height, nonce, sigs, proof, version, status, reason)
 
 
 def _answer(
@@ -335,22 +274,6 @@ def _refusal(req: ReadRequest, height: int, status: str, reason: str) -> bytes:
     return _enc_read_resp(
         ReadResponse(None, height, req.nonce, (), status=status, reason=reason)
     )
-
-
-def _enc_rows(rows: list[tuple[str, Value, Version]]) -> bytes:
-    vals: list[Value] = [len(rows)]
-    for key, value, version in rows:
-        vals.extend([key, value, version[0], version[1]])
-    return encode_values(vals)
-
-
-def _dec_rows(raw: bytes) -> list[tuple[str, Value, Version]]:
-    vals, _ = decode_values(raw, 0)
-    rows = []
-    for i in range(vals[0]):
-        base = 1 + 4 * i
-        rows.append((vals[base], vals[base + 1], (vals[base + 2], vals[base + 3])))
-    return rows
 
 
 def _sys_event(dest_chain: str, kind: int, payload: bytes) -> EventDraft:
@@ -392,30 +315,9 @@ class XTxnEngine:
         self._nonce += 1
         return self._nonce
 
-    def make_read_request(
-        self,
-        target_chain: str,
-        contract: str = "",
-        method: str = "",
-        key: str = "",
-        args: tuple = (),
-        caller_id: str = "client",
-        caller_chain: str = "",
-        lock_for: str = "",
-        lock_only: bool = False,
-    ) -> ReadRequest:
-        return ReadRequest(
-            nonce=self.next_nonce(),
-            target_chain=target_chain,
-            contract=contract,
-            method=method,
-            key=key,
-            args=args,
-            caller_id=caller_id,
-            caller_chain=caller_chain,
-            lock_for=lock_for,
-            lock_only=lock_only,
-        )
+    def make_read_request(self, target_chain: str, **fields) -> ReadRequest:
+        """A request under a fresh nonce; `fields` are ReadRequest's other fields."""
+        return ReadRequest(self.next_nonce(), target_chain, **fields)
 
     def read_async(self, req: ReadRequest, recovery: bool = False) -> Future:
         """Send the request; future resolves to a verified ReadResponse."""
@@ -557,7 +459,7 @@ class XTxnEngine:
                     return _refusal(req, height, "locked", full_prefix)
                 self._log_lock(chain.chain_id, "acquire", full_prefix, req.lock_for)
             guard = chain.latest_version_under(full_prefix)
-            value = _enc_rows(rows)
+            value = encode_record(rows)
             sigs = self._sign_matching(chain, value, req.nonce, height)
             return _answer(req, height, value, sigs, version=guard)
 
@@ -708,7 +610,7 @@ class XTxnEngine:
         (t.prefix_set if prefix else t.read_set).append((chain_id, key, resp.version or (0, 0)))
         if chain_id != t.coordinator_chain:
             self.sim.meter.round_trip(t.txn_id)
-        return _dec_rows(resp.value) if prefix else resp.value
+        return decode_record(resp.value) if prefix else resp.value
 
     def txn_read(self, t: XTxn, chain_id: str, key: str) -> Value:
         return self.sim.pump(self.txn_read_async(t, chain_id, key))
@@ -845,7 +747,7 @@ class XTxnEngine:
             f"sys.2pc.{txid}.reason": reason,
         }
         applied = chain._commit_writes(writes, height, idx)
-        payload = encode_values([txid, decision, reason])
+        payload = encode_record((txid, decision, reason))
         events = [_sys_event(part, KIND_DECIDE, payload) for part in t.participants]
         self._log_xtxn(t)
         self._complete(t)
@@ -869,16 +771,14 @@ class XTxnEngine:
         if kind == KIND_VOTE:
             return self._exec_vote(chain, event, txn, height, idx)
         if kind == KIND_DECIDE:
-            vals, _ = decode_values(event.payload, 0)
-            return self._exec_apply(chain, vals[0], vals[1], txn, height, idx)
+            txid, decision, _ = decode_record(event.payload, 3)
+            return self._exec_apply(chain, txid, decision, txn, height, idx)
         raise EncodingError(f"unexpected protocol event kind {kind}")
 
     def _vote_event(self, chain: Chain, coordinator: str, txid: str, vote: str, reason: str,
                     reads: list[tuple[str, Value]]) -> EventDraft:
-        vals: list[Value] = [txid, chain.chain_id, vote, reason, len(reads)]
-        for k, v in reads:
-            vals.extend([k, v])
-        return _sys_event(coordinator, KIND_VOTE, encode_values(vals))
+        payload = encode_record((txid, chain.chain_id, vote, reason, reads))
+        return _sys_event(coordinator, KIND_VOTE, payload)
 
     def _exec_prepare(self, chain: Chain, p: Prepare, txn, height: int, idx: int):
         txid = p.txn_id
@@ -951,10 +851,7 @@ class XTxnEngine:
         return any(key.startswith(p) for p, o in chain.locks.prefix.items() if o == owner)
 
     def _exec_vote(self, chain: Chain, event: Event, txn, height: int, idx: int):
-        vals, _ = decode_values(event.payload, 0)
-        txid, part, vote, reason = vals[0], vals[1], vals[2], vals[3]
-        n_reads = vals[4]
-        reads = [(vals[5 + 2 * i], vals[6 + 2 * i]) for i in range(n_reads)]
+        txid, part, vote, reason, reads = decode_record(event.payload, 5)
         t = self.records.get(txid)
         if t is None:
             return Receipt(txn.txn_id, "ok", writes=()), []
@@ -1010,10 +907,7 @@ class XTxnEngine:
         if key in self._polling:
             return
         self._polling.add(key)
-        self.sim.call_later(
-            self.sim.config.decision_poll,
-            lambda: self._poll_decision(txid, chain_id, coordinator),
-        )
+        self.sim.call_later(DECISION_POLL, lambda: self._poll_decision(txid, chain_id, coordinator))
 
     def _poll_decision(self, txid: str, chain_id: str, coordinator: str) -> None:
         self._polling.discard((txid, chain_id))

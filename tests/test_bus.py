@@ -13,6 +13,7 @@ from interopsim.bus import (
 )
 from interopsim.chain import Behavior
 from interopsim.errors import EncodingError
+from interopsim.sim import BROKER_LATENCY, BUS_BACKOFF, BUS_RETRIES
 from interopsim.values import digest
 
 from harness import World
@@ -290,7 +291,7 @@ def test_eventual_delivery_within_retry_bound():
         items = w.chains["beta"].state_items("kv.inbox.")
         assert len(items) == 1
         cfg = w.sim.config
-        bound = cfg.bus_retries * cfg.bus_backoff + cfg.broker_latency + cfg.latency_jitter + 4
+        bound = BUS_RETRIES * BUS_BACKOFF + BROKER_LATENCY + cfg.latency_jitter + 4
         assert w.sim.tick <= emit_tick + bound + 4
 
 
@@ -398,3 +399,28 @@ def test_misrouted_batch_never_enters_the_map(monkeypatch):
     assert raw not in w.sim.dedupe["alpha"].verified
     misrouted = [r for r in w.sim.log.records if r.get("result") == "misrouted"]
     assert len(misrouted) == 2
+
+
+def test_meter_fault_counts_sum_the_brokers():
+    noisy = World(duplicate=1.0, replay=0.5, seed=3)
+    lossy = World(drop=0.5, seed=11)
+    for w in (noisy, lossy):
+        emit_via_contract(w, value=b"once")
+        meter, snap = w.sim.meter, w.sim.meter.snapshot()
+        for name in ("dropped", "duplicated", "replayed"):
+            total = sum(broker.metrics[name] for broker in w.sim.brokers)
+            assert getattr(meter, name) == snap[name] == total
+    assert noisy.sim.meter.duplicated > 0 and noisy.sim.meter.replayed > 0
+    assert lossy.sim.meter.dropped > 0
+
+
+def test_signed_batch_encoded_once():
+    w = World(duplicate=1.0, replay=0.5, seed=3)
+    e = sample_event(nonce=555)
+    w.sim.emit_event(w.chains["alpha"], e)
+    w.settle()
+    wire = w.sim.gateways["alpha"].emitted[e.digest]
+    copies = [raw for broker in w.sim.brokers for _, raw in broker.history if raw == wire]
+    assert len(copies) > 1  # the first publish and the retransmissions, on both brokers
+    assert all(raw is wire for raw in copies)
+    assert SignedEventBatch.decode(wire).encode() == wire

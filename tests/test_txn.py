@@ -2,9 +2,12 @@ import random
 
 import pytest
 
+import interopsim.txn as txn_module
 from interopsim.audit import audit_records
+from interopsim.bus import KIND_DECIDE, KIND_VOTE
 from interopsim.chain import Behavior
 from interopsim.errors import (
+    EncodingError,
     InvalidState,
     LockTimeout,
     PolicyDenied,
@@ -20,12 +23,16 @@ from interopsim.txn import (
     MODE_OCC,
     MiniTxn,
     Prepare,
+    ReadRequest,
     ReadResponse,
+    _dec_read_req,
     _dec_read_resp,
+    _enc_read_req,
     _enc_read_resp,
     decode_prepare,
     encode_prepare,
 )
+from interopsim.values import decode_record, encode_record
 
 from harness import World
 
@@ -542,3 +549,88 @@ def test_prepare_codec_round_trip():
         back = decode_prepare(raw)
         assert back == p
         assert encode_prepare(back) == raw  # also tells True from 1
+
+
+def _stored_response(w):
+    """A real storage-path response (with a Merkle proof) and its request."""
+    w.set_kv("beta", "x", 9)
+    req = w.engine.make_read_request("beta", key="kv.x", caller_chain="alpha")
+    return req, w.sim.pump(w.sim.direct_request("beta", _enc_read_req(req)))
+
+
+def test_read_request_codec_round_trip():
+    req = ReadRequest(
+        7, "beta", "kv", "get", "", (None, True, 1, -5, "s", b"\x00"), "auditor", "alpha", "t1", True
+    )
+    raw = _enc_read_req(req)
+    back = _dec_read_req(raw)
+    assert back == req
+    assert _enc_read_req(back) == raw  # also tells True from 1
+    assert type(back.args[1]) is bool and type(back.args[2]) is int
+
+
+def test_read_response_codec_round_trip():
+    w = World()
+    _, raw = _stored_response(w)
+    with_proof = _dec_read_resp(raw)
+    assert with_proof.proof is not None and with_proof.version is not None
+    assert _enc_read_resp(with_proof) == raw
+    for resp in (
+        ReadResponse(True, 3, 5, (("beta:node0", b"\x01" * 32), ("beta:node1", b""))),
+        ReadResponse(1, 3, 5, (), version=None),
+        ReadResponse(None, 0, 1, (), version=(4, 2), status="locked", reason="kv.x"),
+    ):
+        raw = _enc_read_resp(resp)
+        back = _dec_read_resp(raw)
+        assert back == resp
+        assert _enc_read_resp(back) == raw
+
+
+def test_prefix_rows_codec_round_trip():
+    rows = [("kv.a", None, (1, 0)), ("kv.b", b"\x00\xff", (2, 3)), ("kv.c", True, (2, 4)), ("kv.d", 1, (5, 0))]
+    raw = encode_record(rows)
+    back = decode_record(raw)
+    assert back == tuple(rows)
+    assert encode_record(back) == raw
+
+
+def test_vote_and_decide_payloads_round_trip(monkeypatch):
+    payloads = []
+    real = txn_module._sys_event
+
+    def capture(dest_chain, kind, payload):
+        payloads.append((kind, payload))
+        return real(dest_chain, kind, payload)
+
+    monkeypatch.setattr(txn_module, "_sys_event", capture)
+    w = World()
+    w.set_kv("beta", "a", True)
+    mt = MiniTxn(compares=(), reads=(("beta", "kv.a"),), writes=(("beta", "kv.b", b"\x01"),))
+    assert isinstance(w.engine.execute_minitxn("alpha", mt), Committed)
+    widths = {KIND_VOTE: 5, KIND_DECIDE: 3}
+    seen = {kind: decode_record(p, widths[kind]) for kind, p in payloads if kind in widths}
+    txid, part, vote, reason, reads = seen[KIND_VOTE]
+    assert (part, vote, reason) == ("beta", "yes", "")
+    assert reads == (("kv.a", True),) and type(reads[0][1]) is bool
+    assert seen[KIND_DECIDE] == (txid, "commit", "")
+    for kind, p in payloads:
+        if kind in widths:
+            assert encode_record(decode_record(p, widths[kind])) == p
+
+
+def test_malformed_read_payloads_rejected():
+    w = World()
+    req, raw = _stored_response(w)
+    for cut in range(len(raw)):
+        with pytest.raises(EncodingError):
+            _dec_read_resp(raw[:cut])
+    with pytest.raises(EncodingError):
+        _dec_read_resp(raw + b"\x00")
+    with pytest.raises(EncodingError):
+        _dec_read_resp(bytes([raw[0]]) + encode_record(decode_record(raw, 8, 1)[:7]))  # wrong width
+    raw_req = _enc_read_req(req)
+    with pytest.raises(EncodingError):
+        _dec_read_req(raw_req + b"\x00")
+    for cut in range(len(raw_req)):
+        assert w.engine._serve_direct(raw_req[:cut], w.sim.tick) is None
+    assert w.engine._serve_direct(raw_req, w.sim.tick) is not None

@@ -2,8 +2,11 @@ import pytest
 
 from interopsim.errors import EncodingError
 from interopsim.values import (
+    MAX_RECORD_DEPTH,
     decode_one,
+    decode_record,
     decode_value,
+    encode_record,
     encode_value,
     encode_values,
     decode_values,
@@ -69,3 +72,67 @@ def test_bool_is_not_int_encoding():
     assert encode_value(True)[0] == 1
     assert encode_value(1)[0] == 2
     assert encode_value(True) != encode_value(1)
+
+
+# a record: tag 5, 4-byte BE item count, then the items (scalars as above)
+NESTED = ("k", (1, True), [None, b"\x01"])
+NESTED_RAW = (
+    bytes([5, 0, 0, 0, 3])
+    + bytes([3, 0, 0, 0, 1]) + b"k"
+    + bytes([5, 0, 0, 0, 2]) + bytes([2]) + b"\x00" * 7 + b"\x01" + bytes([1, 1])
+    + bytes([5, 0, 0, 0, 2]) + bytes([0]) + bytes([4, 0, 0, 0, 1, 1])
+)
+
+
+def test_canonical_record_encoding():
+    assert encode_record(NESTED) == NESTED_RAW
+    assert decode_record(NESTED_RAW, 3) == ("k", (1, True), (None, b"\x01"))  # lists come back as tuples
+
+
+def test_record_round_trip_tells_true_from_one():
+    record = (True, 1, (False, 0), ("", b""), ())
+    raw = encode_record(record)
+    back = decode_record(raw)
+    assert encode_record(back) == raw
+    assert [type(v) for v in (back[0], back[1], *back[2])] == [bool, int, bool, int]
+
+
+def test_record_malformed_inputs_rejected():
+    with pytest.raises(EncodingError):
+        decode_record(b"")
+    for cut in range(1, len(NESTED_RAW)):
+        with pytest.raises(EncodingError, match="truncated"):
+            decode_record(NESTED_RAW[:cut])
+    with pytest.raises(EncodingError):
+        decode_record(NESTED_RAW + b"\x00")
+    with pytest.raises(EncodingError):
+        decode_record(NESTED_RAW, 2)  # wrong width
+    with pytest.raises(EncodingError):
+        decode_record(encode_value("k"))  # top level is not a list
+    # a forged count larger than the data runs out of bytes
+    with pytest.raises(EncodingError):
+        decode_record(bytes([5, 0xFF, 0xFF, 0xFF, 0xFF, 0]))
+
+
+def test_record_nesting_capped():
+    deepest = ()
+    for _ in range(MAX_RECORD_DEPTH - 1):
+        deepest = (deepest,)
+    raw = encode_record(deepest)
+    assert decode_record(raw) == deepest
+    with pytest.raises(EncodingError):
+        encode_record((deepest,))
+    # hand-built: one list deeper than the cap, and a deep chain of lists
+    with pytest.raises(EncodingError):
+        decode_record(bytes([5, 0, 0, 0, 1]) + raw)
+    with pytest.raises(EncodingError):
+        decode_record(bytes([5, 0, 0, 0, 1]) * 10_000)
+
+
+def test_list_is_never_a_value():
+    with pytest.raises(EncodingError):
+        encode_value((1, 2))
+    with pytest.raises(EncodingError):
+        encode_value([1])
+    with pytest.raises(EncodingError):
+        decode_one(bytes([5, 0, 0, 0, 0]))
