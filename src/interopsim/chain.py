@@ -15,6 +15,7 @@ import base64
 import bisect
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Optional
 
 from .crypto import Keypair, get_scheme
@@ -102,7 +103,8 @@ class Transaction:
             ]
         )
 
-    @property
+    # hashed once per instance; kept in __dict__, unseen by == and hash
+    @cached_property
     def txn_id(self) -> bytes:
         return digest(self.encode())
 
@@ -343,7 +345,6 @@ class Chain:
 
         self.locks = LockTable()
         self.event_nonce = 0
-        self._policy_cache: dict[str, object] = {}
 
         # execution overlay, populated only while a block is being produced
         self._overlay: Optional[dict[str, tuple[Value, Version]]] = None
@@ -646,7 +647,6 @@ class Chain:
                 if target == "sys.policy" and txn.method == "attach":
                     cid, src = txn.args[0], txn.args[1]
                     applied = self._commit_writes({f"sys.policy.{cid}": src}, height, idx)
-                    self._policy_cache.pop(cid, None)
                     return Receipt(txn.txn_id, "ok", writes=applied), []
                 if handler is None:
                     raise UnknownContract(target)
@@ -714,11 +714,7 @@ class Chain:
         src = self.policy_source(contract_id)
         if src is None:
             return Decision(True, "")
-        cached = self._policy_cache.get(contract_id)
-        if cached is None or cached[0] != src:
-            cached = (src, parse_policy(src))
-            self._policy_cache[contract_id] = cached
-        ast = cached[1]
+        ast = parse_policy(src)
         if height is None:
             height = self.height
         req = AccessRequest(

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..errors import ParseError
 from .ast import (
@@ -36,6 +37,10 @@ from .ast import (
     Policy,
     Rule,
 )
+
+# distinct policy texts kept parsed per process; the AST is immutable, so
+# every chain and world attaching the same text shares one Policy
+PARSE_CACHE_SIZE = 256
 
 RESERVED = {"allow", "on", "when", "read", "write", "invoke", "true", "false", "null"}
 
@@ -270,5 +275,9 @@ class _Parser:
 
 def parse_policy(src) -> Policy:
     """Parse policy text (str or an object with a .text attribute)."""
-    text = src.text if hasattr(src, "text") else src
-    return _Parser(tokenize(text)).policy()
+    return _parse_text(src.text if hasattr(src, "text") else src)
+
+
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
+def _parse_text(text: str) -> Policy:
+    return _Parser(tokenize(text)).policy()  # a ParseError is never cached

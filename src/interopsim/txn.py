@@ -235,10 +235,17 @@ def _enc_read_req(req: ReadRequest) -> bytes:
     return _READ_REQ_HEAD + _enc_fields(req)
 
 
+# the exact type of each ReadRequest field, in order (a bool is not an int)
+_READ_REQ_TYPES = (int, str, str, str, str, tuple, str, str, str, bool)
+
+
 def _dec_read_req(raw: bytes) -> ReadRequest:
     if not raw or raw[0] != KIND_READ_REQ:
         raise EncodingError("not a read request")
-    return _dec_fields(ReadRequest, raw, 1)
+    fields = decode_record(raw, len(_READ_REQ_TYPES), 1)
+    if any(type(v) is not t for v, t in zip(fields, _READ_REQ_TYPES)):
+        raise EncodingError("ill-typed read request")
+    return ReadRequest(*fields)
 
 
 def _enc_read_resp(resp: ReadResponse) -> bytes:
@@ -274,6 +281,13 @@ def _refusal(req: ReadRequest, height: int, status: str, reason: str) -> bytes:
     return _enc_read_resp(
         ReadResponse(None, height, req.nonce, (), status=status, reason=reason)
     )
+
+
+def _agg_request(args: tuple) -> Optional[AggExpr]:
+    """The aggregate an `__agg__` read asks for; None unless args are (str, str[, int, int])."""
+    if len(args) in (2, 4) and all(type(a) is t for a, t in zip(args, (str, str, int, int))):
+        return AggExpr(*args)
+    return None
 
 
 def _sys_event(dest_chain: str, kind: int, payload: bytes) -> EventDraft:
@@ -466,22 +480,21 @@ class XTxnEngine:
         # aggregate query (resource agg.<fn>.<prefix>, no row access implied)
         # or contract path (a read-only query handler): every node signs
         if req.method:
-            agg = req.method == "__agg__"
+            agg = None
             resource = req.method
-            if agg:
-                fn, prefix = req.args[0], req.args[1]
-                frm = req.args[2] if len(req.args) > 2 else None
-                to = req.args[3] if len(req.args) > 3 else None
-                resource = f"agg.{fn}.{prefix.rstrip('.')}" if prefix else f"agg.{fn}"
+            if req.method == "__agg__":
+                agg = _agg_request(req.args)
+                if agg is None:
+                    return _refusal(req, height, "error", "__agg__ takes (fn, prefix[, from, to])")
+                resource = f"agg.{agg.fn}.{agg.prefix.rstrip('.')}" if agg.prefix else f"agg.{agg.fn}"
             denial = self._policy_denial(
                 chain, req.contract, "read", resource, req.caller_id, req.caller_chain
             )
             if denial is not None:
                 return _refusal(req, height, "denied", denial)
             try:
-                if agg:
-                    expr = AggExpr(fn, prefix, frm, to)
-                    value = eval_aggregate(expr, ChainEvalContext(chain, req.contract, height))
+                if agg is not None:
+                    value = eval_aggregate(agg, ChainEvalContext(chain, req.contract, height))
                 else:
                     value = chain.run_query(req.contract, req.method, list(req.args))
             except Exception as exc:

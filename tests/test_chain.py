@@ -12,6 +12,7 @@ from interopsim.chain import (
     ChainConfig,
     Contract,
     Transaction,
+    encode_block,
     read_block_log,
 )
 from interopsim.errors import (
@@ -24,6 +25,7 @@ from interopsim.errors import (
     UnknownContract,
 )
 from interopsim.merkle import EMPTY_ROOT, MerkleMap, verify_proof
+from interopsim.values import digest
 
 
 class KvContract(Contract):
@@ -385,3 +387,47 @@ def test_block_log_roundtrip(tmp_path):
         assert back.header.digest == orig.header.digest
         assert back.txns == orig.txns
         assert back.receipts == orig.receipts
+
+
+# ------------------------------------------------------------ txn ids
+
+
+def _txn(nonce=1):
+    return Transaction("alpha", "alice", "kv", "set", ("k", 5, None, b"\x00"), nonce)
+
+
+def test_txn_id_is_the_digest_of_the_encoding():
+    txn = _txn()
+    assert txn.txn_id == digest(txn.encode())
+
+
+def test_txn_id_encodes_once(monkeypatch):
+    calls = []
+    real = Transaction.encode
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Transaction, "encode", counted)
+    txn = _txn()
+    ids = {txn.txn_id for _ in range(5)}
+    assert len(ids) == 1 and len(calls) == 1
+
+
+def test_cached_txn_id_leaves_equality_and_hash_alone():
+    a, b = _txn(), _txn()
+    a.txn_id  # caches on a only
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert a != _txn(nonce=2)
+
+
+def test_produced_block_bytes_unchanged():
+    ch = ready_kv(mk_chain())
+    block = set_kv(ch, "alice", "x", 5, tick=3)
+    for txn in block.txns:
+        txn.txn_id
+    # pinned: caching txn ids must not change a block's bytes
+    expected = "1962aa2e130e108f7445a49e1e1734177cf8f50262b5af6b1cdf2f0a5a44033c"
+    assert digest(encode_block(block)).hex() == expected

@@ -1,10 +1,16 @@
 """Policy enforcement wired through the chain: attachment and gating."""
 
+from types import SimpleNamespace
+
 import pytest
 
+import interopsim.policy
+import interopsim.policy.parser
 from interopsim.chain import Chain, ChainConfig, Contract
 from interopsim.errors import ParseError
-from interopsim.policy import AggExpr, ChainEvalContext, eval_aggregate
+from interopsim.policy import AggExpr, ChainEvalContext, eval_aggregate, parse_policy
+
+from harness import World
 
 
 class GatedKv(Contract):
@@ -103,3 +109,49 @@ def test_caller_identity_bound_in_conditions():
     chain.submit_call("mallory", "gkv", "set", ["k.b", 2])
     block, _ = chain.produce_block(tick=1)
     assert [r.status for r in block.receipts] == ["ok", "failed"]
+
+
+# ------------------------------------------------------------ parse cache
+
+_SHARED_TEXT = 'allow read on x when caller.chain == "alpha";  # shared by text'
+
+
+def test_worlds_attaching_one_text_share_one_policy(monkeypatch):
+    seen = []
+    real = interopsim.policy.evaluate
+
+    def spy(ast, req, ctx):
+        seen.append(ast)
+        return real(ast, req, ctx)
+
+    monkeypatch.setattr(interopsim.policy, "evaluate", spy)
+    for _ in range(2):
+        w = World()
+        beta = w.chains["beta"]
+        beta.attach_policy("kv", _SHARED_TEXT)
+        w.settle()
+        assert beta.evaluate_policy("kv", "read", "x", "alice", "alpha").allowed
+        assert not beta.evaluate_policy("kv", "read", "x", "alice", "gamma").allowed
+    assert len(seen) == 4
+    assert all(ast is seen[0] for ast in seen)
+
+
+def test_parse_errors_are_not_cached(monkeypatch):
+    calls = []
+    real = interopsim.policy.parser.tokenize
+
+    def counted(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(interopsim.policy.parser, "tokenize", counted)
+    bad = "allow write on bids. when  # never cached"
+    for _ in range(2):
+        with pytest.raises(ParseError):
+            parse_policy(bad)
+    assert calls == [bad, bad]
+
+
+def test_text_bearing_object_parses_like_its_string():
+    text = "allow write on k.*;  # via .text"
+    assert parse_policy(SimpleNamespace(text=text)) is parse_policy(text)

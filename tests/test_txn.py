@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -567,6 +568,44 @@ def test_read_request_codec_round_trip():
     assert back == req
     assert _enc_read_req(back) == raw  # also tells True from 1
     assert type(back.args[1]) is bool and type(back.args[2]) is int
+
+
+@pytest.mark.parametrize(
+    "req",
+    [
+        ReadRequest("x", "beta", key="kv.x"),  # a str nonce
+        ReadRequest(1, "beta", key=5),  # an int key
+        ReadRequest(1, "beta", contract="kv", method="__agg__", args=()),  # no aggregate args
+    ],
+    ids=["str-nonce", "int-key", "agg-no-args"],
+)
+def test_serve_direct_refuses_ill_typed_read_request(req):
+    w = World()
+    w.set_kv("beta", "x", 1)
+    out = w.engine._serve_direct(_enc_read_req(req), w.sim.tick)
+    assert out is None or _dec_read_resp(out).status == "error"
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [("nonce", True), ("target_chain", 3), ("key", None), ("args", "ab"), ("lock_only", 1)],
+)
+def test_read_request_decode_rejects_ill_typed_fields(field, bad):
+    req = ReadRequest(7, "beta", key="kv.x")
+    with pytest.raises(EncodingError):
+        _dec_read_req(_enc_read_req(dataclasses.replace(req, **{field: bad})))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("sum",), ("sum", 5), (5, "bids."), ("sum", "bids.", 1), ("sum", "bids.", 1, True)],
+)
+def test_aggregate_read_with_ill_typed_args_is_an_error_refusal(args):
+    w = World()
+    w.set_kv("beta", "bids.a", 3)
+    req = w.engine.make_read_request("beta", contract="kv", method="__agg__", args=args)
+    resp = _dec_read_resp(w.engine._serve_direct(_enc_read_req(req), w.sim.tick))
+    assert resp.status == "error" and resp.value is None
 
 
 def test_read_response_codec_round_trip():
