@@ -52,7 +52,6 @@ class Behavior(str, Enum):
     HONEST = "honest"
     SILENT = "silent"
     EQUIVOCATE = "equivocate"
-    FORGE = "forge"
 
 
 @dataclass
@@ -349,6 +348,8 @@ class Chain:
         # execution overlay, populated only while a block is being produced
         self._overlay: Optional[dict[str, tuple[Value, Version]]] = None
         self._overlay_log: list[tuple[Version, str, Value]] = []
+        # effects outside the ledger, run only once the block in production commits
+        self._effects: list[Callable[[], None]] = []
 
         # hooks installed by the simulation (policy engine, observers)
         self.policy_evaluator = None  # fn(policy_src, request, ctx) -> Decision
@@ -541,26 +542,30 @@ class Chain:
             tick=0,
         )
         # genesis is a config artifact; behavior flags model runtime faults
-        cert = self._certify(header, ignore_byzantine=True)
+        cert = self._certify(header, honest=True)
         self.blocks.append(Block(header=header, txns=(), receipts=(), cert=cert))
         self._writes_at.append(())
 
-    def _certify(self, header: BlockHeader, ignore_byzantine: bool = False) -> QuorumCert:
-        hd = header.digest
+    def node_signatures(self, message: bytes, honest: bool = False) -> tuple[tuple[str, bytes], ...]:
+        """Every node's signature over `message`, in node order, per its behavior:
+        silent nodes skip and equivocators sign the complement.  `honest`
+        ignores the behavior flags."""
         sigs = []
         for node_id in self.cfg.node_ids():
-            behavior = self.byzantine.get(node_id, Behavior.HONEST)
-            if ignore_byzantine:
-                behavior = Behavior.HONEST
+            behavior = Behavior.HONEST if honest else self.byzantine.get(node_id, Behavior.HONEST)
             if behavior == Behavior.SILENT:
                 continue
-            target = hd
+            target = message
             if behavior == Behavior.EQUIVOCATE:
-                target = bytes(b ^ 0xFF for b in hd)
+                target = bytes(b ^ 0xFF for b in message)
             sigs.append((node_id, self.scheme.sign(self.keys[node_id].signing_key, target)))
+        return tuple(sigs)
+
+    def _certify(self, header: BlockHeader, honest: bool = False) -> QuorumCert:
+        hd = header.digest
         valid = [
             (node_id, sig)
-            for node_id, sig in sigs
+            for node_id, sig in self.node_signatures(hd, honest)
             if self.scheme.verify(self.keys[node_id].verify_key, hd, sig)
         ]
         if len(valid) < self.cfg.quorum:
@@ -568,6 +573,14 @@ class Chain:
                 f"{len(valid)} valid signatures < quorum {self.cfg.quorum}"
             )
         return QuorumCert(header_digest=hd, signatures=tuple(sorted(valid)))
+
+    def after_commit(self, effect: Callable[[], None]) -> None:
+        """Run `effect` once the block in production commits; a rollback drops it.
+
+        Block execution reaches outside the ledger only through here and the
+        lock table, which a rollback restores, so a block lost to
+        QuorumFailure takes everything it did with it."""
+        self._effects.append(effect)
 
     def produce_block(self, tick: int = 0) -> Optional[tuple[Block, list[EventDraft]]]:
         if not self.mempool:
@@ -577,9 +590,12 @@ class Chain:
         height = self.height + 1
 
         # until commit, _current holds the state as of the block's start: the
-        # policies and contract registrations this block executes under
+        # policies and contract registrations this block executes under.
+        # Locks change in place (prepares in one block see each other's), so
+        # a rollback restores them from this copy.
         self._overlay = {}
         self._overlay_log = []
+        locks = (dict(self.locks.exact), dict(self.locks.prefix))
         receipts = []
         out_events: list[EventDraft] = []
         try:
@@ -604,6 +620,8 @@ class Chain:
             self.mempool = list(txns) + self.mempool
             self._overlay = None
             self._overlay_log = []
+            self._effects = []
+            self.locks.exact, self.locks.prefix = locks
             raise
 
         # commit: fold overlay into history and current state
@@ -619,6 +637,9 @@ class Chain:
             header=header, txns=txns, receipts=tuple(receipts), cert=cert
         )
         self.blocks.append(block)
+        effects, self._effects = self._effects, []
+        for effect in effects:
+            effect()
         if self.observer is not None:
             self.observer.on_block(self, block)
         return block, out_events
@@ -645,7 +666,10 @@ class Chain:
                     applied = self._commit_writes(writes, height, idx)
                     return Receipt(txn.txn_id, "ok", writes=applied), []
                 if target == "sys.policy" and txn.method == "attach":
+                    from .policy import parse_policy
+
                     cid, src = txn.args[0], txn.args[1]
+                    parse_policy(src)  # text that does not parse never reaches the ledger
                     applied = self._commit_writes({f"sys.policy.{cid}": src}, height, idx)
                     return Receipt(txn.txn_id, "ok", writes=applied), []
                 if handler is None:

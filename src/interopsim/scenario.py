@@ -132,7 +132,6 @@ _BEHAVIORS = {
     "honest": Behavior.HONEST,
     "silent": Behavior.SILENT,
     "equivocate": Behavior.EQUIVOCATE,
-    "forge": Behavior.FORGE,
 }
 
 

@@ -27,7 +27,7 @@ from .bus import (
     SignedEventBatch,
     verify_batch,
 )
-from .chain import Behavior, Chain, ChainConfig, EventDraft
+from .chain import Chain, ChainConfig, EventDraft
 from .errors import MaxTicksExceeded, QuorumFailure
 from .runlog import RunLog
 
@@ -358,21 +358,13 @@ class Simulation:
         where only colluding Byzantine nodes endorse an event that never
         executed.  Honest emission signs per each node's behavior flag.
         """
-        sigs: dict[str, bytes] = {}
-        node_ids = forged_by if forged_by is not None else chain.cfg.node_ids()
-        for node_id in node_ids:
-            behavior = chain.byzantine.get(node_id, Behavior.HONEST)
-            if forged_by is None:
-                if behavior == Behavior.SILENT:
-                    continue
-                target = event.digest
-                if behavior == Behavior.EQUIVOCATE:
-                    target = bytes(b ^ 0xFF for b in event.digest)
-                sigs[node_id] = chain.scheme.sign(chain.keys[node_id].signing_key, target)
-            else:
-                sigs[node_id] = chain.scheme.sign(
-                    chain.keys[node_id].signing_key, event.digest
-                )
+        if forged_by is None:
+            sigs = dict(chain.node_signatures(event.digest))
+        else:
+            sigs = {
+                node_id: chain.scheme.sign(chain.keys[node_id].signing_key, event.digest)
+                for node_id in forged_by
+            }
         outbox = self._node_outbox[chain.chain_id]
         outbox[event.digest] = (event, sigs, self.tick)
         self._arm_outbox_timer(chain.chain_id)
@@ -502,13 +494,7 @@ class Simulation:
 
     # ------------------------------------------------ direct req/resp path
 
-    def direct_request(
-        self,
-        target_chain: str,
-        payload: bytes,
-        rt_txn: Optional[str] = None,
-        recovery: bool = False,
-    ) -> Future:
+    def direct_request(self, target_chain: str, payload: bytes, recovery: bool = False) -> Future:
         """Point-to-point request to a chain's protocol handler.
 
         Both legs draw drop faults (in order: request, response); retries up
@@ -516,17 +502,11 @@ class Simulation:
         the raw response bytes, or None after the final attempt times out.
         """
         fut = Future()
-        self._direct_attempt(target_chain, payload, fut, attempt=0, rt_txn=rt_txn, recovery=recovery)
+        self._direct_attempt(target_chain, payload, fut, attempt=0, recovery=recovery)
         return fut
 
     def _direct_attempt(
-        self,
-        target_chain: str,
-        payload: bytes,
-        fut: Future,
-        attempt: int,
-        rt_txn: Optional[str],
-        recovery: bool,
+        self, target_chain: str, payload: bytes, fut: Future, attempt: int, recovery: bool
     ) -> None:
         if fut.done:
             return
@@ -549,22 +529,15 @@ class Simulation:
         else:
             self.call_later(
                 latency,
-                lambda: self._direct_serve(target_chain, payload, fut, rt_txn, recovery),
+                lambda: self._direct_serve(target_chain, payload, fut, recovery),
             )
         self.call_later(
             timeout,
-            lambda: self._direct_attempt(
-                target_chain, payload, fut, attempt + 1, rt_txn, recovery
-            ),
+            lambda: self._direct_attempt(target_chain, payload, fut, attempt + 1, recovery),
         )
 
     def _direct_serve(
-        self,
-        target_chain: str,
-        payload: bytes,
-        fut: Future,
-        rt_txn: Optional[str],
-        recovery: bool,
+        self, target_chain: str, payload: bytes, fut: Future, recovery: bool
     ) -> None:
         if fut.done:
             return
@@ -590,8 +563,6 @@ class Simulation:
         def complete():
             if fut.done:
                 return
-            if rt_txn is not None:
-                self.meter.round_trip(rt_txn)
             if recovery:
                 self.meter.recovery_reads += 1
             fut.set_result(response)

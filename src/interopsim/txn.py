@@ -16,15 +16,19 @@ Prepare and decision records are ledger entries on the coordinator,
 protocol messages are bus events, and votes carry f+1 participant-node
 signatures by construction of the gateway path.  Every abort once prepared
 (client abort, vote timeout) is a `decide` ledger transaction on the
-coordinator, so a decision is durable before any participant hears it.
-Prepared participants that miss the decision recover it by polling the
-coordinator's ledger.
+coordinator.  Block handlers read votes, decisions and applied markers back
+from the ledger, and change engine memory (client futures, pending writes,
+polls, meters, log records) only through `Chain.after_commit`, once their
+block commits.  So a decision is durable before the client or any
+participant hears it, and a block lost to QuorumFailure leaves nothing
+behind.  Prepared participants that miss the decision recover it by polling
+the coordinator's ledger.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields as dataclass_fields
-from functools import cache
+from functools import cache, partial
 from operator import attrgetter
 from typing import Callable, Optional
 
@@ -128,15 +132,11 @@ class XTxn:
     caller_id: str = "client"
     mode: str = ""  # general: MODE_LOCKS | MODE_OCC
     status: str = ST_ACTIVE
-    decision: Optional[str] = None
+    decision: Optional[str] = None  # set once the decision's block commits
     reason: str = ""
     future: Optional[Future] = None
     participants: list[str] = field(default_factory=list)
-    votes: dict[str, tuple[str, str]] = field(default_factory=dict)
     read_values: dict[tuple[str, str], Value] = field(default_factory=dict)
-    applied: set[str] = field(default_factory=set)
-    rt_prepare_done: bool = False
-    rt_decide_done: bool = False
     compare_set: list[tuple[str, str, Value]] = field(default_factory=list)
     fetch_set: list[tuple[str, str]] = field(default_factory=list)
     read_set: list[tuple[str, str, Version]] = field(default_factory=list)
@@ -427,22 +427,6 @@ class XTxnEngine:
         decision = chain.evaluate_policy(contract, action, resource, caller_id, caller_chain, height)
         return None if decision.allowed else decision.reason
 
-    def _sign_matching(
-        self, chain: Chain, value: Value, nonce: int, height: int
-    ) -> tuple[tuple[str, bytes], ...]:
-        """Every node signs per its behavior; equivocators corrupt the digest."""
-        good = read_response_digest(value, nonce, height)
-        sigs = []
-        for node_id in chain.cfg.node_ids():
-            behavior = chain.byzantine.get(node_id, Behavior.HONEST)
-            if behavior == Behavior.SILENT:
-                continue
-            target = good
-            if behavior == Behavior.EQUIVOCATE:
-                target = bytes(b ^ 0xFF for b in good)
-            sigs.append((node_id, chain.scheme.sign(chain.keys[node_id].signing_key, target)))
-        return tuple(sigs)
-
     def _serve_read(self, chain: Chain, req: ReadRequest) -> Optional[bytes]:
         height = chain.height
 
@@ -474,7 +458,7 @@ class XTxnEngine:
                 self._log_lock(chain.chain_id, "acquire", full_prefix, req.lock_for)
             guard = chain.latest_version_under(full_prefix)
             value = encode_record(rows)
-            sigs = self._sign_matching(chain, value, req.nonce, height)
+            sigs = chain.node_signatures(read_response_digest(value, req.nonce, height))
             return _answer(req, height, value, sigs, version=guard)
 
         # aggregate query (resource agg.<fn>.<prefix>, no row access implied)
@@ -499,7 +483,8 @@ class XTxnEngine:
                     value = chain.run_query(req.contract, req.method, list(req.args))
             except Exception as exc:
                 return _refusal(req, height, "error", f"{type(exc).__name__}: {exc}")
-            return _answer(req, height, value, self._sign_matching(chain, value, req.nonce, height))
+            sigs = chain.node_signatures(read_response_digest(value, req.nonce, height))
+            return _answer(req, height, value, sigs)
 
         # storage path: plain key, merkle proof, single (first honest) node
         full_key = f"{req.contract}.{req.key}" if req.contract else req.key
@@ -718,7 +703,11 @@ class XTxnEngine:
     # ------------------------------------------------- block-exec handler
 
     def _sys_txn_exec(self, chain: Chain, txn, height: int, idx: int):
-        """System handler: runs inside block execution, deterministically."""
+        """System handler: runs inside block execution, deterministically.
+
+        2PC facts (votes, decisions, applied markers) are read back from the
+        ledger, overlay included.  Everything else the engine does for a
+        block is handed to `chain.after_commit`."""
         method = txn.method
         if method == "__event__":
             event = Event.decode(txn.args[0])
@@ -751,10 +740,8 @@ class XTxnEngine:
         self, chain: Chain, txid: str, decision: str, reason: str, txn, height: int, idx: int
     ):
         t = self.records.get(txid)
-        if t is None or t.decision is not None:
+        if t is None or chain.current_value(f"sys.2pc.{txid}.decision") is not None:
             return Receipt(txn.txn_id, "ok", writes=()), []
-        t.decision = decision
-        t.reason = reason
         writes = {
             f"sys.2pc.{txid}.decision": decision,
             f"sys.2pc.{txid}.reason": reason,
@@ -762,12 +749,15 @@ class XTxnEngine:
         applied = chain._commit_writes(writes, height, idx)
         payload = encode_record((txid, decision, reason))
         events = [_sys_event(part, KIND_DECIDE, payload) for part in t.participants]
-        self._log_xtxn(t)
-        self._complete(t)
+        chain.after_commit(partial(self._complete, t, decision, reason))
         return Receipt(txn.txn_id, "ok", writes=applied, xchain_txn=txid), events
 
-    def _complete(self, t: XTxn) -> None:
-        if t.decision == "commit":
+    def _complete(self, t: XTxn, decision: str, reason: str) -> None:
+        """The decision is on the ledger: record it, then tell the client."""
+        t.decision = decision
+        t.reason = reason
+        self._log_xtxn(t)
+        if decision == "commit":
             t.status = ST_COMMITTED
             t.future.set_result(Committed(read_values=dict(t.read_values)))
         else:
@@ -809,16 +799,19 @@ class XTxnEngine:
         if reason:
             # a no-vote releases every lock this txn holds here
             if chain.locks.release_owner(txid):
-                self._log_lock(chain.chain_id, "release", "*", txid)
+                chain.after_commit(partial(self._log_lock, chain.chain_id, "release", "*", txid))
         else:
             reads = [(key, chain.current_value(key)) for key in p.reads]
-            self._pending[(txid, chain.chain_id)] = list(p.writes)
             state_writes[f"sys.xt.{txid}.vote"] = "yes"
-            self._arm_decision_poll(txid, chain.chain_id, p.coordinator)
+            chain.after_commit(partial(self._prepared, p, chain.chain_id))
         applied = chain._commit_writes(state_writes, height, idx)
         vote = "no" if reason else "yes"
         out = [self._vote_event(chain, p.coordinator, txid, vote, reason, reads)]
         return Receipt(txn.txn_id, "ok", writes=applied, xchain_txn=txid), out
+
+    def _prepared(self, p: Prepare, chain_id: str) -> None:
+        self._pending[(p.txn_id, chain_id)] = list(p.writes)
+        self._arm_decision_poll(p.txn_id, chain_id, p.coordinator)
 
     def _prepare_checks(self, chain: Chain, p: Prepare, height: int) -> str:
         """The reason to vote no, or "" after taking the write locks."""
@@ -857,7 +850,7 @@ class XTxnEngine:
                 continue
             if not chain.locks.try_lock(key, txid):
                 return f"LockConflict: {key}"
-            self._log_lock(chain.chain_id, "acquire", key, txid)
+            chain.after_commit(partial(self._log_lock, chain.chain_id, "acquire", key, txid))
         return ""
 
     def _covered_by_prefix(self, chain: Chain, key: str, owner: str) -> bool:
@@ -870,27 +863,21 @@ class XTxnEngine:
             return Receipt(txn.txn_id, "ok", writes=()), []
         writes = {f"sys.2pc.{txid}.vote.{part}": f"{vote}:{reason}"}
         applied = chain._commit_writes(writes, height, idx)
-        if t.decision is not None:
+        if chain.current_value(f"sys.2pc.{txid}.decision") is not None:
             return Receipt(txn.txn_id, "ok", writes=applied, xchain_txn=txid), []
-        if part not in t.votes:
-            t.votes[part] = (vote, reason)
-            for k, v in reads:
-                t.read_values[(part, k)] = v
-        if len(t.votes) == len(t.participants):
-            if not t.rt_prepare_done:
-                t.rt_prepare_done = True
-                self.sim.meter.round_trip(txid)
-            no_votes = [(p, r) for p, (v, r) in t.votes.items() if v != "yes"]
-            if no_votes:
-                decision, reason = "abort", no_votes[0][1]
-            else:
-                decision, reason = "commit", ""
-            receipt, events = self._exec_decide(chain, txid, decision, reason, txn, height, idx)
-            merged = Receipt(
-                txn.txn_id, "ok", writes=applied + receipt.writes, xchain_txn=txid
-            )
-            return merged, events
-        return Receipt(txn.txn_id, "ok", writes=applied, xchain_txn=txid), []
+        chain.after_commit(partial(t.read_values.update, {(part, k): v for k, v in reads}))
+        keys = [f"sys.2pc.{txid}.vote.{p}" for p in t.participants]
+        if any(chain.current_value(key) is None for key in keys):
+            return Receipt(txn.txn_id, "ok", writes=applied, xchain_txn=txid), []
+        chain.after_commit(partial(self.sim.meter.round_trip, txid))
+        # the tally in arrival order, which is ledger version order
+        arrived = sorted(keys, key=chain.current_version)
+        votes = [chain.current_value(key).partition(":") for key in arrived]
+        no_reasons = [r for v, _, r in votes if v != "yes"]
+        decision, reason = ("abort", no_reasons[0]) if no_reasons else ("commit", "")
+        receipt, events = self._exec_decide(chain, txid, decision, reason, txn, height, idx)
+        merged = Receipt(txn.txn_id, "ok", writes=applied + receipt.writes, xchain_txn=txid)
+        return merged, events
 
     def _exec_apply(self, chain: Chain, txid: str, decision: str, txn, height: int, idx: int):
         marker = f"sys.applied.{txid}"
@@ -900,17 +887,16 @@ class XTxnEngine:
         if decision == "commit":
             for key, value in self._pending.get((txid, chain.chain_id), []):
                 state_writes[key] = value
-        released = chain.locks.release_owner(txid)
-        if released:
-            self._log_lock(chain.chain_id, "release", "*", txid)
-        self._pending.pop((txid, chain.chain_id), None)
+        if chain.locks.release_owner(txid):
+            chain.after_commit(partial(self._log_lock, chain.chain_id, "release", "*", txid))
+        chain.after_commit(partial(self._pending.pop, (txid, chain.chain_id), None))
         applied = chain._commit_writes(state_writes, height, idx)
         t = self.records.get(txid)
-        if t is not None:
-            t.applied.add(chain.chain_id)
-            if not t.rt_decide_done and t.decision is not None and t.applied >= set(t.participants):
-                t.rt_decide_done = True
-                self.sim.meter.round_trip(txid)
+        # the last participant to apply closes the decide round trip
+        if t is not None and all(
+            self.sim.chains[part].current_value(marker) is not None for part in t.participants
+        ):
+            chain.after_commit(partial(self.sim.meter.round_trip, txid))
         return Receipt(txn.txn_id, "ok", writes=applied, xchain_txn=txid), []
 
     # ------------------------------------------------ decision recovery

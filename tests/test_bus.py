@@ -201,7 +201,6 @@ def test_forged_event_sweep_single_forger_never_delivered():
         w = World(seed=forger_idx)
         chain = w.chains["alpha"]
         node = chain.cfg.node_ids()[forger_idx]
-        chain.byzantine[node] = Behavior.FORGE
         forged = sample_event(nonce=999_000 + forger_idx, payload=b"forged")
         w.sim.emit_event(chain, forged, forged_by=[node])
         w.settle()
@@ -212,8 +211,6 @@ def test_f_plus_1_colluders_cross_the_boundary():
     w = World()
     chain = w.chains["alpha"]
     nodes = chain.cfg.node_ids()[:2]  # f+1 = 2 colluding signers
-    for node in nodes:
-        chain.byzantine[node] = Behavior.FORGE
     forged = sample_event(nonce=999_999, payload=b"forged")
     w.sim.emit_event(chain, forged, forged_by=nodes)
     w.settle()

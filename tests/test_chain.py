@@ -11,6 +11,7 @@ from interopsim.chain import (
     Chain,
     ChainConfig,
     Contract,
+    Receipt,
     Transaction,
     encode_block,
     read_block_log,
@@ -178,6 +179,40 @@ def test_quorum_failure_restores_mempool():
     ch.byzantine.clear()
     block, _ = ch.produce_block(tick=1)
     assert block.receipts[0].status == "ok"
+
+
+def test_quorum_failure_drops_after_commit_effects_and_restores_locks():
+    ch = ready_kv(mk_chain(chain_id="x"))
+    ch.locks.try_lock("kv.held", "t0")
+    ran, seen = [], []
+
+    def handler(chain, txn, height, idx):
+        chain.locks.release_owner("t0")
+        chain.locks.try_lock(f"kv.{txn.args[0]}", "t1")
+        chain.locks.try_lock_prefix("kv.p.", "t1")
+        chain.after_commit(lambda: ran.append((txn.args[0], chain.height)))
+        return Receipt(txn.txn_id, "ok"), []
+
+    class Observer:
+        def on_block(self, chain, block):
+            seen.append(list(ran))
+
+    ch.system_handlers["sys.test"] = handler
+    ch.observer = Observer()
+    ch.submit_sys_txn("sys.test", "go", ["a"])
+    ch.byzantine.update({"x:node1": Behavior.SILENT, "x:node2": Behavior.SILENT})
+    with pytest.raises(QuorumFailure):
+        ch.produce_block(tick=0)
+    assert ran == []
+    assert (ch.locks.exact, ch.locks.prefix) == ({"kv.held": "t0"}, {})
+    ch.byzantine.clear()
+    ch.produce_block(tick=1)
+    # effects run once, after the block is appended and before observers hear of it
+    assert ran == [("a", 2)]
+    assert seen == [[("a", 2)]]
+    assert (ch.locks.exact, ch.locks.prefix) == ({"kv.a": "t1"}, {"kv.p.": "t1"})
+    set_kv(ch, "alice", "b", 1)
+    assert ran == [("a", 2)]
 
 
 def test_read_state_at_heights():

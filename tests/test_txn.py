@@ -673,3 +673,79 @@ def test_malformed_read_payloads_rejected():
     for cut in range(len(raw_req)):
         assert w.engine._serve_direct(raw_req[:cut], w.sim.tick) is None
     assert w.engine._serve_direct(raw_req, w.sim.tick) is not None
+
+
+def test_unparseable_policy_attached_by_sys_txn_fails_and_reads_still_serve():
+    # the ledger only ever holds policy text that parses
+    w = World()
+    w.set_kv("beta", "x", 1)
+    beta = w.chains["beta"]
+    beta.submit_sys_txn("sys.policy", "attach", ["kv", "allow read on"])
+    w.settle()
+    receipt = beta.blocks[-1].receipts[0]
+    assert receipt.status == "failed" and receipt.error.startswith("ParseError")
+    assert beta.policy_source("kv") is None
+    req = w.engine.make_read_request("beta", key="kv.x")
+    resp = _dec_read_resp(w.engine._serve_direct(_enc_read_req(req), w.sim.tick))
+    assert (resp.status, resp.value) == ("ok", 1)
+
+
+# ------------------------------------------- quorum loss during 2PC blocks
+
+
+def _start_txn(w, kind):
+    """Begin a transaction with coordinator alpha that writes kv.x on beta."""
+    if kind == "mini":
+        mt = MiniTxn(compares=(), reads=(), writes=(("beta", "kv.x", 1),))
+        fut = w.engine.execute_minitxn_async("alpha", mt)
+        return list(w.engine.records)[-1], fut
+    t = w.engine.begin_general("alpha", kind)
+    w.engine.txn_write(t, "beta", "kv.x", 1)
+    return t.txn_id, w.engine.txn_commit_async(t)
+
+
+def _lose_one_block(w, chain_id):
+    """Two of four nodes stay silent for one tick: that tick's block rolls back."""
+    chain = w.chains[chain_id]
+    nodes = chain.cfg.node_ids()[:2]
+    chain.byzantine.update({node: Behavior.SILENT for node in nodes})
+    w.sim.step()
+    for node in nodes:
+        del chain.byzantine[node]
+
+
+def _assert_settled_agrees_with_ledger(w, txid, fut):
+    w.sim.run_until_quiescent(w.sim.tick + 3000)
+    decision = w.chains["alpha"].read_state(f"sys.2pc.{txid}.decision")
+    outcome = fut.result()
+    assert decision == ("commit" if isinstance(outcome, Committed) else "abort")
+    assert w.locks_empty()
+    if decision == "commit":
+        assert w.kv("beta", "x") == 1
+    report = _audit(w)
+    assert report.ok, report.render()
+
+
+def test_coordinator_vote_block_lost_to_quorum_failure_still_decides():
+    # the coordinator's block that tallies the last vote and decides rolls
+    # back; the client must not hear the decision the ledger never kept
+    w = World()
+    txid, fut = _start_txn(w, "mini")
+    alpha = w.chains["alpha"]
+    while not any(t.method == "__event__" for t in alpha.mempool):
+        w.sim.step()
+    _lose_one_block(w, "alpha")
+    assert w.sim.meter.quorum_failures == 1
+    _assert_settled_agrees_with_ledger(w, txid, fut)
+
+
+@pytest.mark.parametrize("kind", ["mini", MODE_OCC, MODE_LOCKS])
+@pytest.mark.parametrize("chain_id", ["alpha", "beta"])
+@pytest.mark.parametrize("lost_tick", range(16))
+def test_one_lost_block_at_any_tick_of_2pc(kind, chain_id, lost_tick):
+    w = World()
+    txid, fut = _start_txn(w, kind)
+    for _ in range(lost_tick):
+        w.sim.step()
+    _lose_one_block(w, chain_id)
+    _assert_settled_agrees_with_ledger(w, txid, fut)
