@@ -3,13 +3,13 @@
 Events carry source/destination chain and contract names plus a per-source
 nonce.  A gateway batches f+1 node signatures over an event digest before
 publishing; brokers are untrusted queues with injectable faults (drop,
-duplicate, replay, forge); consumers pull per tick, verify signatures
-against the source chain's published key set, and deduplicate by
-(source_chain, nonce).  Each inbox also remembers the exact wire bytes of
-every copy it has verified, so a redundant copy of those bytes is
-classified as a duplicate by one lookup, without decoding or verifying it
-again; an event computes its encoding and digest once, a signed batch its
-encoding.
+duplicate, replay, forge) that acknowledge each batch they queue, over the
+same lossy link; consumers pull per tick, verify signatures against the
+source chain's published key set, and deduplicate by (source_chain, nonce).
+Each inbox also remembers the exact wire bytes of every copy it has
+verified, so a redundant copy of those bytes is classified as a duplicate
+by one lookup, without decoding or verifying it again; an event computes
+its encoding and digest once, a signed batch its encoding.
 """
 
 from __future__ import annotations
@@ -194,6 +194,7 @@ class Broker:
         self.broker_id = broker_id
         self.faults = faults or BrokerFaults()
         self.queues: dict[str, list[tuple[int, bytes]]] = {}
+        self._heads: dict[str, int] = {}  # topic -> least due tick in its queue
         self.history: list[tuple[str, bytes]] = []
         self.metrics: dict[str, int] = {
             "published": 0,
@@ -205,16 +206,24 @@ class Broker:
 
     def _enqueue(self, topic: str, due: int, raw: bytes) -> None:
         self.queues.setdefault(topic, []).append((due, raw))
+        head = self._heads.get(topic)
+        if head is None or due < head:
+            self._heads[topic] = due
 
-    def publish(self, topic: str, raw: bytes, now: int, latency: int, rng) -> None:
+    def publish(self, topic: str, raw: bytes, now: int, latency: int, rng) -> bool:
         """Queue one batch, subject to this broker's fault profile.
 
-        RNG draw order per publish: drop, duplicate, replay, forge.
+        Returns whether the broker queued the batch and its acknowledgement
+        reached the publisher.  The acknowledgement crosses the same lossy
+        link as the batch, and arrives before the publisher's first
+        retransmit is due.  RNG draw order per publish: drop, duplicate,
+        replay, forge, ack; the drop and ack draws happen only when
+        drop_rate > 0.
         """
         self.metrics["published"] += 1
         if self.faults.drop_rate > 0 and rng.random() < self.faults.drop_rate:
             self.metrics["dropped"] += 1
-            return
+            return False
         self._enqueue(topic, now + latency, raw)
         self.history.append((topic, raw))
         if self.faults.duplicate_rate > 0 and rng.random() < self.faults.duplicate_rate:
@@ -231,13 +240,26 @@ class Broker:
         if self.faults.forge:
             self.metrics["forged"] += 1
             self._enqueue(topic, now + latency, _tamper(raw))
+        ack_lost = self.faults.drop_rate > 0 and rng.random() < self.faults.drop_rate
+        return not ack_lost
+
+    def next_due(self, topic: Optional[str] = None) -> Optional[int]:
+        """Least due tick queued for `topic`, or for any topic; None if none."""
+        if topic is not None:
+            return self._heads.get(topic)
+        return min(self._heads.values(), default=None)
 
     def pull(self, topic: str, now: int) -> list[bytes]:
         queue = self.queues.get(topic)
         if not queue:
             return []
         due = [raw for tick, raw in queue if tick <= now]
-        self.queues[topic] = [(tick, raw) for tick, raw in queue if tick > now]
+        rest = [(tick, raw) for tick, raw in queue if tick > now]
+        self.queues[topic] = rest
+        if rest:
+            self._heads[topic] = min(tick for tick, _ in rest)
+        else:
+            del self._heads[topic]
         return due
 
 
@@ -325,6 +347,12 @@ class Gateway:
         stale = [d for d, e in self.pending.items() if now - e.since > self.timeout]
         for d in stale:
             del self.pending[d]
+
+    def next_expiry(self) -> Optional[int]:
+        """First tick at which expire() drops a pending batch; None if none is pending."""
+        if not self.pending:
+            return None
+        return min(e.since for e in self.pending.values()) + self.timeout + 1
 
     def crash(self) -> None:
         """Full state loss; node re-forwarding rebuilds batches."""

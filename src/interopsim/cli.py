@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 
@@ -77,11 +78,37 @@ def cmd_replay(args) -> int:
     original_lines = None
     with open(args.log, "r", encoding="utf-8") as fh:
         original_lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if log.lines() == original_lines:
+    replayed_lines = log.lines()
+    if replayed_lines == original_lines:
         print("replay OK: byte-identical log")
         return EXIT_OK
     print("replay MISMATCH: log diverged from recording", file=sys.stderr)
+    print(first_divergence(original_lines, replayed_lines), file=sys.stderr)
     return EXIT_AUDIT_FAIL
+
+
+def first_divergence(recorded: list[str], replayed: list[str]) -> str:
+    """Name the first line (1-based) at which two run logs differ, and how.
+
+    The end lines are left out: they only count and checksum the lines
+    before them, so they differ whenever anything else does.
+    """
+    recorded, replayed = recorded[:-1], replayed[:-1]
+    for number, (old, new) in enumerate(zip(recorded, replayed), 1):
+        if old != new:
+            old_rec, new_rec = json.loads(old), json.loads(new)
+            fields = sorted(
+                name
+                for name in old_rec.keys() | new_rec.keys()
+                if name not in old_rec or name not in new_rec or old_rec[name] != new_rec[name]
+            )
+            return (
+                f"line {number}: recorded kind {old_rec.get('kind')!r}, "
+                f"replayed kind {new_rec.get('kind')!r}; fields differ: {', '.join(fields)}"
+            )
+    longer = "recording" if len(recorded) > len(replayed) else "replay"
+    extra = abs(len(recorded) - len(replayed))
+    return f"line {min(len(recorded), len(replayed)) + 1}: the {longer} has {extra} extra lines"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,7 +8,9 @@ order is documented at the drawing sites; the per-tick phase order is:
     2. ready tasks                 5. ready tasks again
     3. block production + events   6. gateway expiry
 
-Chains are stepped in creation order throughout.
+Chains are stepped in creation order throughout.  The run loops
+(run_until_quiescent, pump) jump the clock over ticks at which none of these
+phases has work, so a skipped tick is one at which step() would do nothing.
 """
 
 from __future__ import annotations
@@ -119,7 +121,11 @@ class Task:
 
 
 class MessageMeter:
-    """Message counters; dropped, duplicated and replayed sum the brokers' own."""
+    """Message counters; dropped, duplicated and replayed sum the brokers' own.
+
+    sent counts publish rounds: a batch's first publish to every broker, and
+    each retransmit round to the brokers that have not acknowledged it.
+    """
 
     def __init__(self, sim: "Simulation"):
         self._sim = sim
@@ -258,7 +264,8 @@ class Simulation:
         while self._timers and self._timers[0][0] <= now:
             _, _, fn = heapq.heappop(self._timers)
             fn()
-        self._run_ready_tasks()
+        if self.tasks:
+            self._run_ready_tasks()
         for chain_id in self.chain_order:
             chain = self.chains[chain_id]
             if chain.mempool:
@@ -272,17 +279,37 @@ class Simulation:
                     self._emit_drafts(chain, drafts)
         for chain_id in self.chain_order:
             self._deliver(chain_id)
-        self._run_ready_tasks()
+        if self.tasks:
+            self._run_ready_tasks()
         for gw in self.gateways.values():
-            gw.expire(now)
+            if gw.pending:
+                gw.expire(now)
         self.tick = now + 1
+
+    def _idle_until(self, limit: int) -> None:
+        """Move the clock forward to the next tick at which step() has work.
+
+        That is the earliest due timer, broker entry or gateway expiry, and
+        at most `limit`.  With no ready task and no mempool entry, every tick
+        before it would run no timer, task, block, delivery or expiry.
+        """
+        if any(chain.mempool for chain in self.chains.values()):
+            return
+        if any(task.ready() for task in self.tasks):
+            return
+        wake = [limit]
+        if self._timers:
+            wake.append(self._timers[0][0])
+        wake.extend(broker.next_due() for broker in self.brokers)
+        wake.extend(gw.next_expiry() for gw in self.gateways.values())
+        self.tick = max(self.tick, min(t for t in wake if t is not None))
 
     def quiescent(self) -> bool:
         if self._timers or self.tasks:
             return False
         if any(chain.mempool for chain in self.chains.values()):
             return False
-        if any(q for broker in self.brokers for q in broker.queues.values() if q):
+        if any(broker.next_due() is not None for broker in self.brokers):
             return False
         if any(outbox for outbox in self._node_outbox.values()):
             return False
@@ -291,6 +318,7 @@ class Simulation:
     def run_until_quiescent(self, max_ticks: Optional[int] = None) -> None:
         limit = max_ticks if max_ticks is not None else self.config.max_ticks
         while not self.quiescent():
+            self._idle_until(limit)
             if self.tick >= limit:
                 raise MaxTicksExceeded(f"still active at tick {self.tick}")
             self.step()
@@ -299,6 +327,7 @@ class Simulation:
         """Drive the loop until the future completes; returns its result."""
         limit = self.tick + (max_ticks if max_ticks is not None else self.config.max_ticks)
         while not future.done:
+            self._idle_until(limit)
             if self.tick >= limit:
                 raise MaxTicksExceeded(f"future pending at tick {self.tick}")
             self.step()
@@ -410,25 +439,27 @@ class Simulation:
             self._arm_outbox_timer(chain_id)
 
     def _publish_batch(self, batch: SignedEventBatch) -> None:
-        raw = batch.encode()
-        topic = batch.event.dest_chain
-        self._publish_raw(topic, raw)
-        # bus-level retransmission: linear backoff; each inbox classifies a
-        # copy of bytes it already verified as a duplicate by one lookup
-        for i in range(1, BUS_RETRIES + 1):
-            self.call_at(
-                self.tick + i * BUS_BACKOFF,
-                lambda topic=topic, raw=raw: self._publish_raw(topic, raw),
-            )
+        self._publish_round(batch.event.dest_chain, batch.encode(), list(self.brokers), 0)
 
-    def _publish_raw(self, topic: str, raw: bytes) -> None:
-        # draw order: per broker in registration order (drop, dup, replay)
+    def _publish_round(self, topic: str, raw: bytes, brokers: list[Broker], retries: int) -> None:
+        """Publish to `brokers`; re-publish to those that did not acknowledge.
+
+        Retransmits follow a linear backoff, at +b, +2b, ... +BUS_RETRIES*b
+        after the first publish, one timer armed at a time.  An acknowledgement
+        takes 2*BROKER_LATENCY ticks, less than BUS_BACKOFF, so it is in before
+        the next round is due.  Draw order: jitter, then per broker in
+        registration order (see Broker.publish).
+        """
         self.meter.sent += 1
         latency = BROKER_LATENCY
         if self.config.latency_jitter:
             latency += self.rng.randrange(self.config.latency_jitter + 1)
-        for broker in self.brokers:
-            broker.publish(topic, raw, self.tick, latency, self.rng)
+        unacked = [b for b in brokers if not b.publish(topic, raw, self.tick, latency, self.rng)]
+        if unacked and retries < BUS_RETRIES:
+            self.call_later(
+                BUS_BACKOFF,
+                lambda: self._publish_round(topic, raw, unacked, retries + 1),
+            )
 
     # ------------------------------------------------------- delivery path
 
@@ -436,6 +467,9 @@ class Simulation:
         chain = self.chains[chain_id]
         dedupe = self.dedupe[chain_id]
         for broker in self.brokers:
+            due = broker.next_due(chain_id)
+            if due is None or due > self.tick:
+                continue
             for raw in broker.pull(chain_id, self.tick):
                 known = dedupe.verified.get(raw)
                 if known is not None:

@@ -271,6 +271,31 @@ def test_cli_run_audit_replay_roundtrip(tmp_path):
     assert simctl(["replay", str(logp)]) == 0
 
 
+def test_cli_replay_names_the_first_divergent_line(tmp_path, capsys):
+    _, log = run_scenario(auction_scn())
+    edited = RunLog()
+    edited.records = [dict(rec) for rec in log.records]
+    first_block = next(i for i, rec in enumerate(edited.records) if rec["kind"] == "block")
+    edited.records[first_block]["height"] += 1
+    edited.records[first_block]["tick"] += 1
+    path = tmp_path / "edited.log"
+    edited.dump(str(path))  # a well-formed log whose content no run gives
+    capsys.readouterr()
+    assert simctl(["replay", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "replay MISMATCH: log diverged from recording",
+        f"line {first_block + 1}: recorded kind 'block', replayed kind 'block'; "
+        "fields differ: height, tick",
+    ]
+
+    edited.records = [dict(rec) for rec in log.records[:-2]]  # lose the last two records
+    edited.dump(str(path))
+    assert simctl(["replay", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[1] == f"line {len(log.records) - 1}: the replay has 2 extra lines"
+
+
 def test_cli_demo_and_overrides(tmp_path, capsys):
     code = simctl(["demo", "auction", "--seed", "7", "--mode", "locks"])
     assert code == 0

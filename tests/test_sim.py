@@ -3,7 +3,12 @@
 import pytest
 
 from interopsim.errors import MaxTicksExceeded
+from interopsim.fixtures import scenario_path
+from interopsim.scenario import Scenario, load_scenario, run_scenario
 from interopsim.sim import Future, SimConfig, Simulation
+from interopsim.txn import MiniTxn
+
+from harness import World
 
 
 def test_timers_fire_in_due_then_insertion_order():
@@ -81,3 +86,94 @@ def test_direct_channel_gives_up_after_retry_budget():
     sim.direct_handlers["svc"] = lambda payload, tick: payload
     fut = sim.direct_request("svc", b"m")
     assert sim.pump(fut, max_ticks=2000) is None
+
+
+# ------------------------------------------- idle ticks skipped, not changed
+
+
+def both_loops(monkeypatch, run):
+    """run() under the idle-skipping run loops, then stepping once per tick.
+
+    Returns both results and the number of step() calls each made.
+    """
+    results, steps = [], []
+    real_step = Simulation.step
+    for jump in (True, False):
+        calls = [0]
+
+        def counted(sim, calls=calls):
+            calls[0] += 1
+            real_step(sim)
+
+        with monkeypatch.context() as m:
+            m.setattr(Simulation, "step", counted)
+            if not jump:
+                m.setattr(Simulation, "_idle_until", lambda sim, limit: None)
+            results.append(run())
+        steps.append(calls[0])
+    return results, steps
+
+
+def demo_auction(max_ticks=None):
+    raw = load_scenario(str(scenario_path("auction")))
+    raw.update(seed=2, mode="locks")
+    for spec in raw["broker"].values():
+        spec["drop_rate"] = 0.1
+    if max_ticks is not None:
+        raw["max_ticks"] = max_ticks
+    metrics, log = run_scenario(Scenario.from_dict(raw))
+    return metrics.status, metrics.ticks, log.lines()
+
+
+def test_idle_jump_leaves_the_demo_auction_log_unchanged(monkeypatch):
+    (fast, ref), (fast_steps, ref_steps) = both_loops(monkeypatch, demo_auction)
+    assert fast[0] == "ok"
+    assert fast == ref
+    assert fast_steps < ref_steps
+
+
+def mini_series(drop=0.0, max_ticks=None):
+    w = World(seed=5, drop=drop)
+    outcomes = []
+    try:
+        for i in range(6):
+            mt = MiniTxn(
+                compares=(),
+                reads=(("alpha", "kv.a"),),
+                writes=(("alpha", f"kv.k{i}", i), ("beta", f"kv.k{i}", i)),
+            )
+            fut = w.engine.execute_minitxn_async("alpha", mt)
+            outcomes.append(type(w.sim.pump(fut, max_ticks)).__name__)
+            w.settle()
+    except MaxTicksExceeded as exc:
+        outcomes.append(str(exc))
+    return outcomes, w.sim.tick, w.sim.log.lines()
+
+
+@pytest.mark.parametrize("drop", [0.0, 0.3])
+def test_idle_jump_leaves_a_mini_series_unchanged(monkeypatch, drop):
+    (fast, ref), (fast_steps, ref_steps) = both_loops(monkeypatch, lambda: mini_series(drop))
+    assert fast[0] == ["Committed"] * 6
+    assert fast == ref
+    assert fast_steps < ref_steps
+
+
+def test_max_ticks_exceeded_at_the_same_tick(monkeypatch):
+    (fast, ref), _ = both_loops(monkeypatch, lambda: demo_auction(max_ticks=30))
+    assert fast[:2] == ("max_ticks", 30)
+    assert fast == ref
+    (fast, ref), _ = both_loops(monkeypatch, lambda: mini_series(max_ticks=3))
+    assert fast[0] == ["future pending at tick 4"]
+    assert fast == ref
+
+
+def test_run_loops_jump_to_their_limit_with_nothing_due():
+    sim = Simulation(SimConfig(seed=1))
+    sim.call_at(500, lambda: None)
+    with pytest.raises(MaxTicksExceeded, match="future pending at tick 10$"):
+        sim.pump(Future(), max_ticks=10)
+    with pytest.raises(MaxTicksExceeded, match="still active at tick 20$"):
+        sim.run_until_quiescent(20)
+    assert sim.tick == 20
+    sim.run_until_quiescent(1000)
+    assert sim.tick == 501
