@@ -5,7 +5,6 @@ from .bus import (
     Broker,
     BrokerFaults,
     Event,
-    FileBroker,
     Gateway,
     KeyRegistry,
     SignedEventBatch,

@@ -173,15 +173,15 @@ class AuctionApp:
             sim.chains[cid].register_contract(BidderContract())
         sim.run_until_quiescent()  # registration block; contracts active next
         endpoints = ",".join(f"{cid}:Bidder" for cid in bidder_chains)
-        tchain.submit_sys_txn("Auctioneer", "init", [endpoints])
+        tchain.submit_call("sys", "Auctioneer", "init", [endpoints])
         for ticket_id, owner in tickets.items():
-            tchain.submit_sys_txn("Auctioneer", "mint_ticket", [ticket_id, owner])
+            tchain.submit_call("sys", "Auctioneer", "mint_ticket", [ticket_id, owner])
         for cid in bidder_chains:
             chain = sim.chains[cid]
             init_args: list = []
             for user, balance in sorted(balances.get(cid, {}).items()):
                 init_args.extend([user, balance])
-            chain.submit_sys_txn("Bidder", "init", init_args)
+            chain.submit_call("sys", "Bidder", "init", init_args)
             chain.attach_policy("Bidder", bidder_policy(ticket_chain, start_limit=start_limit))
         sim.run_until_quiescent()
         return app

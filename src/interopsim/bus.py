@@ -14,7 +14,6 @@ its encoding and digest once, a signed batch its encoding.
 
 from __future__ import annotations
 
-import base64
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -249,6 +248,15 @@ class Broker:
             return self._heads.get(topic)
         return min(self._heads.values(), default=None)
 
+    def restart(self, now: int) -> None:
+        """Crash and recover from history: every batch this broker ever queued
+        is due again at `now`, in publish order; inbox dedupe keeps delivery
+        at-most-once.  Draws no RNG."""
+        self.queues = {}
+        self._heads = {}
+        for topic, raw in self.history:
+            self._enqueue(topic, now, raw)
+
     def pull(self, topic: str, now: int) -> list[bytes]:
         queue = self.queues.get(topic)
         if not queue:
@@ -269,40 +277,6 @@ def _tamper(raw: bytes) -> bytes:
         return raw
     pos = len(raw) // 2
     return raw[:pos] + bytes([raw[pos] ^ 0xA5]) + raw[pos + 1 :]
-
-
-class FileBroker(Broker):
-    """Broker whose published entries also go to an append-only log.
-
-    recover() re-enqueues everything from the log; consumer-side nonce
-    dedupe turns the resulting at-least-once feed back into at-most-once.
-    """
-
-    def __init__(self, broker_id: str, path: str, faults: Optional[BrokerFaults] = None):
-        super().__init__(broker_id, faults)
-        self.path = path
-
-    def _enqueue(self, topic: str, due: int, raw: bytes) -> None:
-        super()._enqueue(topic, due, raw)
-        with open(self.path, "a", encoding="ascii") as fh:
-            fh.write(f"{due} {topic} {base64.b64encode(raw).decode('ascii')}\n")
-
-    @classmethod
-    def recover(cls, broker_id: str, path: str) -> "FileBroker":
-        broker = cls.__new__(cls)
-        Broker.__init__(broker, broker_id)
-        broker.path = path
-        try:
-            with open(path, "r", encoding="ascii") as fh:
-                for line in fh:
-                    parts = line.strip().split(" ", 2)
-                    if len(parts) != 3:
-                        continue
-                    due, topic, b64 = parts
-                    Broker._enqueue(broker, topic, int(due), base64.b64decode(b64))
-        except FileNotFoundError:
-            pass
-        return broker
 
 
 @dataclass

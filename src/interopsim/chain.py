@@ -11,7 +11,6 @@ keys live under "sys.".  Contracts are native deterministic handlers.
 
 from __future__ import annotations
 
-import base64
 import bisect
 from dataclasses import dataclass, field
 from enum import Enum
@@ -22,7 +21,6 @@ from .crypto import Keypair, get_scheme
 from .errors import (
     DuplicateContract,
     DuplicateNonce,
-    EncodingError,
     FutureHeight,
     InvalidConfig,
     InvalidRange,
@@ -34,13 +32,10 @@ from .errors import (
 from .merkle import MerkleMap, MerkleProof, root_of_digests
 from .values import (
     Value,
-    decode_value,
-    decode_values,
     digest,
     encode_value,
     encode_values,
     lps,
-    read_lps,
 )
 
 ZERO_DIGEST = b"\x00" * 32
@@ -469,7 +464,7 @@ class Chain:
         if not cid or cid in self.contracts:
             raise DuplicateContract(f"contract {cid!r} already registered")
         self.contracts[cid] = contract
-        self.submit_sys_txn("sys.registry", "register", [cid])
+        self.submit_call("sys", "sys.registry", "register", [cid])
 
     def contract_active(self, cid: str) -> bool:
         """Registered as of the last committed block."""
@@ -492,19 +487,6 @@ class Chain:
         k = (caller_chain, caller_id)
         self._auto_nonce[k] = self._auto_nonce.get(k, 0) + 1
         return self._auto_nonce[k]
-
-    def submit_sys_txn(
-        self, target: str, method: str, args: list[Value], caller_id: str = "sys"
-    ) -> bytes:
-        txn = Transaction(
-            caller_chain=self.chain_id,
-            caller_id=caller_id,
-            target_contract=target,
-            method=method,
-            args=tuple(args),
-            nonce=self.next_nonce(self.chain_id, caller_id),
-        )
-        return self.submit_transaction(txn)
 
     def submit_call(
         self, caller_id: str, contract: str, method: str, args: list[Value]
@@ -716,7 +698,7 @@ class Chain:
         from .policy import parse_policy
 
         parse_policy(src)  # ParseError propagates before anything is queued
-        return self.submit_sys_txn("sys.policy", "attach", [contract_id, src])
+        return self.submit_call("sys", "sys.policy", "attach", [contract_id, src])
 
     def policy_source(self, contract_id: str) -> Optional[str]:
         """The policy attached as of the last committed block."""
@@ -763,14 +745,6 @@ class Chain:
         view = StateView(self, contract_id)
         return handler(contract, view, list(args))
 
-    # --------------------------------------------------------- block store
-
-    def export_block_log(self, path: str) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            for block in self.blocks:
-                fh.write(base64.b64encode(encode_block(block)).decode("ascii"))
-                fh.write("\n")
-
 
 def encode_block(block: Block) -> bytes:
     parts = [block.header.encode()]
@@ -795,83 +769,3 @@ def encode_block(block: Block) -> bytes:
     for node_id, sig in block.cert.signatures:
         parts.append(lps(node_id) + len(sig).to_bytes(4, "big") + sig)
     return b"".join(parts)
-
-
-def decode_block(data: bytes) -> Block:
-    offset = 0
-    chain_id, offset = read_lps(data, offset)
-    height = int.from_bytes(data[offset : offset + 8], "big")
-    offset += 8
-    prev_digest = data[offset : offset + 32]
-    offset += 32
-    txn_root = data[offset : offset + 32]
-    offset += 32
-    state_root = data[offset : offset + 32]
-    offset += 32
-    tick = int.from_bytes(data[offset : offset + 8], "big")
-    offset += 8
-    header = BlockHeader(chain_id, height, prev_digest, txn_root, state_root, tick)
-
-    n_txns = int.from_bytes(data[offset : offset + 4], "big")
-    offset += 4
-    txns = []
-    for _ in range(n_txns):
-        ln = int.from_bytes(data[offset : offset + 4], "big")
-        offset += 4
-        raw = data[offset : offset + ln]
-        offset += ln
-        txns.append(decode_transaction(raw))
-
-    n_receipts = int.from_bytes(data[offset : offset + 4], "big")
-    offset += 4
-    receipts = []
-    for _ in range(n_receipts):
-        txn_id = data[offset : offset + 32]
-        offset += 32
-        status = "ok" if data[offset] else "failed"
-        offset += 1
-        error, offset = read_lps(data, offset)
-        xchain, offset = read_lps(data, offset)
-        n_writes = int.from_bytes(data[offset : offset + 4], "big")
-        offset += 4
-        writes = []
-        for _ in range(n_writes):
-            key, offset = read_lps(data, offset)
-            value, offset = decode_value(data, offset)
-            writes.append((key, value))
-        receipts.append(Receipt(txn_id, status, error, tuple(writes), xchain))
-
-    n_sigs = int.from_bytes(data[offset : offset + 2], "big")
-    offset += 2
-    sigs = []
-    for _ in range(n_sigs):
-        node_id, offset = read_lps(data, offset)
-        ln = int.from_bytes(data[offset : offset + 4], "big")
-        offset += 4
-        sigs.append((node_id, data[offset : offset + ln]))
-        offset += ln
-    if offset != len(data):
-        raise EncodingError("trailing bytes in block")
-    cert = QuorumCert(header_digest=header.digest, signatures=tuple(sigs))
-    return Block(header=header, txns=tuple(txns), receipts=tuple(receipts), cert=cert)
-
-
-def decode_transaction(raw: bytes) -> Transaction:
-    offset = 0
-    caller_chain, offset = read_lps(raw, offset)
-    caller_id, offset = read_lps(raw, offset)
-    target, offset = read_lps(raw, offset)
-    method, offset = read_lps(raw, offset)
-    args, offset = decode_values(raw, offset)
-    nonce = int.from_bytes(raw[offset : offset + 8], "big")
-    return Transaction(caller_chain, caller_id, target, method, tuple(args), nonce)
-
-
-def read_block_log(path: str) -> list[Block]:
-    blocks = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                blocks.append(decode_block(base64.b64decode(line)))
-    return blocks

@@ -9,8 +9,9 @@ strings like "3/2" parsed as exact rationals.
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -87,6 +88,40 @@ def load_scenario(path: str) -> dict:
         raise ConfigError(f"cannot read scenario: {exc}")
 
 
+_BEHAVIORS = {
+    "honest": Behavior.HONEST,
+    "silent": Behavior.SILENT,
+    "equivocate": Behavior.EQUIVOCATE,
+}
+
+_DEFAULT_BROKERS = {"b0": {}, "b1": {}}
+
+# keys each script action requires; "tick" defaults to 0
+_ACTION_KEYS = {
+    "start_auction": frozenset(),
+    "submit_bid": frozenset({"chain", "user", "amount"}),
+    "conclude": frozenset(),
+    "submit_txn": frozenset({"chain", "contract", "method"}),
+    "set_byzantine": frozenset({"chain", "node"}),
+    "crash_gateway": frozenset({"chain"}),
+    "restart_broker": frozenset({"broker"}),
+}
+
+
+def _check_node(chain_id: str, n: int, node: str, behavior: str) -> None:
+    if node not in {f"node{i}" for i in range(n)}:
+        raise ConfigError(f"chain {chain_id!r} has no node {node!r}")
+    if behavior not in _BEHAVIORS:
+        raise ConfigError(f"{chain_id}:{node}: behavior {behavior!r} is not one of {', '.join(_BEHAVIORS)}")
+
+
+@functools.lru_cache(maxsize=256)  # a sweep repeats a few texts across many scenarios
+def _check_byzantine(chain_id: str, n: int, byz: str) -> None:
+    for assignment in byz.split(","):
+        node, _, behavior = assignment.partition(":")
+        _check_node(chain_id, n, node, behavior)
+
+
 @dataclass
 class Scenario:
     """Validated scenario, ready to run."""
@@ -106,12 +141,26 @@ class Scenario:
         if not chains:
             raise ConfigError("scenario defines no chains")
         max_ticks = raw.get("max_ticks", 20_000)
+        for chain_id, spec in chains.items():
+            if spec.get("byzantine"):
+                _check_byzantine(chain_id, spec.get("n", 4), spec["byzantine"])
+        brokers = raw.get("broker", _DEFAULT_BROKERS)
         for entry in raw.get("script", []):
-            if "action" not in entry:
-                raise ConfigError(f"script entry without action: {entry}")
+            action = entry.get("action")
+            required = _ACTION_KEYS.get(action)
+            if required is None:
+                raise ConfigError(f"unknown script action {action!r} in {entry}")
+            if not required <= entry.keys():
+                raise ConfigError(f"script action {action!r} lacks {', '.join(sorted(required - entry.keys()))}")
             ref = entry.get("chain")
             if ref is not None and ref not in chains:
                 raise ConfigError(f"script references unknown chain {ref!r}")
+            if action == "set_byzantine":
+                _check_node(ref, chains[ref].get("n", 4), entry["node"], entry.get("behavior", "silent"))
+            elif action == "restart_broker" and entry["broker"] not in brokers:
+                raise ConfigError(f"script references unknown broker {entry['broker']!r}")
+            elif action in ("start_auction", "conclude") and "auction" not in raw:
+                raise ConfigError(f"script action {action!r} needs an [auction] section")
         ticks = [e.get("tick", 0) for e in raw.get("script", [])]
         if ticks != sorted(ticks):
             raise ConfigError("script ticks must be non-decreasing")
@@ -126,13 +175,6 @@ class Scenario:
                 if cid not in raw.get("rates", {}):
                     raise ConfigError(f"no exchange rate for bidder chain {cid!r}")
         return cls(raw=raw, seed=seed, mode=mode, max_ticks=max_ticks)
-
-
-_BEHAVIORS = {
-    "honest": Behavior.HONEST,
-    "silent": Behavior.SILENT,
-    "equivocate": Behavior.EQUIVOCATE,
-}
 
 
 def build_world(scn: Scenario, log: Optional[RunLog]) -> tuple[Simulation, XTxnEngine, Optional[AuctionApp]]:
@@ -161,7 +203,7 @@ def build_world(scn: Scenario, log: Optional[RunLog]) -> tuple[Simulation, XTxnE
             for assignment in byz.split(","):
                 node, behavior = assignment.split(":")
                 chain.byzantine[f"{chain_id}:{node}"] = _BEHAVIORS[behavior]
-    brokers = raw.get("broker", {"b0": {}, "b1": {}})
+    brokers = raw.get("broker", _DEFAULT_BROKERS)
     for broker_id, spec in sorted(brokers.items()):
         sim.add_broker(
             Broker(
@@ -219,42 +261,25 @@ def _schedule_script(scn: Scenario, sim: Simulation, engine: XTxnEngine, app, ou
                 entry["user"], "Bidder", "submit_bid", [entry.get("auction", "a1"), entry["amount"]]
             )
         if action == "conclude":
+            auction_id = entry.get("auction", "a1")
 
             def run_conclude():
-                task = sim.spawn(
-                    app.conclude_agent(
-                        entry.get("auction", "a1"),
-                        scn.mode,
-                        retries=entry.get("retries", 5),
-                    )
-                )
+                task = sim.spawn(app.conclude_agent(auction_id, scn.mode, retries=entry.get("retries", 5)))
 
                 def harvest():
-                    if task.future.done:
-                        result = task.future.value
-                        if isinstance(result, AuctionOutcome):
-                            outcomes.append(
-                                {
-                                    "action": "conclude",
-                                    "auction": entry.get("auction", "a1"),
-                                    "status": result.status,
-                                    "winner_chain": result.winner_chain,
-                                    "winner_user": result.winner_user,
-                                    "winner_amount": result.winner_amount,
-                                    "attempts": result.attempts,
-                                }
-                            )
-                        elif task.future.error is not None:
-                            outcomes.append(
-                                {
-                                    "action": "conclude",
-                                    "auction": entry.get("auction", "a1"),
-                                    "status": "error",
-                                    "error": str(task.future.error),
-                                }
-                            )
-                    else:
+                    future = task.future
+                    if not future.done:
                         sim.call_later(5, harvest)
+                        return
+                    outcome = {"action": "conclude", "auction": auction_id}
+                    result = future.value
+                    if isinstance(result, AuctionOutcome):
+                        outcome.update(asdict(result))
+                    elif future.error is not None:
+                        outcome.update(status="error", error=str(future.error))
+                    else:
+                        return
+                    outcomes.append(outcome)
 
                 sim.call_later(5, harvest)
 
@@ -277,7 +302,8 @@ def _schedule_script(scn: Scenario, sim: Simulation, engine: XTxnEngine, app, ou
         if action == "crash_gateway":
             gateway = sim.gateways[entry["chain"]]
             return lambda: gateway.crash()
-        raise ConfigError(f"unknown script action {action!r}")
+        broker = next(b for b in sim.brokers if b.broker_id == entry["broker"])
+        return lambda: broker.restart(sim.tick)
 
     for entry in raw.get("script", []):
         sim.call_at(entry.get("tick", 0), make_action(entry))

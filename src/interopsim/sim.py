@@ -426,6 +426,8 @@ class Simulation:
             if d in gw.emitted or self.tick - created > NODE_RETENTION
         ]
         for d in done:
+            if d not in gw.emitted:
+                self._log_giveup(outbox[d][0], "gateway", [])
             del outbox[d]
         if not outbox:
             return
@@ -439,26 +441,38 @@ class Simulation:
             self._arm_outbox_timer(chain_id)
 
     def _publish_batch(self, batch: SignedEventBatch) -> None:
-        self._publish_round(batch.event.dest_chain, batch.encode(), list(self.brokers), 0)
+        self._publish_round(batch.event, batch.encode(), list(self.brokers), 0)
 
-    def _publish_round(self, topic: str, raw: bytes, brokers: list[Broker], retries: int) -> None:
+    def _publish_round(self, event: Event, raw: bytes, brokers: list[Broker], retries: int) -> None:
         """Publish to `brokers`; re-publish to those that did not acknowledge.
 
         Retransmits follow a linear backoff, at +b, +2b, ... +BUS_RETRIES*b
         after the first publish, one timer armed at a time.  An acknowledgement
         takes 2*BROKER_LATENCY ticks, less than BUS_BACKOFF, so it is in before
-        the next round is due.  Draw order: jitter, then per broker in
-        registration order (see Broker.publish).
+        the next round is due; after the last round the batch is given up.
+        Draw order: jitter, then per broker in registration order (see
+        Broker.publish).
         """
         self.meter.sent += 1
         latency = BROKER_LATENCY
         if self.config.latency_jitter:
             latency += self.rng.randrange(self.config.latency_jitter + 1)
+        topic = event.dest_chain
         unacked = [b for b in brokers if not b.publish(topic, raw, self.tick, latency, self.rng)]
         if unacked and retries < BUS_RETRIES:
             self.call_later(
                 BUS_BACKOFF,
-                lambda: self._publish_round(topic, raw, unacked, retries + 1),
+                lambda: self._publish_round(event, raw, unacked, retries + 1),
+            )
+        elif unacked:
+            self._log_giveup(event, "publish", [b.broker_id for b in unacked])
+
+    def _log_giveup(self, event: Event, stage: str, brokers: list[str]) -> None:
+        """Log an event the bus stops sending: never batched, or never acknowledged."""
+        if self.log is not None:
+            self.log.record(
+                "giveup", tick=self.tick, source_chain=event.source_chain, nonce=event.nonce,
+                dest_chain=event.dest_chain, stage=stage, brokers=brokers,
             )
 
     # ------------------------------------------------------- delivery path

@@ -660,7 +660,7 @@ class XTxnEngine:
             t.future.set_result(Committed())
             return t.future
         coord = self.sim.chains[t.coordinator_chain]
-        coord.submit_sys_txn("sys.txn", "begin", [t.txn_id], caller_id="sys.txn")
+        coord.submit_call("sys.txn", "sys.txn", "begin", [t.txn_id])
         self._arm_vote_timeout(t)
         return t.future
 
@@ -673,7 +673,7 @@ class XTxnEngine:
 
     def _submit_abort(self, t: XTxn, reason: str) -> None:
         coord = self.sim.chains[t.coordinator_chain]
-        coord.submit_sys_txn("sys.txn", "decide", [t.txn_id, "abort", reason], caller_id="sys.txn")
+        coord.submit_call("sys.txn", "sys.txn", "decide", [t.txn_id, "abort", reason])
 
     def abort(self, t: XTxn, reason: str = "client abort") -> None:
         """Abort `t`.  Once prepared, the abort is a `decide` on the coordinator
@@ -931,7 +931,7 @@ class XTxnEngine:
         if chain.current_value(f"sys.applied.{txid}") is not None:
             return None
         if resp is not None and resp.value in ("commit", "abort"):
-            chain.submit_sys_txn("sys.txn", "apply", [txid, resp.value], caller_id="sys.txn")
+            chain.submit_call("sys.txn", "sys.txn", "apply", [txid, resp.value])
             return None
         # undecided: poll again later
         self._arm_decision_poll(txid, chain_id, coordinator)

@@ -110,18 +110,6 @@ def encode_values(vs: list[Value]) -> bytes:
     return b"".join(out)
 
 
-def decode_values(data: bytes, offset: int = 0) -> tuple[list[Value], int]:
-    if offset + 4 > len(data):
-        raise EncodingError("truncated value list")
-    n = int.from_bytes(data[offset : offset + 4], "big")
-    offset += 4
-    out = []
-    for _ in range(n):
-        v, offset = decode_value(data, offset)
-        out.append(v)
-    return out, offset
-
-
 def encode_record(record: Record) -> bytes:
     """The canonical bytes of a record: a top-level tuple or list."""
     if not isinstance(record, (tuple, list)):

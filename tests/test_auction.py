@@ -42,7 +42,7 @@ def test_provenance_cap_denies_fifth_start():
     sim, engine, app = mk_auction_world(start_limit=3)
     tchain = sim.chains["tickets"]
     for i in range(2, 6):
-        tchain.submit_sys_txn("Auctioneer", "mint_ticket", [f"t{i}", "alice"])
+        tchain.submit_call("sys", "Auctioneer", "mint_ticket", [f"t{i}", "alice"])
     sim.run_until_quiescent()
     opened_flags = []
     for i in range(1, 6):
@@ -87,7 +87,7 @@ def test_bid_after_close_height_denied():
     start(app, close=coinb.height + 3)
     # advance the bidder chain past the close height with filler txns
     for _ in range(5):
-        coinb.submit_sys_txn("Bidder", "init", [])
+        coinb.submit_call("sys", "Bidder", "init", [])
         sim.run_until_quiescent()
     receipt = app.submit_bid("coinb", "bob", "a1", 60)
     assert receipt.status == "failed"

@@ -14,7 +14,6 @@ from interopsim.chain import (
     Receipt,
     Transaction,
     encode_block,
-    read_block_log,
 )
 from interopsim.errors import (
     DuplicateContract,
@@ -199,7 +198,7 @@ def test_quorum_failure_drops_after_commit_effects_and_restores_locks():
 
     ch.system_handlers["sys.test"] = handler
     ch.observer = Observer()
-    ch.submit_sys_txn("sys.test", "go", ["a"])
+    ch.submit_call("sys", "sys.test", "go", ["a"])
     ch.byzantine.update({"x:node1": Behavior.SILENT, "x:node2": Behavior.SILENT})
     with pytest.raises(QuorumFailure):
         ch.produce_block(tick=0)
@@ -408,20 +407,6 @@ def test_append_only_prev_links():
         set_kv(ch, "alice", "k", i)
     for h in range(1, ch.height + 1):
         assert ch.blocks[h].header.prev_digest == ch.blocks[h - 1].header.digest
-
-
-def test_block_log_roundtrip(tmp_path):
-    ch = ready_kv(mk_chain())
-    set_kv(ch, "alice", "x", 5)
-    path = tmp_path / "blocks.log"
-    ch.export_block_log(str(path))
-    blocks = read_block_log(str(path))
-    assert len(blocks) == len(ch.blocks)
-    for orig, back in zip(ch.blocks, blocks):
-        assert back.header == orig.header
-        assert back.header.digest == orig.header.digest
-        assert back.txns == orig.txns
-        assert back.receipts == orig.receipts
 
 
 # ------------------------------------------------------------ txn ids

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,9 @@ from interopsim.scenario import (
     parse_scenario_text,
     run_scenario,
 )
+
+
+BROKER_RESTART = Path(__file__).parent / "scenarios" / "broker_restart.scn"
 
 
 def auction_scn(**overrides):
@@ -88,6 +92,85 @@ def test_scenario_validation():
 # ----------------------------------------------------------------- running
 
 
+def _fixture_with_script(*entries):
+    raw = load_scenario(str(scenario_path("auction")))
+    raw["script"].extend(entries)
+    return raw
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"tick": 30, "action": "explode"},
+        {"tick": 30},
+        {"tick": 30, "action": "submit_bid", "chain": "coinb", "user": "bob"},
+        {"tick": 30, "action": "submit_txn", "chain": "coinb", "contract": "Bidder"},
+        {"tick": 30, "action": "set_byzantine", "chain": "coinb"},
+        {"tick": 30, "action": "set_byzantine", "chain": "coinb", "node": "node4"},
+        {"tick": 30, "action": "set_byzantine", "chain": "coinb", "node": "node01"},
+        {"tick": 30, "action": "set_byzantine", "chain": "coinb", "node": "n1"},
+        {"tick": 30, "action": "set_byzantine", "chain": "coinb", "node": "node1", "behavior": "forge"},
+        {"tick": 30, "action": "crash_gateway"},
+        {"tick": 30, "action": "restart_broker"},
+        {"tick": 30, "action": "restart_broker", "broker": "b9"},
+    ],
+)
+def test_malformed_script_entry_rejected_at_load(entry):
+    with pytest.raises(ConfigError):
+        Scenario.from_dict(_fixture_with_script(entry))
+
+
+@pytest.mark.parametrize("byzantine", ["node1", "node4:silent", "node1:bogus", "node1:silent,"])
+def test_malformed_byzantine_assignment_rejected_at_load(byzantine):
+    raw = load_scenario(str(scenario_path("auction")))
+    raw["chain"]["tickets"]["byzantine"] = byzantine
+    with pytest.raises(ConfigError):
+        Scenario.from_dict(raw)
+
+
+@pytest.mark.parametrize("action", ["start_auction", "conclude"])
+def test_auction_action_without_auction_section_rejected(action):
+    raw = load_scenario(str(scenario_path("auction")))
+    del raw["auction"]
+    raw["script"] = [{"tick": 1, "action": action}]
+    with pytest.raises(ConfigError, match="auction"):
+        Scenario.from_dict(raw)
+
+
+def test_well_formed_fault_actions_accepted():
+    raw = _fixture_with_script(
+        {"tick": 30, "action": "set_byzantine", "chain": "coinb", "node": "node3", "behavior": "equivocate"},
+        {"tick": 30, "action": "crash_gateway", "chain": "coinb"},
+        {"tick": 30, "action": "restart_broker", "broker": "b1"},
+    )
+    raw["chain"]["tickets"]["byzantine"] = "node0:silent,node3:honest"
+    Scenario.from_dict(raw)
+
+
+_FIXTURE_APPEND = '\n[[script]]\ntick = 30\n'
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda text: text + _FIXTURE_APPEND
+        + 'action = "set_byzantine"\nchain = "coinb"\nnode = "node1"\nbehavior = "bogus"\n',
+        lambda text: text + _FIXTURE_APPEND + 'action = "crash_gateway"\n',
+        lambda text: text.replace("[chain.tickets]\n", '[chain.tickets]\nbyzantine = "node1"\n'),
+    ],
+    ids=["unknown_behavior", "crash_gateway_without_chain", "byzantine_without_colon"],
+)
+def test_cli_malformed_scenario_is_a_config_error(tmp_path, capsys, edit):
+    text = scenario_path("auction").read_text(encoding="utf-8")
+    bad = tmp_path / "bad.scn"
+    bad.write_text(edit(text), encoding="utf-8")
+    assert simctl(["run", str(bad), "--out", str(tmp_path / "m.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_auction_fixture_concludes_with_expected_round_trips():
     scn = auction_scn()
     metrics, log = run_scenario(scn)
@@ -161,6 +244,36 @@ def test_byzantine_and_crash_gateway_actions():
     conclude = [o for o in metrics.outcomes if o["action"] == "conclude"]
     assert conclude[0]["status"] == "concluded"
     assert audit_records(log.records).ok
+
+
+def _duplicates(records):
+    return sum(1 for r in records if r["kind"] == "deliver" and r["result"] == "duplicate")
+
+
+def _conclusions(metrics):
+    return [
+        (o["status"], o["winner_chain"], o["winner_user"], o["winner_amount"])
+        for o in metrics.outcomes
+        if o["action"] == "conclude"
+    ]
+
+
+def test_broker_restart_mid_run_keeps_delivery_at_most_once(tmp_path):
+    raw = load_scenario(str(BROKER_RESTART))
+    assert [e["action"] for e in raw["script"]].count("restart_broker") == 1
+    without = dict(raw, script=[e for e in raw["script"] if e["action"] != "restart_broker"])
+    metrics, log = run_scenario(Scenario.from_dict(raw))
+    base_metrics, base_log = run_scenario(Scenario.from_dict(without))
+    assert metrics.status == base_metrics.status == "ok"
+    report = audit_records(log.records)
+    assert report.ok
+    assert "at_most_once" in {c.name for c in report.checks}
+    assert _duplicates(log.records) > _duplicates(base_log.records)
+    assert _conclusions(metrics) == _conclusions(base_metrics)
+    assert _conclusions(metrics)[0][0] == "concluded"
+    path = tmp_path / "run.jsonl"
+    log.dump(str(path))
+    assert simctl(["replay", str(path)]) == 0
 
 
 # ------------------------------------------------------------------- audit

@@ -1,0 +1,29 @@
+"""Static checks over the simulator's own source tree."""
+
+import re
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "interopsim"
+
+# the modules that read scenario, policy and log files or write metrics and logs
+LOADERS = ("cli.py", "scenario.py", "runlog.py", "fixtures/__init__.py")
+
+FILE_IO = re.compile(r"\bopen\(|read_text|write_text")
+
+
+def _io_lines(rel: str) -> list[str]:
+    text = (SRC / rel).read_text(encoding="utf-8")
+    return [
+        f"{rel}:{number}: {line.strip()}"
+        for number, line in enumerate(text.splitlines(), 1)
+        if FILE_IO.search(line)
+    ]
+
+
+def test_no_file_io_outside_the_loaders():
+    modules = sorted(path.relative_to(SRC).as_posix() for path in SRC.rglob("*.py"))
+    assert set(LOADERS) <= set(modules)
+    offenders = [hit for rel in modules if rel not in LOADERS for hit in _io_lines(rel)]
+    assert offenders == []
+    # the pattern does see the loaders' own file access
+    assert all(_io_lines(rel) for rel in LOADERS)

@@ -161,8 +161,8 @@ def test_tampered_proof_fails_verification():
 def test_policy_gated_read_denied():
     w = World()
     w.set_kv("beta", "secret", 1)
-    w.chains["beta"].submit_sys_txn(
-        "sys.policy", "attach", ["kv", 'allow read on open.*;']
+    w.chains["beta"].submit_call(
+        "sys", "sys.policy", "attach", ["kv", 'allow read on open.*;']
     )
     w.settle()
     req = w.engine.make_read_request(
@@ -176,8 +176,8 @@ def test_aggregate_read_exposes_only_the_scalar():
     w = World()
     w.set_kv("beta", "bids.a", 3)
     w.set_kv("beta", "bids.b", 7)
-    w.chains["beta"].submit_sys_txn(
-        "sys.policy", "attach", ["kv", 'allow read on agg.sum.bids when caller.id == "auditor";']
+    w.chains["beta"].submit_call(
+        "sys", "sys.policy", "attach", ["kv", 'allow read on agg.sum.bids when caller.id == "auditor";']
     )
     w.settle()
     agg_req = w.engine.make_read_request(
@@ -242,8 +242,8 @@ def test_minitxn_reads_returned():
 
 def test_minitxn_write_policy_enforced():
     w = World()
-    w.chains["beta"].submit_sys_txn(
-        "sys.policy", "attach", ["kv", "allow write on nothing;"]
+    w.chains["beta"].submit_call(
+        "sys", "sys.policy", "attach", ["kv", "allow write on nothing;"]
     )
     w.settle()
     mt = MiniTxn(compares=(), reads=(), writes=(("beta", "kv.y", 2),))
@@ -257,8 +257,8 @@ def test_minitxn_write_policy_enforced():
 def test_minitxn_read_policy_enforced_at_prepare():
     w = World()
     w.set_kv("beta", "secret", 7)
-    w.chains["beta"].submit_sys_txn(
-        "sys.policy", "attach", ["kv", "allow write on *; allow read on public.*;"]
+    w.chains["beta"].submit_call(
+        "sys", "sys.policy", "attach", ["kv", "allow write on *; allow read on public.*;"]
     )
     w.settle()
     mt = MiniTxn(
@@ -680,7 +680,7 @@ def test_unparseable_policy_attached_by_sys_txn_fails_and_reads_still_serve():
     w = World()
     w.set_kv("beta", "x", 1)
     beta = w.chains["beta"]
-    beta.submit_sys_txn("sys.policy", "attach", ["kv", "allow read on"])
+    beta.submit_call("sys", "sys.policy", "attach", ["kv", "allow read on"])
     w.settle()
     receipt = beta.blocks[-1].receipts[0]
     assert receipt.status == "failed" and receipt.error.startswith("ParseError")
