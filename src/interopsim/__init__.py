@@ -32,7 +32,6 @@ from .txn import (
     MODE_OCC,
     ReadRequest,
     ReadResponse,
-    TwoPCRecord,
     XTxn,
     XTxnEngine,
 )

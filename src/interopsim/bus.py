@@ -6,6 +6,7 @@ publishing; brokers are untrusted queues with injectable faults (drop,
 duplicate, replay, forge) that acknowledge each batch they queue, over the
 same lossy link; consumers pull per tick, verify signatures against the
 source chain's published key set, and deduplicate by (source_chain, nonce).
+Events and signed batches are records on the wire (values.encode_record).
 Each inbox also remembers the exact wire bytes of every copy it has
 verified, so a redundant copy of those bytes is classified as a duplicate
 by one lookup, without decoding or verifying it again; an event computes
@@ -19,7 +20,7 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import EncodingError
-from .values import digest, lp, lps, read_lp, read_lps
+from .values import decode_record, digest, encode_record, join_record
 
 EVENT_VERSION = 1
 
@@ -53,59 +54,11 @@ class Event:
     # dataclass fields, so equality and hashing do not see it
     @cached_property
     def _wire(self) -> bytes:
-        return b"".join(
-            [
-                bytes([self.version]),
-                lps(self.source_chain),
-                lps(self.dest_chain),
-                lps(self.source_contract),
-                lps(self.dest_contract),
-                self.nonce.to_bytes(8, "big"),
-                bytes([self.kind]),
-                lp(self.payload),
-            ]
-        )
+        return encode_record(self)
 
     @cached_property
     def digest(self) -> bytes:
         return digest(self._wire)
-
-    @classmethod
-    def decode(cls, data: bytes, offset: int = 0) -> "Event":
-        event, end = cls.decode_from(data, offset)
-        if end != len(data):
-            raise EncodingError("trailing bytes after event")
-        return event
-
-    @classmethod
-    def decode_from(cls, data: bytes, offset: int = 0) -> tuple["Event", int]:
-        if offset >= len(data):
-            raise EncodingError("truncated event")
-        version = data[offset]
-        offset += 1
-        source_chain, offset = read_lps(data, offset)
-        dest_chain, offset = read_lps(data, offset)
-        source_contract, offset = read_lps(data, offset)
-        dest_contract, offset = read_lps(data, offset)
-        if offset + 9 > len(data):
-            raise EncodingError("truncated event nonce/kind")
-        nonce = int.from_bytes(data[offset : offset + 8], "big")
-        kind = data[offset + 8]
-        offset += 9
-        payload, offset = read_lp(data, offset)
-        return (
-            cls(
-                source_chain=source_chain,
-                dest_chain=dest_chain,
-                source_contract=source_contract,
-                dest_contract=dest_contract,
-                nonce=nonce,
-                kind=kind,
-                payload=payload,
-                version=version,
-            ),
-            offset,
-        )
 
 
 @dataclass(frozen=True)
@@ -116,31 +69,11 @@ class SignedEventBatch:
     def encode(self) -> bytes:
         return self._wire
 
-    # computed once per instance, like Event._wire: the gateway keeps and
-    # every broker queues the same bytes object
+    # computed once per instance, like Event._wire, around the event's own
+    # cached bytes: the gateway keeps and every broker queues this object
     @cached_property
     def _wire(self) -> bytes:
-        parts = [self.event.encode(), len(self.signatures).to_bytes(2, "big")]
-        for node_id, sig in self.signatures:
-            parts.append(lps(node_id))
-            parts.append(lp(sig))
-        return b"".join(parts)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "SignedEventBatch":
-        event, offset = Event.decode_from(data, 0)
-        if offset + 2 > len(data):
-            raise EncodingError("truncated batch count")
-        n = int.from_bytes(data[offset : offset + 2], "big")
-        offset += 2
-        sigs = []
-        for _ in range(n):
-            node_id, offset = read_lps(data, offset)
-            sig, offset = read_lp(data, offset)
-            sigs.append((node_id, sig))
-        if offset != len(data):
-            raise EncodingError("trailing bytes after batch")
-        return cls(event=event, signatures=tuple(sigs))
+        return join_record([self.event.encode(), encode_record(self.signatures)])
 
 
 class KeyRegistry:
@@ -359,7 +292,7 @@ class InboxDedupe:
 def verify_batch(raw: bytes, registry: KeyRegistry) -> Optional[SignedEventBatch]:
     """Decode and authenticate one pulled batch; None if it must be dropped."""
     try:
-        batch = SignedEventBatch.decode(raw)
+        batch = decode_record(raw, SignedEventBatch)
     except EncodingError:
         return None
     event = batch.event

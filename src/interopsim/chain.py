@@ -32,6 +32,7 @@ from .errors import (
 from .merkle import MerkleMap, MerkleProof, root_of_digests
 from .values import (
     Value,
+    decode_record,
     digest,
     encode_value,
     encode_values,
@@ -501,14 +502,15 @@ class Chain:
         )
         return self.submit_transaction(txn)
 
-    def enqueue_inbox_event(self, event_wire: bytes, source_chain: str, source_contract: str, dest_contract: str) -> None:
+    def enqueue_inbox_event(self, event) -> None:
+        """Queue a verified bus event; its caller is the event's authenticated source."""
         txn = Transaction(
-            caller_chain=source_chain,
-            caller_id=source_contract,
-            target_contract=dest_contract,
+            caller_chain=event.source_chain,
+            caller_id=event.source_contract,
+            target_contract=event.dest_contract,
             method="__event__",
-            args=(event_wire,),
-            nonce=self.next_nonce(source_chain, source_contract),
+            args=(event.encode(),),
+            nonce=self.next_nonce(event.source_chain, event.source_contract),
         )
         self.submit_transaction(txn)
 
@@ -642,6 +644,14 @@ class Chain:
         target = txn.target_contract
         try:
             if target.startswith("sys."):
+                # system targets run only what the system sends: events from a
+                # sys.txn to sys.txn, and calls by this chain's sys or sys.txn
+                if txn.method == "__event__":
+                    allowed = target == "sys.txn" and txn.caller_id == "sys.txn"
+                else:
+                    allowed = txn.caller_chain == self.chain_id and txn.caller_id in ("sys", "sys.txn")
+                if not allowed:
+                    raise PolicyDenied(f"{txn.caller_chain}:{txn.caller_id} may not call {target}")
                 handler = self.system_handlers.get(target)
                 if target == "sys.registry" and txn.method == "register":
                     writes = {f"sys.contract.{txn.args[0]}": True}
@@ -665,7 +675,7 @@ class Chain:
             if txn.method == "__event__":
                 from .bus import Event  # local import to avoid a cycle
 
-                event = Event.decode(txn.args[0])
+                event = decode_record(txn.args[0], Event)
                 contract.on_event(ctx, event)
             else:
                 handler = contract.handlers.get(txn.method)

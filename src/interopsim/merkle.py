@@ -27,7 +27,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .errors import EncodingError
-from .values import Value, digest, encode_value, decode_value, lp, read_lp
+from .values import Value, digest, encode_value, decode_value, lp
 
 EMPTY_ROOT = digest(b"")
 
@@ -215,11 +215,11 @@ def encode_proof(p: MerkleProof) -> bytes:
     kind = b"\x01" if p.kind == MEMBERSHIP else b"\x00"
     terminal = b"\x00"
     if p.terminal is not None:
-        terminal = b"\x01" + lp(p.terminal[0]) + encode_value(p.terminal[1])
+        terminal = b"\x01" + encode_value(p.terminal[0]) + encode_value(p.terminal[1])
     return b"".join(
         [
             kind,
-            lp(p.leaf_key),
+            encode_value(p.leaf_key),
             encode_value(p.leaf_value),
             _encode_path(p.path),
             p.root_height.to_bytes(8, "big"),
@@ -228,12 +228,19 @@ def encode_proof(p: MerkleProof) -> bytes:
     )
 
 
+def _decode_key(data: bytes, offset: int) -> tuple[bytes, int]:
+    key, offset = decode_value(data, offset)
+    if type(key) is not bytes:
+        raise EncodingError("proof key is not bytes")
+    return key, offset
+
+
 def decode_proof(data: bytes, offset: int = 0) -> tuple[MerkleProof, int]:
     if offset >= len(data):
         raise EncodingError("truncated proof")
     kind = MEMBERSHIP if data[offset] else ABSENCE
     offset += 1
-    leaf_key, offset = read_lp(data, offset)
+    leaf_key, offset = _decode_key(data, offset)
     leaf_value, offset = decode_value(data, offset)
     path, offset = _decode_path(data, offset)
     if offset + 9 > len(data):
@@ -244,7 +251,7 @@ def decode_proof(data: bytes, offset: int = 0) -> tuple[MerkleProof, int]:
     has_terminal = data[offset]
     offset += 1
     if has_terminal:
-        other_key, offset = read_lp(data, offset)
+        other_key, offset = _decode_key(data, offset)
         other_value, offset = decode_value(data, offset)
         terminal = (other_key, other_value)
     return (

@@ -32,6 +32,7 @@ from .ast import (
     CALL_BUILTINS,
     CmpExpr,
     Lit,
+    NULLARY_BUILTINS,
     NotExpr,
     OrExpr,
     Policy,
@@ -253,7 +254,7 @@ class _Parser:
                 self._fail("attribute name")
             self.advance()
             full = f"{name}.{attr.text}"
-            if full not in ("caller.id", "caller.chain", "block.height"):
+            if full not in NULLARY_BUILTINS:
                 raise ParseError(attr.line, attr.col, "builtin attribute", full)
             return Builtin(full)
         if name in CALL_BUILTINS:

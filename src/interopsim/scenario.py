@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -129,7 +129,7 @@ class Scenario:
     raw: dict
     seed: int = 0
     mode: str = MODE_OCC
-    max_ticks: int = 20_000
+    max_ticks: int = SimConfig.max_ticks
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Scenario":
@@ -140,7 +140,7 @@ class Scenario:
         chains = raw.get("chain")
         if not chains:
             raise ConfigError("scenario defines no chains")
-        max_ticks = raw.get("max_ticks", 20_000)
+        max_ticks = raw.get("max_ticks", SimConfig.max_ticks)
         for chain_id, spec in chains.items():
             if spec.get("byzantine"):
                 _check_byzantine(chain_id, spec.get("n", 4), spec["byzantine"])
@@ -179,14 +179,11 @@ class Scenario:
 
 def build_world(scn: Scenario, log: Optional[RunLog]) -> tuple[Simulation, XTxnEngine, Optional[AuctionApp]]:
     raw = scn.raw
+    tunables = ("latency_jitter", "direct_drop_rate", "lock_timeout", "vote_timeout", "retry_limit")
     sim_cfg = SimConfig(
         seed=scn.seed,
-        latency_jitter=raw.get("latency_jitter", 0),
-        direct_drop_rate=raw.get("direct_drop_rate", 0.0),
-        lock_timeout=raw.get("lock_timeout", 50),
-        vote_timeout=raw.get("vote_timeout", 40),
-        retry_limit=raw.get("retry_limit", 5),
         max_ticks=scn.max_ticks,
+        **{name: raw[name] for name in tunables if name in raw},
     )
     sim = Simulation(sim_cfg, log=log)
     # sorted iteration: behavior must not depend on config dict order
@@ -204,18 +201,9 @@ def build_world(scn: Scenario, log: Optional[RunLog]) -> tuple[Simulation, XTxnE
                 node, behavior = assignment.split(":")
                 chain.byzantine[f"{chain_id}:{node}"] = _BEHAVIORS[behavior]
     brokers = raw.get("broker", _DEFAULT_BROKERS)
+    faults = [f.name for f in fields(BrokerFaults)]
     for broker_id, spec in sorted(brokers.items()):
-        sim.add_broker(
-            Broker(
-                broker_id,
-                BrokerFaults(
-                    drop_rate=spec.get("drop_rate", 0.0),
-                    duplicate_rate=spec.get("duplicate_rate", 0.0),
-                    replay_rate=spec.get("replay_rate", 0.0),
-                    forge=spec.get("forge", False),
-                ),
-            )
-        )
+        sim.add_broker(Broker(broker_id, BrokerFaults(**{name: spec[name] for name in faults if name in spec})))
     engine = XTxnEngine(sim)
 
     app = None

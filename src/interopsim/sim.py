@@ -454,9 +454,7 @@ class Simulation:
         Broker.publish).
         """
         self.meter.sent += 1
-        latency = BROKER_LATENCY
-        if self.config.latency_jitter:
-            latency += self.rng.randrange(self.config.latency_jitter + 1)
+        latency = BROKER_LATENCY + self._jitter()
         topic = event.dest_chain
         unacked = [b for b in brokers if not b.publish(topic, raw, self.tick, latency, self.rng)]
         if unacked and retries < BUS_RETRIES:
@@ -522,12 +520,7 @@ class Simulation:
                         dest_contract=event.dest_contract,
                         result="accepted",
                     )
-                chain.enqueue_inbox_event(
-                    event.encode(),
-                    source_chain=event.source_chain,
-                    source_contract=event.source_contract,
-                    dest_contract=event.dest_contract,
-                )
+                chain.enqueue_inbox_event(event)
 
     def _reject_duplicate(self, chain_id: str, source_chain: str, nonce: int) -> None:
         self.meter.rejected_dup += 1
@@ -563,18 +556,9 @@ class Simulation:
             return
         timeout = self.config.direct_timeout * (2**attempt)
         self.meter.direct_sent += 1
-        req_dropped = (
-            self.config.direct_drop_rate > 0
-            and self.rng.random() < self.config.direct_drop_rate
-        )
-        latency = 1 + (
-            self.rng.randrange(self.config.latency_jitter + 1)
-            if self.config.latency_jitter
-            else 0
-        )
-        if req_dropped:
-            self.meter.direct_dropped += 1
-        else:
+        req_dropped = self._direct_dropped()
+        latency = 1 + self._jitter()
+        if not req_dropped:
             self.call_later(
                 latency,
                 lambda: self._direct_serve(target_chain, payload, fut, recovery),
@@ -595,18 +579,9 @@ class Simulation:
         response = handler(payload, self.tick)
         if response is None:
             return
-        resp_dropped = (
-            self.config.direct_drop_rate > 0
-            and self.rng.random() < self.config.direct_drop_rate
-        )
-        if resp_dropped:
-            self.meter.direct_dropped += 1
+        if self._direct_dropped():
             return
-        latency = 1 + (
-            self.rng.randrange(self.config.latency_jitter + 1)
-            if self.config.latency_jitter
-            else 0
-        )
+        latency = 1 + self._jitter()
 
         def complete():
             if fut.done:
@@ -616,6 +591,19 @@ class Simulation:
             fut.set_result(response)
 
         self.call_later(latency, complete)
+
+    def _direct_dropped(self) -> bool:
+        """Draw whether one leg of a direct exchange is lost; counts the loss."""
+        rate = self.config.direct_drop_rate
+        dropped = rate > 0 and self.rng.random() < rate
+        if dropped:
+            self.meter.direct_dropped += 1
+        return dropped
+
+    def _jitter(self) -> int:
+        """Extra latency for one publish or direct leg: 0..latency_jitter, drawn when set."""
+        jitter = self.config.latency_jitter
+        return self.rng.randrange(jitter + 1) if jitter else 0
 
     # ------------------------------------------------------------- metrics
 

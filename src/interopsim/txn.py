@@ -27,10 +27,9 @@ the coordinator's ledger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields as dataclass_fields
-from functools import cache, partial
-from operator import attrgetter
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Optional
 
 from .bus import Event, KIND_DECIDE, KIND_PREPARE, KIND_READ_REQ, KIND_READ_RESP, KIND_VOTE
 from .chain import Behavior, Chain, EventDraft, Receipt, Version
@@ -42,7 +41,7 @@ from .errors import (
     ProofInvalid,
     StaleQuorum,
 )
-from .merkle import MerkleProof, decode_proof, encode_proof, verify_proof
+from .merkle import decode_proof, encode_proof, verify_proof
 from .policy import AggExpr, ChainEvalContext, eval_aggregate
 from .sim import DECISION_POLL, Future, Simulation
 from .values import Value, decode_record, digest, encode_record, encode_value
@@ -76,14 +75,10 @@ class ReadResponse:
     anchor_height: int
     nonce: int
     signatures: tuple[tuple[str, bytes], ...]
-    proof: Optional[MerkleProof] = None
+    proof: Optional[bytes] = None  # a Merkle proof in its binary form (merkle.encode_proof)
     version: Optional[Version] = None
     status: str = "ok"  # ok | denied | locked | error
     reason: str = ""
-
-    @property
-    def digest(self) -> bytes:
-        return read_response_digest(self.value, self.nonce, self.anchor_height)
 
 
 def read_response_digest(value: Value, nonce: int, anchor_height: int) -> bytes:
@@ -97,13 +92,6 @@ class MiniTxn:
     compares: tuple[tuple[str, str, Value], ...]  # (chain, key, expected)
     reads: tuple[tuple[str, str], ...]  # (chain, key)
     writes: tuple[tuple[str, str, Value], ...]  # (chain, key, value)
-
-
-@dataclass
-class TwoPCRecord:
-    txn_id: str
-    phase: str  # prepare | commit | abort
-    votes: dict[str, tuple[str, str]] = field(default_factory=dict)  # chain -> (vote, reason)
 
 
 @dataclass(frozen=True)
@@ -195,74 +183,47 @@ class Prepare:
     writes: tuple[tuple[str, Value], ...] = ()  # (key, value)
 
 
+@dataclass(frozen=True)
+class Vote:
+    """A participant's vote on its prepare, with the values of the keys it read."""
+
+    txn_id: str
+    participant: str
+    vote: str  # yes | no
+    reason: str
+    reads: tuple[tuple[str, Value], ...] = ()  # (key, value)
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """The coordinator's decision on a transaction, as each participant hears it."""
+
+    txn_id: str
+    decision: str  # commit | abort
+    reason: str = ""
+
+
 # ---------------------------------------------------------------- payloads
 
-# Every protocol message is a record (values.encode_record): a dataclass's
-# fields in declaration order, or a plain tuple for the vote
-# (txid, participant, vote, reason, reads), the decision
-# (txid, decision, reason) and the `__prefix__` rows (key, value, version).
-# Read requests and responses lead with their kind byte; a Merkle proof
-# rides in its response as its own binary form.
+# Every protocol message is a record (values.encode_record) of its class and
+# decodes through values.decode_record(raw, cls), which checks every field
+# against its annotation; the `__prefix__` rows (key, value, version) are a
+# plain record inside a signed value.  Read requests and responses lead with
+# their kind byte.  A Merkle proof rides in its response in its own binary
+# form, decoded only when the response is verified.
 
-_READ_REQ_HEAD = bytes([KIND_READ_REQ])
-_READ_RESP_HEAD = bytes([KIND_READ_RESP])
-
-
-@cache
-def _shape(cls) -> tuple[Callable, int]:
-    """A getter of a dataclass's fields, as one tuple, and their number."""
-    names = [f.name for f in dataclass_fields(cls)]
-    return attrgetter(*names), len(names)
+_READ_KINDS = {ReadRequest: KIND_READ_REQ, ReadResponse: KIND_READ_RESP}
 
 
-def _enc_fields(obj) -> bytes:
-    return encode_record(_shape(type(obj))[0](obj))
+def _enc_read(message) -> bytes:
+    """A read request or response: its kind byte, then its record."""
+    return bytes([_READ_KINDS[type(message)]]) + encode_record(message)
 
 
-def _dec_fields(cls, raw: bytes, offset: int = 0):
-    return cls(*decode_record(raw, _shape(cls)[1], offset))
-
-
-def encode_prepare(p: Prepare) -> bytes:
-    return _enc_fields(p)
-
-
-def decode_prepare(raw: bytes) -> Prepare:
-    return _dec_fields(Prepare, raw)
-
-
-def _enc_read_req(req: ReadRequest) -> bytes:
-    return _READ_REQ_HEAD + _enc_fields(req)
-
-
-# the exact type of each ReadRequest field, in order (a bool is not an int)
-_READ_REQ_TYPES = (int, str, str, str, str, tuple, str, str, str, bool)
-
-
-def _dec_read_req(raw: bytes) -> ReadRequest:
-    if not raw or raw[0] != KIND_READ_REQ:
-        raise EncodingError("not a read request")
-    fields = decode_record(raw, len(_READ_REQ_TYPES), 1)
-    if any(type(v) is not t for v, t in zip(fields, _READ_REQ_TYPES)):
-        raise EncodingError("ill-typed read request")
-    return ReadRequest(*fields)
-
-
-def _enc_read_resp(resp: ReadResponse) -> bytes:
-    proof = None if resp.proof is None else encode_proof(resp.proof)
-    return _READ_RESP_HEAD + encode_record(
-        (resp.value, resp.anchor_height, resp.nonce, resp.signatures, proof,
-         resp.version, resp.status, resp.reason)
-    )
-
-
-def _dec_read_resp(raw: bytes) -> ReadResponse:
-    if not raw or raw[0] != KIND_READ_RESP:
-        raise EncodingError("not a read response")
-    value, height, nonce, sigs, proof, version, status, reason = decode_record(raw, 8, 1)
-    if proof is not None:
-        proof = decode_proof(proof)[0]
-    return ReadResponse(value, height, nonce, sigs, proof, version, status, reason)
+def _dec_read(raw: bytes, cls):
+    if not raw or raw[0] != _READ_KINDS[cls]:
+        raise EncodingError(f"not a {cls.__name__}")
+    return decode_record(raw, cls, 1)
 
 
 def _answer(
@@ -270,15 +231,15 @@ def _answer(
     height: int,
     value: Value,
     signatures: tuple[tuple[str, bytes], ...],
-    proof: Optional[MerkleProof] = None,
+    proof: Optional[bytes] = None,
     version: Optional[Version] = None,
 ) -> bytes:
-    return _enc_read_resp(ReadResponse(value, height, req.nonce, signatures, proof, version))
+    return _enc_read(ReadResponse(value, height, req.nonce, signatures, proof, version))
 
 
 def _refusal(req: ReadRequest, height: int, status: str, reason: str) -> bytes:
     """A response carrying no value: status denied, locked or error."""
-    return _enc_read_resp(
+    return _enc_read(
         ReadResponse(None, height, req.nonce, (), status=status, reason=reason)
     )
 
@@ -337,7 +298,7 @@ class XTxnEngine:
         """Send the request; future resolves to a verified ReadResponse."""
         out = Future()
         raw_fut = self.sim.direct_request(
-            req.target_chain, _enc_read_req(req), recovery=recovery
+            req.target_chain, _enc_read(req), recovery=recovery
         )
         self.sim.spawn(self._read_verify_task(req, raw_fut, out))
         return out
@@ -353,7 +314,7 @@ class XTxnEngine:
     def verify_response(self, req: ReadRequest, raw: Optional[bytes]) -> ReadResponse:
         if raw is None:
             raise StaleQuorum("no response within retry budget")
-        resp = _dec_read_resp(raw)
+        resp = _dec_read(raw, ReadResponse)
         if resp.status == "denied":
             raise PolicyDenied(resp.reason)
         if resp.status == "locked":
@@ -368,6 +329,7 @@ class XTxnEngine:
         valid = registry.count_valid(req.target_chain, expected, resp.signatures)
         if resp.proof is not None:
             # storage path: certified root + proof + at least one fresh signature
+            proof = decode_proof(resp.proof)[0]
             if valid < 1:
                 raise StaleQuorum("storage-path response lacks a valid signature")
             chain = self.sim.chains[req.target_chain]
@@ -376,16 +338,16 @@ class XTxnEngine:
             header_digest = chain.header_at(resp.anchor_height).digest
             if registry.count_valid(req.target_chain, header_digest, cert.signatures) < 2 * f + 1:
                 raise ProofInvalid("anchor block certificate invalid")
-            if resp.proof.root_height != resp.anchor_height:
+            if proof.root_height != resp.anchor_height:
                 raise ProofInvalid("proof anchored to a different height")
-            if not verify_proof(root, resp.proof):
+            if not verify_proof(root, proof):
                 raise ProofInvalid("merkle proof does not verify")
             full_key = f"{req.contract}.{req.key}" if req.contract else req.key
-            if resp.proof.leaf_key != full_key.encode("utf-8"):
+            if proof.leaf_key != full_key.encode("utf-8"):
                 raise ProofInvalid("proof is for a different key")
-            if resp.proof.kind == "membership" and resp.proof.leaf_value != resp.value:
+            if proof.kind == "membership" and proof.leaf_value != resp.value:
                 raise ProofInvalid("proof value mismatch")
-            if resp.proof.kind == "absence" and resp.value is not None:
+            if proof.kind == "absence" and resp.value is not None:
                 raise ProofInvalid("absence proof with non-null value")
         elif valid < f + 1:
             raise StaleQuorum(f"{valid} matching signatures < f+1 = {f + 1}")
@@ -399,7 +361,7 @@ class XTxnEngine:
 
     def _serve_direct(self, raw: bytes, now: int) -> Optional[bytes]:
         try:
-            req = _dec_read_req(raw)
+            req = _dec_read(raw, ReadRequest)
         except EncodingError:
             return None
         chain = self.sim.chains.get(req.target_chain)
@@ -527,7 +489,7 @@ class XTxnEngine:
                     ),
                 ),
             )
-        return _answer(req, height, value, sigs, proof=proof, version=version)
+        return _answer(req, height, value, sigs, proof=encode_proof(proof), version=version)
 
     # ---------------------------------------------------- transactions
 
@@ -573,7 +535,7 @@ class XTxnEngine:
             req = self.make_read_request(
                 chain_id, caller_id=t.caller_id, caller_chain=t.coordinator_chain, **fields
             )
-            raw = yield self.sim.direct_request(chain_id, _enc_read_req(req))
+            raw = yield self.sim.direct_request(chain_id, _enc_read(req))
             resp = self.verify_response(req, raw)
             if resp.status != "locked":
                 break
@@ -612,9 +574,6 @@ class XTxnEngine:
 
     def txn_read(self, t: XTxn, chain_id: str, key: str) -> Value:
         return self.sim.pump(self.txn_read_async(t, chain_id, key))
-
-    def txn_read_prefix(self, t: XTxn, chain_id: str, prefix: str):
-        return self.sim.pump(self.txn_read_prefix_async(t, chain_id, prefix))
 
     def txn_write_async(self, t: XTxn, chain_id: str, key: str, value: Value) -> Future:
         self._require_active(t)
@@ -697,7 +656,7 @@ class XTxnEngine:
                 caller_chain=t.coordinator_chain,
                 lock_for=t.txn_id,
             )
-            self.sim.direct_request(chain_id, _enc_read_req(req))
+            self.sim.direct_request(chain_id, _enc_read(req))
         self._log_xtxn(t)
 
     # ------------------------------------------------- block-exec handler
@@ -710,7 +669,7 @@ class XTxnEngine:
         block is handed to `chain.after_commit`."""
         method = txn.method
         if method == "__event__":
-            event = Event.decode(txn.args[0])
+            event = decode_record(txn.args[0], Event)
             return self._handle_event(chain, event, txn, height, idx)
         if method == "begin":
             return self._exec_begin(chain, txn, height, idx)
@@ -731,7 +690,7 @@ class XTxnEngine:
         }
         applied = chain._commit_writes(writes, height, idx)
         events = [
-            _sys_event(part, KIND_PREPARE, encode_prepare(t.prepare_for(part)))
+            _sys_event(part, KIND_PREPARE, encode_record(t.prepare_for(part)))
             for part in t.participants
         ]
         return Receipt(txn.txn_id, "ok", writes=applied, xchain_txn=t.txn_id), events
@@ -747,7 +706,7 @@ class XTxnEngine:
             f"sys.2pc.{txid}.reason": reason,
         }
         applied = chain._commit_writes(writes, height, idx)
-        payload = encode_record((txid, decision, reason))
+        payload = encode_record(Outcome(txid, decision, reason))
         events = [_sys_event(part, KIND_DECIDE, payload) for part in t.participants]
         chain.after_commit(partial(self._complete, t, decision, reason))
         return Receipt(txn.txn_id, "ok", writes=applied, xchain_txn=txid), events
@@ -770,18 +729,13 @@ class XTxnEngine:
     def _handle_event(self, chain: Chain, event: Event, txn, height: int, idx: int):
         kind = event.kind
         if kind == KIND_PREPARE:
-            return self._exec_prepare(chain, decode_prepare(event.payload), txn, height, idx)
+            return self._exec_prepare(chain, decode_record(event.payload, Prepare), txn, height, idx)
         if kind == KIND_VOTE:
-            return self._exec_vote(chain, event, txn, height, idx)
+            return self._exec_vote(chain, decode_record(event.payload, Vote), txn, height, idx)
         if kind == KIND_DECIDE:
-            txid, decision, _ = decode_record(event.payload, 3)
-            return self._exec_apply(chain, txid, decision, txn, height, idx)
+            outcome = decode_record(event.payload, Outcome)
+            return self._exec_apply(chain, outcome.txn_id, outcome.decision, txn, height, idx)
         raise EncodingError(f"unexpected protocol event kind {kind}")
-
-    def _vote_event(self, chain: Chain, coordinator: str, txid: str, vote: str, reason: str,
-                    reads: list[tuple[str, Value]]) -> EventDraft:
-        payload = encode_record((txid, chain.chain_id, vote, reason, reads))
-        return _sys_event(coordinator, KIND_VOTE, payload)
 
     def _exec_prepare(self, chain: Chain, p: Prepare, txn, height: int, idx: int):
         txid = p.txn_id
@@ -795,18 +749,18 @@ class XTxnEngine:
             return Receipt(txn.txn_id, "ok", writes=(), xchain_txn=txid), []
         state_writes = {marker: True}
         reason = self._prepare_checks(chain, p, height)
-        reads: list[tuple[str, Value]] = []
+        reads: tuple[tuple[str, Value], ...] = ()
         if reason:
             # a no-vote releases every lock this txn holds here
             if chain.locks.release_owner(txid):
                 chain.after_commit(partial(self._log_lock, chain.chain_id, "release", "*", txid))
         else:
-            reads = [(key, chain.current_value(key)) for key in p.reads]
+            reads = tuple((key, chain.current_value(key)) for key in p.reads)
             state_writes[f"sys.xt.{txid}.vote"] = "yes"
             chain.after_commit(partial(self._prepared, p, chain.chain_id))
         applied = chain._commit_writes(state_writes, height, idx)
-        vote = "no" if reason else "yes"
-        out = [self._vote_event(chain, p.coordinator, txid, vote, reason, reads)]
+        vote = Vote(txid, chain.chain_id, "no" if reason else "yes", reason, reads)
+        out = [_sys_event(p.coordinator, KIND_VOTE, encode_record(vote))]
         return Receipt(txn.txn_id, "ok", writes=applied, xchain_txn=txid), out
 
     def _prepared(self, p: Prepare, chain_id: str) -> None:
@@ -856,16 +810,16 @@ class XTxnEngine:
     def _covered_by_prefix(self, chain: Chain, key: str, owner: str) -> bool:
         return any(key.startswith(p) for p, o in chain.locks.prefix.items() if o == owner)
 
-    def _exec_vote(self, chain: Chain, event: Event, txn, height: int, idx: int):
-        txid, part, vote, reason, reads = decode_record(event.payload, 5)
+    def _exec_vote(self, chain: Chain, v: Vote, txn, height: int, idx: int):
+        txid, part = v.txn_id, v.participant
         t = self.records.get(txid)
         if t is None:
             return Receipt(txn.txn_id, "ok", writes=()), []
-        writes = {f"sys.2pc.{txid}.vote.{part}": f"{vote}:{reason}"}
+        writes = {f"sys.2pc.{txid}.vote.{part}": f"{v.vote}:{v.reason}"}
         applied = chain._commit_writes(writes, height, idx)
         if chain.current_value(f"sys.2pc.{txid}.decision") is not None:
             return Receipt(txn.txn_id, "ok", writes=applied, xchain_txn=txid), []
-        chain.after_commit(partial(t.read_values.update, {(part, k): v for k, v in reads}))
+        chain.after_commit(partial(t.read_values.update, {(part, k): value for k, value in v.reads}))
         keys = [f"sys.2pc.{txid}.vote.{p}" for p in t.participants]
         if any(chain.current_value(key) is None for key in keys):
             return Receipt(txn.txn_id, "ok", writes=applied, xchain_txn=txid), []
@@ -958,21 +912,3 @@ class XTxnEngine:
             participants=sorted(t.participants),
             writes=[[c, k, value_to_jsonable(v)] for (c, k), v in sorted(t.write_set.items())],
         )
-
-    def two_pc_record(self, txid: str) -> Optional[TwoPCRecord]:
-        """Typed view over the coordinator's ledger entries for a transaction."""
-        t = self.records.get(txid)
-        if t is None:
-            return None
-        coord = self.sim.chains[t.coordinator_chain]
-        decision = coord.read_state(f"sys.2pc.{txid}.decision")
-        phase = decision or coord.read_state(f"sys.2pc.{txid}.phase")
-        if phase is None:
-            return None
-        votes = {}
-        for part in t.participants:
-            raw = coord.read_state(f"sys.2pc.{txid}.vote.{part}")
-            if isinstance(raw, str) and ":" in raw:
-                vote, _, reason = raw.partition(":")
-                votes[part] = (vote, reason)
-        return TwoPCRecord(txn_id=txid, phase=phase, votes=votes)

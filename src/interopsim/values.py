@@ -6,20 +6,25 @@ byte (0=Null, 1=Bool, 2=Int64 big-endian two's complement, 3=Str,
 4=Bytes); Str/Bytes carry a 4-byte big-endian length plus payload.
 Digests are SHA-256, always 32 bytes.
 
-A record is a protocol message: nested tuples or lists of values, such as
-a dataclass's fields in declaration order.  A list encodes as tag 5
-(TAG_LIST), a 4-byte big-endian item count, then its items; decoding gives
-tuples.  TAG_LIST is never a value: encode_value/decode_value reject
-tuples and tag 5, so what a contract stores stays one of the five scalars.
+A record is a protocol message: a dataclass instance (its fields in
+declaration order), a tuple or a list, nesting records and values.  A list
+encodes as tag 5 (TAG_LIST), a 4-byte big-endian item count, then its items.
+Decoding gives tuples, or with a record class an instance whose every field
+was checked against its annotation.  TAG_LIST is never a value:
+encode_value/decode_value reject tuples and tag 5, so what a contract
+stores stays one of the five scalars.  Every byte string that decodes
+re-encodes to itself.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Optional, Union
+from dataclasses import fields, is_dataclass
+from functools import cache
+from operator import attrgetter
+from typing import Callable, Optional, Union, get_args, get_origin, get_type_hints
 
 Value = Union[None, bool, int, str, bytes]
-Record = Union[tuple, list]  # of Values and nested Records
 
 TAG_NULL = 0
 TAG_BOOL = 1
@@ -29,6 +34,8 @@ TAG_BYTES = 4
 TAG_LIST = 5  # records only, never a stored value
 _LIST_HEAD = bytes([TAG_LIST])
 _STR_HEAD = bytes([TAG_STR])
+_INT_HEAD = bytes([TAG_INT])
+_BYTES_HEAD = bytes([TAG_BYTES])
 
 MAX_RECORD_DEPTH = 8  # lists nested deeper than this are refused
 
@@ -71,14 +78,13 @@ def decode_value(data: bytes, offset: int = 0) -> tuple[Value, int]:
     if tag == TAG_BOOL:
         if offset >= len(data):
             raise EncodingError("truncated bool")
-        return data[offset] != 0, offset + 1
+        if data[offset] > 1:
+            raise EncodingError(f"bool byte {data[offset]} is not 0 or 1")
+        return data[offset] == 1, offset + 1
     if tag == TAG_INT:
         if offset + 8 > len(data):
             raise EncodingError("truncated int64")
-        raw = int.from_bytes(data[offset : offset + 8], "big")
-        if raw >= 1 << 63:
-            raw -= 1 << 64
-        return raw, offset + 8
+        return int.from_bytes(data[offset : offset + 8], "big", signed=True), offset + 8
     if tag in (TAG_STR, TAG_BYTES):
         if offset + 4 > len(data):
             raise EncodingError("truncated length")
@@ -110,39 +116,129 @@ def encode_values(vs: list[Value]) -> bytes:
     return b"".join(out)
 
 
-def encode_record(record: Record) -> bytes:
-    """The canonical bytes of a record: a top-level tuple or list."""
-    if not isinstance(record, (tuple, list)):
-        raise EncodingError(f"a record is a tuple or list, not {type(record).__name__}")
+def encode_record(record) -> bytes:
+    """The canonical bytes of a record: a dataclass instance, tuple or list."""
+    if hasattr(record, "__dataclass_fields__"):
+        record = _field_getter(type(record))(record)
+    elif not isinstance(record, (tuple, list)):
+        raise EncodingError(f"a record is a dataclass instance, tuple or list, not {type(record).__name__}")
     out: list[bytes] = []
     _encode_list(record, out, 1)
     return b"".join(out)
 
 
-def _encode_list(items: Record, out: list[bytes], depth: int) -> None:
+def join_record(encoded: list[bytes]) -> bytes:
+    """The record whose items are `encoded`, each already a record's bytes."""
+    return b"".join([_LIST_HEAD, len(encoded).to_bytes(4, "big"), *encoded])
+
+
+@cache
+def _field_getter(cls) -> Callable:
+    """A record class's fields, in declaration order, as one tuple."""
+    return attrgetter(*[f.name for f in fields(cls)])
+
+
+def _encode_list(items: tuple | list, out: list[bytes], depth: int) -> None:
     if depth > MAX_RECORD_DEPTH:
         raise EncodingError("record nests too deep")
     out.append(_LIST_HEAD + len(items).to_bytes(4, "big"))
     for item in items:
-        if item.__class__ is str:  # the common case, inline
+        cls = item.__class__
+        if cls is str:  # the common cases, inline
             raw = item.encode("utf-8")
             out.append(_STR_HEAD + len(raw).to_bytes(4, "big") + raw)
+        elif cls is bytes:
+            out.append(_BYTES_HEAD + len(item).to_bytes(4, "big") + item)
+        elif cls is int and INT64_MIN <= item <= INT64_MAX:
+            out.append(_INT_HEAD + item.to_bytes(8, "big", signed=True))
         elif isinstance(item, (tuple, list)):
             _encode_list(item, out, depth + 1)
+        elif hasattr(cls, "__dataclass_fields__"):
+            _encode_list(_field_getter(cls)(item), out, depth + 1)
         else:
             out.append(encode_value(item))
 
 
-def decode_record(data: bytes, width: Optional[int] = None, offset: int = 0) -> tuple:
-    """Decode the record filling data[offset:]; with `width`, it must have that many items."""
+def decode_record(data: bytes, shape=None, offset: int = 0):
+    """Decode the record filling data[offset:].
+
+    With a record class as `shape`, the result is an instance of it, and
+    each field must match its annotation (see _compile), else EncodingError.
+    Otherwise the result is a tuple, of `shape` items when that is a number.
+    """
     if offset >= len(data) or data[offset] != TAG_LIST:
         raise EncodingError("record is not a list")
     record, end = _decode_list(data, offset + 1, 1)
     if end != len(data):
         raise EncodingError("trailing bytes after record")
-    if width is not None and len(record) != width:
-        raise EncodingError(f"record has {len(record)} items, wanted {width}")
+    if isinstance(shape, type):
+        return _compile(shape)[1](record)
+    if shape is not None and len(record) != shape:
+        raise EncodingError(f"record has {len(record)} items, wanted {shape}")
     return record
+
+
+_SCALARS = frozenset([type(None), bool, int, str, bytes])
+_TUPLE = frozenset([tuple])
+_accepts = frozenset.__contains__
+
+
+@cache
+def _compile(tp) -> tuple[frozenset, Optional[Callable]]:
+    """How to check a decoded item against the type `tp`, compiled once per type.
+
+    `tp` is a record class, a scalar type (an int is not a bool), Value,
+    Optional or another Union of these, tuple[T, ...] or tuple[A, B, ...].
+    Returns the classes an item may have and, for an item that is a tuple,
+    the function that checks its contents and returns it as `tp` (a union
+    may hold one tuple type).  A mismatch raises EncodingError.
+    """
+    if tp in _SCALARS:
+        return frozenset([tp]), None
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Union:
+        parts = [_compile(a) for a in args]
+        readers = [read for _, read in parts if read is not None]
+        if len(readers) > 1:
+            raise TypeError(f"no record reader for {tp!r}: more than one tuple type")
+        return frozenset().union(*[kinds for kinds, _ in parts]), (readers or [None])[0]
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        item_kinds, read_item = _compile(args[0])
+
+        def read_seq(v):
+            if not item_kinds.issuperset(map(type, v)):
+                raise EncodingError(f"ill-typed {tp}")
+            if read_item is None:
+                return v
+            return tuple([read_item(x) if x.__class__ is tuple else x for x in v])
+
+        return _TUPLE, read_seq
+    if origin is tuple:
+        return _TUPLE, _items_reader(str(tp), args, None)
+    if is_dataclass(tp):
+        hints = get_type_hints(tp)
+        return _TUPLE, _items_reader(tp.__name__, [hints[f.name] for f in fields(tp)], tp)
+    raise TypeError(f"no record reader for {tp!r}")
+
+
+def _items_reader(name: str, types, build: Optional[Callable]) -> Callable:
+    """Check a tuple item by item against `types`; pass the items to `build`."""
+    parts = [_compile(t) for t in types]
+    kinds = [k for k, _ in parts]
+    nested = [(i, read) for i, (_, read) in enumerate(parts) if read is not None]
+    width = len(parts)
+
+    def read_items(v):
+        if len(v) != width or not all(map(_accepts, kinds, map(type, v))):
+            raise EncodingError(f"ill-typed {name} record")
+        if nested:
+            v = list(v)
+            for i, read in nested:
+                if v[i].__class__ is tuple:
+                    v[i] = read(v[i])
+        return build(*v) if build is not None else tuple(v)
+
+    return read_items
 
 
 def _decode_list(data: bytes, offset: int, depth: int) -> tuple[tuple, int]:
@@ -190,21 +286,3 @@ def lp(raw: bytes) -> bytes:
 
 def lps(s: str) -> bytes:
     return lp(s.encode("utf-8"))
-
-
-def read_lp(data: bytes, offset: int) -> tuple[bytes, int]:
-    if offset + 4 > len(data):
-        raise EncodingError("truncated length prefix")
-    n = int.from_bytes(data[offset : offset + 4], "big")
-    offset += 4
-    if offset + n > len(data):
-        raise EncodingError("truncated field")
-    return data[offset : offset + n], offset + n
-
-
-def read_lps(data: bytes, offset: int) -> tuple[str, int]:
-    raw, offset = read_lp(data, offset)
-    try:
-        return raw.decode("utf-8"), offset
-    except UnicodeDecodeError as exc:
-        raise EncodingError("invalid utf-8") from exc

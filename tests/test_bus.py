@@ -13,7 +13,7 @@ from interopsim.bus import (
 from interopsim.chain import Behavior
 from interopsim.errors import EncodingError
 from interopsim.sim import BROKER_LATENCY, BUS_BACKOFF, BUS_RETRIES, NODE_RETENTION
-from interopsim.values import digest
+from interopsim.values import decode_record, digest
 
 from harness import World
 
@@ -31,25 +31,27 @@ def sample_event(nonce=7, payload=b"\x01\x02"):
 
 
 def test_event_wire_format_pinned():
+    # a record of the fields in order: list tag 5 and count, then tagged values
     e = Event("a", "b", "c", "d", nonce=1, kind=16, payload=b"pp")
     raw = e.encode()
     expect = (
-        bytes([1])
-        + b"\x00\x00\x00\x01a"
-        + b"\x00\x00\x00\x01b"
-        + b"\x00\x00\x00\x01c"
-        + b"\x00\x00\x00\x01d"
-        + (1).to_bytes(8, "big")
-        + bytes([16])
-        + b"\x00\x00\x00\x02pp"
+        bytes([5, 0, 0, 0, 8])
+        + b"\x03\x00\x00\x00\x01a"
+        + b"\x03\x00\x00\x00\x01b"
+        + b"\x03\x00\x00\x00\x01c"
+        + b"\x03\x00\x00\x00\x01d"
+        + b"\x02" + (1).to_bytes(8, "big")
+        + b"\x02" + (16).to_bytes(8, "big")
+        + b"\x04\x00\x00\x00\x02pp"
+        + b"\x02" + (1).to_bytes(8, "big")  # version
     )
     assert raw == expect
-    assert Event.decode(raw) == e
+    assert decode_record(raw, Event) == e
 
 
 def test_event_digest_and_encoding_are_cached_consistently():
     built = sample_event()
-    decoded = Event.decode(sample_event().encode())
+    decoded = decode_record(sample_event().encode(), Event)
     for e in (built, decoded):
         assert e.digest == digest(e.encode())
         assert e.encode() is e.encode()  # computed once per instance
@@ -70,12 +72,11 @@ def test_batch_wire_format_pinned():
     e.digest  # a filled cache must not change the bytes
     batch = SignedEventBatch(event=e, signatures=(("n0", b"s0"), ("n1", b"sig1")))
     expect = (
-        e.encode()
-        + (2).to_bytes(2, "big")
-        + b"\x00\x00\x00\x02n0"
-        + b"\x00\x00\x00\x02s0"
-        + b"\x00\x00\x00\x02n1"
-        + b"\x00\x00\x00\x04sig1"
+        bytes([5, 0, 0, 0, 2])
+        + e.encode()
+        + bytes([5, 0, 0, 0, 2])
+        + bytes([5, 0, 0, 0, 2]) + b"\x03\x00\x00\x00\x02n0" + b"\x04\x00\x00\x00\x02s0"
+        + bytes([5, 0, 0, 0, 2]) + b"\x03\x00\x00\x00\x02n1" + b"\x04\x00\x00\x00\x04sig1"
     )
     assert batch.encode() == expect
 
@@ -84,9 +85,9 @@ def test_batch_wire_roundtrip():
     e = sample_event()
     batch = SignedEventBatch(event=e, signatures=(("n0", b"s0"), ("n1", b"s1")))
     raw = batch.encode()
-    assert SignedEventBatch.decode(raw) == batch
+    assert decode_record(raw, SignedEventBatch) == batch
     with pytest.raises(EncodingError):
-        SignedEventBatch.decode(raw + b"\x00")
+        decode_record(raw + b"\x00", SignedEventBatch)
 
 
 def emit_via_contract(world: World, source="alpha", dest="beta", value=b"hello"):
@@ -171,9 +172,7 @@ def test_honest_emission_forwards_all_node_signatures():
     _, sigs, _ = w.sim._node_outbox["alpha"][e.digest]
     assert len(sigs) == 4
     assert e.digest in w.sim.gateways["alpha"].emitted
-    from interopsim.bus import SignedEventBatch
-
-    batch = SignedEventBatch.decode(w.sim.gateways["alpha"].emitted[e.digest])
+    batch = decode_record(w.sim.gateways["alpha"].emitted[e.digest], SignedEventBatch)
     assert len(batch.signatures) == chain.cfg.f + 1
 
 
@@ -474,7 +473,7 @@ def test_signed_batch_encoded_once():
     copies = [raw for broker in w.sim.brokers for _, raw in broker.history if raw == wire]
     assert len(copies) > 1  # the first publish, on both brokers
     assert all(raw is wire for raw in copies)
-    assert SignedEventBatch.decode(wire).encode() == wire
+    assert decode_record(wire, SignedEventBatch).encode() == wire
 
 
 # ------------------------------------------------------- acknowledgements

@@ -27,3 +27,14 @@ def test_no_file_io_outside_the_loaders():
     assert offenders == []
     # the pattern does see the loaders' own file access
     assert all(_io_lines(rel) for rel in LOADERS)
+
+
+def test_wire_layouts_are_written_only_in_the_codecs():
+    # messages are records (values.py); only values.py and the Merkle proof's
+    # binary form (merkle.py) read integers back out of raw bytes
+    readers = sorted(
+        path.relative_to(SRC).as_posix()
+        for path in SRC.rglob("*.py")
+        if "int.from_bytes" in path.read_text(encoding="utf-8")
+    )
+    assert readers == ["merkle.py", "values.py"]

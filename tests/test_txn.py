@@ -5,8 +5,8 @@ import pytest
 
 import interopsim.txn as txn_module
 from interopsim.audit import audit_records
-from interopsim.bus import KIND_DECIDE, KIND_VOTE
-from interopsim.chain import Behavior
+from interopsim.bus import KIND_DECIDE, KIND_PREPARE, KIND_VOTE
+from interopsim.chain import Behavior, Contract
 from interopsim.errors import (
     EncodingError,
     InvalidState,
@@ -15,7 +15,7 @@ from interopsim.errors import (
     ProofInvalid,
     StaleQuorum,
 )
-from interopsim.merkle import MerkleProof
+from interopsim.merkle import MerkleProof, decode_proof, encode_proof
 from interopsim.metrics import RunMetrics
 from interopsim.txn import (
     Aborted,
@@ -25,13 +25,11 @@ from interopsim.txn import (
     MiniTxn,
     Prepare,
     ReadRequest,
+    Outcome,
     ReadResponse,
-    _dec_read_req,
-    _dec_read_resp,
-    _enc_read_req,
-    _enc_read_resp,
-    decode_prepare,
-    encode_prepare,
+    Vote,
+    _dec_read,
+    _enc_read,
 )
 from interopsim.values import decode_record, encode_record
 
@@ -58,7 +56,7 @@ def test_storage_path_absent_key_null_with_absence_proof():
     req = w.engine.make_read_request("beta", key="kv.nothing")
     resp = w.engine.verified_read(req)
     assert resp.value is None
-    assert resp.proof.kind == "absence"
+    assert decode_proof(resp.proof)[0].kind == "absence"
 
 
 def test_contract_path_read_quorum():
@@ -113,9 +111,7 @@ def test_replayed_response_rejected_under_new_nonce():
 
 
 def _raw_req(w, req):
-    from interopsim.txn import _enc_read_req
-
-    return _enc_read_req(req)
+    return _enc_read(req)
 
 
 def test_tampered_value_fails_verification():
@@ -123,7 +119,7 @@ def test_tampered_value_fails_verification():
     w.set_kv("beta", "x", 9)
     req = w.engine.make_read_request("beta", contract="kv", method="get", args=("x",))
     raw = w.sim.pump(w.sim.direct_request("beta", _raw_req(w, req)))
-    resp = _dec_read_resp(raw)
+    resp = _dec_read(raw, ReadResponse)
     forged = ReadResponse(
         value=1000,  # tampered value, original signatures
         anchor_height=resp.anchor_height,
@@ -131,7 +127,7 @@ def test_tampered_value_fails_verification():
         signatures=resp.signatures,
     )
     with pytest.raises(StaleQuorum):
-        w.engine.verify_response(req, _enc_read_resp(forged))
+        w.engine.verify_response(req, _enc_read(forged))
 
 
 def test_tampered_proof_fails_verification():
@@ -139,23 +135,24 @@ def test_tampered_proof_fails_verification():
     w.set_kv("beta", "x", 9)
     req = w.engine.make_read_request("beta", key="kv.x")
     raw = w.sim.pump(w.sim.direct_request("beta", _raw_req(w, req)))
-    resp = _dec_read_resp(raw)
+    resp = _dec_read(raw, ReadResponse)
+    proof = decode_proof(resp.proof)[0]
     bad_proof = MerkleProof(
-        kind=resp.proof.kind,
-        leaf_key=resp.proof.leaf_key,
+        kind=proof.kind,
+        leaf_key=proof.leaf_key,
         leaf_value=77,
-        path=resp.proof.path,
-        root_height=resp.proof.root_height,
+        path=proof.path,
+        root_height=proof.root_height,
     )
     forged = ReadResponse(
         value=resp.value,
         anchor_height=resp.anchor_height,
         nonce=resp.nonce,
         signatures=resp.signatures,
-        proof=bad_proof,
+        proof=encode_proof(bad_proof),
     )
     with pytest.raises(ProofInvalid):
-        w.engine.verify_response(req, _enc_read_resp(forged))
+        w.engine.verify_response(req, _enc_read(forged))
 
 
 def test_policy_gated_read_denied():
@@ -457,12 +454,10 @@ def test_two_pc_record_on_coordinator_ledger():
     w.engine.txn_write(t, "beta", "kv.r", 7)
     w.engine.txn_commit(t)
     w.settle()
-    rec = w.engine.two_pc_record(t.txn_id)
-    assert rec is not None
-    assert rec.phase == "commit"
-    assert rec.votes.get("beta", ("", ""))[0] == "yes"
-    # the decision is a ledger entry on the coordinator chain
-    assert w.chains["alpha"].read_state(f"sys.2pc.{t.txn_id}.decision") == "commit"
+    # the decision and each vote are ledger entries on the coordinator chain
+    alpha = w.chains["alpha"]
+    assert alpha.read_state(f"sys.2pc.{t.txn_id}.decision") == "commit"
+    assert alpha.read_state(f"sys.2pc.{t.txn_id}.vote.beta").partition(":")[0] == "yes"
 
 
 def _audit(w):
@@ -546,27 +541,27 @@ def test_prepare_codec_round_trip():
             )
         )
     for p in cases:
-        raw = encode_prepare(p)
-        back = decode_prepare(raw)
+        raw = encode_record(p)
+        back = decode_record(raw, Prepare)
         assert back == p
-        assert encode_prepare(back) == raw  # also tells True from 1
+        assert encode_record(back) == raw  # also tells True from 1
 
 
 def _stored_response(w):
     """A real storage-path response (with a Merkle proof) and its request."""
     w.set_kv("beta", "x", 9)
     req = w.engine.make_read_request("beta", key="kv.x", caller_chain="alpha")
-    return req, w.sim.pump(w.sim.direct_request("beta", _enc_read_req(req)))
+    return req, w.sim.pump(w.sim.direct_request("beta", _enc_read(req)))
 
 
 def test_read_request_codec_round_trip():
     req = ReadRequest(
         7, "beta", "kv", "get", "", (None, True, 1, -5, "s", b"\x00"), "auditor", "alpha", "t1", True
     )
-    raw = _enc_read_req(req)
-    back = _dec_read_req(raw)
+    raw = _enc_read(req)
+    back = _dec_read(raw, ReadRequest)
     assert back == req
-    assert _enc_read_req(back) == raw  # also tells True from 1
+    assert _enc_read(back) == raw  # also tells True from 1
     assert type(back.args[1]) is bool and type(back.args[2]) is int
 
 
@@ -582,8 +577,8 @@ def test_read_request_codec_round_trip():
 def test_serve_direct_refuses_ill_typed_read_request(req):
     w = World()
     w.set_kv("beta", "x", 1)
-    out = w.engine._serve_direct(_enc_read_req(req), w.sim.tick)
-    assert out is None or _dec_read_resp(out).status == "error"
+    out = w.engine._serve_direct(_enc_read(req), w.sim.tick)
+    assert out is None or _dec_read(out, ReadResponse).status == "error"
 
 
 @pytest.mark.parametrize(
@@ -593,7 +588,7 @@ def test_serve_direct_refuses_ill_typed_read_request(req):
 def test_read_request_decode_rejects_ill_typed_fields(field, bad):
     req = ReadRequest(7, "beta", key="kv.x")
     with pytest.raises(EncodingError):
-        _dec_read_req(_enc_read_req(dataclasses.replace(req, **{field: bad})))
+        _dec_read(_enc_read(dataclasses.replace(req, **{field: bad})), ReadRequest)
 
 
 @pytest.mark.parametrize(
@@ -604,25 +599,25 @@ def test_aggregate_read_with_ill_typed_args_is_an_error_refusal(args):
     w = World()
     w.set_kv("beta", "bids.a", 3)
     req = w.engine.make_read_request("beta", contract="kv", method="__agg__", args=args)
-    resp = _dec_read_resp(w.engine._serve_direct(_enc_read_req(req), w.sim.tick))
+    resp = _dec_read(w.engine._serve_direct(_enc_read(req), w.sim.tick), ReadResponse)
     assert resp.status == "error" and resp.value is None
 
 
 def test_read_response_codec_round_trip():
     w = World()
     _, raw = _stored_response(w)
-    with_proof = _dec_read_resp(raw)
+    with_proof = _dec_read(raw, ReadResponse)
     assert with_proof.proof is not None and with_proof.version is not None
-    assert _enc_read_resp(with_proof) == raw
+    assert _enc_read(with_proof) == raw
     for resp in (
         ReadResponse(True, 3, 5, (("beta:node0", b"\x01" * 32), ("beta:node1", b""))),
         ReadResponse(1, 3, 5, (), version=None),
         ReadResponse(None, 0, 1, (), version=(4, 2), status="locked", reason="kv.x"),
     ):
-        raw = _enc_read_resp(resp)
-        back = _dec_read_resp(raw)
+        raw = _enc_read(resp)
+        back = _dec_read(raw, ReadResponse)
         assert back == resp
-        assert _enc_read_resp(back) == raw
+        assert _enc_read(back) == raw
 
 
 def test_prefix_rows_codec_round_trip():
@@ -646,15 +641,15 @@ def test_vote_and_decide_payloads_round_trip(monkeypatch):
     w.set_kv("beta", "a", True)
     mt = MiniTxn(compares=(), reads=(("beta", "kv.a"),), writes=(("beta", "kv.b", b"\x01"),))
     assert isinstance(w.engine.execute_minitxn("alpha", mt), Committed)
-    widths = {KIND_VOTE: 5, KIND_DECIDE: 3}
-    seen = {kind: decode_record(p, widths[kind]) for kind, p in payloads if kind in widths}
-    txid, part, vote, reason, reads = seen[KIND_VOTE]
-    assert (part, vote, reason) == ("beta", "yes", "")
-    assert reads == (("kv.a", True),) and type(reads[0][1]) is bool
-    assert seen[KIND_DECIDE] == (txid, "commit", "")
+    classes = {KIND_VOTE: Vote, KIND_DECIDE: Outcome}
+    seen = {kind: decode_record(p, classes[kind]) for kind, p in payloads if kind in classes}
+    vote = seen[KIND_VOTE]
+    assert (vote.participant, vote.vote, vote.reason) == ("beta", "yes", "")
+    assert vote.reads == (("kv.a", True),) and type(vote.reads[0][1]) is bool
+    assert seen[KIND_DECIDE] == Outcome(vote.txn_id, "commit", "")
     for kind, p in payloads:
-        if kind in widths:
-            assert encode_record(decode_record(p, widths[kind])) == p
+        if kind in classes:
+            assert encode_record(decode_record(p, classes[kind])) == p
 
 
 def test_malformed_read_payloads_rejected():
@@ -662,14 +657,14 @@ def test_malformed_read_payloads_rejected():
     req, raw = _stored_response(w)
     for cut in range(len(raw)):
         with pytest.raises(EncodingError):
-            _dec_read_resp(raw[:cut])
+            _dec_read(raw[:cut], ReadResponse)
     with pytest.raises(EncodingError):
-        _dec_read_resp(raw + b"\x00")
+        _dec_read(raw + b"\x00", ReadResponse)
     with pytest.raises(EncodingError):
-        _dec_read_resp(bytes([raw[0]]) + encode_record(decode_record(raw, 8, 1)[:7]))  # wrong width
-    raw_req = _enc_read_req(req)
+        _dec_read(bytes([raw[0]]) + encode_record(decode_record(raw, 8, 1)[:7]), ReadResponse)  # wrong width
+    raw_req = _enc_read(req)
     with pytest.raises(EncodingError):
-        _dec_read_req(raw_req + b"\x00")
+        _dec_read(raw_req + b"\x00", ReadRequest)
     for cut in range(len(raw_req)):
         assert w.engine._serve_direct(raw_req[:cut], w.sim.tick) is None
     assert w.engine._serve_direct(raw_req, w.sim.tick) is not None
@@ -686,7 +681,7 @@ def test_unparseable_policy_attached_by_sys_txn_fails_and_reads_still_serve():
     assert receipt.status == "failed" and receipt.error.startswith("ParseError")
     assert beta.policy_source("kv") is None
     req = w.engine.make_read_request("beta", key="kv.x")
-    resp = _dec_read_resp(w.engine._serve_direct(_enc_read_req(req), w.sim.tick))
+    resp = _dec_read(w.engine._serve_direct(_enc_read(req), w.sim.tick), ReadResponse)
     assert (resp.status, resp.value) == ("ok", 1)
 
 
@@ -749,3 +744,66 @@ def test_one_lost_block_at_any_tick_of_2pc(kind, chain_id, lost_tick):
         w.sim.step()
     _lose_one_block(w, chain_id)
     _assert_settled_agrees_with_ledger(w, txid, fut)
+
+
+# ------------------------------------------------ system targets
+
+
+class EvilContract(Contract):
+    """Emits protocol events to beta's sys.txn from an ordinary contract."""
+
+    contract_id = "evil"
+
+    def _prepare(self, ctx, args):
+        # a share of transaction evil1 that claims the caller owner
+        prepare = Prepare("evil1", "alpha", "owner", writes=(("kv.x", 666),))
+        ctx.emit("beta", "sys.txn", KIND_PREPARE, encode_record(prepare))
+
+    def _decide(self, ctx, args):
+        ctx.emit("beta", "sys.txn", KIND_DECIDE, encode_record(Outcome("evil1", "commit")))
+
+    handlers = {"prepare": _prepare, "decide": _decide}
+
+
+def test_contract_events_to_sys_txn_are_refused():
+    w = World()
+    w.chains["alpha"].register_contract(EvilContract())
+    beta = w.chains["beta"]
+    beta.attach_policy("kv", 'allow write on x when caller.id == "owner";')
+    w.settle()
+    w.chains["alpha"].submit_call("mallory", "evil", "prepare", [])
+    for _ in range(20):  # the prepare reaches beta, whose decision poll finds none
+        w.sim.step()
+    w.chains["alpha"].submit_call("mallory", "evil", "decide", [])
+    w.settle()
+    inbox = [
+        receipt
+        for block in beta.blocks
+        for txn, receipt in zip(block.txns, block.receipts)
+        if txn.target_contract == "sys.txn" and txn.method == "__event__"
+    ]
+    assert len(inbox) == 2
+    assert all(r.status == "failed" and r.error.startswith("PolicyDenied") for r in inbox)
+    assert w.kv("beta", "x") is None
+    assert beta.locks.empty()
+
+
+@pytest.mark.parametrize(
+    "target, method, args",
+    [
+        ("sys.policy", "attach", ["kv", "allow write on *;"]),
+        ("sys.registry", "register", ["kv2"]),
+        ("sys.txn", "apply", ["t1", "commit"]),
+        ("sys.txn", "decide", ["t1", "commit", ""]),
+        ("sys.txn", "__event__", [b""]),
+    ],
+)
+def test_system_targets_refuse_other_callers(target, method, args):
+    w = World()
+    beta = w.chains["beta"]
+    before = beta.state_items("sys.")
+    beta.submit_call("mallory", target, method, args)
+    w.settle()
+    receipt = beta.blocks[-1].receipts[0]
+    assert receipt.status == "failed" and receipt.error.startswith("PolicyDenied")
+    assert beta.state_items("sys.") == before

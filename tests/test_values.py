@@ -1,14 +1,21 @@
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional
+
 import pytest
 
 from interopsim.errors import EncodingError
 from interopsim.values import (
     MAX_RECORD_DEPTH,
+    Value,
     decode_one,
     decode_record,
     decode_value,
     encode_record,
     encode_value,
     encode_values,
+    join_record,
 )
 
 
@@ -68,6 +75,15 @@ def test_trailing_bytes_rejected():
 def test_unknown_tag_rejected():
     with pytest.raises(EncodingError):
         decode_value(bytes([9, 1, 2]))
+
+
+def test_bool_byte_is_zero_or_one():
+    # any other byte would decode to a bool that re-encodes to other bytes
+    for byte in (2, 0x80, 0xFF):
+        with pytest.raises(EncodingError):
+            decode_one(bytes([1, byte]))
+        with pytest.raises(EncodingError):
+            decode_record(bytes([5, 0, 0, 0, 1, 1, byte]))
 
 
 def test_bool_is_not_int_encoding():
@@ -139,3 +155,53 @@ def test_list_is_never_a_value():
         encode_value([1])
     with pytest.raises(EncodingError):
         decode_one(bytes([5, 0, 0, 0, 0]))
+
+
+@dataclass(frozen=True)
+class Inner:
+    name: str
+    flag: bool
+
+
+@dataclass(frozen=True)
+class Outer:
+    n: int
+    value: Value
+    blob: Optional[bytes]
+    pair: Optional[tuple[int, int]]
+    names: tuple[str, ...]
+    inners: tuple[Inner, ...]
+    inner: Inner
+
+
+OUTER = Outer(1, None, b"\x00", (2, 3), ("a", "b"), (Inner("i", True),), Inner("j", False))
+
+
+def test_typed_record_round_trip():
+    raw = encode_record(OUTER)
+    assert raw == encode_record((1, None, b"\x00", (2, 3), ("a", "b"), (("i", True),), ("j", False)))
+    back = decode_record(raw, Outer)
+    assert back == OUTER and type(back.inners[0]) is Inner
+    assert encode_record(back) == raw
+    assert join_record([encode_record((1,)), encode_record(())]) == encode_record(((1,), ()))
+
+
+@pytest.mark.parametrize(
+    "items",
+    [
+        (True, None, None, None, (), (), ("j", False)),  # a bool is not an int
+        (1, (), None, None, (), (), ("j", False)),  # a tuple is not a Value
+        (1, None, "b", None, (), (), ("j", False)),  # str for Optional[bytes]
+        (1, None, None, (2,), (), (), ("j", False)),  # a pair of one
+        (1, None, None, (2, True), (), (), ("j", False)),  # a bool in the pair
+        (1, None, None, None, ("a", 1), (), ("j", False)),  # an int among names
+        (1, None, None, None, "a", (), ("j", False)),  # str for a tuple
+        (1, None, None, None, (), (("i", 1),), ("j", False)),  # an int flag, nested
+        (1, None, None, None, (), (), ("j",)),  # a short nested record
+        (1, None, None, None, (), (), None),  # None for a record
+        (1, None, None, None, (), ()),  # a short record
+    ],
+)
+def test_typed_record_rejects_ill_typed_fields(items):
+    with pytest.raises(EncodingError):
+        decode_record(encode_record(items), Outer)
