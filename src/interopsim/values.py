@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import fields, is_dataclass
 from functools import cache
+from itertools import repeat
 from operator import attrgetter
 from typing import Callable, Optional, Union, get_args, get_origin, get_type_hints
 
@@ -121,7 +122,7 @@ def encode_record(record) -> bytes:
     if hasattr(record, "__dataclass_fields__"):
         record = _field_getter(type(record))(record)
     elif not isinstance(record, (tuple, list)):
-        raise EncodingError(f"a record is a dataclass instance, tuple or list, not {type(record).__name__}")
+        raise EncodingError(f"a record is a dataclass, tuple or list, not {type(record).__name__}")
     out: list[bytes] = []
     _encode_list(record, out, 1)
     return b"".join(out)
@@ -168,80 +169,58 @@ def decode_record(data: bytes, shape=None, offset: int = 0):
     """
     if offset >= len(data) or data[offset] != TAG_LIST:
         raise EncodingError("record is not a list")
-    record, end = _decode_list(data, offset + 1, 1)
+    layout = _compile(shape)[1] if isinstance(shape, type) else None
+    record, end = _decode_list(data, offset + 1, 1, layout)
     if end != len(data):
         raise EncodingError("trailing bytes after record")
-    if isinstance(shape, type):
-        return _compile(shape)[1](record)
-    if shape is not None and len(record) != shape:
+    if layout is None and shape is not None and len(record) != shape:
         raise EncodingError(f"record has {len(record)} items, wanted {shape}")
     return record
 
 
 _SCALARS = frozenset([type(None), bool, int, str, bytes])
 _TUPLE = frozenset([tuple])
-_accepts = frozenset.__contains__
+_ANY = (None, None)  # an untyped item: any value, or any list as a tuple
 
 
 @cache
-def _compile(tp) -> tuple[frozenset, Optional[Callable]]:
-    """How to check a decoded item against the type `tp`, compiled once per type.
+def _compile(tp) -> tuple[frozenset, Optional[tuple]]:
+    """How to decode an item of type `tp`, compiled once per type.
 
     `tp` is a record class, a scalar type (an int is not a bool), Value,
     Optional or another Union of these, tuple[T, ...] or tuple[A, B, ...].
-    Returns the classes an item may have and, for an item that is a tuple,
-    the function that checks its contents and returns it as `tp` (a union
-    may hold one tuple type).  A mismatch raises EncodingError.
+    Returns the classes the item may have and, when it may be a list, the
+    layout _decode_list reads it with: the plans of its items (one plan
+    for every item of a tuple[T, ...]), their number, and the function
+    that builds the result from them.  A union may hold one list type.
     """
     if tp in _SCALARS:
         return frozenset([tp]), None
     origin, args = get_origin(tp), get_args(tp)
     if origin is Union:
         parts = [_compile(a) for a in args]
-        readers = [read for _, read in parts if read is not None]
-        if len(readers) > 1:
-            raise TypeError(f"no record reader for {tp!r}: more than one tuple type")
-        return frozenset().union(*[kinds for kinds, _ in parts]), (readers or [None])[0]
+        layouts = [layout for _, layout in parts if layout is not None]
+        if len(layouts) > 1:
+            raise TypeError(f"no record layout for {tp!r}: more than one list type")
+        return frozenset().union(*[kinds for kinds, _ in parts]), (layouts or [None])[0]
     if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
-        item_kinds, read_item = _compile(args[0])
-
-        def read_seq(v):
-            if not item_kinds.issuperset(map(type, v)):
-                raise EncodingError(f"ill-typed {tp}")
-            if read_item is None:
-                return v
-            return tuple([read_item(x) if x.__class__ is tuple else x for x in v])
-
-        return _TUPLE, read_seq
+        return _TUPLE, (_compile(args[0]), None, tuple)
     if origin is tuple:
-        return _TUPLE, _items_reader(str(tp), args, None)
+        return _TUPLE, ([_compile(a) for a in args], len(args), tuple)
     if is_dataclass(tp):
         hints = get_type_hints(tp)
-        return _TUPLE, _items_reader(tp.__name__, [hints[f.name] for f in fields(tp)], tp)
-    raise TypeError(f"no record reader for {tp!r}")
+        plans = [_compile(hints[f.name]) for f in fields(tp)]
+        return _TUPLE, (plans, len(plans), lambda items: tp(*items))
+    raise TypeError(f"no record layout for {tp!r}")
 
 
-def _items_reader(name: str, types, build: Optional[Callable]) -> Callable:
-    """Check a tuple item by item against `types`; pass the items to `build`."""
-    parts = [_compile(t) for t in types]
-    kinds = [k for k, _ in parts]
-    nested = [(i, read) for i, (_, read) in enumerate(parts) if read is not None]
-    width = len(parts)
+def _decode_list(data: bytes, offset: int, depth: int, layout: Optional[tuple] = None):
+    """Decode the list whose count is at data[offset].
 
-    def read_items(v):
-        if len(v) != width or not all(map(_accepts, kinds, map(type, v))):
-            raise EncodingError(f"ill-typed {name} record")
-        if nested:
-            v = list(v)
-            for i, read in nested:
-                if v[i].__class__ is tuple:
-                    v[i] = read(v[i])
-        return build(*v) if build is not None else tuple(v)
-
-    return read_items
-
-
-def _decode_list(data: bytes, offset: int, depth: int) -> tuple[tuple, int]:
+    With a `layout` from _compile, each item is checked against its plan
+    and the layout builds the result; without one, items are untyped and
+    the result is a tuple.
+    """
     if depth > MAX_RECORD_DEPTH:
         raise EncodingError("record nests too deep")
     end = len(data)
@@ -249,9 +228,17 @@ def _decode_list(data: bytes, offset: int, depth: int) -> tuple[tuple, int]:
         raise EncodingError("truncated list count")
     n = int.from_bytes(data[offset : offset + 4], "big")
     offset += 4
+    if layout is None:
+        plans, build = repeat(_ANY, n), tuple
+    else:
+        plans, width, build = layout
+        if width is None:
+            plans = repeat(plans, n)
+        elif n != width:
+            raise EncodingError(f"record has {n} items, wanted {width}")
     items = []
     append = items.append
-    for _ in range(n):
+    for kinds, sub in plans:
         # each item takes at least one byte, so a forged count runs out of data
         tag = data[offset] if offset < end else None
         if tag == TAG_STR or tag == TAG_BYTES:  # the common cases, inline
@@ -272,11 +259,17 @@ def _decode_list(data: bytes, offset: int, depth: int) -> tuple[tuple, int]:
                 raise EncodingError("truncated int64")
             item = int.from_bytes(data[start:offset], "big", signed=True)
         elif tag == TAG_LIST:
-            item, offset = _decode_list(data, offset + 1, depth + 1)
+            if kinds is not None and tuple not in kinds:
+                raise EncodingError("a list where a value belongs")
+            item, offset = _decode_list(data, offset + 1, depth + 1, sub)
+            append(item)
+            continue
         else:
             item, offset = decode_value(data, offset)
+        if kinds is not None and item.__class__ not in kinds:
+            raise EncodingError(f"ill-typed record item: {type(item).__name__}")
         append(item)
-    return tuple(items), offset
+    return build(items), offset
 
 
 def lp(raw: bytes) -> bytes:

@@ -80,10 +80,6 @@ def capture():
     }
 
 
-def encode(cls, message) -> bytes:
-    return bytes([0] * HEAD.get(cls, 0)) + encode_record(message)
-
-
 def swaps(cls, message, rng):
     """Every field of `message` in turn, replaced by each ill-typed candidate."""
     for f in dataclasses.fields(cls):
