@@ -772,7 +772,7 @@ def test_contract_events_to_sys_txn_are_refused():
     beta.attach_policy("kv", 'allow write on x when caller.id == "owner";')
     w.settle()
     w.chains["alpha"].submit_call("mallory", "evil", "prepare", [])
-    for _ in range(20):  # the prepare reaches beta, whose decision poll finds none
+    for _ in range(20):  # the prepare reaches beta a block before the decision
         w.sim.step()
     w.chains["alpha"].submit_call("mallory", "evil", "decide", [])
     w.settle()
