@@ -30,6 +30,14 @@ KIND_START = KIND_APP_BASE  # auction-start notification to Bidder contracts
 
 
 @dataclass(frozen=True)
+class AuctionStart:
+    """The payload of a KIND_START event."""
+
+    auction_id: str
+    close_height: int
+
+
+@dataclass(frozen=True)
 class AuctionOutcome:
     status: str  # concluded | cancelled
     winner_chain: str = ""
@@ -62,7 +70,7 @@ class AuctioneerContract(Contract):
         ctx.put(f"auction.{auction_id}.seller", ctx.caller_id)
         ctx.put(f"auction.{auction_id}.status", "open")
         ctx.put(f"auction.{auction_id}.close_height", close_height)
-        payload = encode_record((auction_id, close_height))
+        payload = encode_record(AuctionStart(auction_id, close_height))
         for endpoint in (ctx.get("config.bidders") or "").split(","):
             if not endpoint:
                 continue
@@ -104,11 +112,11 @@ class BidderContract(Contract):
         if event.kind != KIND_START:
             raise TxnAborted(f"unexpected event kind {event.kind}")
         ctx.require_access("invoke", "start_auction")
-        auction_id, close_height = decode_record(event.payload, 2)
-        ctx.put("auction.id", auction_id)
+        start = decode_record(event.payload, AuctionStart)
+        ctx.put("auction.id", start.auction_id)
         ctx.put("auction.status", "open")
-        ctx.put("auction.close_height", close_height)
-        ctx.put(f"auctions.{auction_id}", ctx.height)
+        ctx.put("auction.close_height", start.close_height)
+        ctx.put(f"auctions.{start.auction_id}", ctx.height)
 
 
 # settlement rules the Bidder chains attach on top of the user-facing policy

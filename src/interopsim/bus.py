@@ -10,7 +10,9 @@ Events and signed batches are records on the wire (values.encode_record).
 Each inbox also remembers the exact wire bytes of every copy it has
 verified, so a redundant copy of those bytes is classified as a duplicate
 by one lookup, without decoding or verifying it again; an event computes
-its encoding and digest once, a signed batch its encoding.
+its encoding and digest once, a signed batch its encoding.  A delivered
+event is decoded once, in verify_batch, and keeps the batch bytes it was
+decoded from as its encoding, so hashing it encodes nothing.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import EncodingError
-from .values import decode_record, digest, encode_record, join_record
+from .values import decode_record, digest, encode_record, join_record, read_record
 
 EVENT_VERSION = 1
 
@@ -61,10 +63,13 @@ class Event:
         return digest(self._wire)
 
 
+Signatures = tuple[tuple[str, bytes], ...]  # (node_id, signature), sorted by node_id
+
+
 @dataclass(frozen=True)
 class SignedEventBatch:
     event: Event
-    signatures: tuple[tuple[str, bytes], ...]
+    signatures: Signatures
 
     def encode(self) -> bytes:
         return self._wire
@@ -289,16 +294,28 @@ class InboxDedupe:
         return True
 
 
+_BATCH_HEAD = join_record([b"", b""])  # the head of a two-item record
+
+
 def verify_batch(raw: bytes, registry: KeyRegistry) -> Optional[SignedEventBatch]:
-    """Decode and authenticate one pulled batch; None if it must be dropped."""
+    """Decode and authenticate one pulled batch; None if it must be dropped.
+
+    The batch is read in one pass: its head, the event record, then the
+    signatures.  The codec is canonical, so the event's bytes within the
+    batch are its encoding, and the event keeps them instead of encoding
+    itself again to be hashed and carried in its inbox transaction."""
+    if not raw.startswith(_BATCH_HEAD):
+        return None
+    start = len(_BATCH_HEAD)
     try:
-        batch = decode_record(raw, SignedEventBatch)
+        event, end = read_record(raw, Event, start)
+        signatures = decode_record(raw, Signatures, end)
     except EncodingError:
         return None
-    event = batch.event
+    event.__dict__["_wire"] = raw[start:end]  # Event._wire's cache slot
     if event.version != EVENT_VERSION or not registry.known(event.source_chain):
         return None
     need = registry.f_of(event.source_chain) + 1
-    if registry.count_valid(event.source_chain, event.digest, batch.signatures) < need:
+    if registry.count_valid(event.source_chain, event.digest, signatures) < need:
         return None
-    return batch
+    return SignedEventBatch(event, signatures)

@@ -17,6 +17,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Callable, Optional
 
+from .bus import Event
 from .crypto import Keypair, get_scheme
 from .errors import (
     DuplicateContract,
@@ -32,7 +33,6 @@ from .errors import (
 from .merkle import MerkleMap, MerkleProof, root_of_digests
 from .values import (
     Value,
-    decode_record,
     digest,
     encode_value,
     encode_values,
@@ -125,7 +125,9 @@ class BlockHeader:
             ]
         )
 
-    @property
+    # hashed once per instance, like Transaction.txn_id: certification, the
+    # next block's prev_digest, the run log and read checks all use it
+    @cached_property
     def digest(self) -> bytes:
         return digest(self.encode())
 
@@ -340,6 +342,8 @@ class Chain:
 
         self.locks = LockTable()
         self.event_nonce = 0
+        # verified bus events by inbox transaction id, until their block commits
+        self._inbox: dict[bytes, Event] = {}
 
         # execution overlay, populated only while a block is being produced
         self._overlay: Optional[dict[str, tuple[Value, Version]]] = None
@@ -502,7 +506,7 @@ class Chain:
         )
         return self.submit_transaction(txn)
 
-    def enqueue_inbox_event(self, event) -> None:
+    def enqueue_inbox_event(self, event: Event) -> None:
         """Queue a verified bus event; its caller is the event's authenticated source."""
         txn = Transaction(
             caller_chain=event.source_chain,
@@ -512,7 +516,17 @@ class Chain:
             args=(event.encode(),),
             nonce=self.next_nonce(event.source_chain, event.source_contract),
         )
-        self.submit_transaction(txn)
+        self._inbox[self.submit_transaction(txn)] = event
+
+    def inbox_event(self, txn: Transaction) -> Event:
+        """The verified event an `__event__` transaction was queued for.
+
+        Only enqueue_inbox_event queues one, so any other `__event__`
+        transaction, say a local call carrying forged event bytes, is denied."""
+        event = self._inbox.get(txn.txn_id)
+        if event is None:
+            raise PolicyDenied("not a verified inbox event")
+        return event
 
     # ------------------------------------------------------------ production
 
@@ -616,6 +630,9 @@ class Chain:
         self._tree = tree
         self._overlay = None
         self._overlay_log = []
+        if self._inbox:  # a block lost to QuorumFailure keeps its events for the retry
+            for txn in txns:
+                self._inbox.pop(txn.txn_id, None)
 
         block = Block(
             header=header, txns=txns, receipts=tuple(receipts), cert=cert
@@ -673,10 +690,7 @@ class Chain:
                 raise UnknownContract(f"{target} not active")
             ctx = ExecContext(self, target, txn, height)
             if txn.method == "__event__":
-                from .bus import Event  # local import to avoid a cycle
-
-                event = decode_record(txn.args[0], Event)
-                contract.on_event(ctx, event)
+                contract.on_event(ctx, self.inbox_event(txn))
             else:
                 handler = contract.handlers.get(txn.method)
                 if handler is None:

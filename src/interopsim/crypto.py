@@ -3,7 +3,8 @@
 Two interchangeable implementations: an HMAC-based deterministic scheme
 (fast, used by default in property sweeps) and Ed25519 from the
 cryptography package (the real asymmetric scheme, exercised by the
-acceptance suite).
+acceptance suite).  The HMAC scheme precomputes each generated key's
+inner and outer hash states (RFC 2104); its signatures are hmac.new's bytes.
 """
 
 from __future__ import annotations
@@ -11,6 +12,10 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
+
+# RFC 2104 pads, as byte-translation tables over the zero-padded key block
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
 
 
 @dataclass(frozen=True)
@@ -37,20 +42,40 @@ class HmacScheme(SignatureScheme):
 
     The verify key equals the signing key; the simulation's verifier registry
     holds it, and modeled adversaries never learn other nodes' secrets.
+    keygen also builds the key's inner and outer SHA-256 states, which sign
+    and verify copy; a key this scheme did not generate goes through
+    hmac.new, uncached.  Either way the bytes are hmac.new's.
     """
 
     name = "hmac"
 
+    def __init__(self):
+        self._pads: dict[bytes, tuple] = {}  # generated key -> (inner, outer) state
+
     def keygen(self, seed: bytes) -> Keypair:
         sk = hashlib.sha256(b"hmac-key|" + seed).digest()
+        # a key no longer than the 64-byte block is zero-padded, not hashed
+        block = sk.ljust(64, b"\0")
+        self._pads[sk] = (
+            hashlib.sha256(block.translate(_IPAD)),
+            hashlib.sha256(block.translate(_OPAD)),
+        )
         return Keypair(signing_key=sk, verify_key=sk)
 
+    def _mac(self, key: bytes, message: bytes) -> bytes:
+        pads = self._pads.get(key)
+        if pads is None:
+            return hmac.new(key, message, hashlib.sha256).digest()
+        inner, outer = pads[0].copy(), pads[1].copy()
+        inner.update(message)
+        outer.update(inner.digest())
+        return outer.digest()
+
     def sign(self, signing_key: bytes, message: bytes) -> bytes:
-        return hmac.new(signing_key, message, hashlib.sha256).digest()
+        return self._mac(signing_key, message)
 
     def verify(self, verify_key: bytes, message: bytes, signature: bytes) -> bool:
-        expect = hmac.new(verify_key, message, hashlib.sha256).digest()
-        return hmac.compare_digest(expect, signature)
+        return hmac.compare_digest(self._mac(verify_key, message), signature)
 
 
 class Ed25519Scheme(SignatureScheme):

@@ -669,8 +669,7 @@ class XTxnEngine:
         block is handed to `chain.after_commit`."""
         method = txn.method
         if method == "__event__":
-            event = decode_record(txn.args[0], Event)
-            return self._handle_event(chain, event, txn, height, idx)
+            return self._handle_event(chain, chain.inbox_event(txn), txn, height, idx)
         if method == "begin":
             return self._exec_begin(chain, txn, height, idx)
         if method == "decide":

@@ -163,19 +163,30 @@ def _encode_list(items: tuple | list, out: list[bytes], depth: int) -> None:
 def decode_record(data: bytes, shape=None, offset: int = 0):
     """Decode the record filling data[offset:].
 
-    With a record class as `shape`, the result is an instance of it, and
-    each field must match its annotation (see _compile), else EncodingError.
-    Otherwise the result is a tuple, of `shape` items when that is a number.
+    With a record class or tuple type as `shape`, each item must match its
+    annotation (see _compile), else EncodingError, and a record class gives
+    an instance of it.  Otherwise the result is a tuple, of `shape` items
+    when that is a number.
+    """
+    record, end = read_record(data, shape, offset)
+    if end != len(data):
+        raise EncodingError("trailing bytes after record")
+    return record
+
+
+def read_record(data: bytes, shape=None, offset: int = 0):
+    """Decode the record starting at data[offset], as decode_record does.
+
+    Returns the record and the offset just past it, so a caller can keep a
+    nested record's own bytes, data[offset:end], as its encoding.
     """
     if offset >= len(data) or data[offset] != TAG_LIST:
         raise EncodingError("record is not a list")
-    layout = _compile(shape)[1] if isinstance(shape, type) else None
+    layout = None if shape is None or isinstance(shape, int) else _compile(shape)[1]
     record, end = _decode_list(data, offset + 1, 1, layout)
-    if end != len(data):
-        raise EncodingError("trailing bytes after record")
     if layout is None and shape is not None and len(record) != shape:
         raise EncodingError(f"record has {len(record)} items, wanted {shape}")
-    return record
+    return record, end
 
 
 _SCALARS = frozenset([type(None), bool, int, str, bytes])

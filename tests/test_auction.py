@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from interopsim.auction import AuctionStart
 from interopsim.txn import MODE_LOCKS, MODE_OCC
+from interopsim.values import decode_record, encode_record
 
 from harness import coin_totals, ledger_rescan_winner, mk_auction_world
 
@@ -242,3 +244,26 @@ def test_conclude_under_faults_still_atomic():
         assert coin_totals(sim, "coinb") == 100
         assert coin_totals(sim, "coinc") == 80
         assert sim.chains["coinc"].read_state("Bidder.balance.alice") == 40
+
+
+def test_start_payload_bytes_unchanged_by_its_record_type():
+    assert encode_record(AuctionStart("a", 7)) == encode_record(("a", 7))
+    assert decode_record(encode_record(("a", 7)), AuctionStart) == AuctionStart("a", 7)
+
+
+def test_ill_typed_start_payload_fails_at_the_bidders():
+    sim, engine, app = mk_auction_world()
+    receipt, opened = app.start_auction("alice", "t1", "a1", "soon")
+    assert receipt.status == "ok"  # the Auctioneer stores what it is given
+    assert opened == {"coinb": False, "coinc": False}
+    for cid in ("coinb", "coinc"):
+        chain = sim.chains[cid]
+        receipts = [
+            r
+            for block in chain.blocks
+            for txn, r in zip(block.txns, block.receipts)
+            if txn.method == "__event__"
+        ]
+        assert len(receipts) == 1
+        assert receipts[0].status == "failed" and receipts[0].error.startswith("EncodingError")
+        assert chain.read_state("Bidder.auction.id") is None

@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 
 import pytest
@@ -13,7 +14,8 @@ from interopsim.bus import (
 from interopsim.chain import Behavior
 from interopsim.errors import EncodingError
 from interopsim.sim import BROKER_LATENCY, BUS_BACKOFF, BUS_RETRIES, NODE_RETENTION
-from interopsim.values import decode_record, digest
+from interopsim.txn import Committed, MiniTxn
+from interopsim.values import decode_record, digest, encode_record
 
 from harness import World
 
@@ -528,3 +530,117 @@ def test_lost_acks_keep_delivery_at_most_once():
     assert len(items) == len({key for key, _, _ in items}) == w.sim.meter.delivered
     assert w.sim.meter.delivered <= events
     assert w.sim.meter.rejected_dup == queued - w.sim.meter.delivered
+
+
+# ------------------------------------------------------- delivery, once
+
+
+def count_event_codec(monkeypatch) -> tuple[list, list]:
+    """Record every Event the record codec decodes, alone or in its batch,
+    and every one it encodes.
+
+    Wraps the codec's names in each simulator module that imports them;
+    values.py's own names stay, so a nested call is not counted twice."""
+    decoded, encoded = [], []
+
+    def decoding(real, returns_end):
+        def wrapper(data, shape=None, offset=0):
+            out = real(data, shape, offset)
+            record = out[0] if returns_end else out
+            if shape is Event:
+                decoded.append(record)
+            elif shape is SignedEventBatch:
+                decoded.append(record.event)
+            return out
+
+        return wrapper
+
+    def encoding(real):
+        def wrapper(record):
+            if isinstance(record, Event):
+                encoded.append(record)
+            return real(record)
+
+        return wrapper
+
+    wrappers = {
+        "decode_record": lambda real: decoding(real, False),
+        "read_record": lambda real: decoding(real, True),
+        "encode_record": encoding,
+    }
+    for name, module in list(sys.modules.items()):
+        if not name.startswith("interopsim.") or name == "interopsim.values":
+            continue
+        for attr, wrap in wrappers.items():
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, wrap(getattr(module, attr)))
+    return decoded, encoded
+
+
+def test_each_delivered_event_decoded_once_and_never_reencoded(monkeypatch):
+    w = World()
+    decoded, encoded = count_event_codec(monkeypatch)
+    delivered = w.sim.meter.delivered
+    mt = MiniTxn(compares=(), reads=(), writes=(("alpha", "kv.x", 1), ("beta", "kv.y", 2)))
+    assert isinstance(w.engine.execute_minitxn("alpha", mt), Committed)
+    w.settle()
+    delivered = w.sim.meter.delivered - delivered
+    assert delivered > 0
+    # one decode per delivered event, in verify_batch
+    assert len(decoded) == delivered
+    # each event is encoded once, where it is emitted; a decoded one never
+    assert len(encoded) == delivered
+    assert not {id(e) for e in decoded} & {id(e) for e in encoded}
+
+
+def test_decoded_event_keeps_its_canonical_bytes():
+    w = World()
+    e = sample_event(nonce=4242, payload=b"kept")
+    w.sim.emit_event(w.chains["alpha"], e)
+    raw = w.sim.gateways["alpha"].emitted[e.digest]
+    batch = verify_batch(raw, w.sim.registry)
+    decoded = batch.event
+    assert decoded == e
+    assert decoded.encode() == encode_record(decoded) == e.encode()
+    assert decoded.encode() in raw
+    assert decoded.digest == digest(encode_record(decoded))
+    assert batch.encode() == raw
+
+
+def test_inbox_maps_are_empty_once_settled():
+    w = World(duplicate=1.0, replay=0.5, seed=3)
+    emit_via_contract(w, value=b"one")
+    mt = MiniTxn(compares=(), reads=(), writes=(("beta", "kv.x", 1),))
+    assert isinstance(w.engine.execute_minitxn("alpha", mt), Committed)
+    w.settle()
+    assert w.sim.meter.delivered > 1
+    assert all(chain._inbox == {} for chain in w.chains.values())
+
+
+def test_inbox_event_survives_a_lost_block():
+    w = World()
+    beta = w.chains["beta"]
+    w.sim.emit_event(w.chains["alpha"], sample_event(nonce=77, payload=b"again"))
+    for _ in range(20):  # step until the event is delivered to beta
+        if beta._inbox:
+            break
+        w.sim.step()
+    (txid,) = beta._inbox
+    nodes = beta.cfg.node_ids()[:2]
+    beta.byzantine.update({node: Behavior.SILENT for node in nodes})
+    failures = w.sim.meter.quorum_failures
+    w.sim.step()  # the block holding the inbox transaction rolls back
+    assert w.sim.meter.quorum_failures == failures + 1
+    assert list(beta._inbox) == [txid]
+    for node in nodes:
+        del beta.byzantine[node]
+    w.settle()
+    receipts = [
+        receipt
+        for block in beta.blocks
+        for txn, receipt in zip(block.txns, block.receipts)
+        if txn.txn_id == txid
+    ]
+    assert [r.status for r in receipts] == ["ok"]
+    assert w.kv("beta", "inbox.alpha.77") == b"again"
+    assert beta._inbox == {}

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 import math
 import random
 
@@ -408,6 +409,27 @@ def test_append_only_prev_links():
     for h in range(1, ch.height + 1):
         assert ch.blocks[h].header.prev_digest == ch.blocks[h - 1].header.digest
 
+
+
+def test_each_block_header_hashed_once(monkeypatch):
+    hashed: list[bytes] = []
+    real_digest = interopsim.chain.digest
+
+    def counted(data):
+        hashed.append(data)
+        return real_digest(data)
+
+    monkeypatch.setattr(interopsim.chain, "digest", counted)
+    ch = ready_kv(mk_chain())
+    for i in range(4):
+        set_kv(ch, "alice", "k", i)
+        assert ch.header_at(ch.height).digest  # as a read check reads it
+    headers = [b.header.encode() for b in ch.blocks[1:]]
+    # certified, linked to by the next block and read back: one hash each
+    assert Counter(data for data in hashed if data in headers) == Counter(headers)
+    for h in range(1, ch.height + 1):
+        header = ch.blocks[h].header
+        assert header.digest == digest(header.encode()) == ch.cert_at(h).header_digest
 
 # ------------------------------------------------------------ txn ids
 

@@ -38,3 +38,22 @@ def test_wire_layouts_are_written_only_in_the_codecs():
         if "int.from_bytes" in path.read_text(encoding="utf-8")
     )
     assert readers == ["merkle.py", "values.py"]
+
+
+def _modules_matching(pattern: re.Pattern) -> list[str]:
+    return sorted(
+        path.relative_to(SRC).as_posix()
+        for path in SRC.rglob("*.py")
+        if pattern.search(path.read_text(encoding="utf-8"))
+    )
+
+
+def test_events_are_decoded_only_on_the_bus():
+    # bus.verify_batch decodes each delivered event once and authenticates
+    # it; a decode elsewhere is a second decode or an unverified event path
+    assert _modules_matching(re.compile(r"\b(?:decode|read)_record\([^)]*\bEvent\b")) == ["bus.py"]
+
+
+def test_hmac_is_computed_only_in_crypto():
+    # signatures come from the schemes, whose HMAC keeps precomputed key state
+    assert _modules_matching(re.compile(r"\bhmac\.new\(")) == ["crypto.py"]

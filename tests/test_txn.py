@@ -5,7 +5,7 @@ import pytest
 
 import interopsim.txn as txn_module
 from interopsim.audit import audit_records
-from interopsim.bus import KIND_DECIDE, KIND_PREPARE, KIND_VOTE
+from interopsim.bus import KIND_DECIDE, KIND_PREPARE, KIND_VOTE, Event
 from interopsim.chain import Behavior, Contract
 from interopsim.errors import (
     EncodingError,
@@ -807,3 +807,20 @@ def test_system_targets_refuse_other_callers(target, method, args):
     receipt = beta.blocks[-1].receipts[0]
     assert receipt.status == "failed" and receipt.error.startswith("PolicyDenied")
     assert beta.state_items("sys.") == before
+
+
+def test_forged_inbox_event_to_a_contract_is_refused():
+    # a local caller hands kv event bytes that never crossed the bus: no
+    # signatures were checked and dedupe never saw them
+    w = World()
+    beta = w.chains["beta"]
+    forged = Event("alpha", "beta", "kv", "kv", 999, 16, b"forged").encode()
+    beta.submit_call("mallory", "kv", "__event__", [forged])
+    w.settle()
+    txn = beta.blocks[-1].txns[0]
+    receipt = beta.blocks[-1].receipts[0]
+    assert (txn.caller_id, txn.method) == ("mallory", "__event__")
+    assert receipt.status == "failed" and receipt.error.startswith("PolicyDenied")
+    assert receipt.writes == ()
+    assert w.kv("beta", "inbox.alpha.999") is None
+    assert w.sim.dedupe["beta"].seen == set()
