@@ -11,7 +11,6 @@ seller, loser refunds, and status flips on all chains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bus import KIND_APP_BASE
@@ -21,15 +20,16 @@ from .errors import (
     InsufficientFunds,
     NotOwner,
     TxnAborted,
+    TypeMismatch,
 )
 from .sim import Simulation
 from .txn import Aborted, MODE_OCC, XTxn, XTxnEngine
-from .values import decode_record, encode_record
+from .values import decode_record, encode_record, record
 
 KIND_START = KIND_APP_BASE  # auction-start notification to Bidder contracts
 
 
-@dataclass(frozen=True)
+@record
 class AuctionStart:
     """The payload of a KIND_START event."""
 
@@ -37,7 +37,7 @@ class AuctionStart:
     close_height: int
 
 
-@dataclass(frozen=True)
+@record
 class AuctionOutcome:
     status: str  # concluded | cancelled
     winner_chain: str = ""
@@ -60,6 +60,8 @@ class AuctioneerContract(Contract):
 
     def _start_auction(self, ctx, args):
         ticket_id, auction_id, close_height = args
+        if type(close_height) is not int:  # a bool too: bidders decode an int
+            raise TypeMismatch(f"close height {close_height!r} is not an int")
         owner = ctx.get(f"ticket.{ticket_id}.owner")
         if owner != ctx.caller_id:
             raise NotOwner(f"{ctx.caller_id} does not own {ticket_id}")

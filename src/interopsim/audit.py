@@ -11,9 +11,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from .errors import CorruptLog
 from .runlog import load_log, value_from_jsonable
+from .values import record
 
 
-@dataclass(frozen=True)
+@record
 class AuditCheck:
     name: str
     passed: bool

@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import EncodingError
-from .values import decode_record, digest, encode_record, join_record, read_record
+from .values import decode_record, digest, encode_record, join_record, read_record, record
 
 EVENT_VERSION = 1
 
@@ -38,7 +38,7 @@ KIND_APP_BASE = 16
 GATEWAY_TIMEOUT = 50  # ticks a gateway keeps collecting one event's signatures
 
 
-@dataclass(frozen=True)
+@record
 class Event:
     source_chain: str
     dest_chain: str
@@ -66,7 +66,7 @@ class Event:
 Signatures = tuple[tuple[str, bytes], ...]  # (node_id, signature), sorted by node_id
 
 
-@dataclass(frozen=True)
+@record
 class SignedEventBatch:
     event: Event
     signatures: Signatures

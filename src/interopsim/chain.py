@@ -37,6 +37,7 @@ from .values import (
     encode_value,
     encode_values,
     lps,
+    record,
 )
 
 ZERO_DIGEST = b"\x00" * 32
@@ -77,7 +78,7 @@ class ChainConfig:
         return 2 * self.f + 1
 
 
-@dataclass(frozen=True)
+@record
 class Transaction:
     caller_chain: str
     caller_id: str
@@ -104,7 +105,7 @@ class Transaction:
         return digest(self.encode())
 
 
-@dataclass(frozen=True)
+@record
 class BlockHeader:
     chain_id: str
     height: int
@@ -132,13 +133,13 @@ class BlockHeader:
         return digest(self.encode())
 
 
-@dataclass(frozen=True)
+@record
 class QuorumCert:
     header_digest: bytes
     signatures: tuple[tuple[str, bytes], ...]  # sorted by node_id
 
 
-@dataclass(frozen=True)
+@record
 class Receipt:
     txn_id: bytes
     status: str  # "ok" | "failed"
@@ -148,7 +149,7 @@ class Receipt:
     xchain_txn: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class Block:
     header: BlockHeader
     txns: tuple[Transaction, ...]
@@ -156,7 +157,7 @@ class Block:
     cert: QuorumCert
 
 
-@dataclass(frozen=True)
+@record
 class EventDraft:
     """Outbox entry produced by contract execution; the bus assigns nonces."""
 
@@ -321,6 +322,9 @@ class Chain:
             node_id: self.scheme.keygen(f"{cfg.chain_id}|{node_id}".encode())
             for node_id in cfg.node_ids()
         }
+        # (node_id, key) in node order, built once for the signing paths
+        self.signers = tuple((node_id, kp.signing_key) for node_id, kp in self.keys.items())
+        self.verify_keys = {node_id: kp.verify_key for node_id, kp in self.keys.items()}
         self.byzantine: dict[str, Behavior] = dict(cfg.byzantine)
 
         # versioned state
@@ -547,24 +551,31 @@ class Chain:
     def node_signatures(self, message: bytes, honest: bool = False) -> tuple[tuple[str, bytes], ...]:
         """Every node's signature over `message`, in node order, per its behavior:
         silent nodes skip and equivocators sign the complement.  `honest`
-        ignores the behavior flags."""
+        ignores the behavior flags.
+
+        The nodes and their keys come from the table built with the chain;
+        when every node signs honestly this is one pass over it."""
+        sign = self.scheme.sign  # looked up per call: tracing patches the scheme class
+        if honest or not self.byzantine:
+            return tuple([(node_id, sign(key, message)) for node_id, key in self.signers])
         sigs = []
-        for node_id in self.cfg.node_ids():
-            behavior = Behavior.HONEST if honest else self.byzantine.get(node_id, Behavior.HONEST)
+        for node_id, key in self.signers:
+            behavior = self.byzantine.get(node_id, Behavior.HONEST)
             if behavior == Behavior.SILENT:
                 continue
             target = message
             if behavior == Behavior.EQUIVOCATE:
                 target = bytes(b ^ 0xFF for b in message)
-            sigs.append((node_id, self.scheme.sign(self.keys[node_id].signing_key, target)))
+            sigs.append((node_id, sign(key, target)))
         return tuple(sigs)
 
     def _certify(self, header: BlockHeader, honest: bool = False) -> QuorumCert:
         hd = header.digest
+        verify, verify_keys = self.scheme.verify, self.verify_keys
         valid = [
             (node_id, sig)
             for node_id, sig in self.node_signatures(hd, honest)
-            if self.scheme.verify(self.keys[node_id].verify_key, hd, sig)
+            if verify(verify_keys[node_id], hd, sig)
         ]
         if len(valid) < self.cfg.quorum:
             raise QuorumFailure(

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass
+
+from .values import record
 
 # RFC 2104 pads, as byte-translation tables over the zero-padded key block
 _IPAD = bytes(x ^ 0x36 for x in range(256))
 _OPAD = bytes(x ^ 0x5C for x in range(256))
 
 
-@dataclass(frozen=True)
+@record
 class Keypair:
     signing_key: bytes
     verify_key: bytes

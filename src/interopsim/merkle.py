@@ -16,18 +16,21 @@ sha256(key) and rejects a proof whose stated direction disagrees.
 
 A map is immutable: `MerkleMap(items, base)` applies `items` on top of `base`
 by path copying, so its cost is the writes times the depth, and `base` stays
-valid.  Chains keep only their latest map, so proofs are served at the
-current height.
+valid.  Each write is one loop, not one call per level: down the key's hash
+bits to its slot, splitting a leaf found there at the first bit where their
+hashes differ, then back up, hashing each new inner node.  The trie's shape
+depends only on its keys, so writing one key at a time gives the same root
+as any other order.  Chains keep only their latest map, so proofs are
+served at the current height.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import itemgetter
+from hashlib import sha256
 from typing import Optional
 
 from .errors import EncodingError
-from .values import Value, digest, encode_value, decode_value, lp
+from .values import Value, digest, encode_value, decode_value, lp, record
 
 EMPTY_ROOT = digest(b"")
 
@@ -39,7 +42,6 @@ PathStep = tuple[bytes, str]
 
 # Nodes are plain tuples (untracked by the cycle collector); an empty slot is
 # None.  leaf: (digest, key hash as int, key, value); inner: (digest, left, right)
-_KEY_BITS = itemgetter(1)
 
 
 def leaf_digest(key: bytes, value: Value) -> bytes:
@@ -67,27 +69,32 @@ def _node_digest(node: Optional[tuple]) -> bytes:
     return EMPTY_ROOT if node is None else node[0]
 
 
-def _put(node: Optional[tuple], depth: int, batch: list[tuple]) -> tuple:
-    """The slot at `depth` after writing `batch`: new leaves sorted by key hash."""
-    if node is not None and len(node) == 4:
-        # a leaf's slot becomes a subtree of the batch plus the leaf, if not overwritten
-        if not any(leaf[2] == node[2] for leaf in batch):
-            batch = sorted(batch + [node], key=_KEY_BITS)
-        node = None
-    if node is None:
-        if len(batch) == 1:
-            return batch[0]
-        left = right = None
-    else:
-        left, right = node[1], node[2]
-    split = 0
-    while split < len(batch) and not _bit(batch[split][1], depth):
-        split += 1
-    if split:
-        left = _put(left, depth + 1, batch[:split])
-    if split < len(batch):
-        right = _put(right, depth + 1, batch[split:])
-    return (inner_digest(_node_digest(left), _node_digest(right)), left, right)
+def _put(root: Optional[tuple], leaf: tuple) -> tuple:
+    """The trie `root` with `leaf` written, by path copying in one loop, not a call per level.
+
+    Walk down the leaf's key-hash bits to its slot.  A different leaf found
+    there moves down with it, past single-child inner nodes, to the first
+    bit where their key hashes differ.  Then rehash the path bottom-up."""
+    bits = leaf[1]
+    steps = []  # (sibling, 1 if the leaf's side is right) from the root down
+    node, depth = root, 0
+    while node is not None and len(node) == 3:
+        right = (bits >> (255 - depth)) & 1
+        steps.append((node[1] if right else node[2], right))
+        node = node[2] if right else node[1]
+        depth += 1
+    if node is not None and node[2] != leaf[2]:
+        split = 256 - (node[1] ^ bits).bit_length()
+        steps += [(None, (bits >> (255 - level)) & 1) for level in range(depth, split)]
+        steps.append((node, (bits >> (255 - split)) & 1))
+    sub = leaf
+    for sibling, right in reversed(steps):
+        h = EMPTY_ROOT if sibling is None else sibling[0]
+        if right:
+            sub = (sha256(b"\x01" + h + sub[0]).digest(), sibling, sub)
+        else:
+            sub = (sha256(b"\x01" + sub[0] + h).digest(), sub, sibling)
+    return sub
 
 
 def fold_path(node: bytes, bits: int, path: tuple[PathStep, ...]) -> bytes:
@@ -104,7 +111,7 @@ def fold_path(node: bytes, bits: int, path: tuple[PathStep, ...]) -> bytes:
     return h
 
 
-@dataclass(frozen=True)
+@record
 class MerkleProof:
     kind: str
     leaf_key: bytes
@@ -120,9 +127,8 @@ class MerkleMap:
 
     def __init__(self, items: dict[bytes, Value], base: Optional["MerkleMap"] = None):
         node = base._node if base is not None else None
-        if items:
-            leaves = sorted((_leaf(k, v) for k, v in items.items()), key=_KEY_BITS)
-            node = _put(node, 0, leaves)
+        for key, value in items.items():
+            node = _put(node, _leaf(key, value))
         self._node = node
 
     @property

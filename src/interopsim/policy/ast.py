@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
-from ..values import Value
+from ..values import Value, record
 
 Expr = Union["OrExpr", "AndExpr", "NotExpr", "CmpExpr", "ArithExpr", "Lit", "Builtin"]
 
@@ -16,56 +15,56 @@ NULLARY_BUILTINS = ("caller.id", "caller.chain", "block.height")
 CALL_BUILTINS = {"state": (1,), "exists": (1,), "count": (3,), "sum": (1, 3), "avg": (1,)}
 
 
-@dataclass(frozen=True)
+@record
 class Lit:
     value: Value
 
 
-@dataclass(frozen=True)
+@record
 class Builtin:
     name: str
     args: tuple[Expr, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class ArithExpr:
     op: str  # "+" | "-"
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@record
 class CmpExpr:
     op: str  # == != < <= > >=
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@record
 class NotExpr:
     operand: Expr
 
 
-@dataclass(frozen=True)
+@record
 class AndExpr:
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@record
 class OrExpr:
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@record
 class Rule:
     action: str
     resource: tuple[str, ...]  # segments; "*" may appear only last
     condition: Optional[Expr] = None
 
 
-@dataclass(frozen=True)
+@record
 class Policy:
     rules: tuple[Rule, ...]
 

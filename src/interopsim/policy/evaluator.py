@@ -8,11 +8,10 @@ enclosing transaction (fail closed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import TypeMismatch
-from ..values import INT64_MAX, INT64_MIN, Value
+from ..values import INT64_MAX, INT64_MIN, Value, record
 from .ast import (
     AndExpr,
     ArithExpr,
@@ -25,7 +24,7 @@ from .ast import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class AccessRequest:
     caller_id: str
     caller_chain: str
@@ -35,13 +34,13 @@ class AccessRequest:
     args: tuple[Value, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class Decision:
     allowed: bool
     reason: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class AggExpr:
     fn: str  # sum | count | avg
     prefix: str

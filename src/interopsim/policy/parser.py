@@ -20,10 +20,10 @@ count(p, from, to), sum(p), sum(p, from, to), avg(p).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 from ..errors import ParseError
+from ..values import record
 from .ast import (
     ACTIONS,
     AndExpr,
@@ -61,7 +61,7 @@ _TOKEN_RE = re.compile(
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
 
 
-@dataclass(frozen=True)
+@record
 class Token:
     kind: str  # ident | int | string | op | eof
     text: str

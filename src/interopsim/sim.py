@@ -218,7 +218,7 @@ class Simulation:
         self.registry.register_chain(
             cfg.chain_id,
             cfg.f,
-            {nid: kp.verify_key for nid, kp in chain.keys.items()},
+            chain.verify_keys,
             chain.scheme,
         )
         self._node_outbox[cfg.chain_id] = {}

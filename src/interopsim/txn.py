@@ -44,7 +44,7 @@ from .errors import (
 from .merkle import decode_proof, encode_proof, verify_proof
 from .policy import AggExpr, ChainEvalContext, eval_aggregate
 from .sim import DECISION_POLL, Future, Simulation
-from .values import Value, decode_record, digest, encode_record, encode_value
+from .values import Value, decode_record, digest, encode_record, encode_value, record
 
 MODE_LOCKS = "locks"
 MODE_OCC = "occ"
@@ -55,7 +55,7 @@ ST_COMMITTED = "committed"
 ST_ABORTED = "aborted"
 
 
-@dataclass(frozen=True)
+@record
 class ReadRequest:
     nonce: int
     target_chain: str
@@ -69,7 +69,7 @@ class ReadRequest:
     lock_only: bool = False
 
 
-@dataclass(frozen=True)
+@record
 class ReadResponse:
     value: Value
     anchor_height: int
@@ -87,19 +87,19 @@ def read_response_digest(value: Value, nonce: int, anchor_height: int) -> bytes:
     )
 
 
-@dataclass(frozen=True)
+@record
 class MiniTxn:
     compares: tuple[tuple[str, str, Value], ...]  # (chain, key, expected)
     reads: tuple[tuple[str, str], ...]  # (chain, key)
     writes: tuple[tuple[str, str, Value], ...]  # (chain, key, value)
 
 
-@dataclass(frozen=True)
+@record
 class Committed:
     read_values: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@record
 class Aborted:
     reason: str
 
@@ -162,7 +162,7 @@ class XTxn:
         )
 
 
-@dataclass(frozen=True)
+@record
 class Prepare:
     """One participant's share of a transaction, as the prepare event carries it.
 
@@ -183,7 +183,7 @@ class Prepare:
     writes: tuple[tuple[str, Value], ...] = ()  # (key, value)
 
 
-@dataclass(frozen=True)
+@record
 class Vote:
     """A participant's vote on its prepare, with the values of the keys it read."""
 
@@ -194,7 +194,7 @@ class Vote:
     reads: tuple[tuple[str, Value], ...] = ()  # (key, value)
 
 
-@dataclass(frozen=True)
+@record
 class Outcome:
     """The coordinator's decision on a transaction, as each participant hears it."""
 
@@ -207,10 +207,12 @@ class Outcome:
 
 # Every protocol message is a record (values.encode_record) of its class and
 # decodes through values.decode_record(raw, cls), which checks every field
-# against its annotation; the `__prefix__` rows (key, value, version) are a
-# plain record inside a signed value.  Read requests and responses lead with
-# their kind byte.  A Merkle proof rides in its response in its own binary
-# form, decoded only when the response is verified.
+# against its annotation; the `__prefix__` rows are a PrefixRows record inside
+# a signed value, checked the same way.  Read requests and responses lead
+# with their kind byte.  A Merkle proof rides in its response in its own
+# binary form, decoded only when the response is verified.
+
+PrefixRows = tuple[tuple[str, Value, Version], ...]  # (key, value, version)
 
 _READ_KINDS = {ReadRequest: KIND_READ_REQ, ReadResponse: KIND_READ_RESP}
 
@@ -473,22 +475,11 @@ class XTxnEngine:
         value = chain.read_state(full_key, height)
         version = chain.current_version(full_key)
         proof = chain.get_proof(full_key, height)
-        signer = None
-        for node_id in chain.cfg.node_ids():
-            if chain.byzantine.get(node_id, Behavior.HONEST) == Behavior.HONEST:
-                signer = node_id
-                break
         sigs = ()
-        if signer is not None:
-            sigs = (
-                (
-                    signer,
-                    chain.scheme.sign(
-                        chain.keys[signer].signing_key,
-                        read_response_digest(value, req.nonce, height),
-                    ),
-                ),
-            )
+        for node_id, key in chain.signers:
+            if chain.byzantine.get(node_id, Behavior.HONEST) == Behavior.HONEST:
+                sigs = ((node_id, chain.scheme.sign(key, read_response_digest(value, req.nonce, height))),)
+                break
         return _answer(req, height, value, sigs, proof=encode_proof(proof), version=version)
 
     # ---------------------------------------------------- transactions
@@ -570,7 +561,7 @@ class XTxnEngine:
         (t.prefix_set if prefix else t.read_set).append((chain_id, key, resp.version or (0, 0)))
         if chain_id != t.coordinator_chain:
             self.sim.meter.round_trip(t.txn_id)
-        return decode_record(resp.value) if prefix else resp.value
+        return decode_record(resp.value, PrefixRows) if prefix else resp.value
 
     def txn_read(self, t: XTxn, chain_id: str, key: str) -> Value:
         return self.sim.pump(self.txn_read_async(t, chain_id, key))

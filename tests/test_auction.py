@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import interopsim.auction as auction_module
 from interopsim.auction import AuctionStart
 from interopsim.txn import MODE_LOCKS, MODE_OCC
 from interopsim.values import decode_record, encode_record
@@ -251,10 +252,30 @@ def test_start_payload_bytes_unchanged_by_its_record_type():
     assert decode_record(encode_record(("a", 7)), AuctionStart) == AuctionStart("a", 7)
 
 
-def test_ill_typed_start_payload_fails_at_the_bidders():
+@pytest.mark.parametrize("close", ["soon", True, None, b"\x00"])
+def test_ill_typed_close_height_refused_before_escrow(close):
     sim, engine, app = mk_auction_world()
-    receipt, opened = app.start_auction("alice", "t1", "a1", "soon")
-    assert receipt.status == "ok"  # the Auctioneer stores what it is given
+    receipt, opened = app.start_auction("alice", "t1", "a1", close)
+    assert receipt.status == "failed" and receipt.error.startswith("TypeMismatch")
+    assert opened == {"coinb": False, "coinc": False}
+    assert sim.chains["tickets"].read_state("Auctioneer.ticket.t1.escrowed") is False
+    assert sim.chains["tickets"].read_state("Auctioneer.auction.a1.status") is None
+    for cid in ("coinb", "coinc"):  # no start event went out
+        assert not [t for b in sim.chains[cid].blocks for t in b.txns if t.method == "__event__"]
+    # the ticket is still free: a well-typed start goes through
+    assert start(app, aid="a2") == {"coinb": True, "coinc": True}
+
+
+def test_ill_typed_start_payload_fails_at_the_bidders(monkeypatch):
+    # an Auctioneer that emits a string close height, as a faulty source would
+    monkeypatch.setattr(
+        auction_module,
+        "encode_record",
+        lambda start: encode_record((start.auction_id, str(start.close_height))),
+    )
+    sim, engine, app = mk_auction_world()
+    receipt, opened = app.start_auction("alice", "t1", "a1", 200)
+    assert receipt.status == "ok"  # the Auctioneer's own checks pass
     assert opened == {"coinb": False, "coinc": False}
     for cid in ("coinb", "coinc"):
         chain = sim.chains[cid]

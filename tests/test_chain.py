@@ -473,3 +473,46 @@ def test_produced_block_bytes_unchanged():
     # pinned: caching txn ids must not change a block's bytes
     expected = "1962aa2e130e108f7445a49e1e1734177cf8f50262b5af6b1cdf2f0a5a44033c"
     assert digest(encode_block(block)).hex() == expected
+
+
+def reference_signatures(chain, message, honest=False):
+    """Each node in turn, its key looked up and signed with, per its behavior."""
+    sigs = []
+    for node_id in chain.cfg.node_ids():
+        behavior = Behavior.HONEST if honest else chain.byzantine.get(node_id, Behavior.HONEST)
+        if behavior == Behavior.SILENT:
+            continue
+        target = bytes(b ^ 0xFF for b in message) if behavior == Behavior.EQUIVOCATE else message
+        sigs.append((node_id, chain.scheme.sign(chain.keys[node_id].signing_key, target)))
+    return tuple(sigs)
+
+
+@pytest.mark.parametrize("scheme", ["hmac", "ed25519"])
+@pytest.mark.parametrize("n,f", [(4, 1), (11, 3)])  # 11 nodes: node10 sorts before node2
+@pytest.mark.parametrize("behavior", list(Behavior))
+def test_node_signatures_match_a_per_node_reference(scheme, n, f, behavior):
+    cfg = ChainConfig(chain_id="alpha", n=n, f=f, scheme=scheme, byzantine={"alpha:node1": behavior})
+    chain = Chain(cfg)
+    message = digest(b"block")
+    assert chain.node_signatures(message) == reference_signatures(chain, message)
+    honest = chain.node_signatures(message, honest=True)
+    assert honest == reference_signatures(chain, message, honest=True)
+    assert [node_id for node_id, _ in honest] == cfg.node_ids()
+    # a behavior set at run time, as the scenario action set_byzantine does
+    chain.byzantine[f"alpha:node{n - 1}"] = Behavior.SILENT
+    chain.byzantine["alpha:node0"] = Behavior.EQUIVOCATE
+    assert chain.node_signatures(message) == reference_signatures(chain, message)
+    chain.byzantine.clear()
+    assert chain.node_signatures(message) == honest
+
+
+def test_certificate_signatures_are_the_verified_quorum_sorted_by_node():
+    chain = ready_kv(mk_chain(n=11, f=3, byzantine={"alpha:node4": Behavior.EQUIVOCATE}))
+    header = chain.blocks[-1].header
+    cert = chain.blocks[-1].cert
+    expected = sorted(
+        (node_id, sig)
+        for node_id, sig in reference_signatures(chain, header.digest)
+        if chain.scheme.verify(chain.keys[node_id].verify_key, header.digest, sig)
+    )
+    assert list(cert.signatures) == expected and len(expected) == 10

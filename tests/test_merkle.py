@@ -275,3 +275,34 @@ def test_fuzz_proofs_and_mutations():
         bad_key = k[:j] + bytes([k[j] ^ 0x01]) + k[j + 1 :]
         bad = MerkleProof(MEMBERSHIP, bad_key, proof.leaf_value, proof.path)
         assert not verify_proof(tree.root, bad)
+
+
+def _keys_sharing_bits(prefix_key: bytes, bits: int, count: int) -> list[bytes]:
+    """`count` keys whose hashes share at least `bits` leading bits with prefix_key's."""
+    target = int.from_bytes(_sha(prefix_key), "big") >> (256 - bits)
+    found, i = [], 0
+    while len(found) < count:
+        key = b"near%d" % i
+        if int.from_bytes(_sha(key), "big") >> (256 - bits) == target:
+            found.append(key)
+        i += 1
+    return found
+
+
+@pytest.mark.parametrize("size", range(1, 21))
+def test_batches_of_one_to_twenty_keys_match_the_reference(size):
+    rng = random.Random(size)
+    # near keys share 12 or more leading hash bits, so their leaves split deep
+    near = [b"anchor", *_keys_sharing_bits(b"anchor", 12, 3)]
+    applied: dict = {}
+    tree = MerkleMap({})
+    for round_ in range(4):
+        batch = _random_items(rng, size)
+        for key in rng.sample(near, min(len(near), size // 3 + 1)):
+            batch[key] = round_
+        for key in rng.sample(sorted(applied), min(2, len(applied))):
+            batch[key] = rng.randrange(100)  # overwrites
+        tree = MerkleMap(batch, base=tree)
+        applied |= batch
+        assert tree.root == reference_root(applied)
+        assert MerkleMap(batch).root == reference_root(batch)

@@ -1,5 +1,6 @@
 """Static checks over the simulator's own source tree."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -57,3 +58,43 @@ def test_events_are_decoded_only_on_the_bus():
 def test_hmac_is_computed_only_in_crypto():
     # signatures come from the schemes, whose HMAC keeps precomputed key state
     assert _modules_matching(re.compile(r"\bhmac\.new\(")) == ["crypto.py"]
+
+
+def test_frozen_records_are_declared_with_record():
+    # values.record stores fields straight into __dict__; a plain frozen
+    # dataclass would set each one through object.__setattr__
+    assert _modules_matching(re.compile(r"@dataclass\(\s*frozen\s*=\s*True")) == []
+    assert "auction.py" in _modules_matching(re.compile(r"^@record$", re.M))
+
+
+def _calls(tree: ast.AST) -> list[ast.Call]:
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+
+def test_generated_code_is_executed_only_in_values():
+    # values.py generates record __init__s and typed decoders with exec
+    callers = {
+        path.relative_to(SRC).as_posix()
+        for path in SRC.rglob("*.py")
+        for call in _calls(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(call.func, ast.Name) and call.func.id in ("exec", "eval", "compile")
+    }
+    assert callers == {"values.py"}
+
+
+def _function(rel: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse((SRC / rel).read_text(encoding="utf-8"))
+    (found,) = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == name]
+    return found
+
+
+def test_signing_paths_use_the_chain_signer_tables():
+    # the (node_id, key) tables are built once per chain; the hot paths never
+    # rebuild the node list
+    for rel, name in (("chain.py", "node_signatures"), ("chain.py", "_certify"), ("txn.py", "_serve_read")):
+        fn = _function(rel, name)
+        attrs = [c.func.attr for c in _calls(fn) if isinstance(c.func, ast.Attribute)]
+        assert "node_ids" not in attrs, f"{rel}:{name} calls node_ids()"
+    assert any(
+        isinstance(n, ast.Attribute) and n.attr == "signers" for n in ast.walk(_function("txn.py", "_serve_read"))
+    )

@@ -30,6 +30,7 @@ from interopsim.txn import (
     Vote,
     _dec_read,
     _enc_read,
+    read_response_digest,
 )
 from interopsim.values import decode_record, encode_record
 
@@ -824,3 +825,35 @@ def test_forged_inbox_event_to_a_contract_is_refused():
     assert receipt.writes == ()
     assert w.kv("beta", "inbox.alpha.999") is None
     assert w.sim.dedupe["beta"].seen == set()
+
+
+def test_ill_typed_prefix_rows_fail_the_read(monkeypatch):
+    w = World()
+    w.set_kv("beta", "a", 1)
+    t = w.engine.begin_general("alpha", MODE_OCC)
+    rows = w.sim.pump(w.engine.txn_read_prefix_async(t, "beta", "kv."))
+    assert [(key, value) for key, value, _ in rows] == [("kv.a", 1)]
+    assert all(type(h) is int for _, _, version in rows for h in version)
+    # beta's nodes sign rows whose versions lost an item: the decode refuses them
+    beta = w.chains["beta"]
+    real = beta.state_items
+    monkeypatch.setattr(
+        beta, "state_items", lambda prefix="": [(k, v, ver[:1]) for k, v, ver in real(prefix)]
+    )
+    t = w.engine.begin_general("alpha", MODE_OCC)
+    with pytest.raises(EncodingError):
+        w.sim.pump(w.engine.txn_read_prefix_async(t, "beta", "kv."))
+
+
+@pytest.mark.parametrize(
+    "byzantine,signer",
+    [({}, "beta:node0"), ({"beta:node0": Behavior.SILENT, "beta:node1": Behavior.EQUIVOCATE}, "beta:node2")],
+)
+def test_storage_read_is_signed_by_the_first_honest_node(byzantine, signer):
+    w = World(n=7, f=2)  # two faulty nodes still leave a quorum
+    beta = w.chains["beta"]
+    beta.byzantine.update(byzantine)
+    req, raw = _stored_response(w)
+    resp = _dec_read(raw, ReadResponse)
+    expected = read_response_digest(resp.value, req.nonce, resp.anchor_height)
+    assert resp.signatures == ((signer, beta.scheme.sign(beta.keys[signer].signing_key, expected)),)
