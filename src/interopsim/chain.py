@@ -322,8 +322,9 @@ class Chain:
             node_id: self.scheme.keygen(f"{cfg.chain_id}|{node_id}".encode())
             for node_id in cfg.node_ids()
         }
-        # (node_id, key) in node order, built once for the signing paths
-        self.signers = tuple((node_id, kp.signing_key) for node_id, kp in self.keys.items())
+        # the two halves of `keys`, node_id -> key in node order, for the
+        # signing and verifying paths
+        self.signing_keys = {node_id: kp.signing_key for node_id, kp in self.keys.items()}
         self.verify_keys = {node_id: kp.verify_key for node_id, kp in self.keys.items()}
         self.byzantine: dict[str, Behavior] = dict(cfg.byzantine)
 
@@ -553,14 +554,12 @@ class Chain:
         silent nodes skip and equivocators sign the complement.  `honest`
         ignores the behavior flags.
 
-        The nodes and their keys come from the table built with the chain;
-        when every node signs honestly this is one pass over it."""
+        The nodes and their keys come from `signing_keys`, built with the
+        chain, so no call rebuilds the node list."""
         sign = self.scheme.sign  # looked up per call: tracing patches the scheme class
-        if honest or not self.byzantine:
-            return tuple([(node_id, sign(key, message)) for node_id, key in self.signers])
         sigs = []
-        for node_id, key in self.signers:
-            behavior = self.byzantine.get(node_id, Behavior.HONEST)
+        for node_id, key in self.signing_keys.items():
+            behavior = Behavior.HONEST if honest else self.byzantine.get(node_id, Behavior.HONEST)
             if behavior == Behavior.SILENT:
                 continue
             target = message

@@ -16,12 +16,13 @@ sha256(key) and rejects a proof whose stated direction disagrees.
 
 A map is immutable: `MerkleMap(items, base)` applies `items` on top of `base`
 by path copying, so its cost is the writes times the depth, and `base` stays
-valid.  Each write is one loop, not one call per level: down the key's hash
-bits to its slot, splitting a leaf found there at the first bit where their
-hashes differ, then back up, hashing each new inner node.  The trie's shape
-depends only on its keys, so writing one key at a time gives the same root
-as any other order.  Chains keep only their latest map, so proofs are
-served at the current height.
+valid.  Writing walks down each key's hash bits to its slot, copying the
+inner nodes it passes and splitting a leaf found there at the first bit
+where their hashes differ; then every copied node is hashed once, bottom-up,
+so a level the batch's paths share costs one hash per batch, not one per
+write.  Neither step is a call per level.  The trie's shape depends only on
+its keys, so the order of the writes does not change the root.  Chains
+keep only their latest map, so proofs are served at the current height.
 """
 
 from __future__ import annotations
@@ -69,32 +70,44 @@ def _node_digest(node: Optional[tuple]) -> bytes:
     return EMPTY_ROOT if node is None else node[0]
 
 
-def _put(root: Optional[tuple], leaf: tuple) -> tuple:
-    """The trie `root` with `leaf` written, by path copying in one loop, not a call per level.
+def _put(root: Optional[tuple], leaves) -> Optional[tuple]:
+    """The trie `root` with `leaves` written, by path copying, without a call per level.
 
-    Walk down the leaf's key-hash bits to its slot.  A different leaf found
-    there moves down with it, past single-child inner nodes, to the first
-    bit where their key hashes differ.  Then rehash the path bottom-up."""
-    bits = leaf[1]
-    steps = []  # (sibling, 1 if the leaf's side is right) from the root down
-    node, depth = root, 0
-    while node is not None and len(node) == 3:
-        right = (bits >> (255 - depth)) & 1
-        steps.append((node[1] if right else node[2], right))
-        node = node[2] if right else node[1]
-        depth += 1
-    if node is not None and node[2] != leaf[2]:
-        split = 256 - (node[1] ^ bits).bit_length()
-        steps += [(None, (bits >> (255 - level)) & 1) for level in range(depth, split)]
-        steps.append((node, (bits >> (255 - split)) & 1))
-    sub = leaf
-    for sibling, right in reversed(steps):
-        h = EMPTY_ROOT if sibling is None else sibling[0]
-        if right:
-            sub = (sha256(b"\x01" + h + sub[0]).digest(), sibling, sub)
-        else:
-            sub = (sha256(b"\x01" + sub[0] + h).digest(), sub, sibling)
-    return sub
+    Each leaf walks down its key-hash bits to its slot, copying every inner
+    node it passes into a [left, right] list whose digest is not yet known.
+    A different leaf found in the slot moves down with it to the first bit
+    where their key hashes differ.  Then each copied node is hashed once,
+    children before parents, and its tuple replaces it in its parent's slot,
+    so the levels the writes share are hashed once."""
+    top = [root]  # the root's slot
+    copied = []  # (parent, side, node) per copied inner node, each after its parent
+    for leaf in leaves:
+        bits = leaf[1]
+        parent, side, depth = top, 0, 0
+        node = top[0]
+        while node is not None and len(node) != 4:
+            if node.__class__ is tuple:
+                node = parent[side] = [node[1], node[2]]
+                copied.append((parent, side, node))
+            parent, side = node, (bits >> (255 - depth)) & 1
+            node = node[side]
+            depth += 1
+        if node is not None and node[2] != leaf[2]:
+            other = node[1]
+            while True:
+                inner = parent[side] = [None, None]
+                copied.append((parent, side, inner))
+                parent, side = inner, (bits >> (255 - depth)) & 1
+                if side != (other >> (255 - depth)) & 1:
+                    inner[1 - side] = node
+                    break
+                depth += 1
+        parent[side] = leaf
+    for parent, side, (left, right) in reversed(copied):
+        left_digest = EMPTY_ROOT if left is None else left[0]
+        right_digest = EMPTY_ROOT if right is None else right[0]
+        parent[side] = (sha256(b"\x01" + left_digest + right_digest).digest(), left, right)
+    return top[0]
 
 
 def fold_path(node: bytes, bits: int, path: tuple[PathStep, ...]) -> bytes:
@@ -127,9 +140,7 @@ class MerkleMap:
 
     def __init__(self, items: dict[bytes, Value], base: Optional["MerkleMap"] = None):
         node = base._node if base is not None else None
-        for key, value in items.items():
-            node = _put(node, _leaf(key, value))
-        self._node = node
+        self._node = _put(node, [_leaf(key, value) for key, value in items.items()])
 
     @property
     def root(self) -> bytes:

@@ -391,7 +391,7 @@ class Simulation:
             sigs = dict(chain.node_signatures(event.digest))
         else:
             sigs = {
-                node_id: chain.scheme.sign(chain.keys[node_id].signing_key, event.digest)
+                node_id: chain.scheme.sign(chain.signing_keys[node_id], event.digest)
                 for node_id in forged_by
             }
         outbox = self._node_outbox[chain.chain_id]

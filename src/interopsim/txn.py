@@ -476,7 +476,7 @@ class XTxnEngine:
         version = chain.current_version(full_key)
         proof = chain.get_proof(full_key, height)
         sigs = ()
-        for node_id, key in chain.signers:
+        for node_id, key in chain.signing_keys.items():
             if chain.byzantine.get(node_id, Behavior.HONEST) == Behavior.HONEST:
                 sigs = ((node_id, chain.scheme.sign(key, read_response_digest(value, req.nonce, height))),)
                 break

@@ -15,12 +15,11 @@ value: encode_value/decode_value reject tuples and tag 5, so what a contract
 stores stays one of the five scalars.  Every byte string that decodes
 re-encodes to itself.
 
-Fixed work per record is generated once per class, as dataclasses generates
-__init__: `record` is dataclass(frozen=True) with an __init__ that stores
-each field straight into the instance __dict__ (instead of one
-object.__setattr__ call per field), and _compile emits one straight-line
-decoder per record class and tuple type, reading str, bytes, int and bool
-fields inline and building the instance through its class.
+A record class is declared with `record`: dataclass(frozen=True) with an
+__init__, generated once per class as dataclasses generates its own, that
+stores each field straight into the instance __dict__ instead of calling
+object.__setattr__ per field.  Typed decoding follows a plan that _compile
+builds once per record class and tuple type.
 """
 
 from __future__ import annotations
@@ -28,8 +27,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cache
+from itertools import repeat
 from operator import attrgetter
-from typing import Callable, Union, get_args, get_origin, get_type_hints
+from typing import Callable, Optional, Union, get_args, get_origin, get_type_hints
 
 Value = Union[None, bool, int, str, bytes]
 
@@ -145,7 +145,8 @@ def record(cls):
         else:
             params.append(f.name)
         body.append(f"    _fields[{f.name!r}] = {f.name}")
-    init = _define("\n".join([f"def __init__({', '.join(params)}):", *body]), ns, "__init__")
+    exec("\n".join([f"def __init__({', '.join(params)}):", *body]), ns)
+    init = ns["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__init__ = init
     return cls
@@ -223,192 +224,107 @@ def read_record(data: bytes, shape=None, offset: int = 0):
     Returns the record and the offset just past it, so a caller can keep a
     nested record's own bytes, data[offset:end], as its encoding.
     """
-    if data[offset : offset + 1] != _LIST_HEAD:
+    if offset >= len(data) or data[offset] != TAG_LIST:
         raise EncodingError("record is not a list")
-    if shape is not None and not isinstance(shape, int):
-        try:
-            return _compile(shape)(data, offset + 1, 1)
-        except UnicodeDecodeError as exc:
-            raise EncodingError("invalid utf-8") from exc
-    record, end = _decode_list(data, offset + 1, 1)
-    if shape is not None and len(record) != shape:
+    layout = None if shape is None or isinstance(shape, int) else _compile(shape)[1]
+    record, end = _decode_list(data, offset + 1, 1, layout)
+    if layout is None and shape is not None and len(record) != shape:
         raise EncodingError(f"record has {len(record)} items, wanted {shape}")
     return record, end
 
 
-def _decode_list(data: bytes, offset: int, depth: int) -> tuple[tuple, int]:
-    """Decode the untyped list whose count is at data[offset], as a tuple."""
-    if depth > MAX_RECORD_DEPTH:
-        raise EncodingError("record nests too deep")
-    if offset + 4 > len(data):
-        raise EncodingError("truncated list count")
-    n = int.from_bytes(data[offset : offset + 4], "big")
-    offset += 4
-    items = []
-    for _ in range(n):
-        # each item takes at least one byte, so a forged count runs out of data
-        if data[offset : offset + 1] == _LIST_HEAD:
-            item, offset = _decode_list(data, offset + 1, depth + 1)
-        else:
-            item, offset = decode_value(data, offset)
-        items.append(item)
-    return tuple(items), offset
-
-
-# --- typed decoders, generated once per record class and tuple type ---
-
 _SCALARS = frozenset([type(None), bool, int, str, bytes])
-_BOOLS = {b"\x00": False, b"\x01": True}
-_INLINE_TAGS = {str: TAG_STR, bytes: TAG_BYTES, int: TAG_INT, bool: TAG_BOOL}
-
-
-def _ill_typed(data: bytes, offset: int) -> EncodingError:
-    """The error for the item at data[offset], which is not of its type."""
-    if data[offset : offset + 1] == _LIST_HEAD:
-        return EncodingError("a list where a value belongs")
-    item, _ = decode_value(data, offset)  # raises first if the item is malformed
-    return EncodingError(f"ill-typed record item: {type(item).__name__}")
-
-
-def _bad_bool(data: bytes, offset: int) -> EncodingError:
-    if offset >= len(data):
-        return EncodingError("truncated bool")
-    return EncodingError(f"bool byte {data[offset]} is not 0 or 1")
-
-
-def _bad_count(data: bytes, offset: int, width: int) -> EncodingError:
-    if offset + 4 > len(data):
-        return EncodingError("truncated list count")
-    n = int.from_bytes(data[offset : offset + 4], "big")
-    return EncodingError(f"record has {n} items, wanted {width}")
-
-
-def _read_union(data: bytes, offset: int, depth: int, kinds: frozenset, read_list):
-    """One item of a union type: a scalar of `kinds`, or the list `read_list` reads."""
-    if data[offset : offset + 1] == _LIST_HEAD:
-        if read_list is None:
-            raise EncodingError("a list where a value belongs")
-        return read_list(data, offset + 1, depth + 1)
-    item, offset = decode_value(data, offset)
-    if item.__class__ not in kinds:
-        raise EncodingError(f"ill-typed record item: {type(item).__name__}")
-    return item, offset
-
-
-def _is_list_type(tp) -> bool:
-    return get_origin(tp) is tuple or is_dataclass(tp)
-
-
-def _item_source(tp, v: str, ns: dict) -> list[str]:
-    """Lines reading the item of type `tp` at data[offset] into `v`, moving offset past it.
-
-    str, bytes, int and bool are read inline; a record or tuple calls its
-    own decoder; any other union of these goes through _read_union."""
-    if tp in _INLINE_TAGS:
-        tag = _INLINE_TAGS[tp]
-    elif _is_list_type(tp):
-        tag, ns[f"_read_{v}"] = TAG_LIST, _compile(tp)
-    else:
-        kinds, read_list = frozenset(), None
-        for part in get_args(tp) if get_origin(tp) is Union else (tp,):
-            if part in _SCALARS:
-                kinds |= {part}
-            elif _is_list_type(part) and read_list is None:
-                read_list = _compile(part)
-            else:
-                raise TypeError(f"no record layout for {tp!r}")
-        ns[f"_kinds_{v}"], ns[f"_read_{v}"] = kinds, read_list
-        return [f"{v}, offset = _read_union(data, offset, depth, _kinds_{v}, _read_{v})"]
-    lines = [f"if data[offset : offset + 1] != {bytes([tag])!r}: raise _ill_typed(data, offset)"]
-    if tp is str or tp is bytes:
-        lines += [
-            "start = offset + 5",
-            'offset = start + int.from_bytes(data[offset + 1 : start], "big")',
-            'if offset > end: raise EncodingError("truncated payload")',
-            f"{v} = data[start:offset]" + (".decode()" if tp is str else ""),
-        ]
-    elif tp is int:
-        lines += [
-            "start = offset + 1",
-            "offset += 9",
-            'if offset > end: raise EncodingError("truncated int64")',
-            f'{v} = int.from_bytes(data[start:offset], "big", signed=True)',
-        ]
-    elif tp is bool:
-        lines += [
-            f"{v} = _BOOLS.get(data[offset + 1 : offset + 2])",
-            f"if {v} is None: raise _bad_bool(data, offset + 1)",
-            "offset += 2",
-        ]
-    else:
-        lines += [f"{v}, offset = _read_{v}(data, offset + 1, depth + 1)"]
-    return lines
+_TUPLE = frozenset([tuple])
+_ANY = (None, None)  # an untyped item: any value, or any list as a tuple
 
 
 @cache
-def _compile(tp) -> Callable:
-    """The decoder of record class or tuple type `tp`, generated once.
+def _compile(tp) -> tuple[frozenset, Optional[tuple]]:
+    """How to decode an item of type `tp`, compiled once per type.
 
-    Its annotations may be record classes, str, bytes, int (never a bool),
-    bool, Value, Optional or another Union of scalars and at most one list
-    type, tuple[T, ...] and tuple[A, B, ...].  The decoder is straight-line
-    code, `decoder(data, offset, depth) -> (result, offset)`, reading the
-    list whose count is at data[offset]; it raises EncodingError (or
-    UnicodeDecodeError, which read_record converts) at the first mismatch.
+    `tp` is a record class, a scalar type (an int is not a bool), Value,
+    Optional or another Union of these, tuple[T, ...] or tuple[A, B, ...].
+    Returns the classes the item may have and, when it may be a list, the
+    layout _decode_list reads it with: the plans of its items (one plan
+    for every item of a tuple[T, ...]), their number, and the function
+    that builds the result from them.  A union may hold one list type.
     """
-    ns = {
-        "EncodingError": EncodingError,
-        "_ill_typed": _ill_typed,
-        "_bad_bool": _bad_bool,
-        "_bad_count": _bad_count,
-        "_read_union": _read_union,
-        "_BOOLS": _BOOLS,
-    }
-    head = [
-        "def decode(data, offset, depth):",
-        f'    if depth > {MAX_RECORD_DEPTH}: raise EncodingError("record nests too deep")',
-        "    end = len(data)",
-    ]
-    args = get_args(tp)
-    if get_origin(tp) is tuple and len(args) == 2 and args[1] is Ellipsis:
-        item = _item_source(args[0], "v", ns)
-        body = [
-            'if offset + 4 > end: raise EncodingError("truncated list count")',
-            'n = int.from_bytes(data[offset : offset + 4], "big")',
-            "offset += 4",
-            "items = []",
-            # each item takes at least one byte, so a forged count runs out of data
-            "for _ in range(n):",
-            *["    " + line for line in item],
-            "    items.append(v)",
-            "return tuple(items), offset",
-        ]
+    if tp in _SCALARS:
+        return frozenset([tp]), None
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Union:
+        parts = [_compile(a) for a in args]
+        layouts = [layout for _, layout in parts if layout is not None]
+        if len(layouts) > 1:
+            raise TypeError(f"no record layout for {tp!r}: more than one list type")
+        return frozenset().union(*[kinds for kinds, _ in parts]), (layouts or [None])[0]
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        return _TUPLE, (_compile(args[0]), None, tuple)
+    if origin is tuple:
+        return _TUPLE, ([_compile(a) for a in args], len(args), tuple)
+    if is_dataclass(tp):
+        hints = get_type_hints(tp)
+        plans = [_compile(hints[f.name]) for f in fields(tp)]
+        return _TUPLE, (plans, len(plans), lambda items: tp(*items))
+    raise TypeError(f"no record layout for {tp!r}")
+
+
+def _decode_list(data: bytes, offset: int, depth: int, layout: Optional[tuple] = None):
+    """Decode the list whose count is at data[offset].
+
+    With a `layout` from _compile, each item is checked against its plan
+    and the layout builds the result; without one, items are untyped and
+    the result is a tuple.
+    """
+    if depth > MAX_RECORD_DEPTH:
+        raise EncodingError("record nests too deep")
+    end = len(data)
+    if offset + 4 > end:
+        raise EncodingError("truncated list count")
+    n = int.from_bytes(data[offset : offset + 4], "big")
+    offset += 4
+    if layout is None:
+        plans, build = repeat(_ANY, n), tuple
     else:
-        if get_origin(tp) is tuple:
-            types, build = args, "({})"
-        elif is_dataclass(tp):
-            hints = get_type_hints(tp)
-            types, build = [hints[f.name] for f in fields(tp)], "cls({})"
-            ns["cls"] = tp
+        plans, width, build = layout
+        if width is None:
+            plans = repeat(plans, n)
+        elif n != width:
+            raise EncodingError(f"record has {n} items, wanted {width}")
+    items = []
+    append = items.append
+    for kinds, sub in plans:
+        # each item takes at least one byte, so a forged count runs out of data
+        tag = data[offset] if offset < end else None
+        if tag == TAG_STR or tag == TAG_BYTES:  # the common cases, inline
+            start = offset + 5
+            offset = start + int.from_bytes(data[offset + 1 : start], "big")
+            if offset > end:
+                raise EncodingError("truncated payload")
+            item = data[start:offset]
+            if tag == TAG_STR:
+                try:
+                    item = item.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise EncodingError("invalid utf-8") from exc
+        elif tag == TAG_INT:
+            start = offset + 1
+            offset = start + 8
+            if offset > end:
+                raise EncodingError("truncated int64")
+            item = int.from_bytes(data[start:offset], "big", signed=True)
+        elif tag == TAG_LIST:
+            if kinds is not None and tuple not in kinds:
+                raise EncodingError("a list where a value belongs")
+            item, offset = _decode_list(data, offset + 1, depth + 1, sub)
+            append(item)
+            continue
         else:
-            raise TypeError(f"no record layout for {tp!r}")
-        names = [f"v{i}" for i in range(len(types))]
-        body = [
-            f"if data[offset : offset + 4] != {len(types).to_bytes(4, 'big')!r}:",
-            f"    raise _bad_count(data, offset, {len(types)})",
-            "offset += 4",
-        ]
-        for name, item_tp in zip(names, types):
-            body += _item_source(item_tp, name, ns)
-        items = ", ".join(names) + ("," if len(names) == 1 and build == "({})" else "")
-        body.append(f"return {build.format(items)}, offset")
-    return _define("\n".join(head + ["    " + line for line in body]), ns, "decode")
-
-
-def _define(source: str, ns: dict, name: str) -> Callable:
-    """The function `name` that generated `source` defines, with `ns` as its globals."""
-    exec(source, ns)
-    return ns[name]
+            item, offset = decode_value(data, offset)
+        if kinds is not None and item.__class__ not in kinds:
+            raise EncodingError(f"ill-typed record item: {type(item).__name__}")
+        append(item)
+    return build(items), offset
 
 
 def lp(raw: bytes) -> bytes:

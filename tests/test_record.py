@@ -1,4 +1,4 @@
-"""`values.record` classes and the typed decoders generated per type."""
+"""`values.record` classes and typed record decoding."""
 
 from __future__ import annotations
 
@@ -113,7 +113,7 @@ def test_record_refuses_what_its_init_does_not_generate():
             record(cls)
 
 
-# --- generated decoders ---
+# --- typed decoding ---
 
 
 @pytest.fixture(scope="module")

@@ -72,7 +72,7 @@ def _calls(tree: ast.AST) -> list[ast.Call]:
 
 
 def test_generated_code_is_executed_only_in_values():
-    # values.py generates record __init__s and typed decoders with exec
+    # values.py generates record __init__s with exec
     callers = {
         path.relative_to(SRC).as_posix()
         for path in SRC.rglob("*.py")
@@ -89,12 +89,12 @@ def _function(rel: str, name: str) -> ast.FunctionDef:
 
 
 def test_signing_paths_use_the_chain_signer_tables():
-    # the (node_id, key) tables are built once per chain; the hot paths never
+    # the node_id -> key tables are built once per chain; the hot paths never
     # rebuild the node list
     for rel, name in (("chain.py", "node_signatures"), ("chain.py", "_certify"), ("txn.py", "_serve_read")):
         fn = _function(rel, name)
         attrs = [c.func.attr for c in _calls(fn) if isinstance(c.func, ast.Attribute)]
         assert "node_ids" not in attrs, f"{rel}:{name} calls node_ids()"
     assert any(
-        isinstance(n, ast.Attribute) and n.attr == "signers" for n in ast.walk(_function("txn.py", "_serve_read"))
+        isinstance(n, ast.Attribute) and n.attr == "signing_keys" for n in ast.walk(_function("txn.py", "_serve_read"))
     )
