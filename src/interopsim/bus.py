@@ -17,7 +17,7 @@ decoded from as its encoding, so hashing it encodes nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -34,8 +34,6 @@ KIND_VOTE = 4
 KIND_DECIDE = 5
 # application events use kinds >= 16
 KIND_APP_BASE = 16
-
-GATEWAY_TIMEOUT = 50  # ticks a gateway keeps collecting one event's signatures
 
 
 @record
@@ -217,14 +215,6 @@ def _tamper(raw: bytes) -> bytes:
     return raw[:pos] + bytes([raw[pos] ^ 0xA5]) + raw[pos + 1 :]
 
 
-@dataclass
-class PendingBatch:
-    """The signatures a gateway has collected so far for one event."""
-
-    since: int  # tick of the first signature
-    sigs: dict[str, bytes] = field(default_factory=dict)
-
-
 class Gateway:
     """Per-chain relay batching f+1 node signatures over one event digest."""
 
@@ -232,44 +222,22 @@ class Gateway:
         self.chain_id = chain_id
         self.f = f
         self.registry = registry
-        self.timeout = GATEWAY_TIMEOUT
-        self.pending: dict[bytes, PendingBatch] = {}
-        self.emitted: dict[bytes, bytes] = {}  # digest -> batch wire form
         self.invalid_signatures = 0
 
-    def collect(
-        self, node_id: str, event: Event, sig: bytes, now: int
-    ) -> Optional[SignedEventBatch]:
-        d = event.digest
-        if d in self.emitted:
-            return None
-        if not self.registry.verify(self.chain_id, node_id, d, sig):
-            self.invalid_signatures += 1
-            return None
-        entry = self.pending.setdefault(d, PendingBatch(now))
-        entry.sigs[node_id] = sig
-        if len(entry.sigs) >= self.f + 1:
-            batch = SignedEventBatch(event=event, signatures=tuple(sorted(entry.sigs.items())))
-            del self.pending[d]
-            self.emitted[d] = batch.encode()
-            return batch
+    def collect(self, event: Event, sigs: dict[str, bytes]) -> Optional[SignedEventBatch]:
+        """Batch the first f+1 of `sigs` that verify, in node-id order; None if fewer do.
+
+        All of an event's signatures arrive in this one call, so nothing is
+        kept between calls."""
+        valid = []
+        for node_id, sig in sorted(sigs.items()):
+            if not self.registry.verify(self.chain_id, node_id, event.digest, sig):
+                self.invalid_signatures += 1
+                continue
+            valid.append((node_id, sig))
+            if len(valid) == self.f + 1:
+                return SignedEventBatch(event=event, signatures=tuple(valid))
         return None
-
-    def expire(self, now: int) -> None:
-        stale = [d for d, e in self.pending.items() if now - e.since > self.timeout]
-        for d in stale:
-            del self.pending[d]
-
-    def next_expiry(self) -> Optional[int]:
-        """First tick at which expire() drops a pending batch; None if none is pending."""
-        if not self.pending:
-            return None
-        return min(e.since for e in self.pending.values()) + self.timeout + 1
-
-    def crash(self) -> None:
-        """Full state loss; node re-forwarding rebuilds batches."""
-        self.pending.clear()
-        self.emitted.clear()
 
 
 class InboxDedupe:

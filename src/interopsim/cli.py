@@ -11,7 +11,7 @@ from .audit import audit_run
 from .errors import ConfigError, CorruptLog, SimError
 from .fixtures import scenario_path
 from .runlog import load_log
-from .scenario import Scenario, load_scenario, run_scenario
+from .scenario import DEFAULT_BROKERS, Scenario, load_scenario, run_scenario
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -26,7 +26,9 @@ def _apply_overrides(raw: dict, args) -> dict:
     if args.max_ticks is not None:
         raw["max_ticks"] = args.max_ticks
     if args.drop_rate is not None:
-        for spec in raw.get("broker", {}).values():
+        # a scenario without [broker] sections runs the default brokers
+        brokers = raw.setdefault("broker", {name: dict(spec) for name, spec in DEFAULT_BROKERS.items()})
+        for spec in brokers.values():
             spec["drop_rate"] = args.drop_rate
     return raw
 

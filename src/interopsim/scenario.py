@@ -50,11 +50,15 @@ def _parse_value(raw: str, line_no: int):
         raise ConfigError(f"line {line_no}: cannot parse value {raw!r}")
 
 
+# a double-quoted string, kept whole, or a comment running to the line's end
+_QUOTED_OR_COMMENT = re.compile(r'("(?:\\.|[^"\\])*")|#.*')
+
+
 def parse_scenario_text(text: str) -> dict:
     root: dict = {"script": []}
     target: dict = root
     for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].rstrip()
+        stripped = _QUOTED_OR_COMMENT.sub(lambda m: m.group(1) or "", line).rstrip()
         if not stripped.strip():
             continue
         m = _LINE.match(stripped)
@@ -94,7 +98,7 @@ _BEHAVIORS = {
     "equivocate": Behavior.EQUIVOCATE,
 }
 
-_DEFAULT_BROKERS = {"b0": {}, "b1": {}}
+DEFAULT_BROKERS = {"b0": {}, "b1": {}}
 
 # keys each script action requires; "tick" defaults to 0
 _ACTION_KEYS = {
@@ -103,7 +107,6 @@ _ACTION_KEYS = {
     "conclude": frozenset(),
     "submit_txn": frozenset({"chain", "contract", "method"}),
     "set_byzantine": frozenset({"chain", "node"}),
-    "crash_gateway": frozenset({"chain"}),
     "restart_broker": frozenset({"broker"}),
 }
 
@@ -144,7 +147,7 @@ class Scenario:
         for chain_id, spec in chains.items():
             if spec.get("byzantine"):
                 _check_byzantine(chain_id, spec.get("n", 4), spec["byzantine"])
-        brokers = raw.get("broker", _DEFAULT_BROKERS)
+        brokers = raw.get("broker", DEFAULT_BROKERS)
         for entry in raw.get("script", []):
             action = entry.get("action")
             required = _ACTION_KEYS.get(action)
@@ -200,7 +203,7 @@ def build_world(scn: Scenario, log: Optional[RunLog]) -> tuple[Simulation, XTxnE
             for assignment in byz.split(","):
                 node, behavior = assignment.split(":")
                 chain.byzantine[f"{chain_id}:{node}"] = _BEHAVIORS[behavior]
-    brokers = raw.get("broker", _DEFAULT_BROKERS)
+    brokers = raw.get("broker", DEFAULT_BROKERS)
     faults = [f.name for f in fields(BrokerFaults)]
     for broker_id, spec in sorted(brokers.items()):
         sim.add_broker(Broker(broker_id, BrokerFaults(**{name: spec[name] for name in faults if name in spec})))
@@ -287,9 +290,6 @@ def _schedule_script(scn: Scenario, sim: Simulation, engine: XTxnEngine, app, ou
             node = f"{entry['chain']}:{entry['node']}"
             behavior = _BEHAVIORS[entry.get("behavior", "silent")]
             return lambda: chain.byzantine.__setitem__(node, behavior)
-        if action == "crash_gateway":
-            gateway = sim.gateways[entry["chain"]]
-            return lambda: gateway.crash()
         broker = next(b for b in sim.brokers if b.broker_id == entry["broker"])
         return lambda: broker.restart(sim.tick)
 

@@ -6,7 +6,7 @@ order is documented at the drawing sites; the per-tick phase order is:
 
     1. timers due this tick        4. consumer pulls / inbox routing
     2. ready tasks                 5. ready tasks again
-    3. block production + events   6. gateway expiry
+    3. block production + events (each signed, batched, published at once)
 
 Chains are stepped in creation order throughout.  The run loops
 (run_until_quiescent, pump) jump the clock over ticks at which none of these
@@ -26,7 +26,6 @@ from .bus import (
     Gateway,
     InboxDedupe,
     KeyRegistry,
-    SignedEventBatch,
     verify_batch,
 )
 from .chain import Chain, ChainConfig, EventDraft
@@ -35,8 +34,6 @@ from .runlog import RunLog
 
 
 BROKER_LATENCY = 1
-NODE_RETRANSMIT_INTERVAL = 6
-NODE_RETENTION = 120  # give up re-forwarding unbatchable events
 BUS_RETRIES = 5
 BUS_BACKOFF = 4  # linear: re-publish at +b, +2b, ... +retries*b
 DECISION_POLL = 20  # a prepared participant asks the coordinator this often
@@ -197,10 +194,6 @@ class Simulation:
         self._timer_seq = 0
         # direct request/response channel handlers, per chain
         self.direct_handlers: dict[str, Callable] = {}
-        # node -> gateway re-forward queues:
-        # chain -> {digest: (event, {node: sig}, created_tick)}
-        self._node_outbox: dict[str, dict[bytes, tuple[Event, dict[str, bytes], int]]] = {}
-        self._outbox_timer_armed: set[str] = set()
 
     # ----------------------------------------------------------- topology
 
@@ -221,7 +214,6 @@ class Simulation:
             chain.verify_keys,
             chain.scheme,
         )
-        self._node_outbox[cfg.chain_id] = {}
         return chain
 
     def add_broker(self, broker: Broker) -> Broker:
@@ -281,17 +273,14 @@ class Simulation:
             self._deliver(chain_id)
         if self.tasks:
             self._run_ready_tasks()
-        for gw in self.gateways.values():
-            if gw.pending:
-                gw.expire(now)
         self.tick = now + 1
 
     def _idle_until(self, limit: int) -> None:
         """Move the clock forward to the next tick at which step() has work.
 
-        That is the earliest due timer, broker entry or gateway expiry, and
-        at most `limit`.  With no ready task and no mempool entry, every tick
-        before it would run no timer, task, block, delivery or expiry.
+        That is the earliest due timer or broker entry, and at most `limit`.
+        With no ready task and no mempool entry, every tick before it would
+        run no timer, task, block or delivery.
         """
         if any(chain.mempool for chain in self.chains.values()):
             return
@@ -301,7 +290,6 @@ class Simulation:
         if self._timers:
             wake.append(self._timers[0][0])
         wake.extend(broker.next_due() for broker in self.brokers)
-        wake.extend(gw.next_expiry() for gw in self.gateways.values())
         self.tick = max(self.tick, min(t for t in wake if t is not None))
 
     def quiescent(self) -> bool:
@@ -310,8 +298,6 @@ class Simulation:
         if any(chain.mempool for chain in self.chains.values()):
             return False
         if any(broker.next_due() is not None for broker in self.brokers):
-            return False
-        if any(outbox for outbox in self._node_outbox.values()):
             return False
         return True
 
@@ -381,11 +367,12 @@ class Simulation:
             self.emit_event(chain, event)
 
     def emit_event(self, chain: Chain, event: Event, forged_by: Optional[list[str]] = None) -> None:
-        """Every (selected) node signs the digest and forwards to the gateway.
+        """Every (selected) node signs the digest; the gateway batches and publishes.
 
         forged_by limits signing to the given nodes: the forged-event path,
         where only colluding Byzantine nodes endorse an event that never
-        executed.  Honest emission signs per each node's behavior flag.
+        executed.  Honest emission signs per each node's behavior flag.  An
+        event that fewer than f+1 valid signatures endorse is given up here.
         """
         if forged_by is None:
             sigs = dict(chain.node_signatures(event.digest))
@@ -394,54 +381,11 @@ class Simulation:
                 node_id: chain.scheme.sign(chain.signing_keys[node_id], event.digest)
                 for node_id in forged_by
             }
-        outbox = self._node_outbox[chain.chain_id]
-        outbox[event.digest] = (event, sigs, self.tick)
-        self._arm_outbox_timer(chain.chain_id)
-        self._forward_signatures(chain.chain_id, event, sigs)
-
-    def _forward_signatures(self, chain_id: str, event: Event, sigs: dict[str, bytes]) -> None:
-        gw = self.gateways[chain_id]
-        batch = None
-        for node_id in sorted(sigs):
-            b = gw.collect(node_id, event, sigs[node_id], self.tick)
-            if b is not None:
-                batch = b
-        if batch is not None:
-            self._publish_batch(batch)
-
-    def _arm_outbox_timer(self, chain_id: str) -> None:
-        if chain_id in self._outbox_timer_armed:
-            return
-        self._outbox_timer_armed.add(chain_id)
-        self.call_later(NODE_RETRANSMIT_INTERVAL, lambda: self._outbox_scan(chain_id))
-
-    def _outbox_scan(self, chain_id: str) -> None:
-        """Nodes re-forward unacknowledged signatures (gateway crash recovery)."""
-        self._outbox_timer_armed.discard(chain_id)
-        gw = self.gateways[chain_id]
-        outbox = self._node_outbox[chain_id]
-        done = [
-            d
-            for d, (_, _, created) in outbox.items()
-            if d in gw.emitted or self.tick - created > NODE_RETENTION
-        ]
-        for d in done:
-            if d not in gw.emitted:
-                self._log_giveup(outbox[d][0], "gateway", [])
-            del outbox[d]
-        if not outbox:
-            return
-        for d in list(outbox):
-            event, sigs, _ = outbox[d]
-            self._forward_signatures(chain_id, event, sigs)
-        outbox_done = [d for d in outbox if d in gw.emitted]
-        for d in outbox_done:
-            del outbox[d]
-        if outbox:
-            self._arm_outbox_timer(chain_id)
-
-    def _publish_batch(self, batch: SignedEventBatch) -> None:
-        self._publish_round(batch.event, batch.encode(), list(self.brokers), 0)
+        batch = self.gateways[chain.chain_id].collect(event, sigs)
+        if batch is None:
+            self._log_giveup(event, "gateway", [])
+        else:
+            self._publish_round(event, batch.encode(), list(self.brokers), 0)
 
     def _publish_round(self, event: Event, raw: bytes, brokers: list[Broker], retries: int) -> None:
         """Publish to `brokers`; re-publish to those that did not acknowledge.

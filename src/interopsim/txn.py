@@ -188,7 +188,6 @@ class Vote:
     """A participant's vote on its prepare, with the values of the keys it read."""
 
     txn_id: str
-    participant: str
     vote: str  # yes | no
     reason: str
     reads: tuple[tuple[str, Value], ...] = ()  # (key, value)
@@ -721,7 +720,8 @@ class XTxnEngine:
         if kind == KIND_PREPARE:
             return self._exec_prepare(chain, decode_record(event.payload, Prepare), txn, height, idx)
         if kind == KIND_VOTE:
-            return self._exec_vote(chain, decode_record(event.payload, Vote), txn, height, idx)
+            vote = decode_record(event.payload, Vote)  # the voter is the event's source chain
+            return self._exec_vote(chain, event.source_chain, vote, txn, height, idx)
         if kind == KIND_DECIDE:
             outcome = decode_record(event.payload, Outcome)
             return self._exec_apply(chain, outcome.txn_id, outcome.decision, txn, height, idx)
@@ -749,7 +749,7 @@ class XTxnEngine:
             state_writes[f"sys.xt.{txid}.vote"] = "yes"
             chain.after_commit(partial(self._prepared, p, chain.chain_id))
         applied = chain._commit_writes(state_writes, height, idx)
-        vote = Vote(txid, chain.chain_id, "no" if reason else "yes", reason, reads)
+        vote = Vote(txid, "no" if reason else "yes", reason, reads)
         out = [_sys_event(p.coordinator, KIND_VOTE, encode_record(vote))]
         return Receipt(txn.txn_id, "ok", writes=applied, xchain_txn=txid), out
 
@@ -800,8 +800,8 @@ class XTxnEngine:
     def _covered_by_prefix(self, chain: Chain, key: str, owner: str) -> bool:
         return any(key.startswith(p) for p, o in chain.locks.prefix.items() if o == owner)
 
-    def _exec_vote(self, chain: Chain, v: Vote, txn, height: int, idx: int):
-        txid, part = v.txn_id, v.participant
+    def _exec_vote(self, chain: Chain, part: str, v: Vote, txn, height: int, idx: int):
+        txid = v.txn_id
         t = self.records.get(txid)
         if t is None:
             return Receipt(txn.txn_id, "ok", writes=()), []

@@ -13,7 +13,7 @@ from interopsim.bus import (
 )
 from interopsim.chain import Behavior
 from interopsim.errors import EncodingError
-from interopsim.sim import BROKER_LATENCY, BUS_BACKOFF, BUS_RETRIES, NODE_RETENTION
+from interopsim.sim import BROKER_LATENCY, BUS_BACKOFF, BUS_RETRIES
 from interopsim.txn import Committed, MiniTxn
 from interopsim.values import decode_record, digest, encode_record
 
@@ -124,22 +124,40 @@ def test_nonce_auto_assignment_sequential():
     assert nonces == [nonces[0], nonces[0] + 1]
 
 
-def test_gateway_batches_at_f_plus_1():
+def published_batch(world: World, event: Event) -> bytes:
+    """The wire bytes of the one batch the brokers queued for `event`."""
+    (raw,) = {
+        raw
+        for broker in world.sim.brokers
+        for _, raw in broker.history
+        if decode_record(raw, SignedEventBatch).event == event
+    }
+    return raw
+
+
+def test_gateway_batches_at_f_plus_1(monkeypatch):
     w = World()
     gw = w.sim.gateways["alpha"]
     chain = w.chains["alpha"]
     e = sample_event()
-    d = e.digest
-    nodes = chain.cfg.node_ids()
-    sig0 = chain.scheme.sign(chain.keys[nodes[0]].signing_key, d)
-    sig1 = chain.scheme.sign(chain.keys[nodes[1]].signing_key, d)
-    assert gw.collect(nodes[0], e, sig0, now=0) is None
-    batch = gw.collect(nodes[1], e, sig1, now=0)  # second signature: emit
-    assert batch is not None
-    assert len(batch.signatures) == 2
-    # at-most-once emission
-    sig2 = chain.scheme.sign(chain.keys[nodes[2]].signing_key, d)
-    assert gw.collect(nodes[2], e, sig2, now=0) is None
+    sigs = dict(chain.node_signatures(e.digest))
+    assert len(sigs) == 4
+    verified = []
+    real = w.sim.registry.verify
+
+    def counting(chain_id, node_id, message, sig):
+        verified.append(node_id)
+        return real(chain_id, node_id, message, sig)
+
+    monkeypatch.setattr(w.sim.registry, "verify", counting)
+    batch = gw.collect(e, sigs)
+    # the first f+1 signatures in node-id order, and no more are verified
+    nodes = sorted(sigs)
+    assert batch.event is e
+    assert batch.signatures == tuple((n, sigs[n]) for n in nodes[:2])
+    assert verified == nodes[:2]
+    # f valid signatures form no batch
+    assert gw.collect(e, {nodes[3]: sigs[nodes[3]]}) is None
 
 
 def test_gateway_ignores_invalid_signature():
@@ -147,45 +165,40 @@ def test_gateway_ignores_invalid_signature():
     gw = w.sim.gateways["alpha"]
     chain = w.chains["alpha"]
     e = sample_event()
-    assert gw.collect(chain.cfg.node_ids()[0], e, b"garbage", now=0) is None
-    assert gw.invalid_signatures == 1
-    assert not gw.pending
-
-
-def test_gateway_expiry_below_threshold():
-    w = World()
-    gw = w.sim.gateways["alpha"]
-    chain = w.chains["alpha"]
-    e = sample_event()
     nodes = chain.cfg.node_ids()
-    sig = chain.scheme.sign(chain.keys[nodes[0]].signing_key, e.digest)
-    gw.collect(nodes[0], e, sig, now=0)
-    assert gw.pending
-    gw.expire(now=gw.timeout + 1)
-    assert not gw.pending
+    assert gw.collect(e, {nodes[0]: b"garbage"}) is None
+    assert gw.invalid_signatures == 1
+    # a garbage signature is skipped: the next valid one completes the batch
+    sigs = dict(chain.node_signatures(e.digest))
+    sigs[nodes[0]] = b"garbage"
+    batch = gw.collect(e, sigs)
+    assert batch.signatures == tuple((n, sigs[n]) for n in nodes[1:3])
+    assert gw.invalid_signatures == 2
+    # with only f valid signatures left, none is batched
+    assert gw.collect(e, {nodes[0]: b"garbage", nodes[1]: sigs[nodes[1]]}) is None
 
 
 def test_honest_emission_forwards_all_node_signatures():
     w = World()
     chain = w.chains["alpha"]
     e = sample_event(nonce=555)
+    # all 4 honest nodes sign; the published batch carries exactly f+1
+    assert len(chain.node_signatures(e.digest)) == 4
     w.sim.emit_event(chain, e)
-    # all 4 honest nodes forwarded; the published batch carries exactly f+1
-    _, sigs, _ = w.sim._node_outbox["alpha"][e.digest]
-    assert len(sigs) == 4
-    assert e.digest in w.sim.gateways["alpha"].emitted
-    batch = decode_record(w.sim.gateways["alpha"].emitted[e.digest], SignedEventBatch)
+    batch = decode_record(published_batch(w, e), SignedEventBatch)
     assert len(batch.signatures) == chain.cfg.f + 1
 
 
 def test_silent_node_reduces_signatures():
     w = World()
     chain = w.chains["alpha"]
-    chain.byzantine[chain.cfg.node_ids()[0]] = Behavior.SILENT
+    silent = chain.cfg.node_ids()[0]
+    chain.byzantine[silent] = Behavior.SILENT
     e = sample_event(nonce=556)
+    assert len(chain.node_signatures(e.digest)) == 3  # the silent node stays quiet
     w.sim.emit_event(chain, e)
-    _, sigs, _ = w.sim._node_outbox["alpha"][e.digest]
-    assert len(sigs) == 3  # the silent node stays quiet
+    batch = decode_record(published_batch(w, e), SignedEventBatch)
+    assert silent not in dict(batch.signatures)
     emit_via_contract(w, value=b"quiet")
     # batches still form from the remaining nodes; delivery succeeds
     items = [
@@ -264,21 +277,6 @@ def test_batch_with_f_signatures_dropped():
     assert verify_batch(dup.encode(), w.sim.registry) is None
 
 
-def test_gateway_crash_recovery_via_node_retransmission():
-    w = World()
-    # hold delivery back by crashing the gateway right after emission
-    chain = w.chains["alpha"]
-    contract = chain.contracts["kv"]
-    contract.handlers = dict(contract.handlers)
-    contract.handlers["emit"] = lambda self, ctx, args: ctx.emit("beta", "kv", 16, b"survive")
-    chain.submit_call("alice", "kv", "emit", [])
-    w.sim.step()  # block produced, signatures forwarded, batch emitted
-    w.sim.gateways["alpha"].crash()
-    w.settle()
-    items = w.chains["beta"].state_items("kv.inbox.")
-    assert len(items) == 1  # re-forwarded signatures rebuilt the batch
-
-
 def test_eventual_delivery_within_retry_bound():
     cfgs = [(0.3, 11), (0.5, 12)]
     for drop, seed in cfgs:
@@ -338,14 +336,13 @@ def test_event_without_a_signature_quorum_is_logged_when_dropped():
     emitted_at = w.sim.tick
     # one signature, f + 1 = 2 needed: the gateway never forms a batch
     w.sim.emit_event(w.chains["alpha"], e, forged_by=["alpha:node0"])
-    w.settle()
+    assert w.sim.quiescent()  # nothing is left to retry
     assert w.sim.meter.sent == 0
     giveups = [r for r in w.sim.log.records if r["kind"] == "giveup"]
-    assert giveups and giveups[0]["tick"] - emitted_at > NODE_RETENTION
     assert giveups == [
         {
             "kind": "giveup",
-            "tick": giveups[0]["tick"],
+            "tick": emitted_at,
             "source_chain": "alpha",
             "nonce": 99,
             "dest_chain": "beta",
@@ -440,7 +437,7 @@ def test_misrouted_batch_never_enters_the_map(monkeypatch):
     broker = w.sim.add_broker(Broker("b0"))
     e = sample_event(nonce=31337)
     w.sim.emit_event(w.chains["alpha"], e)
-    raw = w.sim.gateways["alpha"].emitted[e.digest]
+    raw = published_batch(w, e)
     w.settle()
     calls = count_verifies(monkeypatch)
     for _ in range(2):
@@ -471,7 +468,7 @@ def test_signed_batch_encoded_once():
     e = sample_event(nonce=555)
     w.sim.emit_event(w.chains["alpha"], e)
     w.settle()
-    wire = w.sim.gateways["alpha"].emitted[e.digest]
+    wire = published_batch(w, e)
     copies = [raw for broker in w.sim.brokers for _, raw in broker.history if raw == wire]
     assert len(copies) > 1  # the first publish, on both brokers
     assert all(raw is wire for raw in copies)
@@ -495,10 +492,9 @@ def test_fault_free_batch_published_once():
     chain.submit_call("alice", "kv", "emit", [])
     while not w.chains["beta"].state_items("kv.inbox."):
         w.sim.step()
-    # every timer left is a node outbox scan: no bus retransmit is armed
-    assert len(w.sim._timers) == len(w.sim._outbox_timer_armed) == 1
+    assert not w.sim._timers  # no bus retransmit is armed
     w.settle()
-    batches = sum(len(gw.emitted) for gw in w.sim.gateways.values())
+    batches = len({raw for broker in w.sim.brokers for _, raw in broker.history})
     assert batches == 1
     assert w.sim.meter.sent == batches
     assert [b.metrics["published"] for b in w.sim.brokers] == [1, 1]
@@ -597,7 +593,7 @@ def test_decoded_event_keeps_its_canonical_bytes():
     w = World()
     e = sample_event(nonce=4242, payload=b"kept")
     w.sim.emit_event(w.chains["alpha"], e)
-    raw = w.sim.gateways["alpha"].emitted[e.digest]
+    raw = published_batch(w, e)
     batch = verify_batch(raw, w.sim.registry)
     decoded = batch.event
     assert decoded == e

@@ -9,6 +9,7 @@ from interopsim.errors import ConfigError, CorruptLog
 from interopsim.fixtures import scenario_path
 from interopsim.runlog import RunLog, load_log
 from interopsim.scenario import (
+    DEFAULT_BROKERS,
     Scenario,
     load_scenario,
     parse_scenario_text,
@@ -40,15 +41,20 @@ def test_parse_scenario_sections_and_script():
         drop_rate = 0.25
         [[script]]
         tick = 1
-        action = "crash_gateway"
-        chain = "alpha"
+        action = "restart_broker"
+        broker = "b0"
         """
     )
     assert raw["seed"] == 7
     assert raw["mode"] == "locks"
     assert raw["chain"]["alpha"]["n"] == 4
     assert raw["broker"]["b0"]["drop_rate"] == 0.25
-    assert raw["script"][0]["action"] == "crash_gateway"
+    assert raw["script"][0]["action"] == "restart_broker"
+
+
+def test_parse_keeps_a_hash_inside_quotes():
+    raw = parse_scenario_text('x = "a#b"  # a comment\ny = "#" # "z"\n# only a comment\n')
+    assert raw == {"script": [], "x": "a#b", "y": "#"}
 
 
 def test_parse_rejects_garbage():
@@ -110,7 +116,7 @@ def _fixture_with_script(*entries):
         {"tick": 30, "action": "set_byzantine", "chain": "coinb", "node": "node01"},
         {"tick": 30, "action": "set_byzantine", "chain": "coinb", "node": "n1"},
         {"tick": 30, "action": "set_byzantine", "chain": "coinb", "node": "node1", "behavior": "forge"},
-        {"tick": 30, "action": "crash_gateway"},
+        {"tick": 30, "action": "set_byzantine", "node": "node1"},
         {"tick": 30, "action": "restart_broker"},
         {"tick": 30, "action": "restart_broker", "broker": "b9"},
     ],
@@ -140,7 +146,6 @@ def test_auction_action_without_auction_section_rejected(action):
 def test_well_formed_fault_actions_accepted():
     raw = _fixture_with_script(
         {"tick": 30, "action": "set_byzantine", "chain": "coinb", "node": "node3", "behavior": "equivocate"},
-        {"tick": 30, "action": "crash_gateway", "chain": "coinb"},
         {"tick": 30, "action": "restart_broker", "broker": "b1"},
     )
     raw["chain"]["tickets"]["byzantine"] = "node0:silent,node3:honest"
@@ -155,10 +160,10 @@ _FIXTURE_APPEND = '\n[[script]]\ntick = 30\n'
     [
         lambda text: text + _FIXTURE_APPEND
         + 'action = "set_byzantine"\nchain = "coinb"\nnode = "node1"\nbehavior = "bogus"\n',
-        lambda text: text + _FIXTURE_APPEND + 'action = "crash_gateway"\n',
+        lambda text: text + _FIXTURE_APPEND + 'action = "restart_broker"\n',
         lambda text: text.replace("[chain.tickets]\n", '[chain.tickets]\nbyzantine = "node1"\n'),
     ],
-    ids=["unknown_behavior", "crash_gateway_without_chain", "byzantine_without_colon"],
+    ids=["unknown_behavior", "restart_broker_without_broker", "byzantine_without_colon"],
 )
 def test_cli_malformed_scenario_is_a_config_error(tmp_path, capsys, edit):
     text = scenario_path("auction").read_text(encoding="utf-8")
@@ -228,12 +233,11 @@ def test_fixture_under_real_asymmetric_signatures():
     assert audit_records(log.records).ok
 
 
-def test_byzantine_and_crash_gateway_actions():
+def test_set_byzantine_action():
     raw = load_scenario(str(scenario_path("auction")))
     raw["script"] = [
         {"tick": 1, "action": "set_byzantine", "chain": "coinb", "node": "node0",
          "behavior": "silent"},
-        {"tick": 2, "action": "crash_gateway", "chain": "tickets"},
         {"tick": 3, "action": "start_auction", "auction": "a1", "close_height": 200},
         {"tick": 12, "action": "submit_bid", "chain": "coinb", "user": "bob", "amount": 100},
         {"tick": 16, "action": "submit_bid", "chain": "coinc", "user": "carol", "amount": 40},
@@ -451,6 +455,19 @@ def test_cli_drop_rate_override(tmp_path, capsys):
     assert code == 0
     metrics = json.loads(capsys.readouterr().out)
     assert metrics["messages"]["dropped"] > 0
+
+
+def test_cli_drop_rate_override_reaches_the_default_brokers(tmp_path, capsys):
+    text = scenario_path("auction").read_text(encoding="utf-8")
+    start, end = text.index("[broker.b0]"), text.index("[auction]")
+    path = tmp_path / "default_brokers.scn"
+    path.write_text(text[:start] + text[end:], encoding="utf-8")
+    dropped = []
+    for rate in ("0", "0.5"):
+        assert simctl(["run", str(path), "--seed", "5", "--drop-rate", rate]) == 0
+        dropped.append(json.loads(capsys.readouterr().out)["messages"]["dropped"])
+    assert dropped[0] == 0 < dropped[1]
+    assert DEFAULT_BROKERS == {"b0": {}, "b1": {}}
 
 
 def test_max_ticks_reported_with_partial_metrics(tmp_path, capsys):

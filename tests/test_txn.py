@@ -645,7 +645,16 @@ def test_vote_and_decide_payloads_round_trip(monkeypatch):
     classes = {KIND_VOTE: Vote, KIND_DECIDE: Outcome}
     seen = {kind: decode_record(p, classes[kind]) for kind, p in payloads if kind in classes}
     vote = seen[KIND_VOTE]
-    assert (vote.participant, vote.vote, vote.reason) == ("beta", "yes", "")
+    assert (vote.vote, vote.reason) == ("yes", "")
+    # the vote names no participant: the coordinator takes it from the
+    # authenticated source chain of the vote event
+    vote_sources = [
+        r["source_chain"]
+        for r in w.sim.log.records
+        if r["kind"] == "deliver" and r.get("event_kind") == KIND_VOTE
+    ]
+    assert vote_sources == ["beta"]
+    assert w.chains["alpha"].current_value(f"sys.2pc.{vote.txn_id}.vote.beta") == "yes:"
     assert vote.reads == (("kv.a", True),) and type(vote.reads[0][1]) is bool
     assert seen[KIND_DECIDE] == Outcome(vote.txn_id, "commit", "")
     for kind, p in payloads:
