@@ -10,9 +10,10 @@ Events and signed batches are records on the wire (values.encode_record).
 Each inbox also remembers the exact wire bytes of every copy it has
 verified, so a redundant copy of those bytes is classified as a duplicate
 by one lookup, without decoding or verifying it again; an event computes
-its encoding and digest once, a signed batch its encoding.  A delivered
-event is decoded once, in verify_batch, and keeps the batch bytes it was
-decoded from as its encoding, so hashing it encodes nothing.
+its encoding and digest once, a signed batch its encoding.  The gateway
+checks the f+1 signatures verify_batch checks, so its batch is handed to
+the destination (Simulation.handoff) when decodes_unchanged holds; only
+bytes no gateway formed, such as a forged copy, reach verify_batch.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .errors import EncodingError
+from .errors import EncodingError, InvalidConfig
 from .values import decode_record, digest, encode_record, join_record, read_record, record
 
 EVENT_VERSION = 1
@@ -86,6 +87,9 @@ class KeyRegistry:
         self._chains: dict[str, tuple[int, dict[str, bytes], object]] = {}
 
     def register_chain(self, chain_id: str, f: int, verify_keys: dict[str, bytes], scheme) -> None:
+        """Add a chain once: a verdict on any batch, once given, never changes."""
+        if chain_id in self._chains:
+            raise InvalidConfig(f"chain {chain_id} is already registered")
         self._chains[chain_id] = (f, dict(verify_keys), scheme)
 
     def f_of(self, chain_id: str) -> int:
@@ -268,7 +272,8 @@ _BATCH_HEAD = join_record([b"", b""])  # the head of a two-item record
 def verify_batch(raw: bytes, registry: KeyRegistry) -> Optional[SignedEventBatch]:
     """Decode and authenticate one pulled batch; None if it must be dropped.
 
-    The batch is read in one pass: its head, the event record, then the
+    Delivery calls this only for bytes no gateway handed over.  The
+    batch is read in one pass: its head, the event record, then the
     signatures.  The codec is canonical, so the event's bytes within the
     batch are its encoding, and the event keeps them instead of encoding
     itself again to be hashed and carried in its inbox transaction."""
@@ -287,3 +292,16 @@ def verify_batch(raw: bytes, registry: KeyRegistry) -> Optional[SignedEventBatch
     if registry.count_valid(event.source_chain, event.digest, signatures) < need:
         return None
     return SignedEventBatch(event, signatures)
+
+
+def decodes_unchanged(batch: SignedEventBatch) -> bool:
+    """Whether verify_batch would decode batch.encode() to `batch`: the current
+    version, and every field the exact class the typed decoder returns (a
+    bool nonce encodes, but its bytes are rejected)."""
+    e = batch.event
+    names = (e.source_chain, e.dest_chain, e.source_contract, e.dest_contract)
+    return (
+        type(e.nonce) is type(e.kind) is type(e.version) is int and e.version == EVENT_VERSION
+        and type(e.payload) is bytes and all(type(name) is str for name in names)
+        and all(type(node_id) is str and type(sig) is bytes for node_id, sig in batch.signatures)
+    )

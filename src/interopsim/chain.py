@@ -22,6 +22,7 @@ from .crypto import Keypair, get_scheme
 from .errors import (
     DuplicateContract,
     DuplicateNonce,
+    EncodingError,
     FutureHeight,
     InvalidConfig,
     InvalidRange,
@@ -32,6 +33,8 @@ from .errors import (
 )
 from .merkle import MerkleMap, MerkleProof, root_of_digests
 from .values import (
+    INT64_MAX,
+    INT64_MIN,
     Value,
     digest,
     encode_value,
@@ -231,6 +234,10 @@ class ExecContext:
         return self.chain.get_history(f"{self.contract_id}.{prefix}", frm, to)
 
     def emit(self, dest_chain: str, dest_contract: str, kind: int, payload: bytes) -> None:
+        # a field the destination would not decode as its Event field fails the txn
+        if not (type(dest_chain) is type(dest_contract) is str and type(payload) is bytes
+                and type(kind) is int and INT64_MIN <= kind <= INT64_MAX):
+            raise EncodingError(f"ill-typed event: {dest_chain!r}, {dest_contract!r}, {kind!r}")
         self.events.append(
             EventDraft(
                 dest_chain=dest_chain,
@@ -557,6 +564,8 @@ class Chain:
         The nodes and their keys come from `signing_keys`, built with the
         chain, so no call rebuilds the node list."""
         sign = self.scheme.sign  # looked up per call: tracing patches the scheme class
+        if honest or not self.byzantine:
+            return tuple([(node_id, sign(key, message)) for node_id, key in self.signing_keys.items()])
         sigs = []
         for node_id, key in self.signing_keys.items():
             behavior = Behavior.HONEST if honest else self.byzantine.get(node_id, Behavior.HONEST)

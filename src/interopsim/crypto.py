@@ -4,7 +4,8 @@ Two interchangeable implementations: an HMAC-based deterministic scheme
 (fast, used by default in property sweeps) and Ed25519 from the
 cryptography package (the real asymmetric scheme, exercised by the
 acceptance suite).  The HMAC scheme precomputes each generated key's
-inner and outer hash states (RFC 2104); its signatures are hmac.new's bytes.
+inner and outer hash states (RFC 2104) and the MACs of the last message it
+signed; its signatures are hmac.new's bytes.
 """
 
 from __future__ import annotations
@@ -46,12 +47,16 @@ class HmacScheme(SignatureScheme):
     keygen also builds the key's inner and outer SHA-256 states, which sign
     and verify copy; a key this scheme did not generate goes through
     hmac.new, uncached.  Either way the bytes are hmac.new's.
+    A chain's nodes sign one digest in turn, and the gateway or the block
+    certificate checks those signatures next, so verify of the last signed
+    message under a key that signed it compares against the stored MAC.
     """
 
     name = "hmac"
 
     def __init__(self):
         self._pads: dict[bytes, tuple] = {}  # generated key -> (inner, outer) state
+        self._last: tuple[bytes, dict[bytes, bytes]] = (b"", {})  # message, key -> MAC
 
     def keygen(self, seed: bytes) -> Keypair:
         sk = hashlib.sha256(b"hmac-key|" + seed).digest()
@@ -73,10 +78,15 @@ class HmacScheme(SignatureScheme):
         return outer.digest()
 
     def sign(self, signing_key: bytes, message: bytes) -> bytes:
-        return self._mac(signing_key, message)
+        if message != self._last[0]:
+            self._last = (message, {})
+        mac = self._last[1][signing_key] = self._mac(signing_key, message)
+        return mac
 
     def verify(self, verify_key: bytes, message: bytes, signature: bytes) -> bool:
-        return hmac.compare_digest(self._mac(verify_key, message), signature)
+        last, macs = self._last
+        mac = macs.get(verify_key) if message == last else None
+        return hmac.compare_digest(mac or self._mac(verify_key, message), signature)
 
 
 class Ed25519Scheme(SignatureScheme):

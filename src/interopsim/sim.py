@@ -26,6 +26,8 @@ from .bus import (
     Gateway,
     InboxDedupe,
     KeyRegistry,
+    SignedEventBatch,
+    decodes_unchanged,
     verify_batch,
 )
 from .chain import Chain, ChainConfig, EventDraft
@@ -187,6 +189,8 @@ class Simulation:
         self.brokers: list[Broker] = []
         self.registry = KeyRegistry()
         self.dedupe: dict[str, InboxDedupe] = {}
+        # wire bytes -> the batch a gateway formed from them, until delivered
+        self.handoff: dict[bytes, SignedEventBatch] = {}
         self.meter = MessageMeter(self)
         self.log = log
         self.tasks: list[Task] = []
@@ -373,6 +377,8 @@ class Simulation:
         where only colluding Byzantine nodes endorse an event that never
         executed.  Honest emission signs per each node's behavior flag.  An
         event that fewer than f+1 valid signatures endorse is given up here.
+        The gateway checked what verify_batch checks, so a batch that
+        decodes unchanged goes into `handoff` for its destination to take.
         """
         if forged_by is None:
             sigs = dict(chain.node_signatures(event.digest))
@@ -384,8 +390,11 @@ class Simulation:
         batch = self.gateways[chain.chain_id].collect(event, sigs)
         if batch is None:
             self._log_giveup(event, "gateway", [])
-        else:
-            self._publish_round(event, batch.encode(), list(self.brokers), 0)
+            return
+        raw = batch.encode()
+        if event.source_chain == chain.chain_id and decodes_unchanged(batch):
+            self.handoff[raw] = batch
+        self._publish_round(event, raw, list(self.brokers), 0)
 
     def _publish_round(self, event: Event, raw: bytes, brokers: list[Broker], retries: int) -> None:
         """Publish to `brokers`; re-publish to those that did not acknowledge.
@@ -407,6 +416,7 @@ class Simulation:
                 lambda: self._publish_round(event, raw, unacked, retries + 1),
             )
         elif unacked:
+            self.handoff.pop(raw, None)  # a copy still queued is verified on arrival
             self._log_giveup(event, "publish", [b.broker_id for b in unacked])
 
     def _log_giveup(self, event: Event, stage: str, brokers: list[str]) -> None:
@@ -420,6 +430,9 @@ class Simulation:
     # ------------------------------------------------------- delivery path
 
     def _deliver(self, chain_id: str) -> None:
+        """Classify each due copy: bytes that passed here before are a duplicate;
+        else the batch is the gateway's, from `handoff`, or verify_batch's.  The
+        first copy at its destination takes the entry out; a misrouted one leaves it."""
         chain = self.chains[chain_id]
         dedupe = self.dedupe[chain_id]
         for broker in self.brokers:
@@ -432,7 +445,7 @@ class Simulation:
                     # these exact bytes passed here before: a duplicate
                     self._reject_duplicate(chain_id, *known)
                     continue
-                batch = verify_batch(raw, self.registry)
+                batch = self.handoff.get(raw) or verify_batch(raw, self.registry)
                 if batch is None:
                     self.meter.rejected_sig += 1
                     if self.log is not None:
@@ -449,6 +462,7 @@ class Simulation:
                             "deliver", chain=chain_id, result="misrouted"
                         )
                     continue
+                self.handoff.pop(raw, None)
                 dedupe.verified[raw] = (event.source_chain, event.nonce)
                 if not dedupe.accept(event.source_chain, event.nonce):
                     self._reject_duplicate(chain_id, event.source_chain, event.nonce)

@@ -1,5 +1,4 @@
 import sys
-from collections import Counter
 
 import pytest
 
@@ -12,7 +11,7 @@ from interopsim.bus import (
     verify_batch,
 )
 from interopsim.chain import Behavior
-from interopsim.errors import EncodingError
+from interopsim.errors import EncodingError, InvalidConfig
 from interopsim.sim import BROKER_LATENCY, BUS_BACKOFF, BUS_RETRIES
 from interopsim.txn import Committed, MiniTxn
 from interopsim.values import decode_record, digest, encode_record
@@ -105,6 +104,41 @@ def emit_via_contract(world: World, source="alpha", dest="beta", value=b"hello")
     contract.handlers["emit"] = lambda self, ctx, args: ctx.emit(dest, "kv", 16, value)
     chain.submit_call("alice", "kv", "emit", [])
     world.settle()
+
+
+@pytest.mark.parametrize(
+    "kind,payload", [(16, "a str payload"), (2**70, b"x")], ids=["str_payload", "kind_out_of_range"]
+)
+def test_ill_typed_emit_fails_its_transaction(kind, payload):
+    # the event would not decode at the destination, or not encode at all
+    w = World()
+    alpha = w.chains["alpha"]
+    contract = alpha.contracts["kv"]
+    contract.handlers = dict(contract.handlers)
+    contract.handlers["emit"] = lambda self, ctx, args: ctx.emit("beta", "kv", kind, payload)
+    txid = alpha.submit_call("alice", "kv", "emit", [])
+    w.settle()
+    (receipt,) = [
+        receipt
+        for block in alpha.blocks
+        for txn, receipt in zip(block.txns, block.receipts)
+        if txn.txn_id == txid
+    ]
+    assert receipt.status == "failed" and receipt.error.startswith("EncodingError")
+    assert w.sim.meter.sent == 0
+    assert not any(r["kind"] in ("deliver", "giveup") for r in w.sim.log.records)
+
+
+def test_registry_refuses_to_register_a_chain_again():
+    # a verdict on a batch, once given, must stand: both InboxDedupe.verified
+    # and Simulation.handoff keep verdicts
+    w = World()
+    registry = w.sim.registry
+    with pytest.raises(InvalidConfig):
+        registry.register_chain("alpha", 0, {}, w.chains["alpha"].scheme)
+    assert registry.f_of("alpha") == 1
+    emit_via_contract(w, value=b"still verified")
+    assert w.sim.meter.delivered == 1
 
 
 def test_event_delivery_end_to_end():
@@ -392,10 +426,10 @@ def test_redundant_copies_verified_once_per_inbox(monkeypatch):
     assert meter.rejected_dup == len(pulled) - 2 == 8  # the same as full verification gives
     # every event here goes to beta, so one inbox sees every copy
     assert {topic for topic, _ in pulled} == {"beta"}
-    assert Counter(calls) == Counter(set(raw for _, raw in pulled))
-    assert len(calls) < len(pulled)
+    # the gateway's batch is handed over; no honest copy is decoded
+    assert calls == []
     verified = w.sim.dedupe["beta"].verified
-    assert set(verified) == set(calls)
+    assert set(verified) == {raw for _, raw in pulled}
     assert sorted(verified.values()) == sorted(w.sim.dedupe["beta"].seen)
 
 
@@ -409,7 +443,7 @@ def test_tampered_copy_of_accepted_event_still_rejected_sig(monkeypatch):
     assert meter.delivered == 1
     assert meter.rejected_sig == meter.sent
     assert meter.rejected_dup == meter.sent - 1
-    assert len(calls) == 1 + meter.sent  # the batch once, each tampered copy
+    assert len(calls) == meter.sent  # each tampered copy; the batch is handed over
     assert len(w.sim.dedupe["beta"].verified) == 1
 
 
@@ -582,11 +616,10 @@ def test_each_delivered_event_decoded_once_and_never_reencoded(monkeypatch):
     w.settle()
     delivered = w.sim.meter.delivered - delivered
     assert delivered > 0
-    # one decode per delivered event, in verify_batch
-    assert len(decoded) == delivered
-    # each event is encoded once, where it is emitted; a decoded one never
-    assert len(encoded) == delivered
-    assert not {id(e) for e in decoded} & {id(e) for e in encoded}
+    # the destination gets the gateway's batch: nothing is decoded
+    assert decoded == []
+    # each event is encoded once, where it is emitted
+    assert len(encoded) == delivered == len({id(e) for e in encoded})
 
 
 def test_decoded_event_keeps_its_canonical_bytes():

@@ -16,6 +16,7 @@ from interopsim.chain import (
     Transaction,
     encode_block,
 )
+from interopsim.crypto import HmacScheme
 from interopsim.errors import (
     DuplicateContract,
     DuplicateNonce,
@@ -504,6 +505,35 @@ def test_node_signatures_match_a_per_node_reference(scheme, n, f, behavior):
     assert chain.node_signatures(message) == reference_signatures(chain, message)
     chain.byzantine.clear()
     assert chain.node_signatures(message) == honest
+
+
+def test_fault_free_block_computes_each_mac_once(monkeypatch):
+    # the certificate checks the MACs the nodes just made by lookup
+    chain = ready_kv(mk_chain(n=7, f=2))
+    keys = []
+    real = HmacScheme._mac
+
+    def counting(self, key, message):
+        keys.append(key)
+        return real(self, key, message)
+
+    monkeypatch.setattr(HmacScheme, "_mac", counting)
+    block = set_kv(chain, "alice", "x", 1)
+    assert sorted(keys) == sorted(chain.signing_keys.values())
+    assert len(block.cert.signatures) == 7
+
+
+@pytest.mark.parametrize("node", range(4))
+def test_equivocating_signature_fails_the_certificate(node):
+    equivocator = f"alpha:node{node}"
+    chain = ready_kv(mk_chain(byzantine={equivocator: Behavior.EQUIVOCATE}))
+    block = set_kv(chain, "alice", "x", 1)
+    signers = [node_id for node_id, _ in block.cert.signatures]
+    assert signers == [n for n in chain.cfg.node_ids() if n != equivocator]
+    chain.byzantine[f"alpha:node{(node + 1) % 4}"] = Behavior.EQUIVOCATE
+    chain.submit_call("alice", "kv", "set", ["x", 2])
+    with pytest.raises(QuorumFailure):
+        chain.produce_block(tick=1)
 
 
 def test_certificate_signatures_are_the_verified_quorum_sorted_by_node():

@@ -93,6 +93,30 @@ def test_hmac_verify_accepts_the_reference_and_rejects_changes():
         assert not scheme.verify(other_node, msg, sig)
 
 
+def test_hmac_verify_right_after_signing_rejects_changes():
+    # verify of the message just signed compares against the stored MAC
+    scheme, generated, other = _hmac_keys()
+    msg = b"a block header digest"
+    keys = generated + other
+    sigs = {key: scheme.sign(key, msg) for key in keys}
+    for key, sig in sigs.items():
+        assert scheme.verify(key, msg, sig)
+        flipped = bytes([sig[0] ^ 1]) + sig[1:]
+        assert not scheme.verify(key, msg, flipped)
+        assert not scheme.verify(key, msg, sig[:-1])
+        assert not scheme.verify(key, msg + b"!", sig)
+    for key, other_node in zip(keys, keys[1:] + keys[:1]):
+        assert not scheme.verify(other_node, msg, sigs[key])
+
+
+def test_hmac_keeps_the_macs_of_one_message_only():
+    scheme, generated, _ = _hmac_keys()
+    for key in generated:
+        scheme.sign(key, b"first")
+    scheme.sign(generated[0], b"second")
+    assert scheme._last == (b"second", {generated[0]: scheme.sign(generated[0], b"second")})
+
+
 def test_hmac_keygen_and_signature_pinned():
     scheme = HmacScheme()
     kp = scheme.keygen(b"alpha|alpha:node0")

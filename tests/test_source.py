@@ -50,8 +50,9 @@ def _modules_matching(pattern: re.Pattern) -> list[str]:
 
 
 def test_events_are_decoded_only_on_the_bus():
-    # bus.verify_batch decodes each delivered event once and authenticates
-    # it; a decode elsewhere is a second decode or an unverified event path
+    # an event is decoded only in bus.verify_batch, for bytes no gateway
+    # handed over; a decode elsewhere is a second decode or an unverified
+    # event path
     assert _modules_matching(re.compile(r"\b(?:decode|read)_record\([^)]*\bEvent\b")) == ["bus.py"]
 
 
