@@ -7,11 +7,16 @@ signatures over the header digest.  State is a versioned key-value map
 
 Keys are dotted strings namespaced as "<contract_id>.<suffix>"; system
 keys live under "sys.".  Contracts are native deterministic handlers.
+
+Every transaction, contract call or system target alike, runs against its
+ExecContext, which stages its writes, events and after-commit effects;
+`Chain._execute` applies them only once the handler returns and builds the
+only Receipt.  Every state read sees committed state plus the block in
+production.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -36,6 +41,7 @@ from .values import (
     INT64_MAX,
     INT64_MIN,
     Value,
+    check_entry,
     digest,
     encode_value,
     encode_values,
@@ -188,56 +194,60 @@ class Contract:
 
 
 class StateView:
-    """Read-only snapshot interface handed to query handlers."""
+    """Read-only view of the current state handed to query handlers."""
 
-    def __init__(self, chain: "Chain", contract_id: str, height: Optional[int] = None):
+    def __init__(self, chain: "Chain", contract_id: str):
         self._chain = chain
         self._cid = contract_id
-        self._height = height
 
     def get(self, key: str) -> Value:
-        return self._chain.read_state(f"{self._cid}.{key}", self._height)
-
-    def history(self, prefix: str, frm: int, to: int):
-        return self._chain.get_history(f"{self._cid}.{prefix}", frm, to)
-
-    @property
-    def height(self) -> int:
-        return self._height if self._height is not None else self._chain.height
+        return self._chain.read_state(f"{self._cid}.{key}")
 
 
 class ExecContext:
-    """Per-transaction execution context for contract handlers."""
+    """What one transaction runs against; Chain._execute applies what it stages.
 
-    def __init__(self, chain: "Chain", contract_id: str, txn: Transaction, height: int):
+    A contract names keys in its own namespace, a system target full keys."""
+
+    def __init__(self, chain: "Chain", txn: Transaction, height: int):
         self.chain = chain
-        self.contract_id = contract_id
+        self.contract_id = txn.target_contract
         self.txn = txn
         self.height = height
         self.caller_chain = txn.caller_chain
         self.caller_id = txn.caller_id
+        self.namespace = "" if self.contract_id.startswith("sys.") else f"{self.contract_id}."
         self.writes: dict[str, Value] = {}
         self.events: list[EventDraft] = []
+        self.effects: list[Callable[[], None]] = []
+        self.xchain_txn = ""  # the cross-chain transaction the receipt settles, if any
 
-    # -- state access, relative to the contract namespace --
+    # -- state access, relative to the namespace --
 
     def get(self, key: str) -> Value:
-        full = f"{self.contract_id}.{key}"
+        full = f"{self.namespace}{key}"
         if full in self.writes:
             return self.writes[full]
-        return self.chain.current_value(full)
+        return self.chain.read_state(full)
 
     def put(self, key: str, value: Value) -> None:
-        self.writes[f"{self.contract_id}.{key}"] = value
+        self.writes[f"{self.namespace}{key}"] = value
 
     def history(self, prefix: str, frm: int, to: int):
-        return self.chain.get_history(f"{self.contract_id}.{prefix}", frm, to)
+        return self.chain.get_history(f"{self.namespace}{prefix}", frm, to)
+
+    def after_commit(self, effect: Callable[[], None]) -> None:
+        """Run `effect` once the block commits; a failed transaction or a lost
+        block drops it.  Execution reaches outside the ledger only through
+        here and the lock table, which a rollback restores."""
+        self.effects.append(effect)
 
     def emit(self, dest_chain: str, dest_contract: str, kind: int, payload: bytes) -> None:
         # a field the destination would not decode as its Event field fails the txn
         if not (type(dest_chain) is type(dest_contract) is str and type(payload) is bytes
                 and type(kind) is int and INT64_MIN <= kind <= INT64_MAX):
             raise EncodingError(f"ill-typed event: {dest_chain!r}, {dest_contract!r}, {kind!r}")
+        encode_value(dest_chain + dest_contract)  # a name with a lone surrogate fails too
         self.events.append(
             EventDraft(
                 dest_chain=dest_chain,
@@ -250,18 +260,10 @@ class ExecContext:
 
     # -- access control delegation (the system contract of the policy engine) --
 
-    def check_access(self, action: str, resource: str):
-        return self.chain.evaluate_policy(
-            self.contract_id,
-            action,
-            resource,
-            self.caller_id,
-            self.caller_chain,
-            self.height,
-        )
-
     def require_access(self, action: str, resource: str) -> None:
-        decision = self.check_access(action, resource)
+        decision = self.chain.evaluate_policy(
+            self.contract_id, action, resource, self.caller_id, self.caller_chain, self.height
+        )
         if not decision.allowed:
             raise PolicyDenied(decision.reason)
 
@@ -337,7 +339,6 @@ class Chain:
 
         # versioned state
         self._current: dict[str, tuple[Value, Version]] = {}
-        self._history: dict[str, list[tuple[Version, Value]]] = {}
         # writes committed at each height, in version order (one entry per block)
         self._writes_at: list[tuple[tuple[Version, str, Value], ...]] = []
         # authenticated state at the current height
@@ -349,8 +350,11 @@ class Chain:
         self._auto_nonce: dict[tuple[str, str], int] = {}
 
         self.contracts: dict[str, Contract] = {}
-        # system targets dispatched outside the contract table
-        self.system_handlers: dict[str, Callable] = {}
+        # system targets dispatched outside the contract table: fn(ctx) -> None
+        self.system_handlers: dict[str, Callable[[ExecContext], None]] = {
+            "sys.registry": _register_contract,
+            "sys.policy": _attach_policy,
+        }
 
         self.locks = LockTable()
         self.event_nonce = 0
@@ -360,8 +364,6 @@ class Chain:
         # execution overlay, populated only while a block is being produced
         self._overlay: Optional[dict[str, tuple[Value, Version]]] = None
         self._overlay_log: list[tuple[Version, str, Value]] = []
-        # effects outside the ledger, run only once the block in production commits
-        self._effects: list[Callable[[], None]] = []
 
         # hooks installed by the simulation (policy engine, observers)
         self.policy_evaluator = None  # fn(policy_src, request, ctx) -> Decision
@@ -371,36 +373,22 @@ class Chain:
 
     # ------------------------------------------------------------------ state
 
-    def current_value(self, key: str) -> Value:
+    def _entry(self, key: str) -> Optional[tuple[Value, Version]]:
         if self._overlay is not None and key in self._overlay:
-            return self._overlay[key][0]
-        entry = self._current.get(key)
+            return self._overlay[key]
+        return self._current.get(key)
+
+    def read_state(self, key: str) -> Value:
+        entry = self._entry(key)
         return entry[0] if entry else None
 
     def current_version(self, key: str) -> Optional[Version]:
-        if self._overlay is not None and key in self._overlay:
-            return self._overlay[key][1]
-        entry = self._current.get(key)
+        entry = self._entry(key)
         return entry[1] if entry else None
 
     @property
     def height(self) -> int:
         return self.blocks[-1].header.height if self.blocks else 0
-
-    def read_state(self, key: str, height: Optional[int] = None) -> Value:
-        if height is None:
-            entry = self._current.get(key)
-            return entry[0] if entry else None
-        if height > self.height:
-            raise FutureHeight(f"height {height} > current {self.height}")
-        hist = self._history.get(key)
-        if not hist:
-            return None
-        # last version with block height <= height
-        idx = bisect.bisect_right(hist, ((height, 1 << 62), None))
-        if idx == 0:
-            return None
-        return hist[idx - 1][1]
 
     def history_ceiling(self) -> int:
         """Highest height readable right now (the in-production block counts)."""
@@ -426,32 +414,19 @@ class Chain:
         return out
 
     def latest_version_under(self, prefix: str) -> Version:
-        """Newest write version under a key prefix; (0, 0) when none."""
+        """Newest write version under a key prefix; (0, 0) when none.  An
+        in-block write is newer than any committed one: no merge is needed."""
         best = (0, 0)
-        for key, (_, version) in self._current.items():
-            if key.startswith(prefix) and version > best:
-                best = version
+        for entries in (self._current, self._overlay or {}):
+            for key, (_, version) in entries.items():
+                if key.startswith(prefix) and version > best:
+                    best = version
         return best
 
     def state_items(self, prefix: str = "") -> list[tuple[str, Value, Version]]:
-        out = []
-        for key in sorted(self._current):
-            if key.startswith(prefix):
-                value, version = self._current[key]
-                out.append((key, value, version))
-        return out
-
-    def current_items(self, prefix: str = "") -> list[tuple[str, Value, Version]]:
-        """Like state_items but merged with the in-production overlay."""
-        if self._overlay is None:
-            return self.state_items(prefix)
-        merged = dict(self._current)
-        merged.update(self._overlay)
-        return [
-            (key, merged[key][0], merged[key][1])
-            for key in sorted(merged)
-            if key.startswith(prefix)
-        ]
+        """(key, value, version) of every key under the prefix, key order."""
+        entries = self._current if self._overlay is None else {**self._current, **self._overlay}
+        return [(key, *entries[key]) for key in sorted(entries) if key.startswith(prefix)]
 
     def get_proof(self, key: str, height: Optional[int] = None) -> MerkleProof:
         """Membership or absence proof; served at the current height only."""
@@ -591,14 +566,6 @@ class Chain:
             )
         return QuorumCert(header_digest=hd, signatures=tuple(sorted(valid)))
 
-    def after_commit(self, effect: Callable[[], None]) -> None:
-        """Run `effect` once the block in production commits; a rollback drops it.
-
-        Block execution reaches outside the ledger only through here and the
-        lock table, which a rollback restores, so a block lost to
-        QuorumFailure takes everything it did with it."""
-        self._effects.append(effect)
-
     def produce_block(self, tick: int = 0) -> Optional[tuple[Block, list[EventDraft]]]:
         if not self.mempool:
             return None
@@ -615,11 +582,14 @@ class Chain:
         locks = (dict(self.locks.exact), dict(self.locks.prefix))
         receipts = []
         out_events: list[EventDraft] = []
+        # effects outside the ledger, run only once the block commits
+        effects: list[Callable[[], None]] = []
         try:
             for idx, txn in enumerate(txns):
-                receipt, events = self._execute(txn, height, idx)
+                receipt, events, txn_effects = self._execute(txn, height, idx)
                 receipts.append(receipt)
                 out_events.extend(events)
+                effects.extend(txn_effects)
             tree = MerkleMap(
                 {k.encode("utf-8"): v for k, (v, _) in self._overlay.items()},
                 base=self._tree,
@@ -637,14 +607,11 @@ class Chain:
             self.mempool = list(txns) + self.mempool
             self._overlay = None
             self._overlay_log = []
-            self._effects = []
             self.locks.exact, self.locks.prefix = locks
             raise
 
-        # commit: fold overlay into history and current state
-        for version, key, value in self._overlay_log:
-            self._history.setdefault(key, []).append((version, value))
-            self._current[key] = (value, version)
+        # commit: fold the overlay into current state
+        self._current.update(self._overlay)
         self._writes_at.append(tuple(self._overlay_log))
         self._tree = tree
         self._overlay = None
@@ -657,27 +624,20 @@ class Chain:
             header=header, txns=txns, receipts=tuple(receipts), cert=cert
         )
         self.blocks.append(block)
-        effects, self._effects = self._effects, []
         for effect in effects:
             effect()
         if self.observer is not None:
             self.observer.on_block(self, block)
         return block, out_events
 
-    def _commit_writes(
-        self, writes: dict[str, Value], height: int, idx: int
-    ) -> tuple[tuple[str, Value], ...]:
-        version = (height, idx)
-        items = tuple(writes.items())
-        for key, value in items:
-            self._overlay[key] = (value, version)
-            self._overlay_log.append((version, key, value))
-        return items
-
     def _execute(
         self, txn: Transaction, height: int, idx: int
-    ) -> tuple[Receipt, list[EventDraft]]:
+    ) -> tuple[Receipt, list[EventDraft], list[Callable[[], None]]]:
+        """Run `txn` against its ExecContext; apply what it staged only if it returns.
+
+        Returns the receipt, then the events and effects for the block."""
         target = txn.target_contract
+        ctx = ExecContext(self, txn, height)
         try:
             if target.startswith("sys."):
                 # system targets run only what the system sends: events from a
@@ -689,47 +649,34 @@ class Chain:
                 if not allowed:
                     raise PolicyDenied(f"{txn.caller_chain}:{txn.caller_id} may not call {target}")
                 handler = self.system_handlers.get(target)
-                if target == "sys.registry" and txn.method == "register":
-                    writes = {f"sys.contract.{txn.args[0]}": True}
-                    applied = self._commit_writes(writes, height, idx)
-                    return Receipt(txn.txn_id, "ok", writes=applied), []
-                if target == "sys.policy" and txn.method == "attach":
-                    from .policy import parse_policy
-
-                    cid, src = txn.args[0], txn.args[1]
-                    parse_policy(src)  # text that does not parse never reaches the ledger
-                    applied = self._commit_writes({f"sys.policy.{cid}": src}, height, idx)
-                    return Receipt(txn.txn_id, "ok", writes=applied), []
                 if handler is None:
                     raise UnknownContract(target)
-                return handler(self, txn, height, idx)
-
-            contract = self.contracts.get(target)
-            if contract is None or not self.contract_active(target):
-                raise UnknownContract(f"{target} not active")
-            ctx = ExecContext(self, target, txn, height)
-            if txn.method == "__event__":
-                contract.on_event(ctx, self.inbox_event(txn))
+                handler(ctx)
             else:
-                handler = contract.handlers.get(txn.method)
-                if handler is None:
-                    raise UnknownContract(f"{target}.{txn.method}")
-                handler(contract, ctx, list(txn.args))
-            # foreign locks block local writes (serializability under Locks mode)
-            for key in ctx.writes:
-                if self.locks.conflicts(key, txn.txn_id.hex()):
-                    raise LockConflict(key)
-            applied = self._commit_writes(ctx.writes, height, idx)
-            return Receipt(txn.txn_id, "ok", writes=applied), ctx.events
+                contract = self.contracts.get(target)
+                if contract is None or not self.contract_active(target):
+                    raise UnknownContract(f"{target} not active")
+                if txn.method == "__event__":
+                    contract.on_event(ctx, self.inbox_event(txn))
+                else:
+                    handler = contract.handlers.get(txn.method)
+                    if handler is None:
+                        raise UnknownContract(f"{target}.{txn.method}")
+                    handler(contract, ctx, list(txn.args))
+                for key, value in ctx.writes.items():
+                    # a write that would not encode fails here, not in the Merkle build
+                    check_entry(key, value)
+                    # foreign locks block local writes (serializability under Locks mode)
+                    if self.locks.conflicts(key, txn.txn_id.hex()):
+                        raise LockConflict(key)
         except Exception as exc:  # failed txns are recorded, never dropped
-            return (
-                Receipt(
-                    txn.txn_id,
-                    "failed",
-                    error=f"{type(exc).__name__}: {exc}",
-                ),
-                [],
-            )
+            return Receipt(txn.txn_id, "failed", error=f"{type(exc).__name__}: {exc}"), [], []
+        version = (height, idx)
+        for key, value in ctx.writes.items():
+            self._overlay[key] = (value, version)
+            self._overlay_log.append((version, key, value))
+        receipt = Receipt(txn.txn_id, "ok", writes=tuple(ctx.writes.items()), xchain_txn=ctx.xchain_txn)
+        return receipt, ctx.events, ctx.effects
 
     # ------------------------------------------------------------- policies
 
@@ -787,6 +734,21 @@ class Chain:
             raise UnknownContract(f"{contract_id}.{method} (query)")
         view = StateView(self, contract_id)
         return handler(contract, view, list(args))
+
+
+def _register_contract(ctx: ExecContext) -> None:  # sys.registry register(cid)
+    if ctx.txn.method != "register":
+        raise UnknownContract("sys.registry")
+    ctx.put(f"sys.contract.{ctx.txn.args[0]}", True)
+
+
+def _attach_policy(ctx: ExecContext) -> None:  # sys.policy attach(cid, src)
+    from .policy import parse_policy
+
+    if ctx.txn.method != "attach":
+        raise UnknownContract("sys.policy")
+    parse_policy(ctx.txn.args[1])  # text that does not parse never reaches the ledger
+    ctx.put(f"sys.policy.{ctx.txn.args[0]}", ctx.txn.args[1])
 
 
 def encode_block(block: Block) -> bytes:

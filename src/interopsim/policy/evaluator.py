@@ -107,14 +107,10 @@ class ChainEvalContext(EvalContext):
         return f"{self.contract_id}.{key}"
 
     def read_state(self, key: str) -> Value:
-        return self.chain.current_value(self._full(key))
+        return self.chain.read_state(self._full(key))
 
     def current_values(self, prefix: str) -> list[Value]:
-        return [
-            v
-            for _, v, _ in self.chain.current_items(self._full(prefix))
-            if v is not None
-        ]
+        return [v for _, v, _ in self.chain.state_items(self._full(prefix)) if v is not None]
 
     def history_values(self, prefix: str, frm: int, to: int) -> list[Value]:
         frm = max(0, frm)

@@ -16,13 +16,15 @@ Prepare and decision records are ledger entries on the coordinator,
 protocol messages are bus events, and votes carry f+1 participant-node
 signatures by construction of the gateway path.  Every abort once prepared
 (client abort, vote timeout) is a `decide` ledger transaction on the
-coordinator.  Block handlers read votes, decisions and applied markers back
-from the ledger, and change engine memory (client futures, pending writes,
-polls, meters, log records) only through `Chain.after_commit`, once their
-block commits.  So a decision is durable before the client or any
-participant hears it, and a block lost to QuorumFailure leaves nothing
-behind.  Prepared participants that miss the decision recover it by polling
-the coordinator's ledger.
+coordinator.  Each `sys.txn` handler runs against the transaction's
+ExecContext like any contract: it reads votes, decisions and applied
+markers back from the ledger, stages its writes and protocol events there,
+and changes engine memory (client futures, pending writes, polls, meters,
+log records) only through `ExecContext.after_commit`, once its block
+commits.  So a decision is durable before the client or any participant
+hears it, and a failed handler or a block lost to QuorumFailure leaves
+nothing behind.  Prepared participants that miss the decision recover it by
+polling the coordinator's ledger.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
 
-from .bus import Event, KIND_DECIDE, KIND_PREPARE, KIND_READ_REQ, KIND_READ_RESP, KIND_VOTE
-from .chain import Behavior, Chain, EventDraft, Receipt, Version
+from .bus import KIND_DECIDE, KIND_PREPARE, KIND_READ_REQ, KIND_READ_RESP, KIND_VOTE
+from .chain import Behavior, Chain, EventDraft, ExecContext, Version
 from .errors import (
     EncodingError,
     InvalidState,
@@ -44,7 +46,7 @@ from .errors import (
 from .merkle import decode_proof, encode_proof, verify_proof
 from .policy import AggExpr, ChainEvalContext, eval_aggregate
 from .sim import DECISION_POLL, Future, Simulation
-from .values import Value, decode_record, digest, encode_record, encode_value, record
+from .values import Value, check_entry, decode_record, digest, encode_record, encode_value, record
 
 MODE_LOCKS = "locks"
 MODE_OCC = "occ"
@@ -471,7 +473,7 @@ class XTxnEngine:
             if not chain.locks.try_lock(full_key, req.lock_for):
                 return _refusal(req, height, "locked", full_key)
             self._log_lock(chain.chain_id, "acquire", full_key, req.lock_for)
-        value = chain.read_state(full_key, height)
+        value = chain.read_state(full_key)
         version = chain.current_version(full_key)
         proof = chain.get_proof(full_key, height)
         sigs = ()
@@ -490,6 +492,11 @@ class XTxnEngine:
     def execute_minitxn_async(
         self, coordinator: str, mt: MiniTxn, caller_id: str = "client"
     ) -> Future:
+        # a key or value no Prepare could carry fails here, before anything is sent
+        for _, key, value in (*mt.compares, *mt.writes):
+            check_entry(key, value)
+        for _, key in mt.reads:
+            check_entry(key, None)
         t = XTxn(
             self.new_txn_id(f"mt|{coordinator}"),
             "mini",
@@ -567,6 +574,7 @@ class XTxnEngine:
 
     def txn_write_async(self, t: XTxn, chain_id: str, key: str, value: Value) -> Future:
         self._require_active(t)
+        check_entry(key, value)  # fails at the call, not by the vote timeout
         if t.mode == MODE_LOCKS and not self._holds_lock(t, chain_id, key):
             return self.sim.spawn(self._txn_lock_write_task(t, chain_id, key, value)).future
         t.write_set[(chain_id, key)] = value
@@ -651,54 +659,53 @@ class XTxnEngine:
 
     # ------------------------------------------------- block-exec handler
 
-    def _sys_txn_exec(self, chain: Chain, txn, height: int, idx: int):
+    def _sys_txn_exec(self, ctx: ExecContext) -> None:
         """System handler: runs inside block execution, deterministically.
 
         2PC facts (votes, decisions, applied markers) are read back from the
-        ledger, overlay included.  Everything else the engine does for a
-        block is handed to `chain.after_commit`."""
-        method = txn.method
-        if method == "__event__":
-            return self._handle_event(chain, chain.inbox_event(txn), txn, height, idx)
+        ledger, this block included; writes and protocol events are staged on
+        `ctx`, and everything else goes through `ctx.after_commit`."""
+        method, args = ctx.txn.method, ctx.txn.args
         if method == "begin":
-            return self._exec_begin(chain, txn, height, idx)
-        if method == "decide":
-            txid, decision, reason = txn.args
-            return self._exec_decide(chain, txid, decision, reason, txn, height, idx)
-        if method == "apply":
-            return self._exec_apply(chain, txn.args[0], txn.args[1], txn, height, idx)
-        raise EncodingError(f"unknown sys.txn method {method}")
+            self._exec_begin(ctx, args[0])
+        elif method == "decide":
+            self._exec_decide(ctx, *args)
+        elif method == "apply":
+            self._exec_apply(ctx, args[0], args[1])
+        elif method != "__event__":
+            raise EncodingError(f"unknown sys.txn method {method}")
+        else:
+            event = ctx.chain.inbox_event(ctx.txn)
+            if event.kind == KIND_PREPARE:
+                self._exec_prepare(ctx, decode_record(event.payload, Prepare))
+            elif event.kind == KIND_VOTE:  # the voter is the event's source chain
+                self._exec_vote(ctx, event.source_chain, decode_record(event.payload, Vote))
+            elif event.kind == KIND_DECIDE:
+                outcome = decode_record(event.payload, Outcome)
+                self._exec_apply(ctx, outcome.txn_id, outcome.decision)
+            else:
+                raise EncodingError(f"unexpected protocol event kind {event.kind}")
 
     # --- coordinator side ---
 
-    def _exec_begin(self, chain: Chain, txn, height: int, idx: int):
-        t = self.records[txn.args[0]]
-        writes = {
-            f"sys.2pc.{t.txn_id}.phase": "prepare",
-            f"sys.2pc.{t.txn_id}.participants": ",".join(t.participants),
-        }
-        applied = chain._commit_writes(writes, height, idx)
-        events = [
-            _sys_event(part, KIND_PREPARE, encode_record(t.prepare_for(part)))
-            for part in t.participants
-        ]
-        return Receipt(txn.txn_id, "ok", writes=applied, xchain_txn=t.txn_id), events
+    def _exec_begin(self, ctx: ExecContext, txid: str) -> None:
+        t = self.records[txid]
+        ctx.xchain_txn = txid
+        ctx.put(f"sys.2pc.{txid}.phase", "prepare")
+        ctx.put(f"sys.2pc.{txid}.participants", ",".join(t.participants))
+        for part in t.participants:
+            ctx.events.append(_sys_event(part, KIND_PREPARE, encode_record(t.prepare_for(part))))
 
-    def _exec_decide(
-        self, chain: Chain, txid: str, decision: str, reason: str, txn, height: int, idx: int
-    ):
+    def _exec_decide(self, ctx: ExecContext, txid: str, decision: str, reason: str) -> None:
         t = self.records.get(txid)
-        if t is None or chain.current_value(f"sys.2pc.{txid}.decision") is not None:
-            return Receipt(txn.txn_id, "ok", writes=()), []
-        writes = {
-            f"sys.2pc.{txid}.decision": decision,
-            f"sys.2pc.{txid}.reason": reason,
-        }
-        applied = chain._commit_writes(writes, height, idx)
+        if t is None or ctx.get(f"sys.2pc.{txid}.decision") is not None:
+            return
+        ctx.xchain_txn = txid
+        ctx.put(f"sys.2pc.{txid}.decision", decision)
+        ctx.put(f"sys.2pc.{txid}.reason", reason)
         payload = encode_record(Outcome(txid, decision, reason))
-        events = [_sys_event(part, KIND_DECIDE, payload) for part in t.participants]
-        chain.after_commit(partial(self._complete, t, decision, reason))
-        return Receipt(txn.txn_id, "ok", writes=applied, xchain_txn=txid), events
+        ctx.events.extend(_sys_event(part, KIND_DECIDE, payload) for part in t.participants)
+        ctx.after_commit(partial(self._complete, t, decision, reason))
 
     def _complete(self, t: XTxn, decision: str, reason: str) -> None:
         """The decision is on the ledger: record it, then tell the client."""
@@ -715,51 +722,32 @@ class XTxnEngine:
 
     # --- participant side ---
 
-    def _handle_event(self, chain: Chain, event: Event, txn, height: int, idx: int):
-        kind = event.kind
-        if kind == KIND_PREPARE:
-            return self._exec_prepare(chain, decode_record(event.payload, Prepare), txn, height, idx)
-        if kind == KIND_VOTE:
-            vote = decode_record(event.payload, Vote)  # the voter is the event's source chain
-            return self._exec_vote(chain, event.source_chain, vote, txn, height, idx)
-        if kind == KIND_DECIDE:
-            outcome = decode_record(event.payload, Outcome)
-            return self._exec_apply(chain, outcome.txn_id, outcome.decision, txn, height, idx)
-        raise EncodingError(f"unexpected protocol event kind {kind}")
-
-    def _exec_prepare(self, chain: Chain, p: Prepare, txn, height: int, idx: int):
-        txid = p.txn_id
+    def _exec_prepare(self, ctx: ExecContext, p: Prepare) -> None:
+        chain, txid = ctx.chain, p.txn_id
+        ctx.xchain_txn = txid
         marker = f"sys.xt.{txid}.seen"
         # a prepare seen before, or arriving after a decision was applied here
         # (say a retransmit past a VoteTimeout abort), must take no locks
-        if (
-            chain.current_value(marker) is not None
-            or chain.current_value(f"sys.applied.{txid}") is not None
-        ):
-            return Receipt(txn.txn_id, "ok", writes=(), xchain_txn=txid), []
-        state_writes = {marker: True}
-        reason = self._prepare_checks(chain, p, height)
-        reads: tuple[tuple[str, Value], ...] = ()
-        if reason:
-            # a no-vote releases every lock this txn holds here
-            if chain.locks.release_owner(txid):
-                chain.after_commit(partial(self._log_lock, chain.chain_id, "release", "*", txid))
-        else:
-            reads = tuple((key, chain.current_value(key)) for key in p.reads)
-            state_writes[f"sys.xt.{txid}.vote"] = "yes"
-            chain.after_commit(partial(self._prepared, p, chain.chain_id))
-        applied = chain._commit_writes(state_writes, height, idx)
+        if ctx.get(marker) is not None or ctx.get(f"sys.applied.{txid}") is not None:
+            return
+        ctx.put(marker, True)
+        reason = self._prepare_checks(ctx, p)
+        reads = () if reason else tuple((key, ctx.get(key)) for key in p.reads)
+        if not reason:
+            ctx.put(f"sys.xt.{txid}.vote", "yes")
+            ctx.after_commit(partial(self._prepared, p, chain.chain_id))
+        elif chain.locks.release_owner(txid):  # a no-vote releases every lock this txn holds here
+            ctx.after_commit(partial(self._log_lock, chain.chain_id, "release", "*", txid))
         vote = Vote(txid, "no" if reason else "yes", reason, reads)
-        out = [_sys_event(p.coordinator, KIND_VOTE, encode_record(vote))]
-        return Receipt(txn.txn_id, "ok", writes=applied, xchain_txn=txid), out
+        ctx.events.append(_sys_event(p.coordinator, KIND_VOTE, encode_record(vote)))
 
     def _prepared(self, p: Prepare, chain_id: str) -> None:
         self._pending[(p.txn_id, chain_id)] = list(p.writes)
         self._arm_decision_poll(p.txn_id, chain_id, p.coordinator)
 
-    def _prepare_checks(self, chain: Chain, p: Prepare, height: int) -> str:
+    def _prepare_checks(self, ctx: ExecContext, p: Prepare) -> str:
         """The reason to vote no, or "" after taking the write locks."""
-        txid = p.txn_id
+        chain, txid = ctx.chain, p.txn_id
         for action, keys in (("write", [key for key, _ in p.writes]), ("read", p.reads)):
             for key in keys:
                 if key.startswith("sys."):
@@ -768,14 +756,15 @@ class XTxnEngine:
                     continue
                 contract = self._owning_contract(chain, key)
                 denial = self._policy_denial(
-                    chain, contract, action, key[len(contract) + 1 :], p.caller_id, p.coordinator, height
+                    chain, contract, action, key[len(contract) + 1 :], p.caller_id, p.coordinator, ctx.height
                 )
                 if denial is not None:
                     return f"PolicyDenied: {denial or 'policy denied'}"
         for key, expected in p.compares:
-            if chain.current_value(key) != expected:
+            if ctx.get(key) != expected:
                 return f"CompareFailed: {chain.chain_id}:{key}"
-        # first-committer-wins: newer versions abort the transaction
+        # first-committer-wins: newer versions, this block's writes included,
+        # abort the transaction
         for key, ver in p.versions:
             if (chain.current_version(key) or (0, 0)) != ver:
                 return f"VersionConflict: {key}"
@@ -783,65 +772,62 @@ class XTxnEngine:
             if chain.latest_version_under(prefix) != ver:
                 return f"VersionConflict: {prefix}*"
         for key in p.locks:
-            if key.endswith("*"):
-                holder = chain.locks.prefix.get(key[:-1])
-            else:
-                holder = chain.locks.exact.get(key)
-            if holder != txid:
+            held = chain.locks.prefix if key.endswith("*") else chain.locks.exact
+            if held.get(key.removesuffix("*")) != txid:
                 return f"LockLost: {key}"
         for key, _ in p.writes:
             if chain.locks.exact.get(key) == txid or self._covered_by_prefix(chain, key, txid):
                 continue
             if not chain.locks.try_lock(key, txid):
                 return f"LockConflict: {key}"
-            chain.after_commit(partial(self._log_lock, chain.chain_id, "acquire", key, txid))
+            ctx.after_commit(partial(self._log_lock, chain.chain_id, "acquire", key, txid))
         return ""
 
     def _covered_by_prefix(self, chain: Chain, key: str, owner: str) -> bool:
         return any(key.startswith(p) for p, o in chain.locks.prefix.items() if o == owner)
 
-    def _exec_vote(self, chain: Chain, part: str, v: Vote, txn, height: int, idx: int):
+    def _exec_vote(self, ctx: ExecContext, part: str, v: Vote) -> None:
         txid = v.txn_id
         t = self.records.get(txid)
         if t is None:
-            return Receipt(txn.txn_id, "ok", writes=()), []
-        writes = {f"sys.2pc.{txid}.vote.{part}": f"{v.vote}:{v.reason}"}
-        applied = chain._commit_writes(writes, height, idx)
-        if chain.current_value(f"sys.2pc.{txid}.decision") is not None:
-            return Receipt(txn.txn_id, "ok", writes=applied, xchain_txn=txid), []
-        chain.after_commit(partial(t.read_values.update, {(part, k): value for k, value in v.reads}))
+            return
+        ctx.xchain_txn = txid
+        ctx.put(f"sys.2pc.{txid}.vote.{part}", f"{v.vote}:{v.reason}")
+        if ctx.get(f"sys.2pc.{txid}.decision") is not None:
+            return
+        ctx.after_commit(partial(t.read_values.update, {(part, k): value for k, value in v.reads}))
         keys = [f"sys.2pc.{txid}.vote.{p}" for p in t.participants]
-        if any(chain.current_value(key) is None for key in keys):
-            return Receipt(txn.txn_id, "ok", writes=applied, xchain_txn=txid), []
-        chain.after_commit(partial(self.sim.meter.round_trip, txid))
-        # the tally in arrival order, which is ledger version order
-        arrived = sorted(keys, key=chain.current_version)
-        votes = [chain.current_value(key).partition(":") for key in arrived]
+        if any(ctx.get(key) is None for key in keys):
+            return
+        ctx.after_commit(partial(self.sim.meter.round_trip, txid))
+        # the tally in arrival order, which is ledger version order: the
+        # committed votes by version, then the one this transaction stages
+        arrived = sorted(keys, key=lambda key: (key in ctx.writes, ctx.chain.current_version(key)))
+        votes = [ctx.get(key).partition(":") for key in arrived]
         no_reasons = [r for v, _, r in votes if v != "yes"]
         decision, reason = ("abort", no_reasons[0]) if no_reasons else ("commit", "")
-        receipt, events = self._exec_decide(chain, txid, decision, reason, txn, height, idx)
-        merged = Receipt(txn.txn_id, "ok", writes=applied + receipt.writes, xchain_txn=txid)
-        return merged, events
+        self._exec_decide(ctx, txid, decision, reason)
 
-    def _exec_apply(self, chain: Chain, txid: str, decision: str, txn, height: int, idx: int):
+    def _exec_apply(self, ctx: ExecContext, txid: str, decision: str) -> None:
+        chain = ctx.chain
+        ctx.xchain_txn = txid
         marker = f"sys.applied.{txid}"
-        if chain.current_value(marker) is not None:
-            return Receipt(txn.txn_id, "ok", writes=(), xchain_txn=txid), []
-        state_writes: dict[str, Value] = {marker: decision}
+        if ctx.get(marker) is not None:
+            return
+        ctx.put(marker, decision)
         if decision == "commit":
             for key, value in self._pending.get((txid, chain.chain_id), []):
-                state_writes[key] = value
+                ctx.put(key, value)
         if chain.locks.release_owner(txid):
-            chain.after_commit(partial(self._log_lock, chain.chain_id, "release", "*", txid))
-        chain.after_commit(partial(self._pending.pop, (txid, chain.chain_id), None))
-        applied = chain._commit_writes(state_writes, height, idx)
+            ctx.after_commit(partial(self._log_lock, chain.chain_id, "release", "*", txid))
+        ctx.after_commit(partial(self._pending.pop, (txid, chain.chain_id), None))
         t = self.records.get(txid)
         # the last participant to apply closes the decide round trip
         if t is not None and all(
-            self.sim.chains[part].current_value(marker) is not None for part in t.participants
+            part == chain.chain_id or self.sim.chains[part].read_state(marker) is not None
+            for part in t.participants
         ):
-            chain.after_commit(partial(self.sim.meter.round_trip, txid))
-        return Receipt(txn.txn_id, "ok", writes=applied, xchain_txn=txid), []
+            ctx.after_commit(partial(self.sim.meter.round_trip, txid))
 
     # ------------------------------------------------ decision recovery
 
@@ -855,7 +841,7 @@ class XTxnEngine:
     def _poll_decision(self, txid: str, chain_id: str, coordinator: str) -> None:
         self._polling.discard((txid, chain_id))
         chain = self.sim.chains[chain_id]
-        if chain.current_value(f"sys.applied.{txid}") is not None:
+        if chain.read_state(f"sys.applied.{txid}") is not None:
             return  # decision already applied here
         req = self.make_read_request(
             coordinator,
@@ -872,7 +858,7 @@ class XTxnEngine:
         except Exception:
             resp = None
         chain = self.sim.chains[chain_id]
-        if chain.current_value(f"sys.applied.{txid}") is not None:
+        if chain.read_state(f"sys.applied.{txid}") is not None:
             return None
         if resp is not None and resp.value in ("commit", "abort"):
             chain.submit_call("sys.txn", "sys.txn", "apply", [txid, resp.value])

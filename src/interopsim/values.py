@@ -56,6 +56,14 @@ def digest(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
+def check_entry(key: str, value: Value) -> None:
+    """EncodingError unless `key` is a str that encodes and `value` a Value."""
+    if type(key) is not str:
+        raise EncodingError(f"key is not a str: {key!r}")
+    encode_value(key)
+    encode_value(value)
+
+
 def encode_value(v: Value) -> bytes:
     # bool first: bool is a subclass of int
     if v is None:
@@ -67,7 +75,10 @@ def encode_value(v: Value) -> bytes:
             raise EncodingError(f"integer out of 64-bit range: {v}")
         return bytes([TAG_INT]) + (v & ((1 << 64) - 1)).to_bytes(8, "big")
     if isinstance(v, str):
-        raw = v.encode("utf-8")
+        try:
+            raw = v.encode("utf-8")
+        except UnicodeEncodeError as exc:  # UTF-8 cannot hold a lone surrogate
+            raise EncodingError(f"str not encodable as utf-8: {v!r}") from exc
         return bytes([TAG_STR]) + len(raw).to_bytes(4, "big") + raw
     if isinstance(v, bytes):
         return bytes([TAG_BYTES]) + len(v).to_bytes(4, "big") + v
@@ -168,7 +179,10 @@ def encode_record(record) -> bytes:
     elif not isinstance(record, (tuple, list)):
         raise EncodingError(f"a record is a dataclass, tuple or list, not {type(record).__name__}")
     out: list[bytes] = []
-    _encode_list(record, out, 1)
+    try:
+        _encode_list(record, out, 1)
+    except UnicodeEncodeError as exc:  # a str the inline path could not encode
+        raise EncodingError(f"record holds a str not encodable as utf-8: {exc}") from exc
     return b"".join(out)
 
 

@@ -23,6 +23,7 @@ from interopsim.errors import (
     FutureHeight,
     InvalidConfig,
     InvalidRange,
+    InvalidState,
     QuorumFailure,
     UnknownContract,
 )
@@ -187,12 +188,12 @@ def test_quorum_failure_drops_after_commit_effects_and_restores_locks():
     ch.locks.try_lock("kv.held", "t0")
     ran, seen = [], []
 
-    def handler(chain, txn, height, idx):
+    def handler(ctx):
+        chain, txn = ctx.chain, ctx.txn
         chain.locks.release_owner("t0")
         chain.locks.try_lock(f"kv.{txn.args[0]}", "t1")
         chain.locks.try_lock_prefix("kv.p.", "t1")
-        chain.after_commit(lambda: ran.append((txn.args[0], chain.height)))
-        return Receipt(txn.txn_id, "ok"), []
+        ctx.after_commit(lambda: ran.append((txn.args[0], chain.height)))
 
     class Observer:
         def on_block(self, chain, block):
@@ -216,15 +217,109 @@ def test_quorum_failure_drops_after_commit_effects_and_restores_locks():
     assert ran == [("a", 2)]
 
 
+def test_failed_system_transaction_leaves_nothing_behind():
+    # a handler stages a write, an event and an effect, then raises: only the
+    # failed receipt remains
+    ch = ready_kv(mk_chain(chain_id="x"))
+    ran = []
+
+    def handler(ctx):
+        ctx.put("kv.staged", 1)
+        ctx.emit("y", "kv", 16, b"payload")
+        ctx.after_commit(lambda: ran.append(ctx.txn.args[0]))
+        raise InvalidState("late failure")
+
+    ch.system_handlers["sys.test"] = handler
+    ch.submit_call("sys", "sys.test", "go", ["a"])
+    prev_root = ch.blocks[-1].header.state_root
+    block, events = ch.produce_block(tick=1)
+    (receipt,) = block.receipts
+    assert (receipt.status, receipt.error, receipt.writes) == ("failed", "InvalidState: late failure", ())
+    assert ch.read_state("kv.staged") is None
+    assert block.header.state_root == prev_root
+    assert events == []
+    set_kv(ch, "alice", "b", 1)
+    assert ran == []
+
+
+def test_every_read_sees_the_block_in_production():
+    # a write earlier in the block is visible to every state read a later
+    # transaction of the same block makes, exactly as once it commits
+    ch = ready_kv(mk_chain(chain_id="x"))
+    seen = []
+
+    def reads(chain):
+        return (
+            chain.read_state("kv.p.a"),
+            chain.current_version("kv.p.a"),
+            chain.state_items("kv.p."),
+            chain.latest_version_under("kv.p."),
+        )
+
+    ch.system_handlers["sys.test"] = lambda ctx: seen.append(reads(ctx.chain))
+    ch.submit_call("alice", "kv", "set", ["p.a", 7])
+    ch.submit_call("sys", "sys.test", "go", [])
+    ch.produce_block(tick=1)
+    version = (ch.height, 0)
+    assert seen == [(7, version, [("kv.p.a", 7, version)], version)]
+    assert reads(ch) == seen[0]
+
+
+class WriterContract(Contract):
+    """Writes or emits whatever the test sets on the class."""
+
+    contract_id = "w"
+    write = ("k", 1)
+    dest = "y"
+
+    def _write(self, ctx, args):
+        ctx.put(*self.write)
+
+    def _emit(self, ctx, args):
+        ctx.emit(self.dest, "kv", 16, b"x")
+
+    handlers = {"write": _write, "emit": _emit}
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("k", 1.5), ("k", [1, 2]), ("k", 2**70), ("k", "\ud800"), ("k\ud800", 1)],
+)
+def test_contract_write_that_does_not_encode_fails_the_transaction(monkeypatch, key, value):
+    ch = ready_kv(mk_chain())
+    ch.register_contract(WriterContract())
+    ch.produce_block(tick=1)
+    monkeypatch.setattr(WriterContract, "write", (key, value))
+    ch.submit_call("alice", "w", "write", [])
+    ch.submit_call("alice", "kv", "set", ["after", 1])
+    prev_root = ch.blocks[-1].header.state_root
+    block, _ = ch.produce_block(tick=2)
+    bad, good = block.receipts
+    assert bad.status == "failed" and bad.error.startswith("EncodingError")
+    assert good.status == "ok"
+    assert ch.history_ceiling() == ch.height  # no block left in production
+    assert ch.read_state("kv.after") == 1
+    assert block.header.state_root == full_state_root(ch) != prev_root
+
+
+def test_event_to_a_destination_that_does_not_encode_fails_the_transaction(monkeypatch):
+    ch = ready_kv(mk_chain())
+    ch.register_contract(WriterContract())
+    ch.produce_block(tick=1)
+    monkeypatch.setattr(WriterContract, "dest", "be\ud800ta")
+    ch.submit_call("alice", "w", "emit", [])
+    block, events = ch.produce_block(tick=2)
+    assert block.receipts[0].status == "failed"
+    assert block.receipts[0].error.startswith("EncodingError")
+    assert events == []
+
+
 def test_read_state_at_heights():
     ch = ready_kv(mk_chain())  # height 1 after registration
     set_kv(ch, "alice", "x", 5)  # height 2
     set_kv(ch, "alice", "y", 9)  # height 3
-    assert ch.read_state("kv.x", height=3) == 5
-    assert ch.read_state("kv.x", height=1) is None
+    assert ch.read_state("kv.x") == 5
     assert ch.read_state("kv.absent") is None
-    with pytest.raises(FutureHeight):
-        ch.read_state("kv.x", height=ch.height + 1)
 
 
 def test_read_state_sees_latest_version():
@@ -232,7 +327,6 @@ def test_read_state_sees_latest_version():
     set_kv(ch, "alice", "x", 1)
     set_kv(ch, "alice", "x", 2)
     assert ch.read_state("kv.x") == 2
-    assert ch.read_state("kv.x", height=2) == 1
 
 
 def test_get_history_examples():

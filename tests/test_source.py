@@ -99,3 +99,10 @@ def test_signing_paths_use_the_chain_signer_tables():
     assert any(
         isinstance(n, ast.Attribute) and n.attr == "signing_keys" for n in ast.walk(_function("txn.py", "_serve_read"))
     )
+
+
+def test_only_chain_touches_chain_private_state():
+    # every transaction reaches state through its ExecContext, which the chain
+    # applies in one place; no other module reaches into the chain itself
+    private = re.compile(r"\._(?:commit_writes|overlay|current|effects|inbox|history)\b")
+    assert _modules_matching(private) == ["chain.py"]

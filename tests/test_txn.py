@@ -386,6 +386,45 @@ def test_occ_version_conflict_aborts():
     assert w.locks_empty()
 
 
+def test_occ_prefix_phantom_earlier_in_the_prepare_block_aborts():
+    # beta loses quorum, so a phantom under the prefix and the prepare land in
+    # one block: the prefix guard sees the write made earlier in that block
+    w = World()
+    beta = w.chains["beta"]
+    t = w.engine.begin_general("alpha", MODE_OCC)
+    assert w.sim.pump(w.engine.txn_read_prefix_async(t, "beta", "kv.p.")) == ()
+    w.engine.txn_write(t, "alpha", "kv.w", 1)
+    beta.byzantine.update({"beta:node1": Behavior.SILENT, "beta:node2": Behavior.SILENT})
+    beta.submit_call("mallory", "kv", "set", ["p.z", 1])
+    fut = w.engine.txn_commit_async(t)
+    while not any(txn.method == "__event__" for txn in beta.mempool):
+        w.sim.step()
+    beta.byzantine.clear()
+    assert w.sim.pump(fut) == Aborted("VersionConflict: kv.p.*")
+    w.settle()
+    assert w.kv("alpha", "w") is None and w.kv("beta", "p.z") == 1
+    assert w.locks_empty()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("kv.x", 1.5), ("kv.x", [1, 2]), ("kv.x", 2**70), ("kv.x", "\ud800"), ("kv.x\ud800", 1)],
+)
+def test_client_write_no_prepare_can_carry_fails_at_the_call(key, value):
+    w = World()
+    records = dict(w.engine.records)
+    with pytest.raises(EncodingError):
+        w.engine.execute_minitxn_async("alpha", MiniTxn((), (), (("beta", key, value),)))
+    assert w.engine.records == records
+    t = w.engine.begin_general("alpha", MODE_LOCKS)
+    with pytest.raises(EncodingError):
+        w.engine.txn_write_async(t, "beta", key, value)
+    assert t.write_set == {} and t.lock_keys == {}
+    assert all(not chain.mempool for chain in w.chains.values())
+    w.settle()
+    assert w.locks_empty()
+
+
 def test_clean_commit_applies_all_writes():
     w = World()
     w.set_kv("beta", "x", 5)
@@ -654,7 +693,7 @@ def test_vote_and_decide_payloads_round_trip(monkeypatch):
         if r["kind"] == "deliver" and r.get("event_kind") == KIND_VOTE
     ]
     assert vote_sources == ["beta"]
-    assert w.chains["alpha"].current_value(f"sys.2pc.{vote.txn_id}.vote.beta") == "yes:"
+    assert w.chains["alpha"].read_state(f"sys.2pc.{vote.txn_id}.vote.beta") == "yes:"
     assert vote.reads == (("kv.a", True),) and type(vote.reads[0][1]) is bool
     assert seen[KIND_DECIDE] == Outcome(vote.txn_id, "commit", "")
     for kind, p in payloads:

@@ -103,6 +103,14 @@ NESTED_RAW = (
 )
 
 
+def test_lone_surrogate_is_an_encoding_error():
+    # UTF-8 cannot hold a lone surrogate: every encoder refuses it as it refuses
+    # any other value it cannot encode
+    for encode in (encode_value, lambda s: encode_record((s,)), lambda s: encode_record(((1, s),))):
+        with pytest.raises(EncodingError):
+            encode("a\ud800")
+
+
 def test_canonical_record_encoding():
     assert encode_record(NESTED) == NESTED_RAW
     assert decode_record(NESTED_RAW, 3) == ("k", (1, True), (None, b"\x01"))  # lists come back as tuples
