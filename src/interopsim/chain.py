@@ -37,6 +37,7 @@ from .errors import (
     UnknownContract,
 )
 from .merkle import MerkleMap, MerkleProof, root_of_digests
+from .policy import Decision
 from .values import (
     INT64_MAX,
     INT64_MIN,
@@ -455,17 +456,22 @@ class Chain:
         cid = contract.contract_id
         if not cid or cid in self.contracts:
             raise DuplicateContract(f"contract {cid!r} already registered")
+        # namespaces stay disjoint: key_access finds a key's owner by its
+        # first segment, and "sys." belongs to the system
+        if "." in cid or cid == "sys":
+            raise InvalidConfig(f"contract id {cid!r} would share another key namespace")
         self.contracts[cid] = contract
         self.submit_call("sys", "sys.registry", "register", [cid])
 
     def contract_active(self, cid: str) -> bool:
-        """Registered as of the last committed block."""
+        """Registered here and on the ledger as of the last committed block."""
         entry = self._current.get(f"sys.contract.{cid}")
-        return entry is not None and entry[0] is True
+        return cid in self.contracts and entry is not None and entry[0] is True
 
     # ------------------------------------------------------------- mempool
 
     def submit_transaction(self, txn: Transaction) -> bytes:
+        txn_id = txn.txn_id  # EncodingError here, before anything is recorded
         key = (txn.caller_chain, txn.caller_id, txn.nonce)
         if key in self._nonces:
             raise DuplicateNonce(f"nonce {txn.nonce} reused by {txn.caller_id}")
@@ -473,7 +479,7 @@ class Chain:
             raise UnknownContract(txn.target_contract)
         self._nonces.add(key)
         self.mempool.append(txn)
-        return txn.txn_id
+        return txn_id
 
     def next_nonce(self, caller_chain: str, caller_id: str) -> int:
         k = (caller_chain, caller_id)
@@ -653,9 +659,9 @@ class Chain:
                     raise UnknownContract(target)
                 handler(ctx)
             else:
-                contract = self.contracts.get(target)
-                if contract is None or not self.contract_active(target):
+                if not self.contract_active(target):
                     raise UnknownContract(f"{target} not active")
+                contract = self.contracts[target]
                 if txn.method == "__event__":
                     contract.on_event(ctx, self.inbox_event(txn))
                 else:
@@ -695,6 +701,22 @@ class Chain:
         entry = self._current.get(f"sys.policy.{contract_id}")
         return entry[0] if entry else None
 
+    def key_access(
+        self, action: str, key: str, caller_id: str, caller_chain: str, height: int
+    ) -> Decision:
+        """The one gate on a full key.  A `sys.` key is readable by anyone and
+        written by no caller; any other key answers to the policy of the
+        registered contract whose namespace holds it, the rest of the key
+        being the resource; a key no registered contract owns is ungated."""
+        if key.startswith("sys."):
+            if action == "read":
+                return Decision(True)
+            return Decision(False, "writes to the sys namespace are reserved")
+        contract, dot, resource = key.partition(".")
+        if not dot or contract not in self.contracts:
+            return Decision(True)
+        return self.evaluate_policy(contract, action, resource, caller_id, caller_chain, height)
+
     def evaluate_policy(
         self,
         contract_id: str,
@@ -705,7 +727,7 @@ class Chain:
         height: Optional[int] = None,
     ):
         """Evaluate the attached policy; no policy attached means ungated."""
-        from .policy import AccessRequest, ChainEvalContext, Decision, evaluate, parse_policy
+        from .policy import AccessRequest, ChainEvalContext, evaluate, parse_policy
 
         src = self.policy_source(contract_id)
         if src is None:
@@ -726,9 +748,8 @@ class Chain:
     # ---------------------------------------------------------- query path
 
     def run_query(self, contract_id: str, method: str, args: list[Value]) -> Value:
-        contract = self.contracts.get(contract_id)
-        if contract is None or not self.contract_active(contract_id):
-            raise UnknownContract(contract_id)
+        """Run a read-only query handler of an active contract (the caller checks)."""
+        contract = self.contracts[contract_id]
         handler = contract.query_handlers.get(method)
         if handler is None:
             raise UnknownContract(f"{contract_id}.{method} (query)")

@@ -61,9 +61,9 @@ ST_ABORTED = "aborted"
 class ReadRequest:
     nonce: int
     target_chain: str
-    contract: str = ""
-    method: str = ""  # "" selects the storage path (plain key)
-    key: str = ""
+    contract: str = ""  # the active contract a query or __agg__ reads; "" on key paths
+    method: str = ""  # "" selects the storage path (a full key)
+    key: str = ""  # storage and __prefix__ reads: a full key or key prefix
     args: tuple[Value, ...] = ()
     caller_id: str = "client"
     caller_chain: str = ""
@@ -345,8 +345,7 @@ class XTxnEngine:
                 raise ProofInvalid("proof anchored to a different height")
             if not verify_proof(root, proof):
                 raise ProofInvalid("merkle proof does not verify")
-            full_key = f"{req.contract}.{req.key}" if req.contract else req.key
-            if proof.leaf_key != full_key.encode("utf-8"):
+            if proof.leaf_key != req.key.encode("utf-8"):
                 raise ProofInvalid("proof is for a different key")
             if proof.kind == "membership" and proof.leaf_value != resp.value:
                 raise ProofInvalid("proof value mismatch")
@@ -372,26 +371,6 @@ class XTxnEngine:
             return None
         return self._serve_read(chain, req)
 
-    def _owning_contract(self, chain: Chain, key: str) -> str:
-        head = key.split(".", 1)[0]
-        return head if head in chain.contracts else ""
-
-    def _policy_denial(
-        self,
-        chain: Chain,
-        contract: str,
-        action: str,
-        resource: str,
-        caller_id: str,
-        caller_chain: str,
-        height: Optional[int] = None,
-    ) -> Optional[str]:
-        """The policy's reason (maybe "") when it refuses; None when allowed or no contract."""
-        if not contract:
-            return None
-        decision = chain.evaluate_policy(contract, action, resource, caller_id, caller_chain, height)
-        return None if decision.allowed else decision.reason
-
     def _serve_read(self, chain: Chain, req: ReadRequest) -> Optional[bytes]:
         height = chain.height
 
@@ -401,34 +380,37 @@ class XTxnEngine:
                 self._log_lock(chain.chain_id, "release", "*", req.lock_for)
             return _answer(req, height, True, ())
 
+        # storage and prefix reads name full keys, each gated by Chain.key_access
+        if req.contract and req.method in ("", "__prefix__"):
+            return _refusal(req, height, "error", "a storage or prefix read names a full key, not a contract")
+
         # prefix snapshot: phantom-safe row listing with a prefix version guard
         if req.method == "__prefix__":
             prefix = req.key
-            contract = req.contract or self._owning_contract(chain, prefix)
-            full_prefix = prefix if not req.contract else f"{req.contract}.{prefix}"
             rows = [
                 (key, value, version)
-                for key, value, version in chain.state_items(full_prefix)
+                for key, value, version in chain.state_items(prefix)
                 if value is not None
             ]
             for key, _, _ in rows:
-                denial = self._policy_denial(
-                    chain, contract, "read", key[len(contract) + 1 :], req.caller_id, req.caller_chain
-                )
-                if denial is not None:
-                    return _refusal(req, height, "denied", denial)
+                decision = chain.key_access("read", key, req.caller_id, req.caller_chain, height)
+                if not decision.allowed:
+                    return _refusal(req, height, "denied", decision.reason)
             if req.lock_for:
-                if not chain.locks.try_lock_prefix(full_prefix, req.lock_for):
-                    return _refusal(req, height, "locked", full_prefix)
-                self._log_lock(chain.chain_id, "acquire", full_prefix, req.lock_for)
-            guard = chain.latest_version_under(full_prefix)
+                if not chain.locks.try_lock_prefix(prefix, req.lock_for):
+                    return _refusal(req, height, "locked", prefix)
+                self._log_lock(chain.chain_id, "acquire", prefix, req.lock_for)
+            guard = chain.latest_version_under(prefix)
             value = encode_record(rows)
             sigs = chain.node_signatures(read_response_digest(value, req.nonce, height))
             return _answer(req, height, value, sigs, version=guard)
 
         # aggregate query (resource agg.<fn>.<prefix>, no row access implied)
-        # or contract path (a read-only query handler): every node signs
+        # or contract path (a read-only query handler) of an active contract:
+        # every node signs
         if req.method:
+            if not chain.contract_active(req.contract):
+                return _refusal(req, height, "error", f"UnknownContract: {req.contract!r} is not active")
             agg = None
             resource = req.method
             if req.method == "__agg__":
@@ -436,11 +418,9 @@ class XTxnEngine:
                 if agg is None:
                     return _refusal(req, height, "error", "__agg__ takes (fn, prefix[, from, to])")
                 resource = f"agg.{agg.fn}.{agg.prefix.rstrip('.')}" if agg.prefix else f"agg.{agg.fn}"
-            denial = self._policy_denial(
-                chain, req.contract, "read", resource, req.caller_id, req.caller_chain
-            )
-            if denial is not None:
-                return _refusal(req, height, "denied", denial)
+            decision = chain.evaluate_policy(req.contract, "read", resource, req.caller_id, req.caller_chain)
+            if not decision.allowed:
+                return _refusal(req, height, "denied", decision.reason)
             try:
                 if agg is not None:
                     value = eval_aggregate(agg, ChainEvalContext(chain, req.contract, height))
@@ -451,31 +431,19 @@ class XTxnEngine:
             sigs = chain.node_signatures(read_response_digest(value, req.nonce, height))
             return _answer(req, height, value, sigs)
 
-        # storage path: plain key, merkle proof, single (first honest) node
-        full_key = f"{req.contract}.{req.key}" if req.contract else req.key
-        contract = req.contract or self._owning_contract(chain, full_key)
-        if contract and not full_key.startswith("sys."):
-            rel = full_key[len(contract) + 1 :]
-            if req.lock_only:
-                # write-lock acquisition: gate on write intent, not read
-                denial = self._policy_denial(
-                    chain, contract, "write", rel, req.caller_id, req.caller_chain, chain.height
-                )
-                if denial is not None:
-                    return _refusal(req, height, "denied", denial or "policy denied")
-            else:
-                denial = self._policy_denial(
-                    chain, contract, "read", rel, req.caller_id, req.caller_chain
-                )
-                if denial is not None:
-                    return _refusal(req, height, "denied", denial)
+        # storage path: plain key, merkle proof, single (first honest) node;
+        # a write-lock acquisition is gated on write intent, not read
+        action = "write" if req.lock_only else "read"
+        decision = chain.key_access(action, req.key, req.caller_id, req.caller_chain, height)
+        if not decision.allowed:
+            return _refusal(req, height, "denied", decision.reason)
         if req.lock_for:
-            if not chain.locks.try_lock(full_key, req.lock_for):
-                return _refusal(req, height, "locked", full_key)
-            self._log_lock(chain.chain_id, "acquire", full_key, req.lock_for)
-        value = chain.read_state(full_key)
-        version = chain.current_version(full_key)
-        proof = chain.get_proof(full_key, height)
+            if not chain.locks.try_lock(req.key, req.lock_for):
+                return _refusal(req, height, "locked", req.key)
+            self._log_lock(chain.chain_id, "acquire", req.key, req.lock_for)
+        value = chain.read_state(req.key)
+        version = chain.current_version(req.key)
+        proof = chain.get_proof(req.key, height)
         sigs = ()
         for node_id, key in chain.signing_keys.items():
             if chain.byzantine.get(node_id, Behavior.HONEST) == Behavior.HONEST:
@@ -750,16 +718,9 @@ class XTxnEngine:
         chain, txid = ctx.chain, p.txn_id
         for action, keys in (("write", [key for key, _ in p.writes]), ("read", p.reads)):
             for key in keys:
-                if key.startswith("sys."):
-                    if action == "write":
-                        return "PolicyDenied: writes to the sys namespace are reserved"
-                    continue
-                contract = self._owning_contract(chain, key)
-                denial = self._policy_denial(
-                    chain, contract, action, key[len(contract) + 1 :], p.caller_id, p.coordinator, ctx.height
-                )
-                if denial is not None:
-                    return f"PolicyDenied: {denial or 'policy denied'}"
+                decision = chain.key_access(action, key, p.caller_id, p.coordinator, ctx.height)
+                if not decision.allowed:
+                    return f"PolicyDenied: {decision.reason}"
         for key, expected in p.compares:
             if ctx.get(key) != expected:
                 return f"CompareFailed: {chain.chain_id}:{key}"

@@ -347,4 +347,7 @@ def lp(raw: bytes) -> bytes:
 
 
 def lps(s: str) -> bytes:
-    return lp(s.encode("utf-8"))
+    try:
+        return lp(s.encode("utf-8"))
+    except UnicodeEncodeError as exc:  # UTF-8 cannot hold a lone surrogate
+        raise EncodingError(f"str not encodable as utf-8: {s!r}") from exc

@@ -20,6 +20,7 @@ from interopsim.crypto import HmacScheme
 from interopsim.errors import (
     DuplicateContract,
     DuplicateNonce,
+    EncodingError,
     FutureHeight,
     InvalidConfig,
     InvalidRange,
@@ -29,6 +30,8 @@ from interopsim.errors import (
 )
 from interopsim.merkle import EMPTY_ROOT, MerkleMap, verify_proof
 from interopsim.values import digest
+
+from harness import World
 
 
 class KvContract(Contract):
@@ -95,6 +98,52 @@ def test_register_contract_and_duplicate():
     ch.register_contract(KvContract())
     with pytest.raises(DuplicateContract):
         ch.register_contract(KvContract())
+
+
+def test_contract_ids_keep_key_namespaces_disjoint():
+    # Chain.key_access finds a key's contract by its first dotted segment
+    ch = mk_chain()
+    for cid in ("kv.bids", "sys"):
+        contract = KvContract()
+        contract.contract_id = cid
+        with pytest.raises(InvalidConfig):
+            ch.register_contract(contract)
+    assert ch.contracts == {} and ch.mempool == []
+
+
+def test_key_access_maps_each_full_key_to_its_gate():
+    ch = ready_kv(mk_chain())
+    ch.submit_call("sys", "sys.policy", "attach", ["kv", 'allow read on open.*;'])
+    ch.produce_block(tick=1)
+    cases = [
+        ("read", "sys.policy.kv", True),  # anyone reads a sys. key
+        ("write", "sys.x", False),  # no caller writes one
+        ("read", "kv.open.a", True),  # the owning contract's policy, resource open.a
+        ("read", "kv.secret", False),
+        ("write", "kv.open.a", False),
+        ("read", "kvx.secret", True),  # no registered contract owns it
+        ("read", "kv", True),  # outside every namespace
+    ]
+    for action, key, allowed in cases:
+        decision = ch.key_access(action, key, "nosy", "beta", ch.height)
+        assert decision.allowed is allowed, (action, key)
+        assert allowed or decision.reason
+    assert ch.key_access("write", "sys.x", "sys", "alpha", 1).reason == "writes to the sys namespace are reserved"
+
+
+@pytest.mark.parametrize(
+    "caller, args", [("al\ud800ice", ["x", 1]), ("alice", ["x", 1.5])], ids=["surrogate-caller", "float-arg"]
+)
+def test_call_that_does_not_encode_is_refused_before_it_is_recorded(caller, args):
+    w = World()
+    alpha = w.chains["alpha"]
+    mempool, nonces = list(alpha.mempool), set(alpha._nonces)
+    with pytest.raises(EncodingError):
+        alpha.submit_call(caller, "kv", "set", args)
+    assert alpha.mempool == mempool and alpha._nonces == nonces
+    w.settle()  # no block hashes the refused transaction
+    w.set_kv("alpha", "x", 2)
+    assert w.kv("alpha", "x") == 2
 
 
 def test_same_contract_id_on_two_chains():

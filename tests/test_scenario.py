@@ -18,6 +18,7 @@ from interopsim.scenario import (
 
 
 BROKER_RESTART = Path(__file__).parent / "scenarios" / "broker_restart.scn"
+POLICY_DENIALS = Path(__file__).parent / "scenarios" / "auction_policy_denials.scn"
 
 
 def auction_scn(**overrides):
@@ -278,6 +279,25 @@ def test_broker_restart_mid_run_keeps_delivery_at_most_once(tmp_path):
     path = tmp_path / "run.jsonl"
     log.dump(str(path))
     assert simctl(["replay", str(path)]) == 0
+
+
+def test_policy_denials_leave_failed_receipts_and_the_same_winner():
+    metrics, log = run_scenario(Scenario.from_dict(load_scenario(str(POLICY_DENIALS))))
+    base_metrics, _ = run_scenario(auction_scn())
+    denied = [
+        (r["chain"], txn["caller_id"], txn["target"], txn["method"], txn["error"])
+        for r in log.records
+        if r["kind"] == "block"
+        for txn in r["txns"]
+        if txn["error"].startswith("PolicyDenied")
+    ]
+    assert denied == [
+        ("coinb", "bob", "Bidder", "submit_bid", "PolicyDenied: rule 1: condition false"),
+        ("coinb", "mallory", "sys.policy", "attach", "PolicyDenied: coinb:mallory may not call sys.policy"),
+    ]
+    assert metrics.status == "ok" and audit_records(log.records).ok
+    assert _conclusions(metrics) == _conclusions(base_metrics)
+    assert _conclusions(metrics)[0][:3] == ("concluded", "coinc", "carol")
 
 
 # ------------------------------------------------------------------- audit

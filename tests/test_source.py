@@ -106,3 +106,11 @@ def test_only_chain_touches_chain_private_state():
     # applies in one place; no other module reaches into the chain itself
     private = re.compile(r"\._(?:commit_writes|overlay|current|effects|inbox|history)\b")
     assert _modules_matching(private) == ["chain.py"]
+
+
+def test_only_chain_maps_a_key_to_its_contract():
+    # Chain.key_access is the one gate on a full key: storage and prefix reads
+    # name full keys, so no module builds one from a request's contract, and
+    # no other module slices a contract's namespace off a key
+    assert _modules_matching(re.compile(r"\{req\.contract\}\.")) == []
+    assert set(_modules_matching(re.compile(r"\[\s*len\(\w+\)\s*\+\s*1\s*:"))) <= {"chain.py"}

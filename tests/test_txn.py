@@ -156,6 +156,22 @@ def test_tampered_proof_fails_verification():
         w.engine.verify_response(req, _enc_read(forged))
 
 
+def _serve(w, req):
+    """The target chain's response to `req`, decoded, without the channel."""
+    return _dec_read(w.engine._serve_direct(_enc_read(req), w.sim.tick), ReadResponse)
+
+
+_REFUSAL_RAISES = {"denied": PolicyDenied, "error": StaleQuorum}
+
+
+def _assert_refused(w, req, status):
+    """The target chain refuses `req` with `status`, and `verified_read` raises for it."""
+    resp = _serve(w, req)
+    assert (resp.status, resp.value) == (status, None), (req, resp.status, resp.reason)
+    with pytest.raises(_REFUSAL_RAISES[status]):
+        w.engine.verified_read(req)
+
+
 def test_policy_gated_read_denied():
     w = World()
     w.set_kv("beta", "secret", 1)
@@ -182,12 +198,74 @@ def test_aggregate_read_exposes_only_the_scalar():
         "beta", contract="kv", method="__agg__", args=("sum", "bids."), caller_id="auditor"
     )
     assert w.engine.verified_read(agg_req).value == 10
-    # row access stays denied under the same policy
-    row_req = w.engine.make_read_request(
-        "beta", key="kv.bids.a", caller_id="auditor", caller_chain=""
-    )
-    with pytest.raises(PolicyDenied):
-        w.engine.verified_read(row_req)
+    # row access stays denied under the same policy, however the rows are
+    # named; a storage or prefix read that also names a contract is an error
+    for status, fields in (
+        ("denied", dict(key="kv.bids.a")),
+        ("denied", dict(method="__prefix__", key="kv.bids.")),
+        ("denied", dict(method="__prefix__", key="")),
+        ("error", dict(contract="kv", key="bids.a")),
+        ("error", dict(contract="kv.bids", key="a")),
+        ("error", dict(contract="kv.bids", method="__prefix__", key="")),
+    ):
+        row_req = w.engine.make_read_request("beta", caller_id="auditor", caller_chain="", **fields)
+        _assert_refused(w, row_req, status)
+
+
+def test_every_name_of_a_gated_key_is_gated():
+    # every stored kv key, read as each of its prefixes and as each split at a
+    # dot into contract + key: a caller the policy does not allow gets no kv
+    # value or row, and kv.open.* stays readable. A prefix read is denied by a
+    # row's own gate; a storage or prefix read that names a contract, and a
+    # query of a dotted pseudo-contract, are errors; kv's aggregates are denied
+    w = World()
+    for key, value in (("open.a", 1), ("open.b", 2), ("secret", 5), ("bids.a", 3), ("bids.b", 7)):
+        w.set_kv("beta", key, value)
+    beta = w.chains["beta"]
+    beta.submit_call("sys", "sys.policy", "attach", ["kv", 'allow read on open.*;'])
+    w.settle()
+    stored = {key: value for key, value, _ in beta.state_items("kv.")}
+    opened = {key: value for key, value in stored.items() if key.startswith("kv.open.")}
+    assert len(stored) == 5 and len(opened) == 2
+
+    def request(**fields):
+        return w.engine.make_read_request("beta", caller_id="nosy", caller_chain="alpha", **fields)
+
+    def prefixes(key):
+        return [key[:end] for end in range(len(key) + 1)]
+
+    for full in stored:
+        for prefix in prefixes(full):
+            req = request(method="__prefix__", key=prefix)
+            if any(key.startswith(prefix) for key in set(stored) - set(opened)):
+                _assert_refused(w, req, "denied")
+            else:
+                rows = {key: value for key, value, _ in decode_record(_serve(w, req).value, txn_module.PrefixRows)}
+                assert rows == {k: v for k, v in opened.items() if k.startswith(prefix)}, prefix
+        for dot in [i for i, ch in enumerate(full) if ch == "."]:
+            contract, rest = full[:dot], full[dot + 1 :]
+            _assert_refused(w, request(contract=contract, key=rest), "error")
+            for prefix in prefixes(rest):
+                _assert_refused(w, request(contract=contract, method="__prefix__", key=prefix), "error")
+                agg_status = "denied" if contract == "kv" else "error"
+                _assert_refused(w, request(contract=contract, method="__agg__", args=("sum", prefix)), agg_status)
+    for key, value in opened.items():
+        resp = w.engine.verified_read(
+            w.engine.make_read_request("beta", key=key, caller_id="nosy", caller_chain="alpha")
+        )
+        assert resp.value == value
+
+
+def test_write_lock_on_a_sys_key_is_refused_at_the_read():
+    # a caller never writes a sys. key, so it may not lock one for writing either
+    w = World()
+    t = w.engine.begin_general("alpha", MODE_LOCKS)
+    with pytest.raises(PolicyDenied, match="sys namespace"):
+        w.engine.txn_write(t, "beta", "sys.contract.kv", False)
+    assert w.locks_empty() and t.write_set == {}
+    req = w.engine.make_read_request("beta", key="sys.x", lock_for="t1", lock_only=True)
+    _assert_refused(w, req, "denied")
+    assert w.locks_empty()
 
 
 # ------------------------------------------------------------- mini-txns

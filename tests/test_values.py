@@ -16,6 +16,7 @@ from interopsim.values import (
     encode_value,
     encode_values,
     join_record,
+    lps,
 )
 
 
@@ -106,7 +107,7 @@ NESTED_RAW = (
 def test_lone_surrogate_is_an_encoding_error():
     # UTF-8 cannot hold a lone surrogate: every encoder refuses it as it refuses
     # any other value it cannot encode
-    for encode in (encode_value, lambda s: encode_record((s,)), lambda s: encode_record(((1, s),))):
+    for encode in (encode_value, lambda s: encode_record((s,)), lambda s: encode_record(((1, s),)), lps):
         with pytest.raises(EncodingError):
             encode("a\ud800")
 
