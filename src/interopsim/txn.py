@@ -9,22 +9,23 @@ Every cross-chain transaction is an `XTxn` committed by the same 2PC run on
 a coordinator chain.  A mini-transaction knows its compare/read/write sets
 up front; a general one (lock-based or optimistic) builds its read (with
 versions), prefix, lock and write sets through verified reads first.  At
-commit the coordinator's `begin` block sends each participant one `Prepare`
-holding its share of every set; the participant checks write and read
-policy, compares, versions and held locks, takes its write locks and votes.
-Prepare and decision records are ledger entries on the coordinator,
-protocol messages are bus events, and votes carry f+1 participant-node
-signatures by construction of the gateway path.  Every abort once prepared
-(client abort, vote timeout) is a `decide` ledger transaction on the
-coordinator.  Each `sys.txn` handler runs against the transaction's
-ExecContext like any contract: it reads votes, decisions and applied
-markers back from the ledger, stages its writes and protocol events there,
-and changes engine memory (client futures, pending writes, polls, meters,
-log records) only through `ExecContext.after_commit`, once its block
-commits.  So a decision is durable before the client or any participant
-hears it, and a failed handler or a block lost to QuorumFailure leaves
-nothing behind.  Prepared participants that miss the decision recover it by
-polling the coordinator's ledger.
+commit the client submits a `begin` that holds the participants and each
+one's `Prepare`; each participant checks write and read policy, compares,
+versions and held locks, takes its write locks and votes.  The ledger is
+the only copy of the 2PC state: the coordinator keeps the participants,
+votes and decision under `sys.2pc.<txid>.`, a participant its vote
+(`sys.xt.<txid>.vote`, yes or no), on a yes the writes it will apply
+(`sys.xt.<txid>.writes`), and `sys.applied.<txid>`.  Protocol messages are
+bus events signed by f+1 nodes of their source chain, which names the
+coordinator to a participant and the voter to the coordinator.  Every abort
+once prepared is a `decide` on the coordinator.  Each `sys.txn` handler
+reads and stages only through its ExecContext and reaches engine memory
+(client futures, polls, meters, log records) only through
+`ExecContext.after_commit` callbacks, which skip a transaction this engine
+has no record of.  So a decision is durable before anyone hears it, a
+failed handler or a block lost to QuorumFailure leaves nothing behind, and
+a restarted engine finishes a prepared transaction.  Prepared participants
+that miss the decision poll the coordinator's ledger.
 """
 
 from __future__ import annotations
@@ -153,7 +154,6 @@ class XTxn:
         occ = self.mode == MODE_OCC
         return Prepare(
             txn_id=self.txn_id,
-            coordinator=self.coordinator_chain,
             caller_id=self.caller_id,
             compares=tuple((k, v) for c, k, v in self.compare_set if c == chain),
             reads=tuple(k for c, k in self.fetch_set if c == chain),
@@ -171,11 +171,10 @@ class Prepare:
     The participant checks write policy, read policy on `reads`, compares,
     versions and prefix versions (OCC), held locks (locks mode), then takes
     the write locks, in that order.  A set the transaction does not use is
-    empty.
+    empty.  The coordinator is the prepare event's authenticated source.
     """
 
     txn_id: str
-    coordinator: str
     caller_id: str
     compares: tuple[tuple[str, Value], ...] = ()  # (key, expected value)
     reads: tuple[str, ...] = ()  # keys whose values return with the vote
@@ -214,6 +213,7 @@ class Outcome:
 # binary form, decoded only when the response is verified.
 
 PrefixRows = tuple[tuple[str, Value, Version], ...]  # (key, value, version)
+WriteRows = tuple[tuple[str, Value], ...]  # a prepared participant's (key, value) writes
 
 _READ_KINDS = {ReadRequest: KIND_READ_REQ, ReadResponse: KIND_READ_RESP}
 
@@ -276,9 +276,6 @@ class XTxnEngine:
         self._txn_seq = 0
         # every transaction begun here; the coordinator ledger mirrors decisions
         self.records: dict[str, XTxn] = {}
-        # participant-side pending writes: (txid, chain) -> [(key, value)]
-        self._pending: dict[tuple[str, str], list[tuple[str, Value]]] = {}
-        self._polling: set[tuple[str, str]] = set()
         for chain_id in sim.chain_order:
             self.attach_chain(chain_id)
 
@@ -575,7 +572,7 @@ class XTxnEngine:
         return self.sim.pump(self.txn_commit_async(t))
 
     def _commit(self, t: XTxn) -> Future:
-        """Start 2PC: the coordinator's `begin` block sends every prepare."""
+        """Start 2PC: the sets freeze, and `begin` carries every prepare."""
         t.status = ST_PREPARED
         t.future = Future()
         t.participants = t.chains()
@@ -585,7 +582,8 @@ class XTxnEngine:
             t.future.set_result(Committed())
             return t.future
         coord = self.sim.chains[t.coordinator_chain]
-        coord.submit_call("sys.txn", "sys.txn", "begin", [t.txn_id])
+        prepares = [encode_record(t.prepare_for(part)) for part in t.participants]
+        coord.submit_call("sys.txn", "sys.txn", "begin", [t.txn_id, ",".join(t.participants), *prepares])
         self._arm_vote_timeout(t)
         return t.future
 
@@ -630,12 +628,12 @@ class XTxnEngine:
     def _sys_txn_exec(self, ctx: ExecContext) -> None:
         """System handler: runs inside block execution, deterministically.
 
-        2PC facts (votes, decisions, applied markers) are read back from the
-        ledger, this block included; writes and protocol events are staged on
-        `ctx`, and everything else goes through `ctx.after_commit`."""
+        2PC state is read only from `ctx`, which sees the ledger and this
+        block; writes and protocol events are staged on `ctx`, and everything
+        else goes through `ctx.after_commit`."""
         method, args = ctx.txn.method, ctx.txn.args
         if method == "begin":
-            self._exec_begin(ctx, args[0])
+            self._exec_begin(ctx, args[0], args[1], args[2:])
         elif method == "decide":
             self._exec_decide(ctx, *args)
         elif method == "apply":
@@ -643,10 +641,11 @@ class XTxnEngine:
         elif method != "__event__":
             raise EncodingError(f"unknown sys.txn method {method}")
         else:
+            # the sender (coordinator or voter) is the event's authenticated source
             event = ctx.chain.inbox_event(ctx.txn)
             if event.kind == KIND_PREPARE:
-                self._exec_prepare(ctx, decode_record(event.payload, Prepare))
-            elif event.kind == KIND_VOTE:  # the voter is the event's source chain
+                self._exec_prepare(ctx, event.source_chain, decode_record(event.payload, Prepare))
+            elif event.kind == KIND_VOTE:
                 self._exec_vote(ctx, event.source_chain, decode_record(event.payload, Vote))
             elif event.kind == KIND_DECIDE:
                 outcome = decode_record(event.payload, Outcome)
@@ -656,27 +655,29 @@ class XTxnEngine:
 
     # --- coordinator side ---
 
-    def _exec_begin(self, ctx: ExecContext, txid: str) -> None:
-        t = self.records[txid]
+    def _exec_begin(self, ctx: ExecContext, txid: str, participants: str, prepares: tuple) -> None:
         ctx.xchain_txn = txid
         ctx.put(f"sys.2pc.{txid}.phase", "prepare")
-        ctx.put(f"sys.2pc.{txid}.participants", ",".join(t.participants))
-        for part in t.participants:
-            ctx.events.append(_sys_event(part, KIND_PREPARE, encode_record(t.prepare_for(part))))
+        ctx.put(f"sys.2pc.{txid}.participants", participants)
+        for part, payload in zip(participants.split(","), prepares, strict=True):
+            ctx.events.append(_sys_event(part, KIND_PREPARE, payload))
 
     def _exec_decide(self, ctx: ExecContext, txid: str, decision: str, reason: str) -> None:
-        t = self.records.get(txid)
-        if t is None or ctx.get(f"sys.2pc.{txid}.decision") is not None:
+        participants = ctx.get(f"sys.2pc.{txid}.participants")
+        if participants is None or ctx.get(f"sys.2pc.{txid}.decision") is not None:
             return
         ctx.xchain_txn = txid
         ctx.put(f"sys.2pc.{txid}.decision", decision)
         ctx.put(f"sys.2pc.{txid}.reason", reason)
         payload = encode_record(Outcome(txid, decision, reason))
-        ctx.events.extend(_sys_event(part, KIND_DECIDE, payload) for part in t.participants)
-        ctx.after_commit(partial(self._complete, t, decision, reason))
+        ctx.events.extend(_sys_event(part, KIND_DECIDE, payload) for part in participants.split(","))
+        ctx.after_commit(partial(self._complete, txid, decision, reason))
 
-    def _complete(self, t: XTxn, decision: str, reason: str) -> None:
+    def _complete(self, txid: str, decision: str, reason: str) -> None:
         """The decision is on the ledger: record it, then tell the client."""
+        t = self.records.get(txid)
+        if t is None:
+            return
         t.decision = decision
         t.reason = reason
         self._log_xtxn(t)
@@ -690,35 +691,31 @@ class XTxnEngine:
 
     # --- participant side ---
 
-    def _exec_prepare(self, ctx: ExecContext, p: Prepare) -> None:
+    def _exec_prepare(self, ctx: ExecContext, coordinator: str, p: Prepare) -> None:
         chain, txid = ctx.chain, p.txn_id
         ctx.xchain_txn = txid
-        marker = f"sys.xt.{txid}.seen"
-        # a prepare seen before, or arriving after a decision was applied here
-        # (say a retransmit past a VoteTimeout abort), must take no locks
-        if ctx.get(marker) is not None or ctx.get(f"sys.applied.{txid}") is not None:
+        vote_key = f"sys.xt.{txid}.vote"
+        # a prepare voted on before, or arriving after a decision was applied
+        # here (say a retransmit past a VoteTimeout abort), must take no locks
+        if ctx.get(vote_key) is not None or ctx.get(f"sys.applied.{txid}") is not None:
             return
-        ctx.put(marker, True)
-        reason = self._prepare_checks(ctx, p)
+        reason = self._prepare_checks(ctx, coordinator, p)
+        vote = "no" if reason else "yes"
+        ctx.put(vote_key, vote)
         reads = () if reason else tuple((key, ctx.get(key)) for key in p.reads)
         if not reason:
-            ctx.put(f"sys.xt.{txid}.vote", "yes")
-            ctx.after_commit(partial(self._prepared, p, chain.chain_id))
+            ctx.put(f"sys.xt.{txid}.writes", encode_record(p.writes))
+            ctx.after_commit(partial(self._arm_decision_poll, txid, chain.chain_id, coordinator))
         elif chain.locks.release_owner(txid):  # a no-vote releases every lock this txn holds here
             ctx.after_commit(partial(self._log_lock, chain.chain_id, "release", "*", txid))
-        vote = Vote(txid, "no" if reason else "yes", reason, reads)
-        ctx.events.append(_sys_event(p.coordinator, KIND_VOTE, encode_record(vote)))
+        ctx.events.append(_sys_event(coordinator, KIND_VOTE, encode_record(Vote(txid, vote, reason, reads))))
 
-    def _prepared(self, p: Prepare, chain_id: str) -> None:
-        self._pending[(p.txn_id, chain_id)] = list(p.writes)
-        self._arm_decision_poll(p.txn_id, chain_id, p.coordinator)
-
-    def _prepare_checks(self, ctx: ExecContext, p: Prepare) -> str:
+    def _prepare_checks(self, ctx: ExecContext, coordinator: str, p: Prepare) -> str:
         """The reason to vote no, or "" after taking the write locks."""
         chain, txid = ctx.chain, p.txn_id
         for action, keys in (("write", [key for key, _ in p.writes]), ("read", p.reads)):
             for key in keys:
-                decision = chain.key_access(action, key, p.caller_id, p.coordinator, ctx.height)
+                decision = chain.key_access(action, key, p.caller_id, coordinator, ctx.height)
                 if not decision.allowed:
                     return f"PolicyDenied: {decision.reason}"
         for key, expected in p.compares:
@@ -749,15 +746,16 @@ class XTxnEngine:
 
     def _exec_vote(self, ctx: ExecContext, part: str, v: Vote) -> None:
         txid = v.txn_id
-        t = self.records.get(txid)
-        if t is None:
+        participants = ctx.get(f"sys.2pc.{txid}.participants")
+        parts = [] if participants is None else participants.split(",")
+        if part not in parts:  # an unknown txid, or a chain the transaction never asked
             return
         ctx.xchain_txn = txid
         ctx.put(f"sys.2pc.{txid}.vote.{part}", f"{v.vote}:{v.reason}")
         if ctx.get(f"sys.2pc.{txid}.decision") is not None:
             return
-        ctx.after_commit(partial(t.read_values.update, {(part, k): value for k, value in v.reads}))
-        keys = [f"sys.2pc.{txid}.vote.{p}" for p in t.participants]
+        ctx.after_commit(partial(self._merge_reads, txid, {(part, k): value for k, value in v.reads}))
+        keys = [f"sys.2pc.{txid}.vote.{p}" for p in parts]
         if any(ctx.get(key) is None for key in keys):
             return
         ctx.after_commit(partial(self.sim.meter.round_trip, txid))
@@ -769,6 +767,11 @@ class XTxnEngine:
         decision, reason = ("abort", no_reasons[0]) if no_reasons else ("commit", "")
         self._exec_decide(ctx, txid, decision, reason)
 
+    def _merge_reads(self, txid: str, read_values: dict) -> None:
+        t = self.records.get(txid)
+        if t is not None:
+            t.read_values.update(read_values)
+
     def _exec_apply(self, ctx: ExecContext, txid: str, decision: str) -> None:
         chain = ctx.chain
         ctx.xchain_txn = txid
@@ -776,31 +779,26 @@ class XTxnEngine:
         if ctx.get(marker) is not None:
             return
         ctx.put(marker, decision)
-        if decision == "commit":
-            for key, value in self._pending.get((txid, chain.chain_id), []):
+        if decision == "commit":  # every participant voted yes, so stored its writes
+            for key, value in decode_record(ctx.get(f"sys.xt.{txid}.writes"), WriteRows):
                 ctx.put(key, value)
         if chain.locks.release_owner(txid):
             ctx.after_commit(partial(self._log_lock, chain.chain_id, "release", "*", txid))
-        ctx.after_commit(partial(self._pending.pop, (txid, chain.chain_id), None))
+        ctx.after_commit(partial(self._applied, txid))
+
+    def _applied(self, txid: str) -> None:
+        """The last participant to apply the decision closes the decide round trip."""
         t = self.records.get(txid)
-        # the last participant to apply closes the decide round trip
-        if t is not None and all(
-            part == chain.chain_id or self.sim.chains[part].read_state(marker) is not None
-            for part in t.participants
-        ):
-            ctx.after_commit(partial(self.sim.meter.round_trip, txid))
+        marker = f"sys.applied.{txid}"
+        if t is not None and all(self.sim.chains[c].read_state(marker) is not None for c in t.participants):
+            self.sim.meter.round_trip(txid)
 
     # ------------------------------------------------ decision recovery
 
     def _arm_decision_poll(self, txid: str, chain_id: str, coordinator: str) -> None:
-        key = (txid, chain_id)
-        if key in self._polling:
-            return
-        self._polling.add(key)
-        self.sim.call_later(DECISION_POLL, lambda: self._poll_decision(txid, chain_id, coordinator))
+        self.sim.call_later(DECISION_POLL, partial(self._poll_decision, txid, chain_id, coordinator))
 
     def _poll_decision(self, txid: str, chain_id: str, coordinator: str) -> None:
-        self._polling.discard((txid, chain_id))
         chain = self.sim.chains[chain_id]
         if chain.read_state(f"sys.applied.{txid}") is not None:
             return  # decision already applied here

@@ -114,3 +114,23 @@ def test_only_chain_maps_a_key_to_its_contract():
     # no other module slices a contract's namespace off a key
     assert _modules_matching(re.compile(r"\{req\.contract\}\.")) == []
     assert set(_modules_matching(re.compile(r"\[\s*len\(\w+\)\s*\+\s*1\s*:"))) <= {"chain.py"}
+
+
+def test_sys_txn_handlers_read_only_their_exec_context():
+    # 2PC state lives on the ledger: no handler reaches the client's records,
+    # engine-side pending state or another chain; what the client hears goes
+    # through ctx.after_commit callbacks
+    handlers = (
+        "_sys_txn_exec",
+        "_exec_begin",
+        "_exec_decide",
+        "_exec_prepare",
+        "_prepare_checks",
+        "_exec_vote",
+        "_exec_apply",
+    )
+    for name in handlers:
+        attrs = {n.attr for n in ast.walk(_function("txn.py", name)) if isinstance(n, ast.Attribute)}
+        assert not attrs & {"records", "_pending", "chains"}, f"txn.py:{name}"
+    # the walk does see an engine attribute where one is read
+    assert "records" in {n.attr for n in ast.walk(_function("txn.py", "_complete")) if isinstance(n, ast.Attribute)}

@@ -28,6 +28,7 @@ from interopsim.txn import (
     Outcome,
     ReadResponse,
     Vote,
+    XTxnEngine,
     _dec_read,
     _enc_read,
     read_response_digest,
@@ -625,9 +626,75 @@ def test_late_prepare_after_applied_abort_takes_no_locks(seed):
     w.engine.txn_commit_async(t)
     w.settle()
     assert w.locks_empty()
-    assert not w.engine._pending
+    # no yes vote on beta is left without its applied decision
+    beta = w.chains["beta"]
+    if beta.read_state(f"sys.xt.{t.txn_id}.vote") == "yes":
+        assert beta.read_state(f"sys.applied.{t.txn_id}") is not None
     report = _audit(w)
     assert report.ok, report.render()
+
+
+# ------------------------------------------ the ledger holds all 2PC state
+
+
+def _emit_sys_txn(w, source, dest, kind, message):
+    """`source`'s nodes sign a sys.txn event that its own sys.txn never made."""
+    chain = w.chains[source]
+    event = Event(source, dest, "sys.txn", "sys.txn", chain.event_nonce, kind, encode_record(message))
+    chain.event_nonce += 1
+    w.sim.emit_event(chain, event)
+
+
+def test_restarted_engine_finishes_a_prepared_transaction_from_the_ledger():
+    # both participants voted yes, then every chain gets an engine with no
+    # memory of the transaction: the ledger alone carries it to the end
+    w = World()
+    mt = MiniTxn(compares=(), reads=(), writes=(("alpha", "kv.a", 1), ("beta", "kv.b", 2)))
+    w.engine.execute_minitxn_async("alpha", mt)
+    txid = list(w.engine.records)[-1]
+    vote_key = f"sys.xt.{txid}.vote"
+    for _ in range(20):
+        if all(chain.read_state(vote_key) == "yes" for chain in w.chains.values()):
+            break
+        w.sim.step()
+    assert all(chain.read_state(vote_key) == "yes" for chain in w.chains.values())
+    XTxnEngine(w.sim)
+    w.settle()
+    assert w.chains["alpha"].read_state(f"sys.2pc.{txid}.decision") == "commit"
+    assert (w.kv("alpha", "a"), w.kv("beta", "b")) == (1, 2)
+    assert w.locks_empty()
+
+
+def test_prepare_answers_to_its_source_chain():
+    # gamma's prepare to beta names no coordinator: beta judges it by gamma's
+    # policy context and votes back to gamma, which knows no such transaction
+    w = World(chain_ids=("alpha", "beta", "gamma"))
+    beta = w.chains["beta"]
+    beta.attach_policy("kv", 'allow read on *; allow write on * when caller.chain == "alpha";')
+    w.settle()
+    _emit_sys_txn(w, "gamma", "beta", KIND_PREPARE, Prepare("t1", "client", writes=(("kv.x", 1),)))
+    w.settle()
+    assert beta.read_state("sys.xt.t1.vote") == "no"
+    assert beta.read_state("sys.xt.t1.writes") is None
+    assert w.locks_empty()
+    votes = [
+        (r["source_chain"], r["chain"])
+        for r in w.sim.log.records
+        if r["kind"] == "deliver" and r.get("event_kind") == KIND_VOTE
+    ]
+    assert votes == [("beta", "gamma")]
+
+
+def test_vote_from_a_non_participant_is_ignored():
+    w = World(chain_ids=("alpha", "beta", "gamma"))
+    mt = MiniTxn(compares=(), reads=(), writes=(("beta", "kv.x", 1),))
+    fut = w.engine.execute_minitxn_async("alpha", mt)
+    txid = list(w.engine.records)[-1]
+    _emit_sys_txn(w, "gamma", "alpha", KIND_VOTE, Vote(txid, "yes", "", (("kv.secret", 42),)))
+    assert w.sim.pump(fut) == Committed()
+    w.settle()
+    assert w.chains["alpha"].read_state(f"sys.2pc.{txid}.vote.gamma") is None
+    assert w.kv("beta", "x") == 1
 
 
 def test_prepare_codec_round_trip():
@@ -643,12 +710,11 @@ def test_prepare_codec_round_trip():
     def some(make):
         return tuple(make() for _ in range(rng.randrange(4)))
 
-    cases = [Prepare("t0", "alpha", "client")]
+    cases = [Prepare("t0", "client")]
     for i in range(300):
         cases.append(
             Prepare(
                 txn_id=f"t{i}",
-                coordinator=rng.choice(["alpha", "tickets"]),
                 caller_id=rng.choice(["client", "Auctioneer", ""]),
                 compares=some(lambda: (key(), rng.choice(values))),
                 reads=some(key),
@@ -883,7 +949,7 @@ class EvilContract(Contract):
 
     def _prepare(self, ctx, args):
         # a share of transaction evil1 that claims the caller owner
-        prepare = Prepare("evil1", "alpha", "owner", writes=(("kv.x", 666),))
+        prepare = Prepare("evil1", "owner", writes=(("kv.x", 666),))
         ctx.emit("beta", "sys.txn", KIND_PREPARE, encode_record(prepare))
 
     def _decide(self, ctx, args):
