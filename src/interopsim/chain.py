@@ -366,8 +366,7 @@ class Chain:
         self._overlay: Optional[dict[str, tuple[Value, Version]]] = None
         self._overlay_log: list[tuple[Version, str, Value]] = []
 
-        # hooks installed by the simulation (policy engine, observers)
-        self.policy_evaluator = None  # fn(policy_src, request, ctx) -> Decision
+        # hook installed by the simulation
         self.observer = None  # RunLog-ish sink with on_block(chain, block)
 
         self._produce_genesis()

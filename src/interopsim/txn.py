@@ -11,19 +11,22 @@ up front; a general one (lock-based or optimistic) builds its read (with
 versions), prefix, lock and write sets through verified reads first.  At
 commit the client submits a `begin` that holds the participants and each
 one's `Prepare`; each participant checks write and read policy, compares,
-versions and held locks, takes its write locks and votes.  The ledger is
-the only copy of the 2PC state: the coordinator keeps the participants,
-votes and decision under `sys.2pc.<txid>.`, a participant its vote
-(`sys.xt.<txid>.vote`, yes or no), on a yes the writes it will apply
-(`sys.xt.<txid>.writes`), and `sys.applied.<txid>`.  Protocol messages are
-bus events signed by f+1 nodes of their source chain, which names the
-coordinator to a participant and the voter to the coordinator.  Every abort
-once prepared is a `decide` on the coordinator.  Each `sys.txn` handler
-reads and stages only through its ExecContext and reaches engine memory
-(client futures, polls, meters, log records) only through
-`ExecContext.after_commit` callbacks, which skip a transaction this engine
-has no record of.  So a decision is durable before anyone hears it, a
-failed handler or a block lost to QuorumFailure leaves nothing behind, and
+versions and held locks, takes its write locks and votes.  Every abort is a
+`decide` on the coordinator; before commit it follows a `begin` that carries
+no prepares.  Locks are released only by a no vote or an applied decision,
+and a chain that applied one takes no more locks for the transaction.  The
+ledger is the only copy of the 2PC state: the coordinator keeps the
+participants, votes and decision under `sys.2pc.<txid>.`, a participant
+its vote (`sys.xt.<txid>.vote`, yes or no), on a yes its coordinator and
+the writes it will apply (`sys.xt.<txid>.writes`), and `sys.applied.<txid>`.
+Protocol messages are bus events signed by f+1 nodes of their source chain,
+which names the coordinator to a participant and the voter to the
+coordinator; once a chain votes yes, only its coordinator's decide counts.
+Each `sys.txn` handler reads and stages only through its ExecContext and
+reaches engine memory (client futures, polls, meters, log records) only
+through `ExecContext.after_commit` callbacks, which skip a transaction this
+engine has no record of.  So a decision is durable before anyone hears it,
+a failed handler or a block lost to QuorumFailure leaves nothing behind, and
 a restarted engine finishes a prepared transaction.  Prepared participants
 that miss the decision poll the coordinator's ledger.
 """
@@ -123,7 +126,6 @@ class XTxn:
     caller_id: str = "client"
     mode: str = ""  # general: MODE_LOCKS | MODE_OCC
     status: str = ST_ACTIVE
-    decision: Optional[str] = None  # set once the decision's block commits
     reason: str = ""
     future: Optional[Future] = None
     participants: list[str] = field(default_factory=list)
@@ -213,7 +215,7 @@ class Outcome:
 # binary form, decoded only when the response is verified.
 
 PrefixRows = tuple[tuple[str, Value, Version], ...]  # (key, value, version)
-WriteRows = tuple[tuple[str, Value], ...]  # a prepared participant's (key, value) writes
+PreparedWrites = tuple[str, tuple[tuple[str, Value], ...]]  # a yes vote's coordinator, (key, value) writes
 
 _READ_KINDS = {ReadRequest: KIND_READ_REQ, ReadResponse: KIND_READ_RESP}
 
@@ -371,11 +373,9 @@ class XTxnEngine:
     def _serve_read(self, chain: Chain, req: ReadRequest) -> Optional[bytes]:
         height = chain.height
 
-        # lock release for an aborted transaction (idempotent)
-        if req.method == "__unlock__":
-            if chain.locks.release_owner(req.lock_for):
-                self._log_lock(chain.chain_id, "release", "*", req.lock_for)
-            return _answer(req, height, True, ())
+        # a lock taken after the decision was applied here would never be released
+        if req.lock_for and chain.read_state(f"sys.applied.{req.lock_for}") is not None:
+            return _refusal(req, height, "error", f"transaction {req.lock_for} is decided")
 
         # storage and prefix reads name full keys, each gated by Chain.key_access
         if req.contract and req.method in ("", "__prefix__"):
@@ -493,7 +493,10 @@ class XTxnEngine:
 
         Past the lock timeout the transaction aborts with LockTimeout."""
         deadline = self.sim.tick + self.sim.config.lock_timeout
+        if fields.get("lock_for"):  # an abort must reach a lock still in flight
+            t.lock_keys.setdefault(chain_id, [])
         while True:
+            self._require_active(t)
             req = self.make_read_request(
                 chain_id, caller_id=t.caller_id, caller_chain=t.coordinator_chain, **fields
             )
@@ -571,25 +574,35 @@ class XTxnEngine:
     def txn_commit(self, t: XTxn):
         return self.sim.pump(self.txn_commit_async(t))
 
-    def _commit(self, t: XTxn) -> Future:
-        """Start 2PC: the sets freeze, and `begin` carries every prepare."""
+    def _commit(self, t: XTxn, abort: str = "") -> Future:
+        """Start 2PC: the sets freeze, and `begin` carries every prepare.
+
+        With an `abort` reason, `begin` carries no prepares and the abort
+        `decide` follows it into the same coordinator block."""
         t.status = ST_PREPARED
         t.future = Future()
         t.participants = t.chains()
-        if not t.participants:
-            t.decision = "commit"
-            t.status = ST_COMMITTED
-            t.future.set_result(Committed())
+        if not t.participants:  # no ledger decides it, and an empty commit leaves no record
+            if abort:
+                self._complete(t.txn_id, "abort", abort)
+            else:
+                t.status = ST_COMMITTED
+                t.future.set_result(Committed())
             return t.future
         coord = self.sim.chains[t.coordinator_chain]
-        prepares = [encode_record(t.prepare_for(part)) for part in t.participants]
+        prepares = [] if abort else [encode_record(t.prepare_for(part)) for part in t.participants]
         coord.submit_call("sys.txn", "sys.txn", "begin", [t.txn_id, ",".join(t.participants), *prepares])
-        self._arm_vote_timeout(t)
+        if abort:
+            self._submit_abort(t, abort)
+        else:
+            self._arm_vote_timeout(t)
         return t.future
 
     def _arm_vote_timeout(self, t: XTxn) -> None:
+        coord = self.sim.chains[t.coordinator_chain]
+
         def on_timeout():
-            if t.decision is None:
+            if coord.read_state(f"sys.2pc.{t.txn_id}.decision") is None:
                 self._submit_abort(t, "VoteTimeout")
 
         self.sim.call_at(self.sim.tick + self.sim.config.vote_timeout, on_timeout)
@@ -599,29 +612,12 @@ class XTxnEngine:
         coord.submit_call("sys.txn", "sys.txn", "decide", [t.txn_id, "abort", reason])
 
     def abort(self, t: XTxn, reason: str = "client abort") -> None:
-        """Abort `t`.  Once prepared, the abort is a `decide` on the coordinator
-        ledger and the commit future resolves when that block executes."""
-        if t.status == ST_PREPARED:
+        """Abort `t` by a `decide` on the coordinator ledger; the commit future
+        resolves when that block executes.  An active `t` freezes first."""
+        if t.status == ST_ACTIVE:
+            self._commit(t, abort=reason or "abort")
+        elif t.status == ST_PREPARED:
             self._submit_abort(t, reason)
-            return
-        if t.status != ST_ACTIVE:
-            return
-        t.status = ST_ABORTED
-        t.decision = "abort"
-        t.reason = reason
-        self.sim.meter.abort(reason)
-        # locks release via unlock messages: the release itself rides the
-        # lossy channel and is retried, like any other protocol step
-        for chain_id in t.chains():
-            req = self.make_read_request(
-                chain_id,
-                method="__unlock__",
-                caller_id="sys.txn",
-                caller_chain=t.coordinator_chain,
-                lock_for=t.txn_id,
-            )
-            self.sim.direct_request(chain_id, _enc_read(req))
-        self._log_xtxn(t)
 
     # ------------------------------------------------- block-exec handler
 
@@ -649,7 +645,7 @@ class XTxnEngine:
                 self._exec_vote(ctx, event.source_chain, decode_record(event.payload, Vote))
             elif event.kind == KIND_DECIDE:
                 outcome = decode_record(event.payload, Outcome)
-                self._exec_apply(ctx, outcome.txn_id, outcome.decision)
+                self._exec_apply(ctx, outcome.txn_id, outcome.decision, event.source_chain)
             else:
                 raise EncodingError(f"unexpected protocol event kind {event.kind}")
 
@@ -659,8 +655,9 @@ class XTxnEngine:
         ctx.xchain_txn = txid
         ctx.put(f"sys.2pc.{txid}.phase", "prepare")
         ctx.put(f"sys.2pc.{txid}.participants", participants)
-        for part, payload in zip(participants.split(","), prepares, strict=True):
-            ctx.events.append(_sys_event(part, KIND_PREPARE, payload))
+        if prepares:  # an abort before commit carries none
+            for part, payload in zip(participants.split(","), prepares, strict=True):
+                ctx.events.append(_sys_event(part, KIND_PREPARE, payload))
 
     def _exec_decide(self, ctx: ExecContext, txid: str, decision: str, reason: str) -> None:
         participants = ctx.get(f"sys.2pc.{txid}.participants")
@@ -678,9 +675,8 @@ class XTxnEngine:
         t = self.records.get(txid)
         if t is None:
             return
-        t.decision = decision
         t.reason = reason
-        self._log_xtxn(t)
+        self._log_xtxn(t, decision)
         if decision == "commit":
             t.status = ST_COMMITTED
             t.future.set_result(Committed(read_values=dict(t.read_values)))
@@ -704,7 +700,7 @@ class XTxnEngine:
         ctx.put(vote_key, vote)
         reads = () if reason else tuple((key, ctx.get(key)) for key in p.reads)
         if not reason:
-            ctx.put(f"sys.xt.{txid}.writes", encode_record(p.writes))
+            ctx.put(f"sys.xt.{txid}.writes", encode_record((coordinator, p.writes)))
             ctx.after_commit(partial(self._arm_decision_poll, txid, chain.chain_id, coordinator))
         elif chain.locks.release_owner(txid):  # a no-vote releases every lock this txn holds here
             ctx.after_commit(partial(self._log_lock, chain.chain_id, "release", "*", txid))
@@ -772,15 +768,19 @@ class XTxnEngine:
         if t is not None:
             t.read_values.update(read_values)
 
-    def _exec_apply(self, ctx: ExecContext, txid: str, decision: str) -> None:
+    def _exec_apply(self, ctx: ExecContext, txid: str, decision: str, source: str = "") -> None:
         chain = ctx.chain
         ctx.xchain_txn = txid
         marker = f"sys.applied.{txid}"
-        if ctx.get(marker) is not None:
-            return
+        stored = ctx.get(f"sys.xt.{txid}.writes")
+        coordinator, writes = ("", None) if stored is None else decode_record(stored, PreparedWrites)
+        if ctx.get(marker) is not None or (source and coordinator and source != coordinator):
+            return  # applied already, or a decide from other than the coordinator a yes vote stored
         ctx.put(marker, decision)
         if decision == "commit":  # every participant voted yes, so stored its writes
-            for key, value in decode_record(ctx.get(f"sys.xt.{txid}.writes"), WriteRows):
+            if writes is None:
+                raise InvalidState(f"commit of {txid} without a yes vote here")
+            for key, value in writes:
                 ctx.put(key, value)
         if chain.locks.release_owner(txid):
             ctx.after_commit(partial(self._log_lock, chain.chain_id, "release", "*", txid))
@@ -832,7 +832,7 @@ class XTxnEngine:
         if self.sim.log is not None:
             self.sim.log.record("lock", chain=chain_id, op=op, key=key, owner=owner)
 
-    def _log_xtxn(self, t: XTxn) -> None:
+    def _log_xtxn(self, t: XTxn, decision: str) -> None:
         if self.sim.log is None:
             return
         from .runlog import value_to_jsonable
@@ -842,7 +842,7 @@ class XTxnEngine:
             txn=t.txn_id,
             type=t.kind,
             coordinator=t.coordinator_chain,
-            decision=t.decision,
+            decision=decision,
             reason=t.reason,
             participants=sorted(t.participants),
             writes=[[c, k, value_to_jsonable(v)] for (c, k), v in sorted(t.write_set.items())],

@@ -134,3 +134,17 @@ def test_sys_txn_handlers_read_only_their_exec_context():
         assert not attrs & {"records", "_pending", "chains"}, f"txn.py:{name}"
     # the walk does see an engine attribute where one is read
     assert "records" in {n.attr for n in ast.walk(_function("txn.py", "_complete")) if isinstance(n, ast.Attribute)}
+
+
+def test_only_a_no_vote_or_an_applied_decision_releases_locks():
+    # strict two-phase locking: a transaction's locks go only with its no vote
+    # or its applied decision, and no direct-channel request releases one
+    callers = []
+    for path in SRC.rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        releases = [c for c in _calls(tree) if isinstance(c.func, ast.Attribute) and c.func.attr == "release_owner"]
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and any(c in releases for c in _calls(fn)):
+                callers.append(f"{path.relative_to(SRC).as_posix()}:{fn.name}")
+    assert sorted(callers) == ["txn.py:_exec_apply", "txn.py:_exec_prepare"]
+    assert _modules_matching(re.compile("__unlock__")) == []

@@ -589,23 +589,35 @@ def _audit(w):
     return audit_records(w.sim.log.records)
 
 
-@pytest.mark.parametrize("mode", [MODE_OCC, MODE_LOCKS])
-def test_abort_after_prepare_is_a_ledger_decision(mode):
-    # a participant that voted yes must learn the abort from the coordinator
+def _step_until_voted_yes(w, chain, txid, ticks=100):
+    for _ in range(ticks):
+        if chain.read_state(f"sys.xt.{txid}.vote") == "yes":
+            return
+        w.sim.step()
+    assert chain.read_state(f"sys.xt.{txid}.vote") == "yes"
+
+
+@pytest.mark.parametrize(
+    "mode, prepared",
+    [(MODE_OCC, True), (MODE_LOCKS, True), (MODE_LOCKS, False)],
+    ids=["occ", "locks", "locks-before-commit"],
+)
+def test_abort_after_prepare_is_a_ledger_decision(mode, prepared):
+    # a participant that voted yes must learn the abort from the coordinator;
+    # so must one that holds a lock from before commit, which is released
+    # only when that decision is applied
     w = World()
     t = w.engine.begin_general("alpha", mode)
     w.engine.txn_write(t, "beta", "kv.x", 1)
-    fut = w.engine.txn_commit_async(t)
     beta = w.chains["beta"]
-    vote_key = f"sys.xt.{t.txn_id}.vote"
-    for _ in range(100):
-        if beta.read_state(vote_key) == "yes":
-            break
-        w.sim.step()
-    assert beta.read_state(vote_key) == "yes"
+    if prepared:
+        w.engine.txn_commit_async(t)
+        _step_until_voted_yes(w, beta, t.txn_id)
+    else:
+        assert beta.locks.exact == {"kv.x": t.txn_id}
     w.engine.abort(t, "client abort")
     w.settle()
-    assert fut.result() == Aborted("client abort")
+    assert t.future.result() == Aborted("client abort")
     assert t.status == "aborted"
     assert w.chains["alpha"].read_state(f"sys.2pc.{t.txn_id}.decision") == "abort"
     assert beta.read_state(f"sys.applied.{t.txn_id}") == "abort"
@@ -613,6 +625,58 @@ def test_abort_after_prepare_is_a_ledger_decision(mode):
     assert w.locks_empty()
     report = _audit(w)
     assert report.ok, report.render()
+
+
+def test_abort_racing_a_lock_read_leaves_no_lock():
+    # the abort reaches beta while the lock request may still be in flight:
+    # the applied decision releases a lock taken before it, and beta takes
+    # none for the transaction after it
+    for seed in range(40):
+        for steps in range(4):
+            w = World(seed=seed, direct_drop=0.4, jitter=3)
+            w.set_kv("beta", "x", 5)
+            t = w.engine.begin_general("alpha", MODE_LOCKS)
+            w.engine.txn_read_async(t, "beta", "kv.x")
+            for _ in range(steps):
+                w.sim.step()
+            w.engine.abort(t, "client abort")
+            w.settle()
+            assert w.locks_empty(), f"seed {seed}, {steps} steps"
+            report = _audit(w)
+            assert report.ok, f"seed {seed}, {steps} steps: {report.render()}"
+            assert t.future.result() == Aborted("client abort")
+
+
+def test_empty_transactions_end_without_a_ledger_round():
+    # no chain to ask: an empty commit or abort resolves at once, and only the
+    # abort is logged, so the audit's two-round-trip check counts no empty commit
+    w = World()
+    assert w.engine.execute_minitxn("alpha", MiniTxn((), (), ())) == Committed()
+    t = w.engine.begin_general("alpha", MODE_OCC)
+    w.engine.abort(t, "client abort")
+    assert t.future.result() == Aborted("client abort")
+    assert not any(chain.mempool for chain in w.chains.values())
+    report = _audit(w)
+    assert report.ok, report.render()
+
+
+def test_a_direct_request_cannot_release_a_lock():
+    # only a no vote or an applied decision releases a lock
+    w = World()
+    w.set_kv("beta", "x", 5)
+    beta = w.chains["beta"]
+    t = w.engine.begin_general("alpha", MODE_LOCKS)
+    w.engine.txn_read(t, "beta", "kv.x")
+    resp = _serve(w, ReadRequest(99, "beta", method="__unlock__", caller_id="mallory", lock_for=t.txn_id))
+    assert resp.status == "error"
+    assert beta.locks.exact == {"kv.x": t.txn_id}
+    beta.submit_call("mallory", "kv", "set", ["x", 99])
+    w.settle()
+    w.engine.txn_write(t, "beta", "kv.x", 10)
+    assert isinstance(w.engine.txn_commit(t), Committed)
+    w.settle()
+    assert w.kv("beta", "x") == 10
+    assert w.locks_empty()
 
 
 @pytest.mark.parametrize("seed", [4, 73, 94, 186, 187, 197])
@@ -663,6 +727,39 @@ def test_restarted_engine_finishes_a_prepared_transaction_from_the_ledger():
     assert w.chains["alpha"].read_state(f"sys.2pc.{txid}.decision") == "commit"
     assert (w.kv("alpha", "a"), w.kv("beta", "b")) == (1, 2)
     assert w.locks_empty()
+    # the old engine's vote timeout reads the decision from the ledger, so
+    # alpha runs no decide after the block that recorded it
+    alpha_txns = [
+        (txn["method"], [key for key, _ in txn["writes"]])
+        for rec in w.sim.log.records
+        if rec["kind"] == "block" and rec["chain"] == "alpha"
+        for txn in rec["txns"]
+    ]
+    decided = next(i for i, (_, keys) in enumerate(alpha_txns) if f"sys.2pc.{txid}.decision" in keys)
+    assert [method for method, _ in alpha_txns[decided + 1 :] if method == "decide"] == []
+
+
+def test_decide_counts_only_from_the_coordinator_that_prepared():
+    # beta voted yes to alpha: a commit that gamma's nodes sign is not alpha's
+    # decision, and neither is a commit of a transaction beta never prepared
+    w = World(chain_ids=("alpha", "beta", "gamma"))
+    beta = w.chains["beta"]
+    t = w.engine.begin_general("alpha", MODE_OCC)
+    w.engine.txn_write(t, "beta", "kv.x", 1)
+    fut = w.engine.txn_commit_async(t)
+    _step_until_voted_yes(w, beta, t.txn_id)
+    _emit_sys_txn(w, "gamma", "beta", KIND_DECIDE, Outcome(t.txn_id, "commit"))
+    _emit_sys_txn(w, "gamma", "beta", KIND_DECIDE, Outcome("t9", "commit"))
+    w.engine.abort(t, "client abort")
+    assert w.sim.pump(fut) == Aborted("client abort")
+    w.settle()
+    assert w.chains["alpha"].read_state(f"sys.2pc.{t.txn_id}.decision") == "abort"
+    assert beta.read_state(f"sys.applied.{t.txn_id}") == "abort"
+    assert beta.read_state("sys.applied.t9") is None
+    assert w.kv("beta", "x") is None
+    assert w.locks_empty()
+    report = _audit(w)
+    assert report.ok, report.render()
 
 
 def test_prepare_answers_to_its_source_chain():
