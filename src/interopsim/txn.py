@@ -22,13 +22,18 @@ the writes it will apply (`sys.xt.<txid>.writes`), and `sys.applied.<txid>`.
 Protocol messages are bus events signed by f+1 nodes of their source chain,
 which names the coordinator to a participant and the voter to the
 coordinator; once a chain votes yes, only its coordinator's decide counts.
+The coordinator's own share never touches the bus (R*'s coordinator as
+participant): a message to the chain that sends it runs at once, in the
+sender's ExecContext, so the begin block prepares and votes locally and the
+deciding block applies locally, and a transaction whose only participant is
+its coordinator decides in its begin block.
 Each `sys.txn` handler reads and stages only through its ExecContext and
 reaches engine memory (client futures, polls, meters, log records) only
 through `ExecContext.after_commit` callbacks, which skip a transaction this
 engine has no record of.  So a decision is durable before anyone hears it,
 a failed handler or a block lost to QuorumFailure leaves nothing behind, and
-a restarted engine finishes a prepared transaction.  Prepared participants
-that miss the decision poll the coordinator's ledger.
+a restarted engine finishes a prepared transaction.  Prepared remote
+participants that miss the decision poll the coordinator's ledger.
 """
 
 from __future__ import annotations
@@ -126,7 +131,7 @@ class XTxn:
     caller_id: str = "client"
     mode: str = ""  # general: MODE_LOCKS | MODE_OCC
     status: str = ST_ACTIVE
-    reason: str = ""
+    reason: str = ""  # the abort reason submitted, then the decision's
     future: Optional[Future] = None
     participants: list[str] = field(default_factory=list)
     read_values: dict[tuple[str, str], Value] = field(default_factory=dict)
@@ -594,7 +599,7 @@ class XTxnEngine:
         coord.submit_call("sys.txn", "sys.txn", "begin", [t.txn_id, ",".join(t.participants), *prepares])
         if abort:
             self._submit_abort(t, abort)
-        else:
+        elif t.participants != [t.coordinator_chain]:  # else the begin block decides
             self._arm_vote_timeout(t)
         return t.future
 
@@ -608,14 +613,19 @@ class XTxnEngine:
         self.sim.call_at(self.sim.tick + self.sim.config.vote_timeout, on_timeout)
 
     def _submit_abort(self, t: XTxn, reason: str) -> None:
+        if t.reason:  # one abort decide per transaction
+            return
+        t.reason = reason
         coord = self.sim.chains[t.coordinator_chain]
         coord.submit_call("sys.txn", "sys.txn", "decide", [t.txn_id, "abort", reason])
 
     def abort(self, t: XTxn, reason: str = "client abort") -> None:
         """Abort `t` by a `decide` on the coordinator ledger; the commit future
-        resolves when that block executes.  An active `t` freezes first."""
+        resolves when that block executes.  An active `t` freezes first, and a
+        transaction whose abort is already submitted is left as it is."""
+        reason = reason or "abort"
         if t.status == ST_ACTIVE:
-            self._commit(t, abort=reason or "abort")
+            self._commit(t, abort=reason)
         elif t.status == ST_PREPARED:
             self._submit_abort(t, reason)
 
@@ -639,15 +649,27 @@ class XTxnEngine:
         else:
             # the sender (coordinator or voter) is the event's authenticated source
             event = ctx.chain.inbox_event(ctx.txn)
-            if event.kind == KIND_PREPARE:
-                self._exec_prepare(ctx, event.source_chain, decode_record(event.payload, Prepare))
-            elif event.kind == KIND_VOTE:
-                self._exec_vote(ctx, event.source_chain, decode_record(event.payload, Vote))
-            elif event.kind == KIND_DECIDE:
-                outcome = decode_record(event.payload, Outcome)
-                self._exec_apply(ctx, outcome.txn_id, outcome.decision, event.source_chain)
-            else:
-                raise EncodingError(f"unexpected protocol event kind {event.kind}")
+            self._receive(ctx, event.source_chain, event.kind, event.payload)
+
+    def _send(self, ctx: ExecContext, dest: str, kind: int, payload: bytes) -> None:
+        """Stage a protocol message to `dest`; one to the executing chain runs now, in `ctx`."""
+        if dest == ctx.chain.chain_id:
+            self._receive(ctx, dest, kind, payload)
+        else:
+            ctx.events.append(_sys_event(dest, kind, payload))
+
+    def _receive(self, ctx: ExecContext, source: str, kind: int, payload: bytes) -> None:
+        """Run one protocol message; `source` is a bus event's authenticated
+        source, or the executing chain for a message it sent itself."""
+        if kind == KIND_PREPARE:
+            self._exec_prepare(ctx, source, decode_record(payload, Prepare))
+        elif kind == KIND_VOTE:
+            self._exec_vote(ctx, source, decode_record(payload, Vote))
+        elif kind == KIND_DECIDE:
+            outcome = decode_record(payload, Outcome)
+            self._exec_apply(ctx, outcome.txn_id, outcome.decision, source)
+        else:
+            raise EncodingError(f"unexpected protocol event kind {kind}")
 
     # --- coordinator side ---
 
@@ -657,7 +679,7 @@ class XTxnEngine:
         ctx.put(f"sys.2pc.{txid}.participants", participants)
         if prepares:  # an abort before commit carries none
             for part, payload in zip(participants.split(","), prepares, strict=True):
-                ctx.events.append(_sys_event(part, KIND_PREPARE, payload))
+                self._send(ctx, part, KIND_PREPARE, payload)
 
     def _exec_decide(self, ctx: ExecContext, txid: str, decision: str, reason: str) -> None:
         participants = ctx.get(f"sys.2pc.{txid}.participants")
@@ -666,9 +688,10 @@ class XTxnEngine:
         ctx.xchain_txn = txid
         ctx.put(f"sys.2pc.{txid}.decision", decision)
         ctx.put(f"sys.2pc.{txid}.reason", reason)
-        payload = encode_record(Outcome(txid, decision, reason))
-        ctx.events.extend(_sys_event(part, KIND_DECIDE, payload) for part in participants.split(","))
         ctx.after_commit(partial(self._complete, txid, decision, reason))
+        payload = encode_record(Outcome(txid, decision, reason))
+        for part in participants.split(","):
+            self._send(ctx, part, KIND_DECIDE, payload)
 
     def _complete(self, txid: str, decision: str, reason: str) -> None:
         """The decision is on the ledger: record it, then tell the client."""
@@ -701,10 +724,11 @@ class XTxnEngine:
         reads = () if reason else tuple((key, ctx.get(key)) for key in p.reads)
         if not reason:
             ctx.put(f"sys.xt.{txid}.writes", encode_record((coordinator, p.writes)))
-            ctx.after_commit(partial(self._arm_decision_poll, txid, chain.chain_id, coordinator))
+            if coordinator != chain.chain_id:  # the coordinator applies its share as it decides
+                ctx.after_commit(partial(self._arm_decision_poll, txid, chain.chain_id, coordinator))
         elif chain.locks.release_owner(txid):  # a no-vote releases every lock this txn holds here
             ctx.after_commit(partial(self._log_lock, chain.chain_id, "release", "*", txid))
-        ctx.events.append(_sys_event(coordinator, KIND_VOTE, encode_record(Vote(txid, vote, reason, reads))))
+        self._send(ctx, coordinator, KIND_VOTE, encode_record(Vote(txid, vote, reason, reads)))
 
     def _prepare_checks(self, ctx: ExecContext, coordinator: str, p: Prepare) -> str:
         """The reason to vote no, or "" after taking the write locks."""

@@ -122,6 +122,8 @@ def test_sys_txn_handlers_read_only_their_exec_context():
     # through ctx.after_commit callbacks
     handlers = (
         "_sys_txn_exec",
+        "_send",
+        "_receive",
         "_exec_begin",
         "_exec_decide",
         "_exec_prepare",
@@ -148,3 +150,18 @@ def test_only_a_no_vote_or_an_applied_decision_releases_locks():
                 callers.append(f"{path.relative_to(SRC).as_posix()}:{fn.name}")
     assert sorted(callers) == ["txn.py:_exec_apply", "txn.py:_exec_prepare"]
     assert _modules_matching(re.compile("__unlock__")) == []
+
+
+def test_protocol_events_are_staged_only_by_send():
+    # _send runs a message to the executing chain in place; a 2PC event
+    # staged anywhere else could reach the bus addressed to its own source
+    tree = ast.parse((SRC / "txn.py").read_text(encoding="utf-8"))
+    makers, stagers = set(), set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            if any(isinstance(c.func, ast.Name) and c.func.id == "_sys_event" for c in _calls(fn)):
+                makers.add(fn.name)
+            if any(isinstance(n, ast.Attribute) and n.attr in ("events", "emit") for n in ast.walk(fn)):
+                stagers.add(fn.name)
+    assert makers == {"_send"}
+    assert stagers == {"_send"}

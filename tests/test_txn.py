@@ -15,8 +15,10 @@ from interopsim.errors import (
     ProofInvalid,
     StaleQuorum,
 )
+from interopsim.fixtures import scenario_path
 from interopsim.merkle import MerkleProof, decode_proof, encode_proof
 from interopsim.metrics import RunMetrics
+from interopsim.scenario import Scenario, load_scenario, run_scenario
 from interopsim.txn import (
     Aborted,
     Committed,
@@ -421,6 +423,33 @@ def test_locks_read_blocks_then_times_out():
     assert t1.status == "active"
 
 
+def test_an_abort_after_a_lock_timeout_submits_no_second_decide():
+    # the read that times out aborts t2; an agent that then aborts on any read
+    # error (as tests/oracles.py's gt_agent does) adds no second decide
+    w = World()
+    w.sim.config.lock_timeout = 5
+    w.set_kv("beta", "x", 5)
+    t1 = w.engine.begin_general("alpha", MODE_LOCKS)
+    w.engine.txn_read(t1, "beta", "kv.x")
+    t2 = w.engine.begin_general("alpha", MODE_LOCKS)
+
+    def agent():
+        try:
+            yield w.engine.txn_read_async(t2, "beta", "kv.x")
+        except LockTimeout:
+            w.engine.abort(t2, "read failed")
+
+    w.sim.spawn(agent())
+    w.settle()
+    assert t2.future.result() == Aborted("LockTimeout")
+    decides = [
+        txn for block in w.chains["alpha"].blocks for txn in block.txns
+        if txn.method == "decide" and txn.args[0] == t2.txn_id
+    ]
+    assert len(decides) == 1
+    assert w.chains["beta"].locks.exact == {"kv.x": t1.txn_id}
+
+
 def test_read_after_abort_invalid_state():
     w = World()
     t = w.engine.begin_general("alpha", MODE_OCC)
@@ -694,6 +723,145 @@ def test_late_prepare_after_applied_abort_takes_no_locks(seed):
     beta = w.chains["beta"]
     if beta.read_state(f"sys.xt.{t.txn_id}.vote") == "yes":
         assert beta.read_state(f"sys.applied.{t.txn_id}") is not None
+    report = _audit(w)
+    assert report.ok, report.render()
+
+
+# ------------------------------- the coordinator's own share stays off the bus
+
+
+def _deliveries(records):
+    """(source, destination, kind) of every accepted delivery, in log order."""
+    return [
+        (r["source_chain"], r["chain"], r["event_kind"])
+        for r in records
+        if r["kind"] == "deliver" and r["result"] == "accepted"
+    ]
+
+
+def _txn_on_alpha_and_beta(w, kind):
+    """Run a transaction that alpha coordinates and that reads and writes on both chains."""
+    if kind == "mini":
+        mt = MiniTxn(
+            compares=(("alpha", "kv.x", 1),),
+            reads=(("beta", "kv.x"),),
+            writes=(("alpha", "kv.a", 1), ("beta", "kv.b", 2)),
+        )
+        return w.engine.execute_minitxn("alpha", mt)
+    t = w.engine.begin_general("alpha", kind)
+    a = w.engine.txn_read(t, "alpha", "kv.x")
+    b = w.engine.txn_read(t, "beta", "kv.x")
+    w.engine.txn_write(t, "alpha", "kv.a", a)
+    w.engine.txn_write(t, "beta", "kv.b", a + b)
+    return w.engine.txn_commit(t)
+
+
+@pytest.mark.parametrize("kind", ["mini", MODE_OCC, MODE_LOCKS])
+def test_only_the_remote_share_crosses_the_bus(kind):
+    # alpha prepares, votes and applies its own share inside its own blocks:
+    # the bus carries beta's prepare, vote and decide, and nothing to alpha
+    # from alpha
+    w = World()
+    w.set_kv("alpha", "x", 1)
+    w.set_kv("beta", "x", 1)
+    assert isinstance(_txn_on_alpha_and_beta(w, kind), Committed)
+    w.settle()
+    assert (w.kv("alpha", "a"), w.kv("beta", "b")) == (1, 2)
+    assert _deliveries(w.sim.log.records) == [
+        ("alpha", "beta", KIND_PREPARE),
+        ("beta", "alpha", KIND_VOTE),
+        ("alpha", "beta", KIND_DECIDE),
+    ]
+    assert w.locks_empty()
+    report = _audit(w)
+    assert report.ok, report.render()
+
+
+@pytest.mark.parametrize("mode", [MODE_OCC, MODE_LOCKS])
+def test_the_demo_auction_delivers_nothing_to_its_source_chain(mode):
+    raw = load_scenario(str(scenario_path("auction")))
+    raw.update(mode=mode)
+    metrics, log = run_scenario(Scenario.from_dict(raw))
+    assert metrics.status == "ok"
+    delivered = _deliveries(log.records)
+    assert delivered and all(source != dest for source, dest, _ in delivered)
+    assert audit_records(log.records).ok
+
+
+def test_the_coordinator_runs_two_blocks_per_mini_transaction():
+    # the begin block prepares and votes here, and the block that tallies
+    # beta's vote decides and applies here
+    w = World()
+    alpha = w.chains["alpha"]
+    for i in range(3):
+        height = alpha.height
+        mt = MiniTxn(compares=(), reads=(), writes=(("alpha", "kv.a", i), ("beta", "kv.b", i)))
+        assert isinstance(w.engine.execute_minitxn("alpha", mt), Committed)
+        w.settle()
+        assert alpha.height == height + 2
+        assert (w.kv("alpha", "a"), w.kv("beta", "b")) == (i, i)
+
+
+@pytest.mark.parametrize("kind", ["mini", MODE_OCC, MODE_LOCKS])
+def test_a_transaction_on_its_coordinator_alone_decides_in_its_begin_block(kind):
+    w = World()
+    alpha = w.chains["alpha"]
+    w.set_kv("alpha", "x", 1)
+    if kind == "mini":
+        mt = MiniTxn(compares=(("alpha", "kv.x", 1),), reads=(("alpha", "kv.x"),), writes=(("alpha", "kv.y", 2),))
+        fut = w.engine.execute_minitxn_async("alpha", mt)
+        txid = list(w.engine.records)[-1]
+        expected = Committed(read_values={("alpha", "kv.x"): 1})
+    else:
+        t = w.engine.begin_general("alpha", kind)
+        w.engine.txn_write(t, "alpha", "kv.y", w.engine.txn_read(t, "alpha", "kv.x") + 1)
+        w.settle()  # the read's retry timer
+        fut, txid, expected = w.engine.txn_commit_async(t), t.txn_id, Committed()
+    height = alpha.height
+    assert w.sim.pump(fut) == expected
+    assert alpha.height == height + 1
+    assert [txn.method for txn in alpha.blocks[-1].txns] == ["begin"]
+    assert alpha.read_state(f"sys.2pc.{txid}.decision") == "commit"
+    assert w.kv("alpha", "y") == 2
+    assert w.sim.meter.round_trips[txid] == 2
+    # no vote timeout, decision poll, bus event or block is left to run
+    assert w.sim.quiescent()
+    assert _deliveries(w.sim.log.records) == []
+    assert w.locks_empty()
+    report = _audit(w)
+    assert report.ok, report.render()
+
+
+@pytest.mark.parametrize("kind", ["mini", MODE_LOCKS])
+def test_a_no_vote_on_the_coordinator_aborts_and_releases_its_locks(kind):
+    # mini: a failed compare on alpha; locks: alpha's write policy changes
+    # after the transaction locked kv.x and kv.a there
+    w = World()
+    alpha, beta = w.chains["alpha"], w.chains["beta"]
+    w.set_kv("alpha", "x", 1)
+    if kind == "mini":
+        mt = MiniTxn(compares=(("alpha", "kv.x", 2),), reads=(), writes=(("alpha", "kv.a", 1), ("beta", "kv.b", 2)))
+        fut = w.engine.execute_minitxn_async("alpha", mt)
+        txid, reason = list(w.engine.records)[-1], "CompareFailed: alpha:kv.x"
+    else:
+        t = w.engine.begin_general("alpha", MODE_LOCKS)
+        w.engine.txn_write(t, "alpha", "kv.a", w.engine.txn_read(t, "alpha", "kv.x"))
+        w.engine.txn_write(t, "beta", "kv.b", 2)
+        assert alpha.locks.exact == {"kv.x": t.txn_id, "kv.a": t.txn_id}
+        alpha.attach_policy("kv", "allow read on *;")
+        w.settle()
+        fut, txid, reason = w.engine.txn_commit_async(t), t.txn_id, "PolicyDenied"
+    while alpha.read_state(f"sys.xt.{txid}.vote") is None:
+        w.sim.step()
+    # the begin block holds alpha's no vote and released alpha's locks
+    assert alpha.read_state(f"sys.2pc.{txid}.vote.alpha").startswith(f"no:{reason}")
+    assert alpha.locks.empty()
+    result = w.sim.pump(fut)
+    assert isinstance(result, Aborted) and result.reason.startswith(reason)
+    w.settle()
+    assert beta.read_state(f"sys.applied.{txid}") == "abort"
+    assert (w.kv("alpha", "a"), w.kv("beta", "b")) == (None, None)
+    assert w.locks_empty()
     report = _audit(w)
     assert report.ok, report.render()
 
