@@ -6,11 +6,18 @@ The conclude flow is an agent task: it reads every bid through the
 transaction layer (prefix reads guard against late-bid phantoms), picks the
 winner under exact rational exchange rates, and settles everything in one
 2PC commit: ticket ownership, winner escrow deduction credited to the
-seller, loser refunds, and status flips on all chains.
+seller, loser refunds, and status flips on all chains.  Its verified reads
+go out in two concurrent waves, each costing one request and one response
+leg: first the auction's ticket keys and every bidder chain's bids, then
+each escrow and balance the settlement moves, read once even when two
+settlement steps move it (a seller who also bid and lost).  The writes
+whose values the bids settle go out with the second wave, so in locks mode
+their write locks are requested together with those reads.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 from .bus import KIND_APP_BASE
@@ -22,9 +29,9 @@ from .errors import (
     TxnAborted,
     TypeMismatch,
 )
-from .sim import Simulation
+from .sim import Future, Simulation
 from .txn import Aborted, MODE_OCC, XTxn, XTxnEngine
-from .values import decode_record, encode_record, record
+from .values import Value, decode_record, encode_record, record
 
 KIND_START = KIND_APP_BASE  # auction-start notification to Bidder contracts
 
@@ -235,120 +242,96 @@ class AuctionApp:
         return result
 
     def conclude_agent(self, auction_id: str, mode: str = MODE_OCC, retries: int = 3):
-        """Agent generator: drive the general transaction, retrying aborts."""
+        """Agent generator: drive the general transaction, retrying aborts.
+
+        An attempt that raises aborts its transaction first, so a read that
+        failed leaves no lock behind, nor one still in flight."""
         attempt = 0
         while True:
             attempt += 1
             t = self.engine.begin_general(self.ticket_chain, mode, caller_id="Auctioneer")
             try:
                 outcome = yield from self._conclude_once(t, auction_id)
-            except TxnAborted as exc:
+            except Exception as exc:
                 self.engine.abort(t, str(exc))
                 raise
             if outcome is not None:
-                return AuctionOutcome(
-                    status=outcome.status,
-                    winner_chain=outcome.winner_chain,
-                    winner_user=outcome.winner_user,
-                    winner_amount=outcome.winner_amount,
-                    attempts=attempt,
-                )
+                return replace(outcome, attempts=attempt)
             if attempt > retries:
                 return AuctionOutcome(status="aborted", attempts=attempt)
             yield self.sim.sleep(5)
 
     def _conclude_once(self, t: XTxn, auction_id: str):
         """One settlement attempt; returns None when the commit aborted."""
-        tickets = self.ticket_chain
-        status = yield self.engine.txn_read_async(
-            t, tickets, f"Auctioneer.auction.{auction_id}.status"
+        engine, tickets = self.engine, self.ticket_chain
+        auction = f"Auctioneer.auction.{auction_id}."
+        # wave 1: every key known up front
+        status, ticket_id, seller, *bid_rows = yield from _gather(
+            [engine.txn_read_async(t, tickets, auction + name) for name in ("status", "ticket", "seller")]
+            + [engine.txn_read_prefix_async(t, cid, "Bidder.bids.") for cid in self.bidder_chains]
         )
         if status != "open":
             raise TxnAborted(f"auction {auction_id} is {status!r}, not open")
-        ticket_id = yield self.engine.txn_read_async(
-            t, tickets, f"Auctioneer.auction.{auction_id}.ticket"
-        )
-        seller = yield self.engine.txn_read_async(
-            t, tickets, f"Auctioneer.auction.{auction_id}.seller"
-        )
 
         # collect bids: (normalized, bid_height, chain, user, native amount)
         candidates = []
-        for cid in self.bidder_chains:
-            rows = yield self.engine.txn_read_prefix_async(t, cid, "Bidder.bids.")
+        for cid, rows in zip(self.bidder_chains, bid_rows):
             rate = self.rates[cid]
             for key, amount, version in rows:
                 user = key.rsplit(".", 1)[1]
                 candidates.append((Fraction(amount) * rate, version[0], cid, user, amount))
 
+        # the writes wave 1 settles, and the coin each escrow or balance key moves
+        writes: dict[tuple[str, str], Value] = {}
+        moves: dict[tuple[str, str], int] = {}
         if not candidates:
-            yield self.engine.txn_write_async(
-                t, tickets, f"Auctioneer.auction.{auction_id}.status", "cancelled"
-            )
-            yield self.engine.txn_write_async(
-                t, tickets, f"Auctioneer.ticket.{ticket_id}.escrowed", False
-            )
+            outcome = AuctionOutcome(status="cancelled")
+            writes[(tickets, auction + "status")] = "cancelled"
+            writes[(tickets, f"Auctioneer.ticket.{ticket_id}.escrowed")] = False
             for cid in self.bidder_chains:
-                yield self.engine.txn_write_async(t, cid, "Bidder.auction.status", "cancelled")
-            result = yield self.engine.txn_commit_async(t)
-            if isinstance(result, Aborted):
-                return None
-            return AuctionOutcome(status="cancelled")
+                writes[(cid, "Bidder.auction.status")] = "cancelled"
+        else:
+            # max normalized amount; ties: earlier bid height, then (chain, user)
+            norm, _, win_chain, win_user, _ = min(candidates, key=lambda c: (-c[0], c[1], c[2], c[3]))
+            norm_int = int(norm.numerator // norm.denominator)
+            outcome = AuctionOutcome("concluded", win_chain, win_user, norm_int)
+            for _, _, cid, user, amount in candidates:
+                # the winning escrow pays the seller on its own chain; a loser's is refunded
+                payee = seller if (cid, user) == (win_chain, win_user) else user
+                for key, delta in ((f"Bidder.escrow.{user}", -amount), (f"Bidder.balance.{payee}", amount)):
+                    moves[(cid, key)] = moves.get((cid, key), 0) + delta
+                writes[(cid, f"Bidder.bids.{user}")] = None
+            for cid in self.bidder_chains:
+                writes[(cid, "Bidder.auction.status")] = "concluded"
+            writes[(tickets, f"Auctioneer.ticket.{ticket_id}.owner")] = win_user
+            writes[(tickets, f"Auctioneer.ticket.{ticket_id}.escrowed")] = False
+            for name, value in (
+                ("status", "concluded"),
+                ("winner_user", win_user),
+                ("winner_chain", win_chain),
+                ("winner_amount", norm_int),
+            ):
+                writes[(tickets, auction + name)] = value
+            writes[(tickets, f"Auctioneer.winning_bids.{auction_id}")] = norm_int
 
-        # max normalized amount; ties: earlier bid height, then (chain, user)
-        best = min(candidates, key=lambda c: (-c[0], c[1], c[2], c[3]))
-        norm, _, win_chain, win_user, win_amount = best
+        # wave 2: each moved key, read once, with the writes above (in locks
+        # mode, their write locks are requested here too)
+        balances = yield from _gather(
+            [engine.txn_read_async(t, cid, key) for cid, key in moves]
+            + [engine.txn_write_async(t, cid, key, value) for (cid, key), value in writes.items()]
+        )
+        for ((cid, key), delta), balance in zip(moves.items(), balances):
+            yield engine.txn_write_async(t, cid, key, (balance or 0) + delta)  # locked by its read
 
-        for cid in self.bidder_chains:
-            rate = self.rates[cid]
-            for c_norm, _, c_chain, user, amount in candidates:
-                if c_chain != cid:
-                    continue
-                escrow = (
-                    yield self.engine.txn_read_async(t, cid, f"Bidder.escrow.{user}")
-                ) or 0
-                if cid == win_chain and user == win_user:
-                    # deduct the winning escrow; credit the seller locally
-                    seller_balance = (
-                        yield self.engine.txn_read_async(t, cid, f"Bidder.balance.{seller}")
-                    ) or 0
-                    yield self.engine.txn_write_async(
-                        t, cid, f"Bidder.escrow.{user}", escrow - amount
-                    )
-                    yield self.engine.txn_write_async(
-                        t, cid, f"Bidder.balance.{seller}", seller_balance + amount
-                    )
-                else:
-                    balance = (
-                        yield self.engine.txn_read_async(t, cid, f"Bidder.balance.{user}")
-                    ) or 0
-                    yield self.engine.txn_write_async(
-                        t, cid, f"Bidder.balance.{user}", balance + amount
-                    )
-                    yield self.engine.txn_write_async(
-                        t, cid, f"Bidder.escrow.{user}", escrow - amount
-                    )
-                yield self.engine.txn_write_async(t, cid, f"Bidder.bids.{user}", None)
-            yield self.engine.txn_write_async(t, cid, "Bidder.auction.status", "concluded")
-
-        norm_int = int(norm) if norm.denominator == 1 else int(norm.numerator // norm.denominator)
-        for key, value in [
-            (f"Auctioneer.ticket.{ticket_id}.owner", win_user),
-            (f"Auctioneer.ticket.{ticket_id}.escrowed", False),
-            (f"Auctioneer.auction.{auction_id}.status", "concluded"),
-            (f"Auctioneer.auction.{auction_id}.winner_user", win_user),
-            (f"Auctioneer.auction.{auction_id}.winner_chain", win_chain),
-            (f"Auctioneer.auction.{auction_id}.winner_amount", norm_int),
-            (f"Auctioneer.winning_bids.{auction_id}", norm_int),
-        ]:
-            yield self.engine.txn_write_async(t, tickets, key, value)
-
-        result = yield self.engine.txn_commit_async(t)
+        result = yield engine.txn_commit_async(t)
         if isinstance(result, Aborted):
             return None
-        return AuctionOutcome(
-            status="concluded",
-            winner_chain=win_chain,
-            winner_user=win_user,
-            winner_amount=norm_int,
-        )
+        return outcome
+
+
+def _gather(futures: list[Future]):
+    """Wait for every future, all started already; returns their values in order."""
+    values = []
+    for fut in futures:
+        values.append((yield fut))
+    return values

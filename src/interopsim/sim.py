@@ -119,6 +119,17 @@ class Task:
         self.waiting_on = awaited
 
 
+@dataclass(eq=False)
+class _Exchange:
+    """One direct request and its attempts: the future and the retry armed last."""
+
+    target_chain: str
+    payload: bytes
+    fut: Future
+    recovery: bool
+    retry: Optional[tuple] = None
+
+
 class MessageMeter:
     """Message counters; dropped, duplicated and replayed sum the brokers' own.
 
@@ -231,12 +242,21 @@ class Simulation:
         self.tasks.append(task)
         return task
 
-    def call_at(self, tick: int, fn: Callable) -> None:
+    def call_at(self, tick: int, fn: Callable) -> tuple:
+        """Arm `fn` for `tick`; returns the timer, for `cancel`."""
         self._timer_seq += 1
-        heapq.heappush(self._timers, (max(tick, self.tick), self._timer_seq, fn))
+        timer = (max(tick, self.tick), self._timer_seq, fn)
+        heapq.heappush(self._timers, timer)
+        return timer
 
-    def call_later(self, delay: int, fn: Callable) -> None:
-        self.call_at(self.tick + max(1, delay), fn)
+    def call_later(self, delay: int, fn: Callable) -> tuple:
+        return self.call_at(self.tick + max(1, delay), fn)
+
+    def cancel(self, timer: Optional[tuple]) -> None:
+        """Drop an armed timer; one that fired already is left alone."""
+        if timer in self._timers:  # (tick, seq) is unique, so == stops there
+            self._timers.remove(timer)
+            heapq.heapify(self._timers)
 
     def sleep(self, delay: int) -> Future:
         fut = Future()
@@ -499,42 +519,33 @@ class Simulation:
         Both legs draw drop faults (in order: request, response); retries up
         to retry_limit with doubled per-attempt timeout.  The future yields
         the raw response bytes, or None after the final attempt times out.
+        The response that resolves it drops the pending retry timer.
         """
-        fut = Future()
-        self._direct_attempt(target_chain, payload, fut, attempt=0, recovery=recovery)
-        return fut
+        exchange = _Exchange(target_chain, payload, Future(), recovery)
+        self._direct_attempt(exchange, attempt=0)
+        return exchange.fut
 
-    def _direct_attempt(
-        self, target_chain: str, payload: bytes, fut: Future, attempt: int, recovery: bool
-    ) -> None:
-        if fut.done:
+    def _direct_attempt(self, ex: _Exchange, attempt: int) -> None:
+        if ex.fut.done:
             return
         if attempt > self.config.retry_limit:
-            fut.set_result(None)
+            ex.fut.set_result(None)
             return
         timeout = self.config.direct_timeout * (2**attempt)
         self.meter.direct_sent += 1
         req_dropped = self._direct_dropped()
         latency = 1 + self._jitter()
         if not req_dropped:
-            self.call_later(
-                latency,
-                lambda: self._direct_serve(target_chain, payload, fut, recovery),
-            )
-        self.call_later(
-            timeout,
-            lambda: self._direct_attempt(target_chain, payload, fut, attempt + 1, recovery),
-        )
+            self.call_later(latency, lambda: self._direct_serve(ex))
+        ex.retry = self.call_later(timeout, lambda: self._direct_attempt(ex, attempt + 1))
 
-    def _direct_serve(
-        self, target_chain: str, payload: bytes, fut: Future, recovery: bool
-    ) -> None:
-        if fut.done:
+    def _direct_serve(self, ex: _Exchange) -> None:
+        if ex.fut.done:
             return
-        handler = self.direct_handlers.get(target_chain)
+        handler = self.direct_handlers.get(ex.target_chain)
         if handler is None:
             return
-        response = handler(payload, self.tick)
+        response = handler(ex.payload, self.tick)
         if response is None:
             return
         if self._direct_dropped():
@@ -542,11 +553,12 @@ class Simulation:
         latency = 1 + self._jitter()
 
         def complete():
-            if fut.done:
+            if ex.fut.done:
                 return
-            if recovery:
+            if ex.recovery:
                 self.meter.recovery_reads += 1
-            fut.set_result(response)
+            ex.fut.set_result(response)
+            self.cancel(ex.retry)
 
         self.call_later(latency, complete)
 

@@ -3,7 +3,10 @@ from fractions import Fraction
 import pytest
 
 import interopsim.auction as auction_module
+from interopsim.audit import audit_records, check_conservation
 from interopsim.auction import AuctionStart
+from interopsim.fixtures import scenario_path
+from interopsim.scenario import Scenario, load_scenario, run_scenario
 from interopsim.txn import MODE_LOCKS, MODE_OCC
 from interopsim.values import decode_record, encode_record
 
@@ -245,6 +248,69 @@ def test_conclude_under_faults_still_atomic():
         assert coin_totals(sim, "coinb") == 100
         assert coin_totals(sim, "coinc") == 80
         assert sim.chains["coinc"].read_state("Bidder.balance.alice") == 40
+
+
+def test_failed_conclude_releases_its_locks():
+    # a read that exhausts its retry budget ends the conclude in error; the
+    # conclude must still abort its transaction, so no lock outlives the run
+    errors = 0
+    for seed in range(30):
+        raw = load_scenario(str(scenario_path("auction")))
+        raw.update(seed=seed, mode=MODE_LOCKS, direct_drop_rate=0.3)
+        metrics, log = run_scenario(Scenario.from_dict(raw))
+        assert metrics.status == "ok"
+        report = audit_records(log.records)
+        assert report.ok, f"seed {seed}:\n{report.render()}"
+        errors += sum(o["status"] == "error" for o in metrics.outcomes)
+    assert errors >= 1
+
+
+@pytest.mark.parametrize("mode", [MODE_OCC, MODE_LOCKS])
+def test_packaged_conclude_reads_in_two_concurrent_waves(mode):
+    raw = load_scenario(str(scenario_path("auction")))
+    raw.update(seed=1, mode=mode)
+    conclude_at = next(e["tick"] for e in raw["script"] if e["action"] == "conclude")
+    metrics, log = run_scenario(Scenario.from_dict(raw))
+    assert [o["status"] for o in metrics.outcomes] == ["concluded"]
+    decided_at = [
+        rec["tick"]
+        for rec in log.records
+        if rec["kind"] == "block" and rec["chain"] == "tickets"
+        for txn in rec["txns"]
+        if any(key.endswith(".decision") for key, _ in txn["writes"])
+    ]
+    # wave 1 (ticket keys, bid prefixes) and wave 2 (escrows, balances and
+    # write locks) cost a request and a response leg each; 2PC takes 4
+    assert decided_at == [conclude_at + 8]
+    k = 2 + 2 * 2  # two prefix reads plus an escrow and a balance per bid
+    assert [v for v in metrics.round_trips.values() if v > 2] == [k + 2]
+
+
+@pytest.mark.parametrize("mode", [MODE_OCC, MODE_LOCKS])
+def test_seller_who_bids_and_loses_is_credited_refund_and_price(mode):
+    # alice sells, then bids 20 on coinc and loses to carol's 40 there: two
+    # settlement steps credit Bidder.balance.alice on coinc, and both land
+    sim, engine, app = mk_auction_world(
+        balances={"coinb": {"bob": 100, "alice": 0}, "coinc": {"carol": 80, "alice": 30}},
+    )
+    start(app)
+    assert app.submit_bid("coinb", "bob", "a1", 100).status == "ok"  # normalized 50
+    assert app.submit_bid("coinc", "alice", "a1", 20).status == "ok"  # normalized 30
+    assert app.submit_bid("coinc", "carol", "a1", 40).status == "ok"  # normalized 60
+    coinc = sim.chains["coinc"]
+    before = coinc.read_state("Bidder.balance.alice")
+    outcome = app.conclude_auction("a1", mode)
+    assert (outcome.status, outcome.winner_user) == ("concluded", "carol")
+    assert coinc.read_state("Bidder.balance.alice") == before + 20 + 40
+    assert coinc.read_state("Bidder.escrow.alice") == 0
+    assert coinc.read_state("Bidder.escrow.carol") == 0
+    assert coin_totals(sim, "coinc") == 110
+    assert check_conservation(sim.log.records).passed
+    assert all(sim.chains[c].locks.empty() for c in ("tickets", "coinb", "coinc"))
+    for t in engine.records.values():  # each (chain, key) is read at most once per attempt
+        reads = [(chain, key) for chain, key, _ in t.read_set]
+        assert len(reads) == len(set(reads)), reads
+        assert reads.count(("coinc", "Bidder.balance.alice")) == 1
 
 
 def test_start_payload_bytes_unchanged_by_its_record_type():

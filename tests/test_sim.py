@@ -81,6 +81,25 @@ def test_direct_channel_roundtrip_and_retries():
         assert sim.pump(fut) == f"m{i}".encode() + b"!"
 
 
+def test_resolved_direct_read_leaves_no_retry_timer():
+    w = World()
+    t = w.engine.begin_general("alpha", "occ")
+    assert w.engine.txn_read(t, "alpha", "kv.x") is None
+    assert w.sim.quiescent()
+
+
+def test_dropped_response_is_still_retried():
+    sim = Simulation(SimConfig(seed=3, direct_timeout=4))
+    served = []
+    sim.direct_handlers["svc"] = lambda payload, tick: served.append(tick) or payload + b"!"
+    fates = iter([False, True])  # leg fates: the first request arrives, its response is lost
+    sim._direct_dropped = lambda: next(fates, False)
+    fut = sim.direct_request("svc", b"m")
+    assert sim.pump(fut) == b"m!"
+    assert served == [1, 5]  # the retry went out at tick 4, the first attempt's timeout
+    assert sim.quiescent()
+
+
 def test_direct_channel_gives_up_after_retry_budget():
     sim = Simulation(SimConfig(seed=3, direct_drop_rate=1.0, direct_timeout=2))
     sim.direct_handlers["svc"] = lambda payload, tick: payload
