@@ -22,9 +22,11 @@ the writes it will apply (`sys.xt.<txid>.writes`), and `sys.applied.<txid>`.
 Protocol messages are bus events signed by f+1 nodes of their source chain,
 which names the coordinator to a participant and the voter to the
 coordinator; once a chain votes yes, only its coordinator's decide counts.
-The coordinator's own share never touches the bus (R*'s coordinator as
-participant): a message to the chain that sends it runs at once, in the
-sender's ExecContext, so the begin block prepares and votes locally and the
+The first no vote decides abort, the last yes decides commit.  The
+coordinator's own share prepares first and never touches the bus (R*'s
+coordinator as participant): a message to the chain that sends it runs at
+once, in the sender's ExecContext, so the begin block prepares and votes
+locally (a no there decides before any remote prepare leaves) and the
 deciding block applies locally, and a transaction whose only participant is
 its coordinator decides in its begin block.
 Each `sys.txn` handler reads and stages only through its ExecContext and
@@ -207,7 +209,6 @@ class Outcome:
 
     txn_id: str
     decision: str  # commit | abort
-    reason: str = ""
 
 
 # ---------------------------------------------------------------- payloads
@@ -580,13 +581,13 @@ class XTxnEngine:
         return self.sim.pump(self.txn_commit_async(t))
 
     def _commit(self, t: XTxn, abort: str = "") -> Future:
-        """Start 2PC: the sets freeze, and `begin` carries every prepare.
+        """Start 2PC: the sets freeze, and `begin` carries every prepare, the coordinator's first.
 
         With an `abort` reason, `begin` carries no prepares and the abort
         `decide` follows it into the same coordinator block."""
         t.status = ST_PREPARED
         t.future = Future()
-        t.participants = t.chains()
+        t.participants = sorted(t.chains(), key=lambda c: c != t.coordinator_chain)
         if not t.participants:  # no ledger decides it, and an empty commit leaves no record
             if abort:
                 self._complete(t.txn_id, "abort", abort)
@@ -679,7 +680,8 @@ class XTxnEngine:
         ctx.put(f"sys.2pc.{txid}.participants", participants)
         if prepares:  # an abort before commit carries none
             for part, payload in zip(participants.split(","), prepares, strict=True):
-                self._send(ctx, part, KIND_PREPARE, payload)
+                if ctx.get(f"sys.2pc.{txid}.decision") is None:  # else the coordinator's own no decided
+                    self._send(ctx, part, KIND_PREPARE, payload)
 
     def _exec_decide(self, ctx: ExecContext, txid: str, decision: str, reason: str) -> None:
         participants = ctx.get(f"sys.2pc.{txid}.participants")
@@ -689,7 +691,7 @@ class XTxnEngine:
         ctx.put(f"sys.2pc.{txid}.decision", decision)
         ctx.put(f"sys.2pc.{txid}.reason", reason)
         ctx.after_commit(partial(self._complete, txid, decision, reason))
-        payload = encode_record(Outcome(txid, decision, reason))
+        payload = encode_record(Outcome(txid, decision))
         for part in participants.split(","):
             self._send(ctx, part, KIND_DECIDE, payload)
 
@@ -775,17 +777,13 @@ class XTxnEngine:
         if ctx.get(f"sys.2pc.{txid}.decision") is not None:
             return
         ctx.after_commit(partial(self._merge_reads, txid, {(part, k): value for k, value in v.reads}))
-        keys = [f"sys.2pc.{txid}.vote.{p}" for p in parts]
-        if any(ctx.get(key) is None for key in keys):
-            return
-        ctx.after_commit(partial(self.sim.meter.round_trip, txid))
-        # the tally in arrival order, which is ledger version order: the
-        # committed votes by version, then the one this transaction stages
-        arrived = sorted(keys, key=lambda key: (key in ctx.writes, ctx.chain.current_version(key)))
-        votes = [ctx.get(key).partition(":") for key in arrived]
-        no_reasons = [r for v, _, r in votes if v != "yes"]
-        decision, reason = ("abort", no_reasons[0]) if no_reasons else ("commit", "")
-        self._exec_decide(ctx, txid, decision, reason)
+        all_in = all(ctx.get(f"sys.2pc.{txid}.vote.{p}") is not None for p in parts)
+        if all_in:
+            ctx.after_commit(partial(self.sim.meter.round_trip, txid))
+        if v.vote != "yes":  # the first no decides abort, the last yes commit
+            self._exec_decide(ctx, txid, "abort", v.reason)
+        elif all_in:
+            self._exec_decide(ctx, txid, "commit", "")
 
     def _merge_reads(self, txid: str, read_values: dict) -> None:
         t = self.records.get(txid)

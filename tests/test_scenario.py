@@ -19,6 +19,7 @@ from interopsim.scenario import (
 
 BROKER_RESTART = Path(__file__).parent / "scenarios" / "broker_restart.scn"
 POLICY_DENIALS = Path(__file__).parent / "scenarios" / "auction_policy_denials.scn"
+LATE_BID = Path(__file__).parent / "scenarios" / "auction_late_bid.scn"
 
 
 def auction_scn(**overrides):
@@ -298,6 +299,22 @@ def test_policy_denials_leave_failed_receipts_and_the_same_winner():
     assert metrics.status == "ok" and audit_records(log.records).ok
     assert _conclusions(metrics) == _conclusions(base_metrics)
     assert _conclusions(metrics)[0][:3] == ("concluded", "coinc", "carol")
+
+
+def test_a_late_bid_aborts_the_first_conclude_and_the_retry_names_carol(tmp_path):
+    # coinc's no vote on the Bidder.bids prefix decides the first commit; the
+    # second conclude reads carol's bid and commits
+    metrics, log = run_scenario(Scenario.from_dict(load_scenario(str(LATE_BID))))
+    assert metrics.status == "ok"
+    decisions = [(r["decision"], r["reason"]) for r in log.records if r["kind"] == "xtxn"]
+    assert decisions == [("abort", "VersionConflict: Bidder.bids.*"), ("commit", "")]
+    assert metrics.aborts == {"VersionConflict: Bidder.bids.*": 1}
+    assert _conclusions(metrics) == [("concluded", "coinc", "carol", 60)]
+    report = audit_records(log.records)
+    assert report.ok, report.render()
+    path = tmp_path / "run.jsonl"
+    log.dump(str(path))
+    assert simctl(["replay", str(path)]) == 0
 
 
 # ------------------------------------------------------------------- audit

@@ -866,6 +866,51 @@ def test_a_no_vote_on_the_coordinator_aborts_and_releases_its_locks(kind):
     assert report.ok, report.render()
 
 
+def test_the_coordinators_own_no_vote_sends_no_prepare():
+    # beta is touched first, yet alpha's share prepares first: its failed
+    # compare decides abort in the begin block, before beta's prepare leaves
+    w = World()
+    alpha, beta = w.chains["alpha"], w.chains["beta"]
+    w.set_kv("alpha", "x", 1)
+    mt = MiniTxn(compares=(("beta", "kv.y", None), ("alpha", "kv.x", 2)), reads=(), writes=(("beta", "kv.b", 2),))
+    result = w.engine.execute_minitxn("alpha", mt)
+    txid = list(w.engine.records)[-1]
+    assert isinstance(result, Aborted) and result.reason.startswith("CompareFailed: alpha:kv.x")
+    w.settle()
+    assert ("alpha", "beta", KIND_PREPARE) not in _deliveries(w.sim.log.records)
+    assert beta.read_state(f"sys.xt.{txid}.vote") is None
+    assert beta.read_state(f"sys.applied.{txid}") == "abort"
+    assert w.kv("beta", "b") is None
+    assert w.locks_empty()
+    assert alpha.read_state(f"sys.2pc.{txid}.participants") == "alpha,beta"
+    report = _audit(w)
+    assert report.ok, report.render()
+
+
+def test_a_remote_no_vote_decides_without_waiting_for_the_other_votes():
+    # gamma produces no block while two of its four nodes are silent; beta's
+    # failed compare alone decides abort, well before the vote timeout
+    w = World(chain_ids=("alpha", "beta", "gamma"))
+    gamma = w.chains["gamma"]
+    silent = gamma.cfg.node_ids()[:2]
+    gamma.byzantine.update({node: Behavior.SILENT for node in silent})
+    mt = MiniTxn(compares=(("beta", "kv.y", 1),), reads=(), writes=(("beta", "kv.b", 2), ("gamma", "kv.c", 3)))
+    start = w.sim.tick
+    result = w.engine.execute_minitxn("alpha", mt)
+    txid = list(w.engine.records)[-1]
+    assert result == Aborted("CompareFailed: beta:kv.y")
+    assert w.sim.tick - start < w.sim.config.vote_timeout
+    assert gamma.read_state(f"sys.applied.{txid}") is None
+    for node in silent:
+        del gamma.byzantine[node]
+    w.settle()
+    assert gamma.read_state(f"sys.applied.{txid}") == "abort"
+    assert (w.kv("beta", "b"), w.kv("gamma", "c")) == (None, None)
+    assert w.locks_empty()
+    report = _audit(w)
+    assert report.ok, report.render()
+
+
 # ------------------------------------------ the ledger holds all 2PC state
 
 
@@ -1104,7 +1149,7 @@ def test_vote_and_decide_payloads_round_trip(monkeypatch):
     assert vote_sources == ["beta"]
     assert w.chains["alpha"].read_state(f"sys.2pc.{vote.txn_id}.vote.beta") == "yes:"
     assert vote.reads == (("kv.a", True),) and type(vote.reads[0][1]) is bool
-    assert seen[KIND_DECIDE] == Outcome(vote.txn_id, "commit", "")
+    assert seen[KIND_DECIDE] == Outcome(vote.txn_id, "commit")
     for kind, p in payloads:
         if kind in classes:
             assert encode_record(decode_record(p, classes[kind])) == p
