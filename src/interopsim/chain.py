@@ -769,28 +769,3 @@ def _attach_policy(ctx: ExecContext) -> None:  # sys.policy attach(cid, src)
         raise UnknownContract("sys.policy")
     parse_policy(ctx.txn.args[1])  # text that does not parse never reaches the ledger
     ctx.put(f"sys.policy.{ctx.txn.args[0]}", ctx.txn.args[1])
-
-
-def encode_block(block: Block) -> bytes:
-    parts = [block.header.encode()]
-    parts.append(len(block.txns).to_bytes(4, "big"))
-    for txn in block.txns:
-        raw = txn.encode()
-        parts.append(len(raw).to_bytes(4, "big") + raw)
-    parts.append(len(block.receipts).to_bytes(4, "big"))
-    for r in block.receipts:
-        enc_writes = b"".join(
-            lps(k) + encode_value(v) for k, v in r.writes
-        )
-        parts.append(
-            r.txn_id
-            + (b"\x01" if r.status == "ok" else b"\x00")
-            + lps(r.error)
-            + lps(r.xchain_txn)
-            + len(r.writes).to_bytes(4, "big")
-            + enc_writes
-        )
-    parts.append(len(block.cert.signatures).to_bytes(2, "big"))
-    for node_id, sig in block.cert.signatures:
-        parts.append(lps(node_id) + len(sig).to_bytes(4, "big") + sig)
-    return b"".join(parts)

@@ -9,10 +9,13 @@ next key-hash bit at each level:
     root(S)      = digest(0x01 || root(S0) || root(S1))              inner
 
 Membership proofs carry the sibling digests from the key's leaf up to the
-root.  An absence proof carries the same path for the absent key's hash,
-ending either at an empty slot or at the leaf of a different key whose hash
-shares the path's prefix.  The verifier derives every step's direction from
-sha256(key) and rejects a proof whose stated direction disagrees.
+root, and nothing else: which side each sibling sits on is the key hash's
+bit at that level, so the verifier reads it from sha256(key).  An absence
+proof carries the same path for the absent key's hash, ending either at an
+empty slot or at the leaf of a different key whose hash shares the path's
+prefix.  A proof is an ordinary record (values.record): it rides inside a
+read response and decodes with it, each field checked against its
+annotation.
 
 A map is immutable: `MerkleMap(items, base)` applies `items` on top of `base`
 by path copying, so its cost is the writes times the depth, and `base` stays
@@ -31,15 +34,12 @@ from hashlib import sha256
 from typing import Optional
 
 from .errors import EncodingError
-from .values import Value, digest, encode_value, decode_value, lp, record
+from .values import Value, digest, encode_value, lp, record
 
 EMPTY_ROOT = digest(b"")
 
 MEMBERSHIP = "membership"
 ABSENCE = "absence"
-
-# path direction: "L" = sibling hash goes on the left, "R" = on the right
-PathStep = tuple[bytes, str]
 
 # Nodes are plain tuples (untracked by the cycle collector); an empty slot is
 # None.  leaf: (digest, key hash as int, key, value); inner: (digest, left, right)
@@ -110,17 +110,20 @@ def _put(root: Optional[tuple], leaves) -> Optional[tuple]:
     return top[0]
 
 
-def fold_path(node: bytes, bits: int, path: tuple[PathStep, ...]) -> bytes:
-    """Fold a node digest up to the root along the key hash `bits`."""
+def fold_path(node: bytes, bits: int, path: tuple[bytes, ...]) -> bytes:
+    """Fold a node digest up to the root along the key hash `bits`.
+
+    The sibling at each level sits on the side the key hash's bit does not
+    take: on the left where the bit is 1, on the right where it is 0."""
     depth = len(path)
     if depth > 256:
         raise EncodingError("path longer than the key hash")
     h = node
-    for sibling, direction in path:
+    for sibling in path:
+        if len(sibling) != 32:
+            raise EncodingError("path sibling is not a 32-byte digest")
         depth -= 1
-        if direction != ("L" if _bit(bits, depth) else "R"):
-            raise EncodingError("path direction disagrees with the key hash")
-        h = inner_digest(sibling, h) if direction == "L" else inner_digest(h, sibling)
+        h = inner_digest(sibling, h) if _bit(bits, depth) else inner_digest(h, sibling)
     return h
 
 
@@ -129,7 +132,7 @@ class MerkleProof:
     kind: str
     leaf_key: bytes
     leaf_value: Value = None
-    path: tuple[PathStep, ...] = ()  # leaf level first
+    path: tuple[bytes, ...] = ()  # sibling digests, leaf level first
     root_height: int = 0
     # absence only: (key, value) of the leaf the path ends at; None = empty slot
     terminal: Optional[tuple[bytes, Value]] = None
@@ -150,12 +153,9 @@ class MerkleMap:
         bits = key_bits(key)
         node, depth, siblings = self._node, 0, []
         while node is not None and len(node) == 3:
-            if _bit(bits, depth):
-                siblings.append((_node_digest(node[1]), "L"))
-                node = node[2]
-            else:
-                siblings.append((_node_digest(node[2]), "R"))
-                node = node[1]
+            side = _bit(bits, depth)
+            siblings.append(_node_digest(node[2 - side]))
+            node = node[1 + side]
             depth += 1
         path = tuple(reversed(siblings))
         if node is not None and node[2] == key:
@@ -199,86 +199,3 @@ def root_of_digests(leaves: list[bytes]) -> bytes:
             nxt.append(digest(left + right))
         level = nxt
     return level[0]
-
-
-# --- wire form (rides in read-response payloads) ---
-
-
-def _encode_path(path: tuple[PathStep, ...]) -> bytes:
-    out = [len(path).to_bytes(2, "big")]
-    for sibling, direction in path:
-        out.append(sibling)
-        out.append(b"\x01" if direction == "L" else b"\x00")
-    return b"".join(out)
-
-
-def _decode_path(data: bytes, offset: int) -> tuple[tuple[PathStep, ...], int]:
-    if offset + 2 > len(data):
-        raise EncodingError("truncated path")
-    n = int.from_bytes(data[offset : offset + 2], "big")
-    offset += 2
-    path = []
-    for _ in range(n):
-        if offset + 33 > len(data):
-            raise EncodingError("truncated path step")
-        sibling = data[offset : offset + 32]
-        direction = "L" if data[offset + 32] else "R"
-        path.append((sibling, direction))
-        offset += 33
-    return tuple(path), offset
-
-
-def encode_proof(p: MerkleProof) -> bytes:
-    kind = b"\x01" if p.kind == MEMBERSHIP else b"\x00"
-    terminal = b"\x00"
-    if p.terminal is not None:
-        terminal = b"\x01" + encode_value(p.terminal[0]) + encode_value(p.terminal[1])
-    return b"".join(
-        [
-            kind,
-            encode_value(p.leaf_key),
-            encode_value(p.leaf_value),
-            _encode_path(p.path),
-            p.root_height.to_bytes(8, "big"),
-            terminal,
-        ]
-    )
-
-
-def _decode_key(data: bytes, offset: int) -> tuple[bytes, int]:
-    key, offset = decode_value(data, offset)
-    if type(key) is not bytes:
-        raise EncodingError("proof key is not bytes")
-    return key, offset
-
-
-def decode_proof(data: bytes, offset: int = 0) -> tuple[MerkleProof, int]:
-    if offset >= len(data):
-        raise EncodingError("truncated proof")
-    kind = MEMBERSHIP if data[offset] else ABSENCE
-    offset += 1
-    leaf_key, offset = _decode_key(data, offset)
-    leaf_value, offset = decode_value(data, offset)
-    path, offset = _decode_path(data, offset)
-    if offset + 9 > len(data):
-        raise EncodingError("truncated proof height")
-    root_height = int.from_bytes(data[offset : offset + 8], "big")
-    offset += 8
-    terminal = None
-    has_terminal = data[offset]
-    offset += 1
-    if has_terminal:
-        other_key, offset = _decode_key(data, offset)
-        other_value, offset = decode_value(data, offset)
-        terminal = (other_key, other_value)
-    return (
-        MerkleProof(
-            kind=kind,
-            leaf_key=leaf_key,
-            leaf_value=leaf_value,
-            path=path,
-            root_height=root_height,
-            terminal=terminal,
-        ),
-        offset,
-    )

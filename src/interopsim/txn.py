@@ -54,7 +54,7 @@ from .errors import (
     ProofInvalid,
     StaleQuorum,
 )
-from .merkle import decode_proof, encode_proof, verify_proof
+from .merkle import MerkleProof, verify_proof
 from .policy import AggExpr, ChainEvalContext, eval_aggregate
 from .sim import DECISION_POLL, Future, Simulation
 from .values import Value, check_entry, decode_record, digest, encode_record, encode_value, record
@@ -88,7 +88,7 @@ class ReadResponse:
     anchor_height: int
     nonce: int
     signatures: tuple[tuple[str, bytes], ...]
-    proof: Optional[bytes] = None  # a Merkle proof in its binary form (merkle.encode_proof)
+    proof: Optional[MerkleProof] = None  # storage path only
     version: Optional[Version] = None
     status: str = "ok"  # ok | denied | locked | error
     reason: str = ""
@@ -217,8 +217,8 @@ class Outcome:
 # decodes through values.decode_record(raw, cls), which checks every field
 # against its annotation; the `__prefix__` rows are a PrefixRows record inside
 # a signed value, checked the same way.  Read requests and responses lead
-# with their kind byte.  A Merkle proof rides in its response in its own
-# binary form, decoded only when the response is verified.
+# with their kind byte.  A storage-path response's Merkle proof is a record
+# nested in it, decoded and checked with the response.
 
 PrefixRows = tuple[tuple[str, Value, Version], ...]  # (key, value, version)
 PreparedWrites = tuple[str, tuple[tuple[str, Value], ...]]  # a yes vote's coordinator, (key, value) writes
@@ -242,7 +242,7 @@ def _answer(
     height: int,
     value: Value,
     signatures: tuple[tuple[str, bytes], ...],
-    proof: Optional[bytes] = None,
+    proof: Optional[MerkleProof] = None,
     version: Optional[Version] = None,
 ) -> bytes:
     return _enc_read(ReadResponse(value, height, req.nonce, signatures, proof, version))
@@ -331,13 +331,15 @@ class XTxnEngine:
             raise StaleQuorum(resp.reason or "malformed response")
         if resp.nonce != req.nonce:
             raise StaleQuorum("nonce mismatch (replayed response)")
+        if resp.anchor_height < 0:
+            raise StaleQuorum("negative anchor height")
         registry = self.sim.registry
         f = registry.f_of(req.target_chain)
         expected = read_response_digest(resp.value, req.nonce, resp.anchor_height)
         valid = registry.count_valid(req.target_chain, expected, resp.signatures)
-        if resp.proof is not None:
+        proof = resp.proof
+        if proof is not None:
             # storage path: certified root + proof + at least one fresh signature
-            proof = decode_proof(resp.proof)[0]
             if valid < 1:
                 raise StaleQuorum("storage-path response lacks a valid signature")
             chain = self.sim.chains[req.target_chain]
@@ -452,7 +454,7 @@ class XTxnEngine:
             if chain.byzantine.get(node_id, Behavior.HONEST) == Behavior.HONEST:
                 sigs = ((node_id, chain.scheme.sign(key, read_response_digest(value, req.nonce, height))),)
                 break
-        return _answer(req, height, value, sigs, proof=encode_proof(proof), version=version)
+        return _answer(req, height, value, sigs, proof=proof, version=version)
 
     # ---------------------------------------------------- transactions
 

@@ -432,8 +432,7 @@ def _mutate_and_check(rng, root, proof) -> bool:
             bad = MerkleProof(MEMBERSHIP, proof.leaf_key, _mutate_value(proof.leaf_value, rng), proof.path)
         else:
             i = rng.randrange(len(proof.path))
-            sib, d = proof.path[i]
-            bad_path = proof.path[:i] + ((_flip(sib, rng), d),) + proof.path[i + 1 :]
+            bad_path = proof.path[:i] + (_flip(proof.path[i], rng),) + proof.path[i + 1 :]
             bad = MerkleProof(MEMBERSHIP, proof.leaf_key, proof.leaf_value, bad_path)
         return not verify_proof(root, bad)
     # absence: mutate the terminal leaf (key or value) or a path sibling; a
@@ -446,8 +445,7 @@ def _mutate_and_check(rng, root, proof) -> bool:
         terminal = (terminal[0], _mutate_value(terminal[1], rng))
     else:
         i = rng.randrange(len(path))
-        sib, d = path[i]
-        path = path[:i] + ((_flip(sib, rng), d),) + path[i + 1 :]
+        path = path[:i] + (_flip(path[i], rng),) + path[i + 1 :]
     bad = MerkleProof(ABSENCE, proof.leaf_key, path=path, terminal=terminal)
     return not verify_proof(root, bad)
 

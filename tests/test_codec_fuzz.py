@@ -16,6 +16,7 @@ import pytest
 
 from interopsim.bus import KIND_DECIDE, KIND_PREPARE, KIND_VOTE, Event, SignedEventBatch, verify_batch
 from interopsim.errors import EncodingError
+from interopsim.merkle import MerkleProof
 from interopsim.txn import (
     MODE_OCC,
     Outcome,
@@ -30,7 +31,7 @@ from interopsim.values import decode_record, encode_record, join_record
 from harness import World
 
 SEED = 20_191_121
-CLASSES = (Event, SignedEventBatch, ReadRequest, ReadResponse, Prepare, Vote, Outcome)
+CLASSES = (Event, SignedEventBatch, ReadRequest, ReadResponse, MerkleProof, Prepare, Vote, Outcome)
 HEAD = {ReadRequest: 1, ReadResponse: 1}  # read messages lead with their kind byte
 PROTOCOL_KINDS = {Prepare: KIND_PREPARE, Vote: KIND_VOTE, Outcome: KIND_DECIDE}
 
@@ -42,7 +43,8 @@ ADMITS = {
     "bool": {bool},
     "bytes": {bytes},
     "Value": set(SCALARS),
-    "Optional[bytes]": {type(None), bytes},
+    "Optional[MerkleProof]": {type(None)},
+    "Optional[tuple[bytes, Value]]": {type(None)},
     "Optional[Version]": {type(None)},
 }
 
@@ -70,12 +72,14 @@ def capture():
     events = [decode_record(raw, SignedEventBatch).event for raw in batches]
     payloads = {event.kind: event.payload for event in events}
     request, response = exchanges[0]
-    assert _dec_read(response, ReadResponse).proof is not None
+    proof = _dec_read(response, ReadResponse).proof
+    assert proof is not None
     return w, {
         Event: events[0].encode(),
         SignedEventBatch: batches[0],
         ReadRequest: request,
         ReadResponse: response,
+        MerkleProof: encode_record(proof),
         **{cls: payloads[kind] for cls, kind in PROTOCOL_KINDS.items()},
     }
 

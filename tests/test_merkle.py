@@ -3,17 +3,18 @@ import random
 
 import pytest
 
+from interopsim.errors import EncodingError
 from interopsim.merkle import (
     ABSENCE,
     EMPTY_ROOT,
     MEMBERSHIP,
     MerkleMap,
     MerkleProof,
-    decode_proof,
-    encode_proof,
+    fold_path,
+    key_bits,
     verify_proof,
 )
-from interopsim.values import encode_value
+from interopsim.values import decode_record, encode_record, encode_value
 
 
 def _sha(raw: bytes) -> bytes:
@@ -204,42 +205,44 @@ def test_absence_diverging_terminal_leaf_fails():
     zeros, ones = _keys_by_first_bit(2)
     misplaced, other = ones[0], ones[1]
     root = _sha(b"\x01" + _leaf(misplaced, 1) + _leaf(other, 2))
-    forged = MerkleProof(
-        ABSENCE, zeros[0], path=((_leaf(other, 2), "R"),), terminal=(misplaced, 1)
-    )
+    forged = MerkleProof(ABSENCE, zeros[0], path=(_leaf(other, 2),), terminal=(misplaced, 1))
     assert not verify_proof(root, forged)
     # the same check passes an honest shape: terminal on the absent key's side
     root = _sha(b"\x01" + _leaf(zeros[1], 1) + _leaf(other, 2))
-    honest = MerkleProof(ABSENCE, zeros[0], path=((_leaf(other, 2), "R"),), terminal=(zeros[1], 1))
+    honest = MerkleProof(ABSENCE, zeros[0], path=(_leaf(other, 2),), terminal=(zeros[1], 1))
     assert verify_proof(root, honest)
 
 
 def test_path_direction_must_match_key_hash():
     zeros, ones = _keys_by_first_bit(1)
     a, b = zeros[0], ones[0]
-    # a root with the two leaves swapped: folding b's stated direction gives it
+    # a root with the two leaves swapped: b's key hash puts its sibling on
+    # the left, so the fold never gives the swapped root
     swapped = _sha(b"\x01" + _leaf(b, 2) + _leaf(a, 1))
-    forged = MerkleProof(MEMBERSHIP, b, 2, path=((_leaf(a, 1), "R"),))
+    forged = MerkleProof(MEMBERSHIP, b, 2, path=(_leaf(a, 1),))
     assert not verify_proof(swapped, forged)
     tree = MerkleMap({a: 1, b: 2})
     assert tree.root == _sha(b"\x01" + _leaf(a, 1) + _leaf(b, 2))
+    assert tree.prove(b).path == (_leaf(a, 1),)
     assert verify_proof(tree.root, tree.prove(b))
-    # flipping any stated direction of an honest proof is rejected
-    rng = random.Random(10)
-    big = MerkleMap(_random_items(rng, 40))
-    for key in list(_random_items(rng, 20)):
-        proof = big.prove(key)
-        for i, (sib, d) in enumerate(proof.path):
-            flipped = proof.path[:i] + ((sib, "L" if d == "R" else "R"),) + proof.path[i + 1 :]
-            bad = MerkleProof(proof.kind, key, proof.leaf_value, flipped, terminal=proof.terminal)
-            assert not verify_proof(big.root, bad)
+
+
+def test_a_path_sibling_is_a_32_byte_digest():
+    tree = MerkleMap(_random_items(random.Random(11), 12))
+    proof = tree.prove(b"absent")
+    assert proof.path and verify_proof(tree.root, proof)
+    node = EMPTY_ROOT if proof.terminal is None else _leaf(*proof.terminal)
+    assert fold_path(node, key_bits(b"absent"), proof.path) == tree.root
+    for sibling in (proof.path[0][:31], proof.path[0] + b"\x00", b""):
+        with pytest.raises(EncodingError):
+            fold_path(node, key_bits(b"absent"), (sibling, *proof.path[1:]))
 
 
 def test_proof_wire_roundtrip():
     tree = MerkleMap({b"a": 1, b"c": "v", b"e": None})
     for key in (b"a", b"b", b"\x00", b"zzz", b"e"):
         proof = tree.prove(key, root_height=7)
-        back, end = decode_proof(encode_proof(proof))
+        back = decode_record(encode_record(proof), MerkleProof)
         assert back == proof
         assert verify_proof(tree.root, back) == verify_proof(tree.root, proof)
 
@@ -263,10 +266,10 @@ def test_fuzz_proofs_and_mutations():
         # single-byte mutation of a committed sibling digest must fail
         if proof.path:
             i = rng.randrange(len(proof.path))
-            sib, d = proof.path[i]
+            sib = proof.path[i]
             j = rng.randrange(32)
             bad_sib = sib[:j] + bytes([sib[j] ^ 0x5A]) + sib[j + 1 :]
-            bad_path = proof.path[:i] + ((bad_sib, d),) + proof.path[i + 1 :]
+            bad_path = proof.path[:i] + (bad_sib,) + proof.path[i + 1 :]
             bad = MerkleProof(MEMBERSHIP, proof.leaf_key, proof.leaf_value, bad_path)
             assert not verify_proof(tree.root, bad)
         # mutated membership key must fail

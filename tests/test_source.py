@@ -31,14 +31,18 @@ def test_no_file_io_outside_the_loaders():
 
 
 def test_wire_layouts_are_written_only_in_the_codecs():
-    # messages are records (values.py); only values.py and the Merkle proof's
-    # binary form (merkle.py) read integers back out of raw bytes
+    # messages and Merkle proofs are records (values.py): only values.py
+    # reads integers back out of wire bytes, and merkle.py's key_bits reads
+    # a key hash as the trie position
     readers = sorted(
         path.relative_to(SRC).as_posix()
         for path in SRC.rglob("*.py")
         if "int.from_bytes" in path.read_text(encoding="utf-8")
     )
     assert readers == ["merkle.py", "values.py"]
+    # a value is decoded only inside values.py's codecs, so no second wire
+    # codec grows elsewhere
+    assert _modules_matching(re.compile(r"\bdecode_value\(")) == ["values.py"]
 
 
 def _modules_matching(pattern: re.Pattern) -> list[str]:

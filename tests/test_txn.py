@@ -16,7 +16,7 @@ from interopsim.errors import (
     StaleQuorum,
 )
 from interopsim.fixtures import scenario_path
-from interopsim.merkle import MerkleProof, decode_proof, encode_proof
+from interopsim.merkle import MerkleProof
 from interopsim.metrics import RunMetrics
 from interopsim.scenario import Scenario, load_scenario, run_scenario
 from interopsim.txn import (
@@ -60,7 +60,7 @@ def test_storage_path_absent_key_null_with_absence_proof():
     req = w.engine.make_read_request("beta", key="kv.nothing")
     resp = w.engine.verified_read(req)
     assert resp.value is None
-    assert decode_proof(resp.proof)[0].kind == "absence"
+    assert resp.proof.kind == "absence"
 
 
 def test_contract_path_read_quorum():
@@ -140,7 +140,7 @@ def test_tampered_proof_fails_verification():
     req = w.engine.make_read_request("beta", key="kv.x")
     raw = w.sim.pump(w.sim.direct_request("beta", _raw_req(w, req)))
     resp = _dec_read(raw, ReadResponse)
-    proof = decode_proof(resp.proof)[0]
+    proof = resp.proof
     bad_proof = MerkleProof(
         kind=proof.kind,
         leaf_key=proof.leaf_key,
@@ -153,10 +153,52 @@ def test_tampered_proof_fails_verification():
         anchor_height=resp.anchor_height,
         nonce=resp.nonce,
         signatures=resp.signatures,
-        proof=encode_proof(bad_proof),
+        proof=bad_proof,
     )
     with pytest.raises(ProofInvalid):
         w.engine.verify_response(req, _enc_read(forged))
+
+
+def _storage_response(w, key="kv.x"):
+    """A storage-path read of `key` on beta: the request and its raw response."""
+    req = w.engine.make_read_request("beta", key=key)
+    return req, w.sim.pump(w.sim.direct_request("beta", _raw_req(w, req)))
+
+
+def test_a_malformed_proof_in_a_response_is_refused():
+    w = World()
+    w.set_kv("beta", "x", 9)
+    req, raw = _storage_response(w)
+    resp = _dec_read(raw, ReadResponse)
+    assert w.engine.verify_response(req, raw).value == 9
+    # bytes after the proof's own record: the response no longer decodes
+    proof_raw = encode_record(resp.proof)
+    end = raw.index(proof_raw) + len(proof_raw)
+    for junk in (b"\x00" * 13, encode_record((b"",)), bytes([4, 0, 0, 0, 0])):
+        with pytest.raises(EncodingError):
+            w.engine.verify_response(req, raw[:end] + junk + raw[end:])
+    # a sibling that is not a 32-byte digest, and a kind neither membership nor absence
+    assert resp.proof.path
+    long_sibling = (resp.proof.path[0] + b"\x00", *resp.proof.path[1:])
+    for bad in (
+        dataclasses.replace(resp.proof, path=long_sibling),
+        dataclasses.replace(resp.proof, kind="presence"),
+    ):
+        with pytest.raises(ProofInvalid):
+            w.engine.verify_response(req, _enc_read(dataclasses.replace(resp, proof=bad)))
+
+
+def test_negative_anchor_height_is_refused_as_stale():
+    w = World()
+    w.set_kv("beta", "x", 9)
+    storage_req, storage_raw = _storage_response(w)
+    contract_req = w.engine.make_read_request("beta", contract="kv", method="get", args=("x",))
+    contract_raw = w.sim.pump(w.sim.direct_request("beta", _raw_req(w, contract_req)))
+    for req, raw in ((storage_req, storage_raw), (contract_req, contract_raw)):
+        resp = _dec_read(raw, ReadResponse)
+        assert w.engine.verify_response(req, raw).value == 9
+        with pytest.raises(StaleQuorum):
+            w.engine.verify_response(req, _enc_read(dataclasses.replace(resp, anchor_height=-1)))
 
 
 def _serve(w, req):
