@@ -21,7 +21,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .bus import KIND_APP_BASE
-from .chain import Chain, Contract
+from .chain import Chain, Contract, GenesisCall
 from .errors import (
     AlreadyEscrowed,
     InsufficientFunds,
@@ -171,37 +171,30 @@ class AuctionApp:
 
     # ------------------------------------------------------------- setup
 
-    @classmethod
-    def deploy(
-        cls,
-        sim: Simulation,
-        engine: XTxnEngine,
+    @staticmethod
+    def genesis(
         ticket_chain: str,
         bidder_chains: list[str],
-        rates: dict[str, Fraction],
         balances: dict[str, dict[str, int]],
         tickets: dict[str, str],
         start_limit: int = 3,
-    ) -> "AuctionApp":
-        app = cls(sim, engine, ticket_chain, bidder_chains, rates)
-        tchain = sim.chains[ticket_chain]
-        tchain.register_contract(AuctioneerContract())
-        for cid in bidder_chains:
-            sim.chains[cid].register_contract(BidderContract())
-        sim.run_until_quiescent()  # registration block; contracts active next
+    ) -> dict[str, tuple[list[Contract], list[GenesisCall]]]:
+        """Each chain's block 0, as (contracts, calls) for `Simulation.add_chain`.
+
+        A chain that is both the ticket chain and a bidder chain holds both
+        contracts and both sets of calls."""
         endpoints = ",".join(f"{cid}:Bidder" for cid in bidder_chains)
-        tchain.submit_call("sys", "Auctioneer", "init", [endpoints])
-        for ticket_id, owner in tickets.items():
-            tchain.submit_call("sys", "Auctioneer", "mint_ticket", [ticket_id, owner])
+        calls: list[GenesisCall] = [("sys", "Auctioneer", "init", [endpoints])]
+        calls += [("sys", "Auctioneer", "mint_ticket", [tid, owner]) for tid, owner in tickets.items()]
+        out = {ticket_chain: ([AuctioneerContract()], calls)}
+        policy = bidder_policy(ticket_chain, start_limit=start_limit)
         for cid in bidder_chains:
-            chain = sim.chains[cid]
-            init_args: list = []
-            for user, balance in sorted(balances.get(cid, {}).items()):
-                init_args.extend([user, balance])
-            chain.submit_call("sys", "Bidder", "init", init_args)
-            chain.attach_policy("Bidder", bidder_policy(ticket_chain, start_limit=start_limit))
-        sim.run_until_quiescent()
-        return app
+            contracts, calls = out.setdefault(cid, ([], []))
+            contracts.append(BidderContract())
+            init_args = [x for user, balance in sorted(balances.get(cid, {}).items()) for x in (user, balance)]
+            calls.append(("sys", "Bidder", "init", init_args))
+            calls.append(("sys", "sys.policy", "attach", ["Bidder", policy]))
+        return out
 
     # ----------------------------------------------------------- actions
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .bus import Event
 from .crypto import Keypair, get_scheme
@@ -53,6 +53,9 @@ from .values import (
 ZERO_DIGEST = b"\x00" * 32
 
 Version = tuple[int, int]  # (block_height, txn_index_within_block)
+
+# a call run in block 0 by a caller on the chain: (caller_id, target, method, args)
+GenesisCall = tuple[str, str, str, list[Value]]
 
 
 class Behavior(str, Enum):
@@ -321,9 +324,15 @@ class LockTable:
 
 
 class Chain:
-    """One simulated blockchain instance."""
+    """One simulated blockchain instance.
 
-    def __init__(self, cfg: ChainConfig):
+    Block 0 registers `contracts`, active from height 0, and then runs
+    `calls` in order, each seeing the writes before it; all of it commits in
+    block 0's state root."""
+
+    def __init__(
+        self, cfg: ChainConfig, contracts: Sequence[Contract] = (), calls: Sequence[GenesisCall] = ()
+    ):
         cfg.validate()
         self.cfg = cfg
         self.chain_id = cfg.chain_id
@@ -369,7 +378,7 @@ class Chain:
         # hook installed by the simulation
         self.observer = None  # RunLog-ish sink with on_block(chain, block)
 
-        self._produce_genesis()
+        self._produce_genesis(contracts, calls)
 
     # ------------------------------------------------------------------ state
 
@@ -388,7 +397,8 @@ class Chain:
 
     @property
     def height(self) -> int:
-        return self.blocks[-1].header.height if self.blocks else 0
+        """Height of the last committed block; -1 while block 0 is produced."""
+        return self.blocks[-1].header.height if self.blocks else -1
 
     def history_ceiling(self) -> int:
         """Highest height readable right now (the in-production block counts)."""
@@ -451,7 +461,7 @@ class Chain:
 
     # ------------------------------------------------------------- contracts
 
-    def register_contract(self, contract: Contract) -> None:
+    def _add_contract(self, contract: Contract) -> None:
         cid = contract.contract_id
         if not cid or cid in self.contracts:
             raise DuplicateContract(f"contract {cid!r} already registered")
@@ -460,10 +470,16 @@ class Chain:
         if "." in cid or cid == "sys":
             raise InvalidConfig(f"contract id {cid!r} would share another key namespace")
         self.contracts[cid] = contract
-        self.submit_call("sys", "sys.registry", "register", [cid])
+
+    def register_contract(self, contract: Contract) -> None:
+        """Register at run time: the contract is active from the next block."""
+        self._add_contract(contract)
+        self.submit_call("sys", "sys.registry", "register", [contract.contract_id])
 
     def contract_active(self, cid: str) -> bool:
-        """Registered here and on the ledger as of the last committed block."""
+        """Registered here and on the ledger as of the last committed block: a
+        genesis contract from height 0, a run-time registration from the
+        block after the one that commits it."""
         entry = self._current.get(f"sys.contract.{cid}")
         return cid in self.contracts and entry is not None and entry[0] is True
 
@@ -485,10 +501,9 @@ class Chain:
         self._auto_nonce[k] = self._auto_nonce.get(k, 0) + 1
         return self._auto_nonce[k]
 
-    def submit_call(
-        self, caller_id: str, contract: str, method: str, args: list[Value]
-    ) -> bytes:
-        txn = Transaction(
+    def _call(self, caller_id: str, contract: str, method: str, args: list[Value]) -> Transaction:
+        """A call by `caller_id` on this chain, with that caller's next nonce."""
+        return Transaction(
             caller_chain=self.chain_id,
             caller_id=caller_id,
             target_contract=contract,
@@ -496,7 +511,11 @@ class Chain:
             args=tuple(args),
             nonce=self.next_nonce(self.chain_id, caller_id),
         )
-        return self.submit_transaction(txn)
+
+    def submit_call(
+        self, caller_id: str, contract: str, method: str, args: list[Value]
+    ) -> bytes:
+        return self.submit_transaction(self._call(caller_id, contract, method, args))
 
     def enqueue_inbox_event(self, event: Event) -> None:
         """Queue a verified bus event; its caller is the event's authenticated source."""
@@ -522,19 +541,41 @@ class Chain:
 
     # ------------------------------------------------------------ production
 
-    def _produce_genesis(self) -> None:
+    def _produce_genesis(self, contracts: Sequence[Contract], calls: Sequence[GenesisCall]) -> None:
+        """Block 0: a `sys.registry` registration per contract, then `calls`.
+
+        A call that fails, emits an event or leaves an after-commit effect
+        raises InvalidConfig: genesis has no bus and no run loop yet."""
+        for contract in contracts:
+            self._add_contract(contract)
+        txns = [self._call("sys", "sys.registry", "register", [c.contract_id]) for c in contracts]
+        txns += [self._call(*call) for call in calls]
+        # genesis writes are committed state at once: a contract is active,
+        # and a policy in force, for the genesis calls after it
+        self._overlay = self._current
+        receipts = []
+        for idx, txn in enumerate(txns):
+            receipt, events, effects = self._execute(txn, 0, idx)
+            if receipt.status != "ok" or events or effects:
+                what = receipt.error or "it emits events or after-commit effects"
+                raise InvalidConfig(f"genesis call {txn.target_contract}.{txn.method} on {self.chain_id}: {what}")
+            self._nonces.add((txn.caller_chain, txn.caller_id, txn.nonce))
+            receipts.append(receipt)
+        self._overlay = None
+        self._writes_at.append(tuple(self._overlay_log))
+        self._overlay_log = []
+        self._tree = MerkleMap({k.encode("utf-8"): v for k, (v, _) in self._current.items()})
         header = BlockHeader(
             chain_id=self.chain_id,
             height=0,
             prev_digest=ZERO_DIGEST,
-            txn_root=root_of_digests([]),
+            txn_root=root_of_digests([t.txn_id for t in txns]),
             state_root=self._tree.root,
             tick=0,
         )
         # genesis is a config artifact; behavior flags model runtime faults
         cert = self._certify(header, honest=True)
-        self.blocks.append(Block(header=header, txns=(), receipts=(), cert=cert))
-        self._writes_at.append(())
+        self.blocks.append(Block(header=header, txns=tuple(txns), receipts=tuple(receipts), cert=cert))
 
     def node_signatures(self, message: bytes, honest: bool = False) -> tuple[tuple[str, bytes], ...]:
         """Every node's signature over `message`, in node order, per its behavior:

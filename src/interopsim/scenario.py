@@ -189,6 +189,18 @@ def build_world(scn: Scenario, log: Optional[RunLog]) -> tuple[Simulation, XTxnE
         **{name: raw[name] for name in tunables if name in raw},
     )
     sim = Simulation(sim_cfg, log=log)
+    auction = raw.get("auction")
+    genesis = {}
+    if auction is not None:
+        ticket_chain = auction.get("ticket_chain", "tickets")
+        bidder_chains = [cid for cid in auction.get("bidder_chains", "").split(",") if cid]
+        genesis = AuctionApp.genesis(
+            ticket_chain,
+            bidder_chains,
+            balances={cid: dict(users) for cid, users in raw.get("balances", {}).items()},
+            tickets={auction.get("ticket", "t1"): auction.get("seller", "alice")},
+            start_limit=auction.get("start_limit", 3),
+        )
     # sorted iteration: behavior must not depend on config dict order
     for chain_id, spec in sorted(raw["chain"].items()):
         cfg = ChainConfig(
@@ -197,7 +209,7 @@ def build_world(scn: Scenario, log: Optional[RunLog]) -> tuple[Simulation, XTxnE
             f=spec.get("f", 1),
             scheme=spec.get("scheme", raw.get("scheme", "hmac")),
         )
-        chain = sim.add_chain(cfg)
+        chain = sim.add_chain(cfg, *genesis.get(chain_id, ((), ())))
         byz = spec.get("byzantine", "")
         if byz:
             for assignment in byz.split(","):
@@ -210,24 +222,9 @@ def build_world(scn: Scenario, log: Optional[RunLog]) -> tuple[Simulation, XTxnE
     engine = XTxnEngine(sim)
 
     app = None
-    if "auction" in raw:
-        spec = raw["auction"]
-        rates = {
-            cid: Fraction(value) for cid, value in raw.get("rates", {}).items()
-        }
-        balances = {
-            cid: dict(users) for cid, users in raw.get("balances", {}).items()
-        }
-        app = AuctionApp.deploy(
-            sim,
-            engine,
-            ticket_chain=spec.get("ticket_chain", "tickets"),
-            bidder_chains=spec.get("bidder_chains", "").split(","),
-            rates=rates,
-            balances=balances,
-            tickets={spec.get("ticket", "t1"): spec.get("seller", "alice")},
-            start_limit=spec.get("start_limit", 3),
-        )
+    if auction is not None:
+        rates = {cid: Fraction(value) for cid, value in raw.get("rates", {}).items()}
+        app = AuctionApp(sim, engine, ticket_chain, bidder_chains, rates)
     return sim, engine, app
 
 

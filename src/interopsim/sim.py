@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .bus import (
     Broker,
@@ -30,8 +30,8 @@ from .bus import (
     decodes_unchanged,
     verify_batch,
 )
-from .chain import Chain, ChainConfig, EventDraft
-from .errors import MaxTicksExceeded, QuorumFailure
+from .chain import Chain, ChainConfig, Contract, EventDraft, GenesisCall
+from .errors import InvalidConfig, MaxTicksExceeded, QuorumFailure
 from .runlog import RunLog
 
 
@@ -212,12 +212,14 @@ class Simulation:
 
     # ----------------------------------------------------------- topology
 
-    def add_chain(self, cfg: ChainConfig) -> Chain:
+    def add_chain(
+        self, cfg: ChainConfig, contracts: Sequence[Contract] = (), calls: Sequence[GenesisCall] = ()
+    ) -> Chain:
+        """Add a chain whose block 0 holds `contracts` and `calls` (see Chain);
+        block 0 is logged like any other block, at height 0 and tick 0."""
         if cfg.chain_id in self.chains:
-            from .errors import InvalidConfig
-
             raise InvalidConfig(f"duplicate chain id {cfg.chain_id}")
-        chain = Chain(cfg)
+        chain = Chain(cfg, contracts, calls)
         chain.observer = self
         self.chains[cfg.chain_id] = chain
         self.chain_order.append(cfg.chain_id)
@@ -229,6 +231,7 @@ class Simulation:
             chain.verify_keys,
             chain.scheme,
         )
+        self.on_block(chain, chain.blocks[0])
         return chain
 
     def add_broker(self, broker: Broker) -> Broker:

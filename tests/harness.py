@@ -99,8 +99,16 @@ def mk_auction_world(
     """The three-chain fixture: tickets plus two coin chains."""
     cfg = SimConfig(seed=seed, direct_drop_rate=direct_drop, latency_jitter=jitter)
     sim = Simulation(cfg, log=RunLog() if log else None)
+    rates = rates or {"coinb": Fraction(1, 2), "coinc": Fraction(3, 2)}
+    genesis = AuctionApp.genesis(
+        "tickets",
+        ["coinb", "coinc"],
+        balances=balances or {"coinb": {"bob": 100, "alice": 0}, "coinc": {"carol": 80, "alice": 0}},
+        tickets={"t1": "alice"},
+        start_limit=start_limit,
+    )
     for cid in ("tickets", "coinb", "coinc"):
-        chain = sim.add_chain(ChainConfig(chain_id=cid, n=4, f=1, scheme=scheme))
+        chain = sim.add_chain(ChainConfig(chain_id=cid, n=4, f=1, scheme=scheme), *genesis[cid])
         if byz and cid in byz:
             chain.byzantine.update(byz[cid])
     for i in range(2):
@@ -108,16 +116,7 @@ def mk_auction_world(
             Broker(f"b{i}", BrokerFaults(drop_rate=drop, duplicate_rate=duplicate, replay_rate=replay))
         )
     engine = XTxnEngine(sim)
-    app = AuctionApp.deploy(
-        sim,
-        engine,
-        ticket_chain="tickets",
-        bidder_chains=["coinb", "coinc"],
-        rates=rates or {"coinb": Fraction(1, 2), "coinc": Fraction(3, 2)},
-        balances=balances or {"coinb": {"bob": 100, "alice": 0}, "coinc": {"carol": 80, "alice": 0}},
-        tickets={"t1": "alice"},
-        start_limit=start_limit,
-    )
+    app = AuctionApp(sim, engine, "tickets", ["coinb", "coinc"], rates)
     return sim, engine, app
 
 

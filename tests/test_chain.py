@@ -27,7 +27,8 @@ from interopsim.errors import (
     QuorumFailure,
     UnknownContract,
 )
-from interopsim.merkle import EMPTY_ROOT, MerkleMap, verify_proof
+from interopsim.merkle import EMPTY_ROOT, MEMBERSHIP, MerkleMap, verify_proof
+from interopsim.sim import Simulation
 from interopsim.values import digest
 
 from harness import World
@@ -73,12 +74,14 @@ def set_kv(chain, user, key, value, tick=0):
 
 
 def test_create_chain_genesis():
-    ch = mk_chain(n=4, f=1)
-    assert ch.height == 0
-    genesis = ch.blocks[0]
-    assert genesis.header.height == 0
-    assert genesis.header.prev_digest == b"\x00" * 32
-    assert genesis.header.state_root == EMPTY_ROOT
+    # a chain built with no genesis contents, directly or by the simulation
+    for ch in (mk_chain(n=4, f=1), Simulation().add_chain(ChainConfig(chain_id="beta", n=4, f=1))):
+        assert ch.height == 0
+        genesis = ch.blocks[0]
+        assert genesis.header.height == 0
+        assert genesis.header.prev_digest == b"\x00" * 32
+        assert genesis.header.state_root == EMPTY_ROOT
+        assert genesis.txns == ()
 
 
 def test_create_chain_rejects_small_n():
@@ -164,6 +167,86 @@ def test_contract_callable_from_next_block():
     block = set_kv(ch, "alice", "x", 1)
     assert block.receipts[0].status == "ok"
     assert ch.read_state("kv.x") == 1
+
+
+# ------------------------------------------------------------------ genesis
+
+
+class GenesisProbe(KvContract):
+    """Handlers a genesis call may not run: one that emits, one that defers."""
+
+    def _emit(self, ctx, args):
+        ctx.emit("beta", "kv", 16, b"x")
+
+    def _defer(self, ctx, args):
+        ctx.after_commit(lambda: None)
+
+    handlers = {**KvContract.handlers, "emit": _emit, "defer": _defer}
+
+
+def test_genesis_contracts_and_calls_commit_in_block_0():
+    policy = "allow read on *;"
+    ch = Chain(
+        ChainConfig(chain_id="alpha", n=4, f=1),
+        [KvContract()],
+        [("sys", "kv", "set", ["x", 5]), ("sys", "sys.policy", "attach", ["kv", policy])],
+    )
+    assert ch.height == 0 and ch.mempool == []
+    assert ch.contract_active("kv")  # active at height 0, not from the next block
+    assert ch.read_state("kv.x") == 5 and ch.current_version("kv.x") == (0, 1)
+    assert ch.policy_source("kv") == policy
+    genesis = ch.blocks[0]
+    assert [(t.target_contract, t.method) for t in genesis.txns] == [
+        ("sys.registry", "register"),
+        ("kv", "set"),
+        ("sys.policy", "attach"),
+    ]
+    assert [r.status for r in genesis.receipts] == ["ok"] * 3
+    assert genesis.header.state_root == MerkleMap({b"sys.contract.kv": True, b"kv.x": 5, b"sys.policy.kv": policy}).root
+    # run time goes on at height 1, and sys's nonces continue past genesis
+    block = set_kv(ch, "alice", "y", 6)
+    assert block.header.height == 1 and block.receipts[0].status == "ok"
+    ch.submit_call("sys", "kv", "set", ["z", 7])
+    assert ch.mempool[-1].nonce == 4
+
+
+def test_genesis_call_sees_earlier_genesis_writes_in_history():
+    kv = KvContract()
+    kv.probes = []
+    Chain(ChainConfig(chain_id="alpha", n=4, f=1), [kv], [("sys", "kv", "set", ["x", 5]), ("sys", "kv", "probe", ["", 0])])
+    assert kv.probes == [(0, "", 0, [("kv.x", 5, (0, 1))])]
+
+
+def test_genesis_write_proves_against_the_height_0_root():
+    ch = Chain(ChainConfig(chain_id="alpha", n=4, f=1), [KvContract()], [("sys", "kv", "set", ["x", 5])])
+    proof = ch.get_proof("kv.x", 0)
+    assert proof.kind == MEMBERSHIP and proof.leaf_value == 5
+    assert verify_proof(ch.state_root_at(0), proof)
+
+
+@pytest.mark.parametrize(
+    "method, error",
+    [("nope", "UnknownContract"), ("emit", "events"), ("defer", "effects")],
+    ids=["fails", "emits-an-event", "after-commit-effect"],
+)
+def test_genesis_call_that_fails_emits_or_defers_is_refused(method, error):
+    sim = Simulation(log=None)
+    with pytest.raises(InvalidConfig, match=error):
+        sim.add_chain(ChainConfig(chain_id="alpha", n=4, f=1), [GenesisProbe()], [("sys", "kv", method, [])])
+    assert "alpha" not in sim.chains and sim.chain_order == []
+
+
+@pytest.mark.parametrize("cid, error", [("kv", DuplicateContract), ("kv.bids", InvalidConfig), ("sys", InvalidConfig)])
+def test_genesis_contract_ids_are_checked_like_register_contract(cid, error):
+    other = KvContract()
+    other.contract_id = cid
+    ch = ready_kv(mk_chain())
+    with pytest.raises(error):
+        ch.register_contract(other)
+    sim = Simulation(log=None)
+    with pytest.raises(error):
+        sim.add_chain(ChainConfig(chain_id="alpha", n=4, f=1), [KvContract(), other])
+    assert "alpha" not in sim.chains
 
 
 def test_submit_transaction_examples():

@@ -1,3 +1,4 @@
+import copy
 import json
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from interopsim.scenario import (
     DEFAULT_BROKERS,
     Scenario,
     load_scenario,
+    build_world,
     parse_scenario_text,
     run_scenario,
 )
@@ -20,6 +22,7 @@ from interopsim.scenario import (
 BROKER_RESTART = Path(__file__).parent / "scenarios" / "broker_restart.scn"
 POLICY_DENIALS = Path(__file__).parent / "scenarios" / "auction_policy_denials.scn"
 LATE_BID = Path(__file__).parent / "scenarios" / "auction_late_bid.scn"
+SHARED_CHAIN = Path(__file__).parent / "scenarios" / "auction_shared_chain.scn"
 
 
 def auction_scn(**overrides):
@@ -317,6 +320,60 @@ def test_a_late_bid_aborts_the_first_conclude_and_the_retry_names_carol(tmp_path
     assert simctl(["replay", str(path)]) == 0
 
 
+def test_ticket_chain_that_also_takes_bids_keeps_both_contracts(tmp_path):
+    # tickets is both the ticket chain and a bidder chain: its genesis block
+    # must register Auctioneer and Bidder and run both inits
+    scn = Scenario.from_dict(load_scenario(str(SHARED_CHAIN)))
+    sim, _, _ = build_world(scn, None)
+    tickets = sim.chains["tickets"]
+    assert list(tickets.contracts) == ["Auctioneer", "Bidder"]
+    assert tickets.contract_active("Auctioneer") and tickets.contract_active("Bidder")
+    assert tickets.read_state("Bidder.balance.bob") == 100
+    metrics, log = run_scenario(scn)
+    assert metrics.status == "ok"
+    assert _conclusions(metrics) == [("concluded", "coinc", "carol", 60)]
+    report = audit_records(log.records)
+    assert report.ok, report.render()
+    path = tmp_path / "run.jsonl"
+    log.dump(str(path))
+    assert simctl(["replay", str(path)]) == 0
+
+
+def test_auction_without_bidder_chains_concludes_cancelled():
+    raw = parse_scenario_text(
+        """
+        [chain.tickets]
+        [auction]
+        [[script]]
+        tick = 2
+        action = "start_auction"
+        [[script]]
+        tick = 10
+        action = "conclude"
+        """
+    )
+    metrics, log = run_scenario(Scenario.from_dict(raw))
+    assert metrics.status == "ok"
+    assert _conclusions(metrics) == [("cancelled", "", "", 0)]
+    assert audit_records(log.records).ok
+
+
+def test_run_log_opens_each_chain_with_its_genesis_block():
+    scn = auction_scn()
+    sim, _, _ = build_world(scn, None)
+    _, log = run_scenario(scn)
+    first = {}
+    for rec in log.records:
+        if rec["kind"] == "block":
+            first.setdefault(rec["chain"], rec)
+    assert sorted(first) == sorted(sim.chains)
+    for cid, rec in first.items():
+        assert (rec["height"], rec["tick"]) == (0, 0)
+        assert rec["state_root"] == sim.chains[cid].blocks[0].header.state_root.hex()
+    genesis_writes = [key for txn in first["coinb"]["txns"] for key, _ in txn["writes"]]
+    assert "Bidder.balance.bob" in genesis_writes and "sys.policy.Bidder" in genesis_writes
+
+
 # ------------------------------------------------------------------- audit
 
 
@@ -380,6 +437,24 @@ def test_audit_detects_conservation_violation(tmp_path):
     report = audit_run(str(path))
     conservation = next(c for c in report.checks if c.name == "conservation")
     assert not conservation.passed
+
+
+def test_audit_detects_an_altered_genesis_balance(tmp_path):
+    # conservation's baseline is block 0, where Bidder.init funds the users
+    _, log = run_scenario(auction_scn())
+    assert audit_records(log.records).ok
+    doctored = RunLog()
+    doctored.records = copy.deepcopy(log.records)
+    genesis = next(r for r in doctored.records if r["kind"] == "block" and r["chain"] == "coinb")
+    assert genesis["height"] == 0
+    writes = next(t["writes"] for t in genesis["txns"] if t["target"] == "Bidder")
+    entry = next(w for w in writes if w[0] == "Bidder.balance.bob")
+    entry[1] += 5
+    path = tmp_path / "bad.log"
+    doctored.dump(str(path))
+    conservation = next(c for c in audit_run(str(path)).checks if c.name == "conservation")
+    assert not conservation.passed
+    assert conservation.detail.startswith("coinb at height")
 
 
 def test_truncated_log_is_corrupt(tmp_path):
