@@ -27,9 +27,8 @@ from .values import decode_record, digest, encode_record, join_record, read_reco
 
 EVENT_VERSION = 1
 
-# protocol kind bytes
-KIND_READ_REQ = 1
-KIND_READ_RESP = 2
+# Event.kind of the 2PC protocol messages; reads travel the direct channel
+# as records of their own class and carry no kind
 KIND_PREPARE = 3
 KIND_VOTE = 4
 KIND_DECIDE = 5

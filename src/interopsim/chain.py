@@ -44,9 +44,8 @@ from .values import (
     Value,
     check_entry,
     digest,
+    encode_record,
     encode_value,
-    encode_values,
-    lps,
     record,
 )
 
@@ -100,22 +99,14 @@ class Transaction:
     args: tuple[Value, ...]
     nonce: int
 
-    def encode(self) -> bytes:
-        return b"".join(
-            [
-                lps(self.caller_chain),
-                lps(self.caller_id),
-                lps(self.target_contract),
-                lps(self.method),
-                encode_values(list(self.args)),
-                self.nonce.to_bytes(8, "big"),
-            ]
-        )
-
-    # hashed once per instance; kept in __dict__, unseen by == and hash
+    # hashed once per instance; kept in __dict__, unseen by == and hash.
+    # encode_record would nest a tuple argument as a list, so each argument
+    # must encode as a Value first.
     @cached_property
     def txn_id(self) -> bytes:
-        return digest(self.encode())
+        for arg in self.args:
+            encode_value(arg)
+        return digest(encode_record(self))
 
 
 @record
@@ -127,23 +118,11 @@ class BlockHeader:
     state_root: bytes
     tick: int
 
-    def encode(self) -> bytes:
-        return b"".join(
-            [
-                lps(self.chain_id),
-                self.height.to_bytes(8, "big"),
-                self.prev_digest,
-                self.txn_root,
-                self.state_root,
-                self.tick.to_bytes(8, "big"),
-            ]
-        )
-
     # hashed once per instance, like Transaction.txn_id: certification, the
     # next block's prev_digest, the run log and read checks all use it
     @cached_property
     def digest(self) -> bytes:
-        return digest(self.encode())
+        return digest(encode_record(self))
 
 
 @record

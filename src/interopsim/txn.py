@@ -1,9 +1,9 @@
 """Cross-chain transactions: verified reads and one two-phase commit path.
 
 Reads travel a direct request/response channel and come back either
-contract-path (every honest node signs digest(value || nonce || height),
-f+1 matching signatures required) or storage-path (one node signature plus
-a Merkle proof anchored to a certified state root).
+contract-path (every honest node signs the digest of the record
+(value, nonce, height), f+1 matching signatures required) or storage-path
+(one node signature plus a Merkle proof anchored to a certified state root).
 
 Every cross-chain transaction is an `XTxn` committed by the same 2PC run on
 a coordinator chain.  A mini-transaction knows its compare/read/write sets
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
 
-from .bus import KIND_DECIDE, KIND_PREPARE, KIND_READ_REQ, KIND_READ_RESP, KIND_VOTE
+from .bus import KIND_DECIDE, KIND_PREPARE, KIND_VOTE
 from .chain import Behavior, Chain, EventDraft, ExecContext, Version
 from .errors import (
     EncodingError,
@@ -57,7 +57,7 @@ from .errors import (
 from .merkle import MerkleProof, verify_proof
 from .policy import AggExpr, ChainEvalContext, eval_aggregate
 from .sim import DECISION_POLL, Future, Simulation
-from .values import Value, check_entry, decode_record, digest, encode_record, encode_value, record
+from .values import Value, check_entry, decode_record, digest, encode_record, record
 
 MODE_LOCKS = "locks"
 MODE_OCC = "occ"
@@ -95,9 +95,7 @@ class ReadResponse:
 
 
 def read_response_digest(value: Value, nonce: int, anchor_height: int) -> bytes:
-    return digest(
-        encode_value(value) + nonce.to_bytes(8, "big") + anchor_height.to_bytes(8, "big")
-    )
+    return digest(encode_record((value, nonce, anchor_height)))
 
 
 @record
@@ -216,26 +214,13 @@ class Outcome:
 # Every protocol message is a record (values.encode_record) of its class and
 # decodes through values.decode_record(raw, cls), which checks every field
 # against its annotation; the `__prefix__` rows are a PrefixRows record inside
-# a signed value, checked the same way.  Read requests and responses lead
-# with their kind byte.  A storage-path response's Merkle proof is a record
-# nested in it, decoded and checked with the response.
+# a signed value, checked the same way.  Read requests and responses carry
+# no kind byte: their shapes differ (10 fields against 8), so neither decodes
+# as the other.  A storage-path response's Merkle proof is a record nested
+# in it, decoded and checked with the response.
 
 PrefixRows = tuple[tuple[str, Value, Version], ...]  # (key, value, version)
 PreparedWrites = tuple[str, tuple[tuple[str, Value], ...]]  # a yes vote's coordinator, (key, value) writes
-
-_READ_KINDS = {ReadRequest: KIND_READ_REQ, ReadResponse: KIND_READ_RESP}
-
-
-def _enc_read(message) -> bytes:
-    """A read request or response: its kind byte, then its record."""
-    return bytes([_READ_KINDS[type(message)]]) + encode_record(message)
-
-
-def _dec_read(raw: bytes, cls):
-    if not raw or raw[0] != _READ_KINDS[cls]:
-        raise EncodingError(f"not a {cls.__name__}")
-    return decode_record(raw, cls, 1)
-
 
 def _answer(
     req: ReadRequest,
@@ -245,14 +230,12 @@ def _answer(
     proof: Optional[MerkleProof] = None,
     version: Optional[Version] = None,
 ) -> bytes:
-    return _enc_read(ReadResponse(value, height, req.nonce, signatures, proof, version))
+    return encode_record(ReadResponse(value, height, req.nonce, signatures, proof, version))
 
 
 def _refusal(req: ReadRequest, height: int, status: str, reason: str) -> bytes:
     """A response carrying no value: status denied, locked or error."""
-    return _enc_read(
-        ReadResponse(None, height, req.nonce, (), status=status, reason=reason)
-    )
+    return encode_record(ReadResponse(None, height, req.nonce, (), status=status, reason=reason))
 
 
 def _agg_request(args: tuple) -> Optional[AggExpr]:
@@ -305,9 +288,7 @@ class XTxnEngine:
     def read_async(self, req: ReadRequest, recovery: bool = False) -> Future:
         """Send the request; future resolves to a verified ReadResponse."""
         out = Future()
-        raw_fut = self.sim.direct_request(
-            req.target_chain, _enc_read(req), recovery=recovery
-        )
+        raw_fut = self.sim.direct_request(req.target_chain, encode_record(req), recovery=recovery)
         self.sim.spawn(self._read_verify_task(req, raw_fut, out))
         return out
 
@@ -322,7 +303,7 @@ class XTxnEngine:
     def verify_response(self, req: ReadRequest, raw: Optional[bytes]) -> ReadResponse:
         if raw is None:
             raise StaleQuorum("no response within retry budget")
-        resp = _dec_read(raw, ReadResponse)
+        resp = decode_record(raw, ReadResponse)
         if resp.status == "denied":
             raise PolicyDenied(resp.reason)
         if resp.status == "locked":
@@ -370,7 +351,7 @@ class XTxnEngine:
 
     def _serve_direct(self, raw: bytes, now: int) -> Optional[bytes]:
         try:
-            req = _dec_read(raw, ReadRequest)
+            req = decode_record(raw, ReadRequest)
         except EncodingError:
             return None
         chain = self.sim.chains.get(req.target_chain)
@@ -508,7 +489,7 @@ class XTxnEngine:
             req = self.make_read_request(
                 chain_id, caller_id=t.caller_id, caller_chain=t.coordinator_chain, **fields
             )
-            raw = yield self.sim.direct_request(chain_id, _enc_read(req))
+            raw = yield self.sim.direct_request(chain_id, encode_record(req))
             resp = self.verify_response(req, raw)
             if resp.status != "locked":
                 break

@@ -166,12 +166,6 @@ def record(cls):
 _FACTORY = object()  # a record field's default that says: call its default_factory
 
 
-def encode_values(vs: list[Value]) -> bytes:
-    out = [len(vs).to_bytes(4, "big")]
-    out.extend(encode_value(v) for v in vs)
-    return b"".join(out)
-
-
 def encode_record(record) -> bytes:
     """The canonical bytes of a record: a dataclass instance, tuple or list."""
     if hasattr(record, "__dataclass_fields__"):
@@ -344,10 +338,3 @@ def _decode_list(data: bytes, offset: int, depth: int, layout: Optional[tuple] =
 def lp(raw: bytes) -> bytes:
     """4-byte big-endian length prefix."""
     return len(raw).to_bytes(4, "big") + raw
-
-
-def lps(s: str) -> bytes:
-    try:
-        return lp(s.encode("utf-8"))
-    except UnicodeEncodeError as exc:  # UTF-8 cannot hold a lone surrogate
-        raise EncodingError(f"str not encodable as utf-8: {s!r}") from exc

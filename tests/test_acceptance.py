@@ -26,7 +26,8 @@ from interopsim.policy import (
     print_policy,
 )
 from interopsim.scenario import Scenario, load_scenario, run_scenario
-from interopsim.txn import Committed, MiniTxn, _enc_read
+from interopsim.txn import Committed, MiniTxn
+from interopsim.values import encode_record
 
 from harness import World
 from oracles import find_serial_order, run_interleaved
@@ -143,7 +144,7 @@ def test_criterion_3_freshness_and_authenticity():
         injected += 1
         if i % 10 == 0:
             req = w.engine.make_read_request("beta", contract="kv", method="get", args=("x",))
-            captured = w.sim.pump(w.sim.direct_request("beta", _enc_read(req)))
+            captured = w.sim.pump(w.sim.direct_request("beta", encode_record(req)))
         fresh = w.engine.make_read_request("beta", contract="kv", method="get", args=("x",))
         try:
             w.engine.verify_response(fresh, captured)

@@ -24,7 +24,6 @@ from interopsim.txn import (
     ReadRequest,
     ReadResponse,
     Vote,
-    _dec_read,
 )
 from interopsim.values import decode_record, encode_record, join_record
 
@@ -32,7 +31,6 @@ from harness import World
 
 SEED = 20_191_121
 CLASSES = (Event, SignedEventBatch, ReadRequest, ReadResponse, MerkleProof, Prepare, Vote, Outcome)
-HEAD = {ReadRequest: 1, ReadResponse: 1}  # read messages lead with their kind byte
 PROTOCOL_KINDS = {Prepare: KIND_PREPARE, Vote: KIND_VOTE, Outcome: KIND_DECIDE}
 
 # the scalar classes each field annotation admits; tuple and record fields admit none
@@ -72,7 +70,7 @@ def capture():
     events = [decode_record(raw, SignedEventBatch).event for raw in batches]
     payloads = {event.kind: event.payload for event in events}
     request, response = exchanges[0]
-    proof = _dec_read(response, ReadResponse).proof
+    proof = decode_record(response, ReadResponse).proof
     assert proof is not None
     return w, {
         Event: events[0].encode(),
@@ -111,14 +109,13 @@ def captured():
 def test_type_swapped_fields_are_refused(captured, cls):
     w, wires = captured
     rng = random.Random(SEED)
-    head = HEAD.get(cls, 0)
     raw = wires[cls]
-    message = decode_record(raw, cls, head)
+    message = decode_record(raw, cls)
     refused = 0
     for name, swapped in swaps(cls, message, rng):
-        bad = raw[:head] + encode_record(swapped)
+        bad = encode_record(swapped)
         with pytest.raises(EncodingError):
-            decode_record(bad, cls, head)
+            decode_record(bad, cls)
         if cls is Event:
             sigs = decode_record(wires[SignedEventBatch], SignedEventBatch).signatures
             assert verify_batch(join_record([bad, encode_record(sigs)]), w.sim.registry) is None
@@ -126,9 +123,9 @@ def test_type_swapped_fields_are_refused(captured, cls):
             assert verify_batch(bad, w.sim.registry) is None
         elif cls is ReadRequest:
             out = w.engine._serve_direct(bad, w.sim.tick)
-            assert out is None or _dec_read(out, ReadResponse).status == "error", name
+            assert out is None or decode_record(out, ReadResponse).status == "error", name
         elif cls is ReadResponse:
-            req = decode_record(wires[ReadRequest], ReadRequest, 1)
+            req = decode_record(wires[ReadRequest], ReadRequest)
             with pytest.raises(EncodingError):
                 w.engine.verify_response(req, bad)
         refused += 1
@@ -162,18 +159,17 @@ def test_type_swapped_protocol_events_get_failed_receipts():
 def test_edited_bytes_fail_or_re_encode_to_themselves(captured, cls):
     _, wires = captured
     rng = random.Random(SEED)
-    head = HEAD.get(cls, 0)
     raw = wires[cls]
     decoded = 0
     for _ in range(400):
         edited = bytearray(raw)
         for _ in range(rng.randrange(1, 3)):
-            edited[rng.randrange(head, len(raw))] = rng.choice([0, 1, 2, rng.randrange(256)])
+            edited[rng.randrange(len(raw))] = rng.choice([0, 1, 2, rng.randrange(256)])
         edited = bytes(edited)
         try:
-            message = decode_record(edited, cls, head)
+            message = decode_record(edited, cls)
         except EncodingError:
             continue
         decoded += 1
-        assert edited[:head] + encode_record(message) == edited
+        assert encode_record(message) == edited
     assert decoded > 0

@@ -43,6 +43,9 @@ def test_wire_layouts_are_written_only_in_the_codecs():
     # a value is decoded only inside values.py's codecs, so no second wire
     # codec grows elsewhere
     assert _modules_matching(re.compile(r"\bdecode_value\(")) == ["values.py"]
+    # what a chain hashes or signs (txn ids, header digests, read signatures)
+    # is a record encoding too: only values.py lays integers out as bytes
+    assert _modules_matching(re.compile(r"\.to_bytes\(")) == ["values.py"]
 
 
 def _modules_matching(pattern: re.Pattern) -> list[str]:

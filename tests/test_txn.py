@@ -31,8 +31,6 @@ from interopsim.txn import (
     ReadResponse,
     Vote,
     XTxnEngine,
-    _dec_read,
-    _enc_read,
     read_response_digest,
 )
 from interopsim.values import decode_record, encode_record
@@ -106,7 +104,7 @@ def test_replayed_response_rejected_under_new_nonce():
     w = World()
     w.set_kv("beta", "x", 9)
     req1 = w.engine.make_read_request("beta", contract="kv", method="get", args=("x",))
-    raw1 = w.sim.pump(w.sim.direct_request("beta", _raw_req(w, req1)))
+    raw1 = w.sim.pump(w.sim.direct_request("beta", encode_record(req1)))
     assert w.engine.verify_response(req1, raw1).value == 9
     # adversary replays the captured response against a fresh request
     req2 = w.engine.make_read_request("beta", contract="kv", method="get", args=("x",))
@@ -114,16 +112,12 @@ def test_replayed_response_rejected_under_new_nonce():
         w.engine.verify_response(req2, raw1)
 
 
-def _raw_req(w, req):
-    return _enc_read(req)
-
-
 def test_tampered_value_fails_verification():
     w = World()
     w.set_kv("beta", "x", 9)
     req = w.engine.make_read_request("beta", contract="kv", method="get", args=("x",))
-    raw = w.sim.pump(w.sim.direct_request("beta", _raw_req(w, req)))
-    resp = _dec_read(raw, ReadResponse)
+    raw = w.sim.pump(w.sim.direct_request("beta", encode_record(req)))
+    resp = decode_record(raw, ReadResponse)
     forged = ReadResponse(
         value=1000,  # tampered value, original signatures
         anchor_height=resp.anchor_height,
@@ -131,15 +125,15 @@ def test_tampered_value_fails_verification():
         signatures=resp.signatures,
     )
     with pytest.raises(StaleQuorum):
-        w.engine.verify_response(req, _enc_read(forged))
+        w.engine.verify_response(req, encode_record(forged))
 
 
 def test_tampered_proof_fails_verification():
     w = World()
     w.set_kv("beta", "x", 9)
     req = w.engine.make_read_request("beta", key="kv.x")
-    raw = w.sim.pump(w.sim.direct_request("beta", _raw_req(w, req)))
-    resp = _dec_read(raw, ReadResponse)
+    raw = w.sim.pump(w.sim.direct_request("beta", encode_record(req)))
+    resp = decode_record(raw, ReadResponse)
     proof = resp.proof
     bad_proof = MerkleProof(
         kind=proof.kind,
@@ -156,20 +150,20 @@ def test_tampered_proof_fails_verification():
         proof=bad_proof,
     )
     with pytest.raises(ProofInvalid):
-        w.engine.verify_response(req, _enc_read(forged))
+        w.engine.verify_response(req, encode_record(forged))
 
 
 def _storage_response(w, key="kv.x"):
     """A storage-path read of `key` on beta: the request and its raw response."""
     req = w.engine.make_read_request("beta", key=key)
-    return req, w.sim.pump(w.sim.direct_request("beta", _raw_req(w, req)))
+    return req, w.sim.pump(w.sim.direct_request("beta", encode_record(req)))
 
 
 def test_a_malformed_proof_in_a_response_is_refused():
     w = World()
     w.set_kv("beta", "x", 9)
     req, raw = _storage_response(w)
-    resp = _dec_read(raw, ReadResponse)
+    resp = decode_record(raw, ReadResponse)
     assert w.engine.verify_response(req, raw).value == 9
     # bytes after the proof's own record: the response no longer decodes
     proof_raw = encode_record(resp.proof)
@@ -185,7 +179,7 @@ def test_a_malformed_proof_in_a_response_is_refused():
         dataclasses.replace(resp.proof, kind="presence"),
     ):
         with pytest.raises(ProofInvalid):
-            w.engine.verify_response(req, _enc_read(dataclasses.replace(resp, proof=bad)))
+            w.engine.verify_response(req, encode_record(dataclasses.replace(resp, proof=bad)))
 
 
 def test_negative_anchor_height_is_refused_as_stale():
@@ -193,17 +187,17 @@ def test_negative_anchor_height_is_refused_as_stale():
     w.set_kv("beta", "x", 9)
     storage_req, storage_raw = _storage_response(w)
     contract_req = w.engine.make_read_request("beta", contract="kv", method="get", args=("x",))
-    contract_raw = w.sim.pump(w.sim.direct_request("beta", _raw_req(w, contract_req)))
+    contract_raw = w.sim.pump(w.sim.direct_request("beta", encode_record(contract_req)))
     for req, raw in ((storage_req, storage_raw), (contract_req, contract_raw)):
-        resp = _dec_read(raw, ReadResponse)
+        resp = decode_record(raw, ReadResponse)
         assert w.engine.verify_response(req, raw).value == 9
         with pytest.raises(StaleQuorum):
-            w.engine.verify_response(req, _enc_read(dataclasses.replace(resp, anchor_height=-1)))
+            w.engine.verify_response(req, encode_record(dataclasses.replace(resp, anchor_height=-1)))
 
 
 def _serve(w, req):
     """The target chain's response to `req`, decoded, without the channel."""
-    return _dec_read(w.engine._serve_direct(_enc_read(req), w.sim.tick), ReadResponse)
+    return decode_record(w.engine._serve_direct(encode_record(req), w.sim.tick), ReadResponse)
 
 
 _REFUSAL_RAISES = {"denied": PolicyDenied, "error": StaleQuorum}
@@ -1087,17 +1081,17 @@ def _stored_response(w):
     """A real storage-path response (with a Merkle proof) and its request."""
     w.set_kv("beta", "x", 9)
     req = w.engine.make_read_request("beta", key="kv.x", caller_chain="alpha")
-    return req, w.sim.pump(w.sim.direct_request("beta", _enc_read(req)))
+    return req, w.sim.pump(w.sim.direct_request("beta", encode_record(req)))
 
 
 def test_read_request_codec_round_trip():
     req = ReadRequest(
         7, "beta", "kv", "get", "", (None, True, 1, -5, "s", b"\x00"), "auditor", "alpha", "t1", True
     )
-    raw = _enc_read(req)
-    back = _dec_read(raw, ReadRequest)
+    raw = encode_record(req)
+    back = decode_record(raw, ReadRequest)
     assert back == req
-    assert _enc_read(back) == raw  # also tells True from 1
+    assert encode_record(back) == raw  # also tells True from 1
     assert type(back.args[1]) is bool and type(back.args[2]) is int
 
 
@@ -1107,14 +1101,33 @@ def test_read_request_codec_round_trip():
         ReadRequest("x", "beta", key="kv.x"),  # a str nonce
         ReadRequest(1, "beta", key=5),  # an int key
         ReadRequest(1, "beta", contract="kv", method="__agg__", args=()),  # no aggregate args
+        ReadResponse(1, 0, 1, ()),  # a response record has 8 fields, not 10
     ],
-    ids=["str-nonce", "int-key", "agg-no-args"],
+    ids=["str-nonce", "int-key", "agg-no-args", "a-response"],
 )
 def test_serve_direct_refuses_ill_typed_read_request(req):
     w = World()
     w.set_kv("beta", "x", 1)
-    out = w.engine._serve_direct(_enc_read(req), w.sim.tick)
-    assert out is None or _dec_read(out, ReadResponse).status == "error"
+    out = w.engine._serve_direct(encode_record(req), w.sim.tick)
+    assert out is None or decode_record(out, ReadResponse).status == "error"
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"key": "kv.x"}, {"contract": "kv", "method": "get", "args": ("x",)}, {"method": "__prefix__", "key": "kv."}],
+    ids=["storage", "query", "prefix"],
+)
+def test_negative_nonce_read_is_answered_and_the_run_goes_on(fields):
+    # a read signature covers the nonce as a record int64, so any nonce signs
+    w = World()
+    w.set_kv("beta", "x", 1)
+    req = ReadRequest(-1, "beta", **fields)
+    raw = w.sim.pump(w.sim.direct_request("beta", encode_record(req)))
+    resp = decode_record(raw, ReadResponse)
+    assert (resp.status, resp.nonce) == ("ok", -1)
+    assert w.engine.verify_response(req, raw) == resp
+    w.set_kv("beta", "x", 2)
+    assert w.kv("beta", "x") == 2
 
 
 @pytest.mark.parametrize(
@@ -1124,7 +1137,7 @@ def test_serve_direct_refuses_ill_typed_read_request(req):
 def test_read_request_decode_rejects_ill_typed_fields(field, bad):
     req = ReadRequest(7, "beta", key="kv.x")
     with pytest.raises(EncodingError):
-        _dec_read(_enc_read(dataclasses.replace(req, **{field: bad})), ReadRequest)
+        decode_record(encode_record(dataclasses.replace(req, **{field: bad})), ReadRequest)
 
 
 @pytest.mark.parametrize(
@@ -1135,25 +1148,25 @@ def test_aggregate_read_with_ill_typed_args_is_an_error_refusal(args):
     w = World()
     w.set_kv("beta", "bids.a", 3)
     req = w.engine.make_read_request("beta", contract="kv", method="__agg__", args=args)
-    resp = _dec_read(w.engine._serve_direct(_enc_read(req), w.sim.tick), ReadResponse)
+    resp = decode_record(w.engine._serve_direct(encode_record(req), w.sim.tick), ReadResponse)
     assert resp.status == "error" and resp.value is None
 
 
 def test_read_response_codec_round_trip():
     w = World()
     _, raw = _stored_response(w)
-    with_proof = _dec_read(raw, ReadResponse)
+    with_proof = decode_record(raw, ReadResponse)
     assert with_proof.proof is not None and with_proof.version is not None
-    assert _enc_read(with_proof) == raw
+    assert encode_record(with_proof) == raw
     for resp in (
         ReadResponse(True, 3, 5, (("beta:node0", b"\x01" * 32), ("beta:node1", b""))),
         ReadResponse(1, 3, 5, (), version=None),
         ReadResponse(None, 0, 1, (), version=(4, 2), status="locked", reason="kv.x"),
     ):
-        raw = _enc_read(resp)
-        back = _dec_read(raw, ReadResponse)
+        raw = encode_record(resp)
+        back = decode_record(raw, ReadResponse)
         assert back == resp
-        assert _enc_read(back) == raw
+        assert encode_record(back) == raw
 
 
 def test_prefix_rows_codec_round_trip():
@@ -1202,14 +1215,14 @@ def test_malformed_read_payloads_rejected():
     req, raw = _stored_response(w)
     for cut in range(len(raw)):
         with pytest.raises(EncodingError):
-            _dec_read(raw[:cut], ReadResponse)
+            decode_record(raw[:cut], ReadResponse)
     with pytest.raises(EncodingError):
-        _dec_read(raw + b"\x00", ReadResponse)
+        decode_record(raw + b"\x00", ReadResponse)
     with pytest.raises(EncodingError):
-        _dec_read(bytes([raw[0]]) + encode_record(decode_record(raw, 8, 1)[:7]), ReadResponse)  # wrong width
-    raw_req = _enc_read(req)
+        decode_record(bytes([raw[0]]) + encode_record(decode_record(raw, 8, 1)[:7]), ReadResponse)  # wrong width
+    raw_req = encode_record(req)
     with pytest.raises(EncodingError):
-        _dec_read(raw_req + b"\x00", ReadRequest)
+        decode_record(raw_req + b"\x00", ReadRequest)
     for cut in range(len(raw_req)):
         assert w.engine._serve_direct(raw_req[:cut], w.sim.tick) is None
     assert w.engine._serve_direct(raw_req, w.sim.tick) is not None
@@ -1226,7 +1239,7 @@ def test_unparseable_policy_attached_by_sys_txn_fails_and_reads_still_serve():
     assert receipt.status == "failed" and receipt.error.startswith("ParseError")
     assert beta.policy_source("kv") is None
     req = w.engine.make_read_request("beta", key="kv.x")
-    resp = _dec_read(w.engine._serve_direct(_enc_read(req), w.sim.tick), ReadResponse)
+    resp = decode_record(w.engine._serve_direct(encode_record(req), w.sim.tick), ReadResponse)
     assert (resp.status, resp.value) == ("ok", 1)
 
 
@@ -1398,6 +1411,6 @@ def test_storage_read_is_signed_by_the_first_honest_node(byzantine, signer):
     beta = w.chains["beta"]
     beta.byzantine.update(byzantine)
     req, raw = _stored_response(w)
-    resp = _dec_read(raw, ReadResponse)
+    resp = decode_record(raw, ReadResponse)
     expected = read_response_digest(resp.value, req.nonce, resp.anchor_height)
     assert resp.signatures == ((signer, beta.scheme.sign(beta.keys[signer].signing_key, expected)),)
