@@ -100,12 +100,13 @@ class Transaction:
     nonce: int
 
     # hashed once per instance; kept in __dict__, unseen by == and hash.
-    # encode_record would nest a tuple argument as a list, so each argument
-    # must encode as a Value first.
+    # encode_record refuses an argument that is no Value, except a list or
+    # record, which it would nest; encode_value refuses those.
     @cached_property
     def txn_id(self) -> bytes:
         for arg in self.args:
-            encode_value(arg)
+            if isinstance(arg, (tuple, list)) or hasattr(arg, "__dataclass_fields__"):
+                encode_value(arg)
         return digest(encode_record(self))
 
 

@@ -57,7 +57,7 @@ from .errors import (
 from .merkle import MerkleProof, verify_proof
 from .policy import AggExpr, ChainEvalContext, eval_aggregate
 from .sim import DECISION_POLL, Future, Simulation
-from .values import Value, check_entry, decode_record, digest, encode_record, record
+from .values import Value, check_entry, decode_record, digest, encode_record, encode_value, record
 
 MODE_LOCKS = "locks"
 MODE_OCC = "occ"
@@ -412,9 +412,10 @@ class XTxnEngine:
                     value = eval_aggregate(agg, ChainEvalContext(chain, req.contract, height))
                 else:
                     value = chain.run_query(req.contract, req.method, list(req.args))
+                encode_value(value)  # a handler's tuple would otherwise sign as a list
+                sigs = chain.node_signatures(read_response_digest(value, req.nonce, height))
             except Exception as exc:
                 return _refusal(req, height, "error", f"{type(exc).__name__}: {exc}")
-            sigs = chain.node_signatures(read_response_digest(value, req.nonce, height))
             return _answer(req, height, value, sigs)
 
         # storage path: plain key, merkle proof, single (first honest) node;

@@ -1130,6 +1130,19 @@ def test_negative_nonce_read_is_answered_and_the_run_goes_on(fields):
     assert w.kv("beta", "x") == 2
 
 
+@pytest.mark.parametrize("result", [1.5, (1, 2)], ids=["float", "tuple"])
+def test_query_answer_that_is_no_value_is_an_error_refusal(result):
+    # a float does not encode and a tuple would sign as a list: neither is signed
+    w = World()
+    w.chains["beta"].contracts["kv"].query_handlers = {"odd": lambda contract, view, args: result}
+    req = w.engine.make_read_request("beta", contract="kv", method="odd")
+    resp = decode_record(w.sim.pump(w.sim.direct_request("beta", encode_record(req))), ReadResponse)
+    assert (resp.status, resp.value, resp.signatures) == ("error", None, ())
+    assert resp.reason.startswith("EncodingError")
+    w.set_kv("beta", "x", 2)
+    assert w.kv("beta", "x") == 2
+
+
 @pytest.mark.parametrize(
     "field, bad",
     [("nonce", True), ("target_chain", 3), ("key", None), ("args", "ab"), ("lock_only", 1)],
@@ -1218,8 +1231,8 @@ def test_malformed_read_payloads_rejected():
             decode_record(raw[:cut], ReadResponse)
     with pytest.raises(EncodingError):
         decode_record(raw + b"\x00", ReadResponse)
-    with pytest.raises(EncodingError):
-        decode_record(bytes([raw[0]]) + encode_record(decode_record(raw, 8, 1)[:7]), ReadResponse)  # wrong width
+    with pytest.raises(EncodingError, match="7 items, wanted 8"):  # wrong width
+        decode_record(encode_record(decode_record(raw, 8)[:7]), ReadResponse)
     raw_req = encode_record(req)
     with pytest.raises(EncodingError):
         decode_record(raw_req + b"\x00", ReadRequest)
