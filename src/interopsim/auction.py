@@ -7,12 +7,11 @@ transaction layer (prefix reads guard against late-bid phantoms), picks the
 winner under exact rational exchange rates, and settles everything in one
 2PC commit: ticket ownership, winner escrow deduction credited to the
 seller, loser refunds, and status flips on all chains.  Its verified reads
-go out in two concurrent waves, each costing one request and one response
-leg: first the auction's ticket keys and every bidder chain's bids, then
-each escrow and balance the settlement moves, read once even when two
-settlement steps move it (a seller who also bid and lost).  The writes
-whose values the bids settle go out with the second wave, so in locks mode
-their write locks are requested together with those reads.
+go out in one concurrent wave, costing one request and one response leg:
+a prefix read of the auction record on the ticket chain, and of the bids,
+escrows and balances on every bidder chain, whose rows give every value the
+settlement moves.  OCC then commits at once; locks mode first requests, in
+one more wave, the write locks its prefix locks do not cover.
 """
 
 from __future__ import annotations
@@ -258,25 +257,34 @@ class AuctionApp:
         """One settlement attempt; returns None when the commit aborted."""
         engine, tickets = self.engine, self.ticket_chain
         auction = f"Auctioneer.auction.{auction_id}."
-        # wave 1: every key known up front
-        status, ticket_id, seller, *bid_rows = yield from _gather(
-            [engine.txn_read_async(t, tickets, auction + name) for name in ("status", "ticket", "seller")]
-            + [engine.txn_read_prefix_async(t, cid, "Bidder.bids.") for cid in self.bidder_chains]
+        # one wave: the auction record, and every bidder chain's bids, escrows
+        # and balances; a key with no row is 0
+        auction_rows, *chain_rows = yield from _gather(
+            [engine.txn_read_prefix_async(t, tickets, auction)]
+            + [
+                engine.txn_read_prefix_async(t, cid, f"Bidder.{name}.")
+                for cid in self.bidder_chains
+                for name in ("bids", "escrow", "balance")
+            ]
         )
+        record = {key: value for key, value, _ in auction_rows}
+        status = record.get(auction + "status")
         if status != "open":
             raise TxnAborted(f"auction {auction_id} is {status!r}, not open")
+        ticket_id, seller = record[auction + "ticket"], record[auction + "seller"]
 
         # collect bids: (normalized, bid_height, chain, user, native amount)
         candidates = []
-        for cid, rows in zip(self.bidder_chains, bid_rows):
+        coin: dict[tuple[str, str], int] = {}  # (chain, key) -> escrow or balance
+        for i, cid in enumerate(self.bidder_chains):
+            bid_rows, escrow_rows, balance_rows = chain_rows[i * 3 : i * 3 + 3]
+            coin.update(((cid, key), value) for key, value, _ in escrow_rows + balance_rows)
             rate = self.rates[cid]
-            for key, amount, version in rows:
+            for key, amount, version in bid_rows:
                 user = key.rsplit(".", 1)[1]
                 candidates.append((Fraction(amount) * rate, version[0], cid, user, amount))
 
-        # the writes wave 1 settles, and the coin each escrow or balance key moves
         writes: dict[tuple[str, str], Value] = {}
-        moves: dict[tuple[str, str], int] = {}
         if not candidates:
             outcome = AuctionOutcome(status="cancelled")
             writes[(tickets, auction + "status")] = "cancelled"
@@ -289,10 +297,11 @@ class AuctionApp:
             norm_int = int(norm.numerator // norm.denominator)
             outcome = AuctionOutcome("concluded", win_chain, win_user, norm_int)
             for _, _, cid, user, amount in candidates:
-                # the winning escrow pays the seller on its own chain; a loser's is refunded
+                # the winning escrow pays the seller on its own chain; a loser's
+                # is refunded; a seller who also bid and lost is credited twice
                 payee = seller if (cid, user) == (win_chain, win_user) else user
                 for key, delta in ((f"Bidder.escrow.{user}", -amount), (f"Bidder.balance.{payee}", amount)):
-                    moves[(cid, key)] = moves.get((cid, key), 0) + delta
+                    writes[(cid, key)] = writes.get((cid, key), coin.get((cid, key), 0)) + delta
                 writes[(cid, f"Bidder.bids.{user}")] = None
             for cid in self.bidder_chains:
                 writes[(cid, "Bidder.auction.status")] = "concluded"
@@ -307,14 +316,9 @@ class AuctionApp:
                 writes[(tickets, auction + name)] = value
             writes[(tickets, f"Auctioneer.winning_bids.{auction_id}")] = norm_int
 
-        # wave 2: each moved key, read once, with the writes above (in locks
-        # mode, their write locks are requested here too)
-        balances = yield from _gather(
-            [engine.txn_read_async(t, cid, key) for cid, key in moves]
-            + [engine.txn_write_async(t, cid, key, value) for (cid, key), value in writes.items()]
-        )
-        for ((cid, key), delta), balance in zip(moves.items(), balances):
-            yield engine.txn_write_async(t, cid, key, (balance or 0) + delta)  # locked by its read
+        # OCC buffers every write at once; locks mode requests, in one more
+        # wave, the write locks its prefix locks do not cover
+        yield from _gather([engine.txn_write_async(t, cid, key, value) for (cid, key), value in writes.items()])
 
         result = yield engine.txn_commit_async(t)
         if isinstance(result, Aborted):

@@ -416,7 +416,7 @@ class Chain:
     def state_items(self, prefix: str = "") -> list[tuple[str, Value, Version]]:
         """(key, value, version) of every key under the prefix, key order."""
         entries = self._current if self._overlay is None else {**self._current, **self._overlay}
-        return [(key, *entries[key]) for key in sorted(entries) if key.startswith(prefix)]
+        return [(key, *entries[key]) for key in sorted(key for key in entries if key.startswith(prefix))]
 
     def get_proof(self, key: str, height: Optional[int] = None) -> MerkleProof:
         """Membership or absence proof; served at the current height only."""

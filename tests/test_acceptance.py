@@ -232,7 +232,7 @@ def test_criterion_4_round_trip_accounting():
         raw = load_scenario(str(scenario_path("auction")))
         raw["seed"] = seed
         metrics, _ = run_scenario(Scenario.from_dict(raw))
-        k = 2 + 2 * 2  # two prefix reads plus two reads per bid (2 bids)
+        k = 2 + 2 * 2  # six remote prefix reads: bids, escrows and balances on 2 bidder chains
         gt = [v for v in metrics.round_trips.values() if v > 2]
         if not gt or gt[-1] < k + 2:
             conclude_bad.append(f"seed {seed}: trips {gt}, want >= {k + 2}")

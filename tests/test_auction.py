@@ -266,7 +266,7 @@ def test_failed_conclude_releases_its_locks():
 
 
 @pytest.mark.parametrize("mode", [MODE_OCC, MODE_LOCKS])
-def test_packaged_conclude_reads_in_two_concurrent_waves(mode):
+def test_packaged_conclude_reads_in_one_wave(mode):
     raw = load_scenario(str(scenario_path("auction")))
     raw.update(seed=1, mode=mode)
     conclude_at = next(e["tick"] for e in raw["script"] if e["action"] == "conclude")
@@ -279,11 +279,14 @@ def test_packaged_conclude_reads_in_two_concurrent_waves(mode):
         for txn in rec["txns"]
         if any(key.endswith(".decision") for key, _ in txn["writes"])
     ]
-    # wave 1 (ticket keys, bid prefixes) and wave 2 (escrows, balances and
-    # write locks) cost a request and a response leg each; 2PC takes 4
-    assert decided_at == [conclude_at + 8]
-    k = 2 + 2 * 2  # two prefix reads plus an escrow and a balance per bid
+    # the read wave (the auction record; bids, escrows and balances on each
+    # bidder chain) costs a request and a response leg, and 2PC takes 4;
+    # locks mode spends 2 more on the write locks no prefix lock covers
+    assert decided_at == [conclude_at + {MODE_OCC: 6, MODE_LOCKS: 8}[mode]]
+    k = 3 * 2  # bids, escrow and balance prefixes on two remote bidder chains
     assert [v for v in metrics.round_trips.values() if v > 2] == [k + 2]
+    if mode == MODE_OCC:  # the auction record's prefix read, and k more
+        assert metrics.messages["direct_sent"] == 1 + k
 
 
 @pytest.mark.parametrize("mode", [MODE_OCC, MODE_LOCKS])
@@ -307,10 +310,29 @@ def test_seller_who_bids_and_loses_is_credited_refund_and_price(mode):
     assert coin_totals(sim, "coinc") == 110
     assert check_conservation(sim.log.records).passed
     assert all(sim.chains[c].locks.empty() for c in ("tickets", "coinb", "coinc"))
-    for t in engine.records.values():  # each (chain, key) is read at most once per attempt
-        reads = [(chain, key) for chain, key, _ in t.read_set]
-        assert len(reads) == len(set(reads)), reads
-        assert reads.count(("coinc", "Bidder.balance.alice")) == 1
+    for t in engine.records.values():  # escrows and balances come from one prefix read each
+        prefixes = [(chain, prefix) for chain, prefix, _ in t.prefix_set]
+        for chain in ("coinb", "coinc"):
+            assert prefixes.count((chain, "Bidder.escrow.")) == 1
+            assert prefixes.count((chain, "Bidder.balance.")) == 1
+        assert not [key for _, key, _ in t.read_set if key.startswith(("Bidder.escrow.", "Bidder.balance."))]
+
+
+def test_locks_mode_conclude_locks_escrow_and_balance_prefixes():
+    raw = load_scenario(str(scenario_path("auction")))
+    raw.update(seed=1, mode=MODE_LOCKS)
+    metrics, log = run_scenario(Scenario.from_dict(raw))
+    assert [o["status"] for o in metrics.outcomes] == ["concluded"]
+    acquired = [(rec["chain"], rec["key"]) for rec in log.records if rec["kind"] == "lock" and rec["op"] == "acquire"]
+    for chain in ("coinb", "coinc"):
+        assert (chain, "Bidder.escrow.") in acquired
+        assert (chain, "Bidder.balance.") in acquired
+    coin_keys = {key for _, key in acquired if key.startswith(("Bidder.escrow.", "Bidder.balance."))}
+    assert coin_keys == {"Bidder.escrow.", "Bidder.balance."}  # no Bidder.escrow.<user> or balance.<user>
+    # 7 prefix locks (the auction record; bids, escrows and balances on each
+    # bidder chain) and 5 write locks: ticket owner and escrowed, the winning
+    # bid and each bidder chain's auction status
+    assert len(acquired) == 12, acquired
 
 
 def test_start_payload_bytes_unchanged_by_its_record_type():

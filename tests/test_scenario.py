@@ -23,6 +23,7 @@ BROKER_RESTART = Path(__file__).parent / "scenarios" / "broker_restart.scn"
 POLICY_DENIALS = Path(__file__).parent / "scenarios" / "auction_policy_denials.scn"
 LATE_BID = Path(__file__).parent / "scenarios" / "auction_late_bid.scn"
 SHARED_CHAIN = Path(__file__).parent / "scenarios" / "auction_shared_chain.scn"
+DIRECT_DROPS = Path(__file__).parent / "scenarios" / "auction_direct_drops.scn"
 
 
 def auction_scn(**overrides):
@@ -318,6 +319,18 @@ def test_a_late_bid_aborts_the_first_conclude_and_the_retry_names_carol(tmp_path
     path = tmp_path / "run.jsonl"
     log.dump(str(path))
     assert simctl(["replay", str(path)]) == 0
+
+
+def test_direct_drops_scenario_exhausts_an_exchange_and_releases_its_locks():
+    # the scenario's header promises a conclude that ends in error; its
+    # transaction must still abort, so every lock table ends empty
+    metrics, log = run_scenario(Scenario.from_dict(load_scenario(str(DIRECT_DROPS))))
+    assert metrics.status == "ok"
+    assert [o["status"] for o in metrics.outcomes] == ["error"]
+    final = next(r for r in log.records if r["kind"] == "final")
+    assert final["locks"] and not any(final["locks"].values())
+    report = audit_records(log.records)
+    assert report.ok, report.render()
 
 
 def test_ticket_chain_that_also_takes_bids_keeps_both_contracts(tmp_path):
