@@ -473,6 +473,7 @@ class Chain:
         if not txn.target_contract.startswith("sys.") and txn.target_contract not in self.contracts:
             raise UnknownContract(txn.target_contract)
         self._nonces.add(key)
+        self._auto_nonce[key[:2]] = max(self._auto_nonce.get(key[:2], 0), txn.nonce)  # next_nonce goes above
         self.mempool.append(txn)
         return txn_id
 

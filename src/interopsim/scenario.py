@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
-from .auction import AuctionApp, AuctionOutcome
+from .auction import AuctionApp
 from .bus import Broker, BrokerFaults
 from .chain import Behavior, ChainConfig
 from .errors import ConfigError, MaxTicksExceeded
@@ -100,6 +100,12 @@ _BEHAVIORS = {
 
 DEFAULT_BROKERS = {"b0": {}, "b1": {}}
 
+# SimConfig fields a scenario sets at its top level
+_TUNABLES = ("latency_jitter", "direct_drop_rate")
+_TOP_KEYS = frozenset(
+    {"seed", "mode", "max_ticks", "scheme", "chain", "broker", "script", "auction", "rates", "balances", *_TUNABLES}
+)
+
 # keys each script action requires; "tick" defaults to 0
 _ACTION_KEYS = {
     "start_auction": frozenset(),
@@ -136,6 +142,8 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Scenario":
+        if not raw.keys() <= _TOP_KEYS:
+            raise ConfigError(f"unknown top-level key(s): {', '.join(sorted(raw.keys() - _TOP_KEYS))}")
         seed = raw.get("seed", 0)
         mode = raw.get("mode", MODE_OCC)
         if mode not in (MODE_OCC, MODE_LOCKS):
@@ -182,11 +190,10 @@ class Scenario:
 
 def build_world(scn: Scenario, log: Optional[RunLog]) -> tuple[Simulation, XTxnEngine, Optional[AuctionApp]]:
     raw = scn.raw
-    tunables = ("latency_jitter", "direct_drop_rate", "lock_timeout", "vote_timeout", "retry_limit")
     sim_cfg = SimConfig(
         seed=scn.seed,
         max_ticks=scn.max_ticks,
-        **{name: raw[name] for name in tunables if name in raw},
+        **{name: raw[name] for name in _TUNABLES if name in raw},
     )
     sim = Simulation(sim_cfg, log=log)
     auction = raw.get("auction")
@@ -251,27 +258,16 @@ def _schedule_script(scn: Scenario, sim: Simulation, engine: XTxnEngine, app, ou
         if action == "conclude":
             auction_id = entry.get("auction", "a1")
 
-            def run_conclude():
-                task = sim.spawn(app.conclude_agent(auction_id, scn.mode, retries=entry.get("retries", 5)))
+            def conclude():
+                outcome = {"action": "conclude", "auction": auction_id}
+                try:
+                    result = yield from app.conclude_agent(auction_id, scn.mode, retries=entry.get("retries", 5))
+                    outcome.update(asdict(result))
+                except Exception as exc:
+                    outcome.update(status="error", error=str(exc))
+                outcomes.append(outcome)
 
-                def harvest():
-                    future = task.future
-                    if not future.done:
-                        sim.call_later(5, harvest)
-                        return
-                    outcome = {"action": "conclude", "auction": auction_id}
-                    result = future.value
-                    if isinstance(result, AuctionOutcome):
-                        outcome.update(asdict(result))
-                    elif future.error is not None:
-                        outcome.update(status="error", error=str(future.error))
-                    else:
-                        return
-                    outcomes.append(outcome)
-
-                sim.call_later(5, harvest)
-
-            return run_conclude
+            return lambda: sim.spawn(conclude())
         if action == "submit_txn":
             chain = sim.chains[entry["chain"]]
             args = [

@@ -38,7 +38,8 @@ from .runlog import RunLog
 BROKER_LATENCY = 1
 BUS_RETRIES = 5
 BUS_BACKOFF = 4  # linear: re-publish at +b, +2b, ... +retries*b
-DECISION_POLL = 20  # a prepared participant asks the coordinator this often
+DIRECT_TIMEOUT = 8  # first per-attempt wait on the request/response channel
+DIRECT_RETRIES = 5
 
 
 @dataclass
@@ -46,10 +47,6 @@ class SimConfig:
     seed: int = 0
     latency_jitter: int = 0  # extra 0..jitter ticks drawn per publish/send
     direct_drop_rate: float = 0.0
-    direct_timeout: int = 8  # per-attempt wait on the request/response channel
-    lock_timeout: int = 50
-    vote_timeout: int = 40
-    retry_limit: int = 5
     max_ticks: int = 20_000
 
 
@@ -126,7 +123,6 @@ class _Exchange:
     target_chain: str
     payload: bytes
     fut: Future
-    recovery: bool
     retry: Optional[tuple] = None
 
 
@@ -516,25 +512,25 @@ class Simulation:
 
     # ------------------------------------------------ direct req/resp path
 
-    def direct_request(self, target_chain: str, payload: bytes, recovery: bool = False) -> Future:
+    def direct_request(self, target_chain: str, payload: bytes) -> Future:
         """Point-to-point request to a chain's protocol handler.
 
         Both legs draw drop faults (in order: request, response); retries up
-        to retry_limit with doubled per-attempt timeout.  The future yields
+        to DIRECT_RETRIES with doubled per-attempt timeout.  The future yields
         the raw response bytes, or None after the final attempt times out.
         The response that resolves it drops the pending retry timer.
         """
-        exchange = _Exchange(target_chain, payload, Future(), recovery)
+        exchange = _Exchange(target_chain, payload, Future())
         self._direct_attempt(exchange, attempt=0)
         return exchange.fut
 
     def _direct_attempt(self, ex: _Exchange, attempt: int) -> None:
         if ex.fut.done:
             return
-        if attempt > self.config.retry_limit:
+        if attempt > DIRECT_RETRIES:
             ex.fut.set_result(None)
             return
-        timeout = self.config.direct_timeout * (2**attempt)
+        timeout = DIRECT_TIMEOUT * (2**attempt)
         self.meter.direct_sent += 1
         req_dropped = self._direct_dropped()
         latency = 1 + self._jitter()
@@ -558,8 +554,6 @@ class Simulation:
         def complete():
             if ex.fut.done:
                 return
-            if ex.recovery:
-                self.meter.recovery_reads += 1
             ex.fut.set_result(response)
             self.cancel(ex.retry)
 

@@ -56,8 +56,12 @@ from .errors import (
 )
 from .merkle import MerkleProof, verify_proof
 from .policy import AggExpr, ChainEvalContext, eval_aggregate
-from .sim import DECISION_POLL, Future, Simulation
+from .sim import Future, Simulation
 from .values import Value, check_entry, decode_record, digest, encode_record, encode_value, record
+
+LOCK_TIMEOUT = 50  # a locked read is resent for this long, then LockTimeout aborts it
+VOTE_TIMEOUT = 40  # the client aborts a commit the coordinator has not decided by then
+DECISION_POLL = 20  # a prepared participant asks the coordinator this often
 
 MODE_LOCKS = "locks"
 MODE_OCC = "occ"
@@ -285,20 +289,10 @@ class XTxnEngine:
         """A request under a fresh nonce; `fields` are ReadRequest's other fields."""
         return ReadRequest(self.next_nonce(), target_chain, **fields)
 
-    def read_async(self, req: ReadRequest, recovery: bool = False) -> Future:
-        """Send the request; future resolves to a verified ReadResponse."""
-        out = Future()
-        raw_fut = self.sim.direct_request(req.target_chain, encode_record(req), recovery=recovery)
-        self.sim.spawn(self._read_verify_task(req, raw_fut, out))
-        return out
-
-    def _read_verify_task(self, req: ReadRequest, raw_fut: Future, out: Future):
-        raw = yield raw_fut
-        try:
-            out.set_result(self.verify_response(req, raw))
-        except Exception as exc:
-            out.set_error(exc)
-        return None
+    def _read(self, req: ReadRequest):
+        """Task body: send the request; returns the verified ReadResponse."""
+        raw = yield self.sim.direct_request(req.target_chain, encode_record(req))
+        return self.verify_response(req, raw)
 
     def verify_response(self, req: ReadRequest, raw: Optional[bytes]) -> ReadResponse:
         if raw is None:
@@ -345,7 +339,7 @@ class XTxnEngine:
 
     def verified_read(self, req: ReadRequest) -> ReadResponse:
         """Synchronous facade: pumps the simulation until the read resolves."""
-        return self.sim.pump(self.read_async(req))
+        return self.sim.pump(self.sim.spawn(self._read(req)).future)
 
     # --- participant-side serving (direct channel handler) ---
 
@@ -482,7 +476,7 @@ class XTxnEngine:
         """Task body: send one read request, resending while the target is locked.
 
         Past the lock timeout the transaction aborts with LockTimeout."""
-        deadline = self.sim.tick + self.sim.config.lock_timeout
+        deadline = self.sim.tick + LOCK_TIMEOUT
         if fields.get("lock_for"):  # an abort must reach a lock still in flight
             t.lock_keys.setdefault(chain_id, [])
         while True:
@@ -490,8 +484,7 @@ class XTxnEngine:
             req = self.make_read_request(
                 chain_id, caller_id=t.caller_id, caller_chain=t.coordinator_chain, **fields
             )
-            raw = yield self.sim.direct_request(chain_id, encode_record(req))
-            resp = self.verify_response(req, raw)
+            resp = yield from self._read(req)
             if resp.status != "locked":
                 break
             if self.sim.tick >= deadline:
@@ -595,7 +588,7 @@ class XTxnEngine:
             if coord.read_state(f"sys.2pc.{t.txn_id}.decision") is None:
                 self._submit_abort(t, "VoteTimeout")
 
-        self.sim.call_at(self.sim.tick + self.sim.config.vote_timeout, on_timeout)
+        self.sim.call_at(self.sim.tick + VOTE_TIMEOUT, on_timeout)
 
     def _submit_abort(self, t: XTxn, reason: str) -> None:
         if t.reason:  # one abort decide per transaction
@@ -814,22 +807,26 @@ class XTxnEngine:
             caller_id="sys.txn",
             caller_chain=chain_id,
         )
-        fut = self.read_async(req, recovery=True)
-        self.sim.spawn(self._poll_complete_task(txid, chain_id, coordinator, fut))
+        # sent from the timer, so its drop draws keep their place in the run
+        raw_fut = self.sim.direct_request(coordinator, encode_record(req))
+        self.sim.spawn(self._poll_complete_task(txid, req, raw_fut))
 
-    def _poll_complete_task(self, txid: str, chain_id: str, coordinator: str, fut: Future):
+    def _poll_complete_task(self, txid: str, req: ReadRequest, raw_fut: Future):
+        raw = yield raw_fut
+        if raw is not None:
+            self.sim.meter.recovery_reads += 1
         try:
-            resp = yield fut
+            decision = self.verify_response(req, raw).value
         except Exception:
-            resp = None
-        chain = self.sim.chains[chain_id]
+            decision = None
+        chain = self.sim.chains[req.caller_chain]
         if chain.read_state(f"sys.applied.{txid}") is not None:
             return None
-        if resp is not None and resp.value in ("commit", "abort"):
-            chain.submit_call("sys.txn", "sys.txn", "apply", [txid, resp.value])
+        if decision in ("commit", "abort"):
+            chain.submit_call("sys.txn", "sys.txn", "apply", [txid, decision])
             return None
         # undecided: poll again later
-        self._arm_decision_poll(txid, chain_id, coordinator)
+        self._arm_decision_poll(txid, req.caller_chain, req.target_chain)
         return None
 
     # ------------------------------------------------------------ logging

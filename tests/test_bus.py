@@ -466,6 +466,26 @@ def test_recovered_broker_copies_need_no_verification(monkeypatch):
     assert len(w.chains["beta"].state_items("kv.inbox.")) == 1
 
 
+def test_a_valid_copy_under_new_bytes_is_delivered_at_most_once():
+    # the signatures reversed: the batch still verifies, but these bytes never
+    # passed the inbox, so only its (source, nonce) record stops the copy
+    w = World(n_brokers=0)
+    broker = w.sim.add_broker(Broker("b0"))
+    emit_via_contract(w, value=b"once")
+    (raw,) = {raw for _, raw in broker.history}
+    batch = decode_record(raw, SignedEventBatch)
+    copy = SignedEventBatch(batch.event, batch.signatures[::-1]).encode()
+    assert copy != raw and verify_batch(copy, w.sim.registry) is not None
+    assert copy not in w.sim.dedupe["beta"].verified
+    dup_before = w.sim.meter.rejected_dup
+    broker._enqueue("beta", w.sim.tick, copy)
+    w.settle()
+    assert w.sim.meter.rejected_dup == dup_before + 1
+    last = [r for r in w.sim.log.records if r["kind"] == "deliver"][-1]
+    assert (last["result"], last["source_chain"], last["nonce"]) == ("duplicate", "alpha", batch.event.nonce)
+    assert len(w.chains["beta"].state_items("kv.inbox.")) == 1
+
+
 def test_misrouted_batch_never_enters_the_map(monkeypatch):
     w = World(n_brokers=0)
     broker = w.sim.add_broker(Broker("b0"))

@@ -264,6 +264,18 @@ def test_submit_transaction_examples():
         )
 
 
+def test_submit_call_continues_above_an_explicit_nonce():
+    ch = Chain(ChainConfig("alpha", 4, 1), [KvContract()])
+    ch.submit_transaction(Transaction("alpha", "alice", "kv", "set", ("x", 1), 2))
+    ch.submit_call("alice", "kv", "set", ["y", 2])
+    ch.submit_call("alice", "kv", "set", ["z", 3])
+    assert [txn.nonce for txn in ch.mempool] == [2, 3, 4]
+    # a lower explicit nonce does not pull the counter back
+    ch.submit_transaction(Transaction("alpha", "alice", "kv", "set", ("w", 4), 1))
+    ch.submit_call("alice", "kv", "set", ["v", 5])
+    assert ch.mempool[-1].nonce == 5
+
+
 def test_produce_block_all_honest():
     ch = ready_kv(mk_chain(n=4, f=1))
     for i in range(3):

@@ -168,8 +168,14 @@ _FIXTURE_APPEND = '\n[[script]]\ntick = 30\n'
         + 'action = "set_byzantine"\nchain = "coinb"\nnode = "node1"\nbehavior = "bogus"\n',
         lambda text: text + _FIXTURE_APPEND + 'action = "restart_broker"\n',
         lambda text: text.replace("[chain.tickets]\n", '[chain.tickets]\nbyzantine = "node1"\n'),
+        # settings no longer read must not run silently with their defaults
+        lambda text: "vote_timeout = 8\n" + text,
+        lambda text: text + "\n[timing]\nlock_timeout = 5\n",
     ],
-    ids=["unknown_behavior", "restart_broker_without_broker", "byzantine_without_colon"],
+    ids=[
+        "unknown_behavior", "restart_broker_without_broker", "byzantine_without_colon",
+        "unknown_top_level_key", "unknown_section",
+    ],
 )
 def test_cli_malformed_scenario_is_a_config_error(tmp_path, capsys, edit):
     text = scenario_path("auction").read_text(encoding="utf-8")

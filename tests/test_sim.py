@@ -2,6 +2,7 @@
 
 import pytest
 
+import interopsim.sim as sim_module
 from interopsim.errors import MaxTicksExceeded
 from interopsim.fixtures import scenario_path
 from interopsim.scenario import Scenario, load_scenario, run_scenario
@@ -88,8 +89,9 @@ def test_resolved_direct_read_leaves_no_retry_timer():
     assert w.sim.quiescent()
 
 
-def test_dropped_response_is_still_retried():
-    sim = Simulation(SimConfig(seed=3, direct_timeout=4))
+def test_dropped_response_is_still_retried(monkeypatch):
+    monkeypatch.setattr(sim_module, "DIRECT_TIMEOUT", 4)
+    sim = Simulation(SimConfig(seed=3))
     served = []
     sim.direct_handlers["svc"] = lambda payload, tick: served.append(tick) or payload + b"!"
     fates = iter([False, True])  # leg fates: the first request arrives, its response is lost
@@ -100,8 +102,9 @@ def test_dropped_response_is_still_retried():
     assert sim.quiescent()
 
 
-def test_direct_channel_gives_up_after_retry_budget():
-    sim = Simulation(SimConfig(seed=3, direct_drop_rate=1.0, direct_timeout=2))
+def test_direct_channel_gives_up_after_retry_budget(monkeypatch):
+    monkeypatch.setattr(sim_module, "DIRECT_TIMEOUT", 2)
+    sim = Simulation(SimConfig(seed=3, direct_drop_rate=1.0))
     sim.direct_handlers["svc"] = lambda payload, tick: payload
     fut = sim.direct_request("svc", b"m")
     assert sim.pump(fut, max_ticks=2000) is None

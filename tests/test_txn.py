@@ -195,6 +195,63 @@ def test_negative_anchor_height_is_refused_as_stale():
             w.engine.verify_response(req, encode_record(dataclasses.replace(resp, anchor_height=-1)))
 
 
+def _resigned(chain, resp, **changes):
+    """`resp` with `changes`, signed afresh by the first node."""
+    resp = dataclasses.replace(resp, **changes)
+    node_id, key = next(iter(chain.signing_keys.items()))
+    sig = chain.scheme.sign(key, read_response_digest(resp.value, resp.nonce, resp.anchor_height))
+    return dataclasses.replace(resp, signatures=((node_id, sig),))
+
+
+def _weak_anchor_cert(chain, req, resp):
+    block = chain.blocks[resp.anchor_height]
+    cert = dataclasses.replace(block.cert, signatures=block.cert.signatures[:2])
+    chain.blocks[resp.anchor_height] = dataclasses.replace(block, cert=cert)
+    return req, resp
+
+
+# each case changes an honest storage-path read of kv.x = 9 (kv.y = 9 too)
+_STORAGE_REFUSALS = {
+    "no signatures": (
+        lambda chain, req, resp: (req, dataclasses.replace(resp, signatures=())),
+        StaleQuorum, "lacks a valid signature",
+    ),
+    "anchor certificate of 2 signatures": (_weak_anchor_cert, ProofInvalid, "certificate invalid"),
+    "anchor height below the proof's": (
+        lambda chain, req, resp: (req, _resigned(chain, resp, anchor_height=resp.anchor_height - 1)),
+        ProofInvalid, "different height",
+    ),
+    "proof of another key with the same value": (
+        lambda chain, req, resp: (req, dataclasses.replace(resp, proof=chain.get_proof("kv.y"))),
+        ProofInvalid, "different key",
+    ),
+    "membership proof of another value": (
+        lambda chain, req, resp: (req, _resigned(chain, resp, value=10)),
+        ProofInvalid, "value mismatch",
+    ),
+    "absence proof under a value": (
+        lambda chain, req, resp: (
+            dataclasses.replace(req, key="kv.m"),
+            _resigned(chain, resp, value=5, proof=chain.get_proof("kv.m")),
+        ),
+        ProofInvalid, "absence proof",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_STORAGE_REFUSALS))
+def test_every_storage_path_check_refuses_its_forgery(case):
+    w = World()
+    w.set_kv("beta", "x", 9)
+    w.set_kv("beta", "y", 9)
+    req, raw = _storage_response(w)
+    assert w.engine.verify_response(req, raw).value == 9
+    forge, error, reason = _STORAGE_REFUSALS[case]
+    req, forged = forge(w.chains["beta"], req, decode_record(raw, ReadResponse))
+    with pytest.raises(error, match=reason):
+        w.engine.verify_response(req, encode_record(forged))
+
+
 def _serve(w, req):
     """The target chain's response to `req`, decoded, without the channel."""
     return decode_record(w.engine._serve_direct(encode_record(req), w.sim.tick), ReadResponse)
@@ -446,9 +503,9 @@ def test_occ_read_records_version():
     assert t.read_set == [("beta", "kv.x", expected_version)]
 
 
-def test_locks_read_blocks_then_times_out():
+def test_locks_read_blocks_then_times_out(monkeypatch):
+    monkeypatch.setattr(txn_module, "LOCK_TIMEOUT", 5)
     w = World()
-    w.sim.config.lock_timeout = 5
     w.set_kv("beta", "x", 5)
     t1 = w.engine.begin_general("alpha", MODE_LOCKS)
     w.engine.txn_read(t1, "beta", "kv.x")  # t1 holds the lock
@@ -459,11 +516,49 @@ def test_locks_read_blocks_then_times_out():
     assert t1.status == "active"
 
 
-def test_an_abort_after_a_lock_timeout_submits_no_second_decide():
+def _pending_for(w, fut, ticks=10):
+    for _ in range(ticks):
+        w.sim.step()
+    assert not fut.done
+
+
+def test_a_held_key_lock_blocks_a_prefix_read_until_its_holder_commits():
+    w = World()
+    w.set_kv("beta", "x", 5)
+    t1 = w.engine.begin_general("alpha", MODE_LOCKS)
+    assert w.engine.txn_read(t1, "beta", "kv.x") == 5
+    t2 = w.engine.begin_general("alpha", MODE_LOCKS)
+    rows = w.engine.txn_read_prefix_async(t2, "beta", "kv.")
+    _pending_for(w, rows)
+    w.engine.txn_write(t1, "beta", "kv.x", 6)
+    assert isinstance(w.engine.txn_commit(t1), Committed)
+    assert [(key, value) for key, value, _ in w.sim.pump(rows)] == [("kv.x", 6)]
+    assert w.chains["beta"].locks.prefix == {"kv.": t2.txn_id}
+    assert isinstance(w.engine.txn_commit(t2), Committed)
+    w.settle()
+    assert w.locks_empty()
+
+
+def test_a_held_prefix_lock_blocks_a_key_read_until_its_holder_commits():
+    w = World()
+    t1 = w.engine.begin_general("alpha", MODE_LOCKS)
+    assert w.sim.pump(w.engine.txn_read_prefix_async(t1, "beta", "kv.")) == ()
+    t2 = w.engine.begin_general("alpha", MODE_LOCKS)
+    value = w.engine.txn_read_async(t2, "beta", "kv.y")
+    _pending_for(w, value)
+    w.engine.txn_write(t1, "beta", "kv.y", 3)
+    assert isinstance(w.engine.txn_commit(t1), Committed)
+    assert w.sim.pump(value) == 3
+    assert isinstance(w.engine.txn_commit(t2), Committed)
+    w.settle()
+    assert w.locks_empty()
+
+
+def test_an_abort_after_a_lock_timeout_submits_no_second_decide(monkeypatch):
     # the read that times out aborts t2; an agent that then aborts on any read
     # error (as tests/oracles.py's gt_agent does) adds no second decide
+    monkeypatch.setattr(txn_module, "LOCK_TIMEOUT", 5)
     w = World()
-    w.sim.config.lock_timeout = 5
     w.set_kv("beta", "x", 5)
     t1 = w.engine.begin_general("alpha", MODE_LOCKS)
     w.engine.txn_read(t1, "beta", "kv.x")
@@ -745,11 +840,11 @@ def test_a_direct_request_cannot_release_a_lock():
 
 
 @pytest.mark.parametrize("seed", [4, 73, 94, 186, 187, 197])
-def test_late_prepare_after_applied_abort_takes_no_locks(seed):
+def test_late_prepare_after_applied_abort_takes_no_locks(seed, monkeypatch):
     # under heavy drops the prepare to beta is retransmitted past a
     # VoteTimeout abort that beta has already applied; it must not lock kv.x
+    monkeypatch.setattr(txn_module, "VOTE_TIMEOUT", 8)
     w = World(drop=0.6, seed=seed)
-    w.sim.config.vote_timeout = 8
     t = w.engine.begin_general("alpha", MODE_OCC)
     w.engine.txn_write(t, "beta", "kv.x", 1)
     w.engine.txn_commit_async(t)
@@ -935,7 +1030,7 @@ def test_a_remote_no_vote_decides_without_waiting_for_the_other_votes():
     result = w.engine.execute_minitxn("alpha", mt)
     txid = list(w.engine.records)[-1]
     assert result == Aborted("CompareFailed: beta:kv.y")
-    assert w.sim.tick - start < w.sim.config.vote_timeout
+    assert w.sim.tick - start < txn_module.VOTE_TIMEOUT
     assert gamma.read_state(f"sys.applied.{txid}") is None
     for node in silent:
         del gamma.byzantine[node]
@@ -986,6 +1081,34 @@ def test_restarted_engine_finishes_a_prepared_transaction_from_the_ledger():
     ]
     decided = next(i for i, (_, keys) in enumerate(alpha_txns) if f"sys.2pc.{txid}.decision" in keys)
     assert [method for method, _ in alpha_txns[decided + 1 :] if method == "decide"] == []
+
+
+def test_a_participant_that_never_hears_the_decide_applies_it_through_a_poll():
+    # beta voted yes, then every broker drops everything: the decide is given
+    # up after its retransmits, and beta's decision poll reads it from alpha
+    w = World()
+    mt = MiniTxn(compares=(), reads=(), writes=(("beta", "kv.b", 2),))
+    fut = w.engine.execute_minitxn_async("alpha", mt)
+    txid = list(w.engine.records)[-1]
+    beta = w.chains["beta"]
+    _step_until_voted_yes(w, beta, txid)
+    for broker in w.sim.brokers:
+        broker.faults.drop_rate = 1.0
+    assert w.sim.pump(fut) == Committed()
+    w.settle()
+    assert w.kv("beta", "b") == 2
+    assert beta.read_state(f"sys.applied.{txid}") == "commit"
+    assert w.sim.meter.recovery_reads == 1
+    giveups = [r for r in w.sim.log.records if r["kind"] == "giveup"]
+    assert [(r["stage"], r["dest_chain"]) for r in giveups] == [("publish", "beta")]
+    beta_txns = [
+        txn["method"]
+        for rec in w.sim.log.records
+        if rec["kind"] == "block" and rec["chain"] == "beta"
+        for txn in rec["txns"]
+    ]
+    assert beta_txns[-1] == "apply"
+    assert w.locks_empty()
 
 
 def test_decide_counts_only_from_the_coordinator_that_prepared():
