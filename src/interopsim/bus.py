@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .errors import EncodingError, InvalidConfig
+from .errors import ConfigError, EncodingError
 from .values import decode_record, digest, encode_record, join_record, read_record, record
 
 EVENT_VERSION = 1
@@ -88,7 +88,7 @@ class KeyRegistry:
     def register_chain(self, chain_id: str, f: int, verify_keys: dict[str, bytes], scheme) -> None:
         """Add a chain once: a verdict on any batch, once given, never changes."""
         if chain_id in self._chains:
-            raise InvalidConfig(f"chain {chain_id} is already registered")
+            raise ConfigError(f"chain {chain_id} is already registered")
         self._chains[chain_id] = (f, dict(verify_keys), scheme)
 
     def f_of(self, chain_id: str) -> int:

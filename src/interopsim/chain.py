@@ -25,11 +25,11 @@ from typing import Callable, Optional, Sequence
 from .bus import Event
 from .crypto import Keypair, get_scheme
 from .errors import (
+    ConfigError,
     DuplicateContract,
     DuplicateNonce,
     EncodingError,
     FutureHeight,
-    InvalidConfig,
     InvalidRange,
     LockConflict,
     PolicyDenied,
@@ -73,14 +73,16 @@ class ChainConfig:
 
     def validate(self) -> None:
         if not self.chain_id:
-            raise InvalidConfig("chain_id must be non-empty")
+            raise ConfigError("chain_id must be non-empty")
+        if type(self.n) is not int or type(self.f) is not int:
+            raise ConfigError(f"chain {self.chain_id}: n and f must be ints, not n={self.n!r}, f={self.f!r}")
         if self.n < 3 * self.f + 1:
-            raise InvalidConfig(f"n={self.n} violates n >= 3f+1 with f={self.f}")
+            raise ConfigError(f"n={self.n} violates n >= 3f+1 with f={self.f}")
         if self.f < 0 or self.n <= 0:
-            raise InvalidConfig("n must be positive and f non-negative")
+            raise ConfigError("n must be positive and f non-negative")
         for node_id in self.byzantine:
             if node_id not in self.node_ids():
-                raise InvalidConfig(f"unknown byzantine node {node_id}")
+                raise ConfigError(f"unknown byzantine node {node_id}")
 
     def node_ids(self) -> list[str]:
         return [f"{self.chain_id}:node{i}" for i in range(self.n)]
@@ -448,7 +450,7 @@ class Chain:
         # namespaces stay disjoint: key_access finds a key's owner by its
         # first segment, and "sys." belongs to the system
         if "." in cid or cid == "sys":
-            raise InvalidConfig(f"contract id {cid!r} would share another key namespace")
+            raise ConfigError(f"contract id {cid!r} would share another key namespace")
         self.contracts[cid] = contract
 
     def register_contract(self, contract: Contract) -> None:
@@ -526,7 +528,7 @@ class Chain:
         """Block 0: a `sys.registry` registration per contract, then `calls`.
 
         A call that fails, emits an event or leaves an after-commit effect
-        raises InvalidConfig: genesis has no bus and no run loop yet."""
+        raises ConfigError: genesis has no bus and no run loop yet."""
         for contract in contracts:
             self._add_contract(contract)
         txns = [self._call("sys", "sys.registry", "register", [c.contract_id]) for c in contracts]
@@ -539,7 +541,7 @@ class Chain:
             receipt, events, effects = self._execute(txn, 0, idx)
             if receipt.status != "ok" or events or effects:
                 what = receipt.error or "it emits events or after-commit effects"
-                raise InvalidConfig(f"genesis call {txn.target_contract}.{txn.method} on {self.chain_id}: {what}")
+                raise ConfigError(f"genesis call {txn.target_contract}.{txn.method} on {self.chain_id}: {what}")
             self._nonces.add((txn.caller_chain, txn.caller_id, txn.nonce))
             receipts.append(receipt)
         self._overlay = None

@@ -123,9 +123,10 @@ class Ed25519Scheme(SignatureScheme):
             return False
 
 
+SCHEMES = {"hmac": HmacScheme, "ed25519": Ed25519Scheme}
+
+
 def get_scheme(name: str) -> SignatureScheme:
-    if name == "hmac":
-        return HmacScheme()
-    if name == "ed25519":
-        return Ed25519Scheme()
-    raise ValueError(f"unknown signature scheme: {name}")
+    if name not in SCHEMES:
+        raise ValueError(f"unknown signature scheme: {name}")
+    return SCHEMES[name]()

@@ -5,10 +5,6 @@ class SimError(Exception):
     """Base class for all simulator errors."""
 
 
-class InvalidConfig(SimError):
-    pass
-
-
 class DuplicateContract(SimError):
     pass
 

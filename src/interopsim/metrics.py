@@ -8,7 +8,7 @@ byte-identical; the CLI reports wall time on stderr instead.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass
@@ -25,18 +25,7 @@ class RunMetrics:
     outcomes: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "mode": self.mode,
-            "status": self.status,
-            "ticks": self.ticks,
-            "messages": dict(sorted(self.messages.items())),
-            "round_trips": dict(sorted(self.round_trips.items())),
-            "aborts": dict(sorted(self.aborts.items())),
-            "blocks": dict(sorted(self.blocks.items())),
-            "state_roots": dict(sorted(self.state_roots.items())),
-            "outcomes": self.outcomes,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)

@@ -18,6 +18,7 @@ from typing import Optional
 from .auction import AuctionApp
 from .bus import Broker, BrokerFaults
 from .chain import Behavior, ChainConfig
+from .crypto import SCHEMES
 from .errors import ConfigError, MaxTicksExceeded
 from .metrics import RunMetrics
 from .runlog import RunLog
@@ -117,8 +118,15 @@ _ACTION_KEYS = {
 }
 
 
+def _check_int(name: str, value, minimum: Optional[int] = None) -> None:
+    if type(value) is not int or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"{name} must be an int{bound}, not {value!r}")
+
+
 def _check_node(chain_id: str, n: int, node: str, behavior: str) -> None:
-    if node not in {f"node{i}" for i in range(n)}:
+    # an ill-typed n is left for ChainConfig.validate to refuse when the world is built
+    if type(n) is int and node not in {f"node{i}" for i in range(n)}:
         raise ConfigError(f"chain {chain_id!r} has no node {node!r}")
     if behavior not in _BEHAVIORS:
         raise ConfigError(f"{chain_id}:{node}: behavior {behavior!r} is not one of {', '.join(_BEHAVIORS)}")
@@ -145,6 +153,7 @@ class Scenario:
         if not raw.keys() <= _TOP_KEYS:
             raise ConfigError(f"unknown top-level key(s): {', '.join(sorted(raw.keys() - _TOP_KEYS))}")
         seed = raw.get("seed", 0)
+        _check_int("seed", seed)
         mode = raw.get("mode", MODE_OCC)
         if mode not in (MODE_OCC, MODE_LOCKS):
             raise ConfigError(f"unknown mode {mode!r}")
@@ -152,7 +161,16 @@ class Scenario:
         if not chains:
             raise ConfigError("scenario defines no chains")
         max_ticks = raw.get("max_ticks", SimConfig.max_ticks)
+        _check_int("max_ticks", max_ticks, 0)
+        _check_int("latency_jitter", raw.get("latency_jitter", 0), 0)
+        rate = raw.get("direct_drop_rate", 0.0)
+        if type(rate) not in (int, float) or not 0 <= rate <= 1:
+            raise ConfigError(f"direct_drop_rate must be a number in [0, 1], not {rate!r}")
+        scheme = raw.get("scheme", "hmac")
         for chain_id, spec in chains.items():
+            chain_scheme = spec.get("scheme", scheme)
+            if type(chain_scheme) is not str or chain_scheme not in SCHEMES:
+                raise ConfigError(f"chain {chain_id!r}: unknown signature scheme {chain_scheme!r}")
             if spec.get("byzantine"):
                 _check_byzantine(chain_id, spec.get("n", 4), spec["byzantine"])
         brokers = raw.get("broker", DEFAULT_BROKERS)
@@ -173,6 +191,8 @@ class Scenario:
             elif action in ("start_auction", "conclude") and "auction" not in raw:
                 raise ConfigError(f"script action {action!r} needs an [auction] section")
         ticks = [e.get("tick", 0) for e in raw.get("script", [])]
+        for tick in ticks:
+            _check_int("script tick", tick, 0)
         if ticks != sorted(ticks):
             raise ConfigError("script ticks must be non-decreasing")
         if "auction" in raw:
@@ -230,9 +250,16 @@ def build_world(scn: Scenario, log: Optional[RunLog]) -> tuple[Simulation, XTxnE
 
     app = None
     if auction is not None:
-        rates = {cid: Fraction(value) for cid, value in raw.get("rates", {}).items()}
+        rates = {cid: _rate(cid, value) for cid, value in raw.get("rates", {}).items()}
         app = AuctionApp(sim, engine, ticket_chain, bidder_chains, rates)
     return sim, engine, app
+
+
+def _rate(chain_id: str, value) -> Fraction:
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ConfigError(f"exchange rate for {chain_id!r} is not a rational number: {value!r}") from None
 
 
 def _schedule_script(scn: Scenario, sim: Simulation, engine: XTxnEngine, app, outcomes: list):

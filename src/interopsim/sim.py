@@ -31,7 +31,7 @@ from .bus import (
     verify_batch,
 )
 from .chain import Chain, ChainConfig, Contract, EventDraft, GenesisCall
-from .errors import InvalidConfig, MaxTicksExceeded, QuorumFailure
+from .errors import ConfigError, MaxTicksExceeded, QuorumFailure
 from .runlog import RunLog
 
 
@@ -180,8 +180,8 @@ class MessageMeter:
             "direct_dropped": self.direct_dropped,
             "recovery_reads": self.recovery_reads,
             "quorum_failures": self.quorum_failures,
-            "round_trips": dict(sorted(self.round_trips.items())),
-            "aborts": dict(sorted(self.aborts.items())),
+            "round_trips": dict(self.round_trips),
+            "aborts": dict(self.aborts),
         }
 
 
@@ -214,7 +214,7 @@ class Simulation:
         """Add a chain whose block 0 holds `contracts` and `calls` (see Chain);
         block 0 is logged like any other block, at height 0 and tick 0."""
         if cfg.chain_id in self.chains:
-            raise InvalidConfig(f"duplicate chain id {cfg.chain_id}")
+            raise ConfigError(f"duplicate chain id {cfg.chain_id}")
         chain = Chain(cfg, contracts, calls)
         chain.observer = self
         self.chains[cfg.chain_id] = chain

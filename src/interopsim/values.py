@@ -9,11 +9,14 @@ Digests are SHA-256, always 32 bytes.
 A record is a protocol message: a dataclass instance (its fields in
 declaration order), a tuple or a list, nesting records and values.  A list
 encodes as tag 5 (TAG_LIST), a 4-byte big-endian item count, then its items.
-Decoding gives tuples, or with a record class or tuple type an instance
-whose every field was checked against its annotation.  TAG_LIST is never a
-value: encode_value/decode_value reject tuples and tag 5, so what a contract
-stores stays one of the five scalars.  Every byte string that decodes
-re-encodes to itself.
+Every decode names the record's type, a record class or a tuple type
+(decode_record(raw, ReadResponse), decode_record(raw, tuple[Value])): each
+item is checked against its annotation, and a record class gives an
+instance of it.  There is no untyped decode and no decode of a lone value;
+values come back only as record items.  TAG_LIST is never a value:
+encode_value refuses tuples and lists, and a Value item refuses tag 5, so
+what a contract stores stays one of the five scalars.  Every byte string
+that decodes re-encodes to itself.
 
 A record class is declared with `record`: dataclass(frozen=True) with an
 __init__, generated once per class as dataclasses generates its own, that
@@ -83,49 +86,6 @@ def encode_value(v: Value) -> bytes:
     if isinstance(v, bytes):
         return bytes([TAG_BYTES]) + len(v).to_bytes(4, "big") + v
     raise EncodingError(f"unsupported value type: {type(v).__name__}")
-
-
-def decode_value(data: bytes, offset: int = 0) -> tuple[Value, int]:
-    """Decode one value; returns (value, next_offset)."""
-    if offset >= len(data):
-        raise EncodingError("truncated value")
-    tag = data[offset]
-    offset += 1
-    if tag == TAG_NULL:
-        return None, offset
-    if tag == TAG_BOOL:
-        if offset >= len(data):
-            raise EncodingError("truncated bool")
-        if data[offset] > 1:
-            raise EncodingError(f"bool byte {data[offset]} is not 0 or 1")
-        return data[offset] == 1, offset + 1
-    if tag == TAG_INT:
-        if offset + 8 > len(data):
-            raise EncodingError("truncated int64")
-        return int.from_bytes(data[offset : offset + 8], "big", signed=True), offset + 8
-    if tag in (TAG_STR, TAG_BYTES):
-        if offset + 4 > len(data):
-            raise EncodingError("truncated length")
-        n = int.from_bytes(data[offset : offset + 4], "big")
-        offset += 4
-        if offset + n > len(data):
-            raise EncodingError("truncated payload")
-        payload = data[offset : offset + n]
-        offset += n
-        if tag == TAG_STR:
-            try:
-                return payload.decode("utf-8"), offset
-            except UnicodeDecodeError as exc:
-                raise EncodingError("invalid utf-8") from exc
-        return payload, offset
-    raise EncodingError(f"unknown value tag {tag}")
-
-
-def decode_one(data: bytes) -> Value:
-    v, end = decode_value(data, 0)
-    if end != len(data):
-        raise EncodingError("trailing bytes after value")
-    return v
 
 
 def record(cls):
@@ -212,13 +172,12 @@ def _encode_list(items: tuple | list, out: list[bytes], depth: int) -> None:
             out.append(encode_value(item))
 
 
-def decode_record(data: bytes, shape=None, offset: int = 0):
-    """Decode the record filling data[offset:].
+def decode_record(data: bytes, shape, offset: int = 0):
+    """Decode the record of type `shape` filling data[offset:].
 
-    With a record class or tuple type as `shape`, each item must match its
+    `shape` is a record class or tuple type.  Each item must match its
     annotation (see _compile), else EncodingError, and a record class gives
-    an instance of it.  Otherwise the result is a tuple, of `shape` items
-    when that is a number.
+    an instance of it.
     """
     record, end = read_record(data, shape, offset)
     if end != len(data):
@@ -226,24 +185,22 @@ def decode_record(data: bytes, shape=None, offset: int = 0):
     return record
 
 
-def read_record(data: bytes, shape=None, offset: int = 0):
+def read_record(data: bytes, shape, offset: int = 0):
     """Decode the record starting at data[offset], as decode_record does.
 
     Returns the record and the offset just past it, so a caller can keep a
     nested record's own bytes, data[offset:end], as its encoding.
     """
+    layout = _compile(shape)[1]
+    if layout is None:
+        raise TypeError(f"no record layout for {shape!r}")
     if offset >= len(data) or data[offset] != TAG_LIST:
         raise EncodingError("record is not a list")
-    layout = None if shape is None or isinstance(shape, int) else _compile(shape)[1]
-    record, end = _decode_list(data, offset + 1, 1, layout)
-    if layout is None and shape is not None and len(record) != shape:
-        raise EncodingError(f"record has {len(record)} items, wanted {shape}")
-    return record, end
+    return _decode_list(data, offset + 1, 1, layout)
 
 
 _SCALARS = frozenset([type(None), bool, int, str, bytes])
 _TUPLE = frozenset([tuple])
-_ANY = (None, None)  # an untyped item: any value, or any list as a tuple
 
 
 @cache
@@ -277,12 +234,11 @@ def _compile(tp) -> tuple[frozenset, Optional[tuple]]:
     raise TypeError(f"no record layout for {tp!r}")
 
 
-def _decode_list(data: bytes, offset: int, depth: int, layout: Optional[tuple] = None):
-    """Decode the list whose count is at data[offset].
+def _decode_list(data: bytes, offset: int, depth: int, layout: tuple):
+    """Decode the list whose count is at data[offset], following `layout`.
 
-    With a `layout` from _compile, each item is checked against its plan
-    and the layout builds the result; without one, items are untyped and
-    the result is a tuple.
+    `layout` comes from _compile: each item is checked against its plan
+    and the layout builds the result from the items.
     """
     if depth > MAX_RECORD_DEPTH:
         raise EncodingError("record nests too deep")
@@ -291,14 +247,11 @@ def _decode_list(data: bytes, offset: int, depth: int, layout: Optional[tuple] =
         raise EncodingError("truncated list count")
     n = int.from_bytes(data[offset : offset + 4], "big")
     offset += 4
-    if layout is None:
-        plans, build = repeat(_ANY, n), tuple
-    else:
-        plans, width, build = layout
-        if width is None:
-            plans = repeat(plans, n)
-        elif n != width:
-            raise EncodingError(f"record has {n} items, wanted {width}")
+    plans, width, build = layout
+    if width is None:
+        plans = repeat(plans, n)
+    elif n != width:
+        raise EncodingError(f"record has {n} items, wanted {width}")
     items = []
     append = items.append
     for kinds, sub in plans:
@@ -322,14 +275,24 @@ def _decode_list(data: bytes, offset: int, depth: int, layout: Optional[tuple] =
                 raise EncodingError("truncated int64")
             item = int.from_bytes(data[start:offset], "big", signed=True)
         elif tag == TAG_LIST:
-            if kinds is not None and tuple not in kinds:
+            if tuple not in kinds:
                 raise EncodingError("a list where a value belongs")
             item, offset = _decode_list(data, offset + 1, depth + 1, sub)
             append(item)
             continue
+        elif tag == TAG_NULL:
+            offset += 1
+            item = None
+        elif tag == TAG_BOOL:
+            offset += 2
+            if offset > end:
+                raise EncodingError("truncated bool")
+            if data[offset - 1] > 1:
+                raise EncodingError(f"bool byte {data[offset - 1]} is not 0 or 1")
+            item = data[offset - 1] == 1
         else:
-            item, offset = decode_value(data, offset)
-        if kinds is not None and item.__class__ not in kinds:
+            raise EncodingError("truncated value" if tag is None else f"unknown value tag {tag}")
+        if item.__class__ not in kinds:
             raise EncodingError(f"ill-typed record item: {type(item).__name__}")
         append(item)
     return build(items), offset

@@ -11,7 +11,7 @@ from interopsim.bus import (
     verify_batch,
 )
 from interopsim.chain import Behavior
-from interopsim.errors import EncodingError, InvalidConfig
+from interopsim.errors import ConfigError, EncodingError
 from interopsim.sim import BROKER_LATENCY, BUS_BACKOFF, BUS_RETRIES
 from interopsim.txn import Committed, MiniTxn
 from interopsim.values import decode_record, digest, encode_record
@@ -134,7 +134,7 @@ def test_registry_refuses_to_register_a_chain_again():
     # and Simulation.handoff keep verdicts
     w = World()
     registry = w.sim.registry
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigError):
         registry.register_chain("alpha", 0, {}, w.chains["alpha"].scheme)
     assert registry.f_of("alpha") == 1
     emit_via_contract(w, value=b"still verified")
@@ -594,7 +594,7 @@ def count_event_codec(monkeypatch) -> tuple[list, list]:
     decoded, encoded = [], []
 
     def decoding(real, returns_end):
-        def wrapper(data, shape=None, offset=0):
+        def wrapper(data, shape, offset=0):
             out = real(data, shape, offset)
             record = out[0] if returns_end else out
             if shape is Event:

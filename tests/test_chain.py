@@ -17,11 +17,11 @@ from interopsim.chain import (
 )
 from interopsim.crypto import HmacScheme
 from interopsim.errors import (
+    ConfigError,
     DuplicateContract,
     DuplicateNonce,
     EncodingError,
     FutureHeight,
-    InvalidConfig,
     InvalidRange,
     InvalidState,
     QuorumFailure,
@@ -85,7 +85,7 @@ def test_create_chain_genesis():
 
 
 def test_create_chain_rejects_small_n():
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigError):
         mk_chain(n=3, f=1)
 
 
@@ -108,7 +108,7 @@ def test_contract_ids_keep_key_namespaces_disjoint():
     for cid in ("kv.bids", "sys"):
         contract = KvContract()
         contract.contract_id = cid
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError):
             ch.register_contract(contract)
     assert ch.contracts == {} and ch.mempool == []
 
@@ -233,12 +233,12 @@ def test_genesis_write_proves_against_the_height_0_root():
 )
 def test_genesis_call_that_fails_emits_or_defers_is_refused(method, error):
     sim = Simulation(log=None)
-    with pytest.raises(InvalidConfig, match=error):
+    with pytest.raises(ConfigError, match=error):
         sim.add_chain(ChainConfig(chain_id="alpha", n=4, f=1), [GenesisProbe()], [("sys", "kv", method, [])])
     assert "alpha" not in sim.chains and sim.chain_order == []
 
 
-@pytest.mark.parametrize("cid, error", [("kv", DuplicateContract), ("kv.bids", InvalidConfig), ("sys", InvalidConfig)])
+@pytest.mark.parametrize("cid, error", [("kv", DuplicateContract), ("kv.bids", ConfigError), ("sys", ConfigError)])
 def test_genesis_contract_ids_are_checked_like_register_contract(cid, error):
     other = KvContract()
     other.contract_id = cid

@@ -132,7 +132,8 @@ def test_every_truncation_of_a_real_message_is_refused(wires, cls):
 
 @pytest.mark.parametrize("cls", CLASSES, ids=[c.__name__ for c in CLASSES])
 def test_a_wrong_item_count_is_refused(wires, cls):
-    fields = decode_record(wires[cls])  # its items, untyped
+    message = decode_record(wires[cls], cls)
+    fields = tuple(getattr(message, f.name) for f in dataclasses.fields(cls))
     for bad in (fields[:-1], (*fields, None), ()):
         with pytest.raises(EncodingError, match="items, wanted"):
             decode_record(encode_record(bad), cls)
@@ -157,10 +158,10 @@ def test_a_bool_byte_other_than_zero_or_one_is_refused():
 
 
 def test_typed_nesting_deeper_than_the_cap_is_refused():
-    shape, raw = tuple[int, ...], encode_record(())
+    shape, raw, nested = tuple[int, ...], encode_record(()), ()
     for _ in range(MAX_RECORD_DEPTH - 1):
-        shape, raw = tuple[shape, ...], join_record([raw])
-    assert decode_record(raw, shape) == decode_record(raw)  # eight levels decode
+        shape, raw, nested = tuple[shape, ...], join_record([raw]), (nested,)
+    assert decode_record(raw, shape) == nested  # eight levels decode
     deeper = tuple[shape, ...]
     with pytest.raises(EncodingError, match="nests too deep"):
         decode_record(join_record([raw]), deeper)

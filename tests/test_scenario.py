@@ -171,10 +171,26 @@ _FIXTURE_APPEND = '\n[[script]]\ntick = 30\n'
         # settings no longer read must not run silently with their defaults
         lambda text: "vote_timeout = 8\n" + text,
         lambda text: text + "\n[timing]\nlock_timeout = 5\n",
+        # ill-typed or out-of-range values must not run, or fail mid-run
+        lambda text: "latency_jitter = -2\n" + text,
+        lambda text: 'direct_drop_rate = "high"\n' + text,
+        lambda text: "direct_drop_rate = 1.5\n" + text,
+        lambda text: text.replace("max_ticks = 20000", 'max_ticks = "x"'),
+        lambda text: text.replace("seed = 42", 'seed = "x"'),
+        lambda text: text.replace("seed = 42", "seed = true"),
+        lambda text: 'scheme = "rsa"\n' + text,
+        lambda text: text.replace("[chain.coinb]\nn = 4", '[chain.coinb]\nn = "x"'),
+        lambda text: text.replace("[chain.coinc]\nn = 4\nf = 1", "[chain.coinc]\nn = 4\nf = 2"),
+        lambda text: text.replace('coinb = "1/2"', 'coinb = "half"'),
+        lambda text: text.replace("tick = 10\n", 'tick = "late"\n'),
+        lambda text: text.replace("tick = 2\n", "tick = -1\n"),
     ],
     ids=[
         "unknown_behavior", "restart_broker_without_broker", "byzantine_without_colon",
         "unknown_top_level_key", "unknown_section",
+        "negative_latency_jitter", "str_direct_drop_rate", "direct_drop_rate_above_one", "str_max_ticks",
+        "str_seed", "bool_seed", "unknown_scheme", "str_chain_n", "f_too_large_for_n", "str_rate",
+        "str_script_tick", "negative_script_tick",
     ],
 )
 def test_cli_malformed_scenario_is_a_config_error(tmp_path, capsys, edit):

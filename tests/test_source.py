@@ -40,9 +40,9 @@ def test_wire_layouts_are_written_only_in_the_codecs():
         if "int.from_bytes" in path.read_text(encoding="utf-8")
     )
     assert readers == ["merkle.py", "values.py"]
-    # a value is decoded only inside values.py's codecs, so no second wire
-    # codec grows elsewhere
-    assert _modules_matching(re.compile(r"\bdecode_value\(")) == ["values.py"]
+    # a wire string is decoded only inside values.py's typed decoder, so no
+    # second wire codec grows elsewhere
+    assert _modules_matching(re.compile(r"""\.decode\(\s*(?:\)|["']utf-?8)""")) == ["values.py"]
     # what a chain hashes or signs (txn ids, header digests, read signatures)
     # is a record encoding too: only values.py lays integers out as bytes
     assert _modules_matching(re.compile(r"\.to_bytes\(")) == ["values.py"]

@@ -1308,8 +1308,9 @@ def test_read_response_codec_round_trip():
 def test_prefix_rows_codec_round_trip():
     rows = [("kv.a", None, (1, 0)), ("kv.b", b"\x00\xff", (2, 3)), ("kv.c", True, (2, 4)), ("kv.d", 1, (5, 0))]
     raw = encode_record(rows)
-    back = decode_record(raw)
+    back = decode_record(raw, txn_module.PrefixRows)
     assert back == tuple(rows)
+    assert [type(value) for _, value, _ in back] == [type(None), bytes, bool, int]
     assert encode_record(back) == raw
 
 
@@ -1355,7 +1356,7 @@ def test_malformed_read_payloads_rejected():
     with pytest.raises(EncodingError):
         decode_record(raw + b"\x00", ReadResponse)
     with pytest.raises(EncodingError, match="7 items, wanted 8"):  # wrong width
-        decode_record(encode_record(decode_record(raw, 8)[:7]), ReadResponse)
+        decode_record(encode_record(dataclasses.astuple(decode_record(raw, ReadResponse))[:7]), ReadResponse)
     raw_req = encode_record(req)
     with pytest.raises(EncodingError):
         decode_record(raw_req + b"\x00", ReadRequest)

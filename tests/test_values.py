@@ -9,9 +9,7 @@ from interopsim.errors import EncodingError
 from interopsim.values import (
     MAX_RECORD_DEPTH,
     Value,
-    decode_one,
     decode_record,
-    decode_value,
     encode_record,
     encode_value,
     join_record,
@@ -34,22 +32,37 @@ CANONICAL = [
 ]
 
 
+def decode_lone(raw: bytes) -> Value:
+    """Decode a value's bytes as the one item of a record, the only way a value is decoded."""
+    (value,) = decode_record(bytes([5, 0, 0, 0, 1]) + raw, tuple[Value])
+    return value
+
+
 @pytest.mark.parametrize("value,raw", CANONICAL)
 def test_canonical_encoding(value, raw):
     assert encode_value(value) == raw
-    assert decode_one(raw) == value
+    assert encode_record((value,)) == bytes([5, 0, 0, 0, 1]) + raw
+    back = decode_lone(raw)
+    assert back == value and type(back) is type(value)
 
 
 def test_roundtrip_mixed_list():
     vs = [None, True, -42, "bids.alice", b"\x01\x02", 2**40]
     raw = encode_record(vs)
     assert raw[0] == 5 and int.from_bytes(raw[1:5], "big") == len(vs)
-    back, end = [], 5
-    for _ in vs:
-        v, end = decode_value(raw, end)
-        back.append(v)
-    assert back == vs
-    assert end == len(raw)
+    assert raw[5:] == b"".join(encode_value(v) for v in vs)
+    back = decode_record(raw, tuple[Value, ...])
+    assert back == tuple(vs)
+    assert [type(v) for v in back] == [type(v) for v in vs]
+
+
+def test_a_decode_names_a_record_type():
+    # a shape with no list layout is a caller's bug, not bad input
+    raw = encode_record((1,))
+    for shape in (None, int, Value, 1):
+        with pytest.raises(TypeError, match="no record layout"):
+            decode_record(raw, shape)
+    assert decode_record(raw, tuple[int]) == (1,)
 
 
 def test_int_out_of_range_rejected():
@@ -60,29 +73,41 @@ def test_int_out_of_range_rejected():
 
 
 def test_truncated_inputs_rejected():
-    raw = encode_value("hello")
-    for cut in range(1, len(raw)):
-        with pytest.raises(EncodingError):
-            decode_one(raw[:cut])
+    for value in (None, True, -1, "hello", b"\x00\xff"):
+        raw = encode_value(value)
+        for cut in range(len(raw)):
+            with pytest.raises(EncodingError, match="truncated"):
+                decode_lone(raw[:cut])
+    with pytest.raises(EncodingError, match="truncated value"):
+        decode_lone(b"")
+    with pytest.raises(EncodingError, match="truncated bool"):
+        decode_lone(bytes([1]))
 
 
 def test_trailing_bytes_rejected():
-    with pytest.raises(EncodingError):
-        decode_one(encode_value(5) + b"\x00")
+    with pytest.raises(EncodingError, match="trailing bytes"):
+        decode_lone(encode_value(5) + b"\x00")
 
 
 def test_unknown_tag_rejected():
-    with pytest.raises(EncodingError):
-        decode_value(bytes([9, 1, 2]))
+    for tag in (6, 9, 0xFF):
+        with pytest.raises(EncodingError, match=f"unknown value tag {tag}"):
+            decode_lone(bytes([tag, 1, 2]))
+
+
+def test_invalid_utf8_rejected():
+    with pytest.raises(EncodingError, match="invalid utf-8"):
+        decode_lone(bytes([3, 0, 0, 0, 1, 0xFF]))
+    assert decode_lone(bytes([4, 0, 0, 0, 1, 0xFF])) == b"\xff"  # bytes carry any byte
 
 
 def test_bool_byte_is_zero_or_one():
     # any other byte would decode to a bool that re-encodes to other bytes
     for byte in (2, 0x80, 0xFF):
-        with pytest.raises(EncodingError):
-            decode_one(bytes([1, byte]))
-        with pytest.raises(EncodingError):
-            decode_record(bytes([5, 0, 0, 0, 1, 1, byte]))
+        with pytest.raises(EncodingError, match=f"bool byte {byte} is not 0 or 1"):
+            decode_lone(bytes([1, byte]))
+        with pytest.raises(EncodingError, match=f"bool byte {byte} is not 0 or 1"):
+            decode_record(bytes([5, 0, 0, 0, 1, 1, byte]), tuple[bool])
 
 
 def test_bool_is_not_int_encoding():
@@ -100,6 +125,7 @@ NESTED_RAW = (
     + bytes([5, 0, 0, 0, 2]) + bytes([2]) + b"\x00" * 7 + b"\x01" + bytes([1, 1])
     + bytes([5, 0, 0, 0, 2]) + bytes([0]) + bytes([4, 0, 0, 0, 1, 1])
 )
+NESTED_SHAPE = tuple[str, tuple[int, bool], tuple[Value, ...]]
 
 
 def test_lone_surrogate_is_an_encoding_error():
@@ -112,47 +138,50 @@ def test_lone_surrogate_is_an_encoding_error():
 
 def test_canonical_record_encoding():
     assert encode_record(NESTED) == NESTED_RAW
-    assert decode_record(NESTED_RAW, 3) == ("k", (1, True), (None, b"\x01"))  # lists come back as tuples
+    assert decode_record(NESTED_RAW, NESTED_SHAPE) == ("k", (1, True), (None, b"\x01"))  # lists come back as tuples
 
 
 def test_record_round_trip_tells_true_from_one():
     record = (True, 1, (False, 0), ("", b""), ())
     raw = encode_record(record)
-    back = decode_record(raw)
+    back = decode_record(raw, tuple[Value, Value, tuple[Value, Value], tuple[Value, ...], tuple[Value, ...]])
     assert encode_record(back) == raw
     assert [type(v) for v in (back[0], back[1], *back[2])] == [bool, int, bool, int]
 
 
 def test_record_malformed_inputs_rejected():
-    with pytest.raises(EncodingError):
-        decode_record(b"")
+    with pytest.raises(EncodingError, match="not a list"):
+        decode_record(b"", NESTED_SHAPE)
     for cut in range(1, len(NESTED_RAW)):
         with pytest.raises(EncodingError, match="truncated"):
-            decode_record(NESTED_RAW[:cut])
-    with pytest.raises(EncodingError):
-        decode_record(NESTED_RAW + b"\x00")
-    with pytest.raises(EncodingError):
-        decode_record(NESTED_RAW, 2)  # wrong width
-    with pytest.raises(EncodingError):
-        decode_record(encode_value("k"))  # top level is not a list
+            decode_record(NESTED_RAW[:cut], NESTED_SHAPE)
+    with pytest.raises(EncodingError, match="trailing bytes"):
+        decode_record(NESTED_RAW + b"\x00", NESTED_SHAPE)
+    with pytest.raises(EncodingError, match="3 items, wanted 2"):  # wrong width
+        decode_record(NESTED_RAW, tuple[str, tuple[int, bool]])
+    with pytest.raises(EncodingError, match="not a list"):  # top level is not a list
+        decode_record(encode_value("k"), NESTED_SHAPE)
     # a forged count larger than the data runs out of bytes
-    with pytest.raises(EncodingError):
-        decode_record(bytes([5, 0xFF, 0xFF, 0xFF, 0xFF, 0]))
+    with pytest.raises(EncodingError, match="truncated"):
+        decode_record(bytes([5, 0xFF, 0xFF, 0xFF, 0xFF, 0]), tuple[Value, ...])
 
 
 def test_record_nesting_capped():
-    deepest = ()
+    deepest, shape = (), tuple[Value, ...]
     for _ in range(MAX_RECORD_DEPTH - 1):
-        deepest = (deepest,)
+        deepest, shape = (deepest,), tuple[shape]
     raw = encode_record(deepest)
-    assert decode_record(raw) == deepest
+    assert decode_record(raw, shape) == deepest
     with pytest.raises(EncodingError):
         encode_record((deepest,))
     # hand-built: one list deeper than the cap, and a deep chain of lists
-    with pytest.raises(EncodingError):
-        decode_record(bytes([5, 0, 0, 0, 1]) + raw)
-    with pytest.raises(EncodingError):
-        decode_record(bytes([5, 0, 0, 0, 1]) * 10_000)
+    with pytest.raises(EncodingError, match="nests too deep"):
+        decode_record(bytes([5, 0, 0, 0, 1]) + raw, tuple[shape])
+    chain = tuple[Value, ...]
+    for _ in range(MAX_RECORD_DEPTH + 1):
+        chain = tuple[chain, ...]
+    with pytest.raises(EncodingError, match="nests too deep"):
+        decode_record(bytes([5, 0, 0, 0, 1]) * 10_000, chain)
 
 
 def test_list_is_never_a_value():
@@ -160,8 +189,9 @@ def test_list_is_never_a_value():
         encode_value((1, 2))
     with pytest.raises(EncodingError):
         encode_value([1])
-    with pytest.raises(EncodingError):
-        decode_one(bytes([5, 0, 0, 0, 0]))
+    for a_list in (bytes([5, 0, 0, 0, 0]), bytes([5, 0, 0, 0, 1, 0])):
+        with pytest.raises(EncodingError, match="a list where a value belongs"):
+            decode_lone(a_list)
 
 
 @dataclass(frozen=True)
