@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Run the five demo smokes of CI in this tree and in another checkout of the
-# repo (say, a pull request's base commit), then compare each pair of run
-# logs byte for byte. Prints "same" or "differs" per smoke and exits 1 when
-# any log differs. A change that adds log records differs on purpose.
+# Run the five demo smokes of CI and every tests/scenarios/*.scn of this tree
+# in this tree and in another checkout of the repo (say, a pull request's
+# base commit), then compare each pair of run logs byte for byte. Both trees
+# run this tree's scenario files. Prints "same" or "differs" per log and
+# exits 1 when any log differs. A change that adds log records differs on
+# purpose.
 #
 #   scripts/diff_demo_logs.sh path/to/other/checkout
 set -u
@@ -24,9 +26,10 @@ smokes=(
   "--seed 4 --drop-rate 0.3"
   "--seed 4 --drop-rate 0.6"
 )
+scenarios=("$here"/tests/scenarios/*.scn)
 
-run_smokes() {  # run_smokes TREE DEST: one log per smoke, DEST/1.jsonl ...
-  local tree=$1 dest=$2 where i=0
+run_tree() {  # run_tree TREE DEST: DEST/1.jsonl ... per smoke, DEST/NAME.jsonl per scenario
+  local tree=$1 dest=$2 where i=0 scn name
   where=$(PYTHONPATH="$tree/src" python3 -c 'import interopsim, os; print(os.path.realpath(interopsim.__file__))')
   case $where in
     "$tree"/*) ;;
@@ -39,19 +42,32 @@ run_smokes() {  # run_smokes TREE DEST: one log per smoke, DEST/1.jsonl ...
     PYTHONPATH="$tree/src" python3 -m interopsim.cli demo auction $flags \
       --out "$dest/$i.json" --log "$dest/$i.jsonl" >/dev/null 2>&1
   done
+  for scn in "${scenarios[@]}"; do
+    name=$(basename "$scn" .scn)
+    PYTHONPATH="$tree/src" python3 -m interopsim.cli run "$scn" \
+      --out "$dest/$name.json" --log "$dest/$name.jsonl" >/dev/null 2>&1
+  done
 }
 
-run_smokes "$here" "$out/here"
-run_smokes "$other" "$out/other"
+compare() {  # compare LOG LABEL
+  if cmp -s "$out/here/$1" "$out/other/$1"; then
+    echo "same     $2"
+  else
+    echo "differs  $2"
+    status=1
+  fi
+}
+
+run_tree "$here" "$out/here"
+run_tree "$other" "$out/other"
 status=0
 i=0
 for flags in "${smokes[@]}"; do
   i=$((i + 1))
-  if cmp -s "$out/here/$i.jsonl" "$out/other/$i.jsonl"; then
-    echo "same     demo auction $flags"
-  else
-    echo "differs  demo auction $flags"
-    status=1
-  fi
+  compare "$i.jsonl" "demo auction $flags"
+done
+for scn in "${scenarios[@]}"; do
+  name=$(basename "$scn" .scn)
+  compare "$name.jsonl" "run tests/scenarios/$name.scn"
 done
 exit $status

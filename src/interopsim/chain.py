@@ -13,6 +13,9 @@ ExecContext, which stages its writes, events and after-commit effects;
 `Chain._execute` applies them only once the handler returns and builds the
 only Receipt.  Every state read sees committed state plus the block in
 production.
+
+`Chain.produce_block` executes, certifies and commits every block, block 0
+included; a block's receipts are the chain's only record of its writes.
 """
 
 from __future__ import annotations
@@ -83,6 +86,11 @@ class ChainConfig:
         for node_id in self.byzantine:
             if node_id not in self.node_ids():
                 raise ConfigError(f"unknown byzantine node {node_id}")
+        # the fault model allows at most f faulty nodes; at n = 3f+1 more
+        # would leave too few signers to certify any block, block 0 included
+        faulty = sum(behavior != Behavior.HONEST for behavior in self.byzantine.values())
+        if faulty > self.f:
+            raise ConfigError(f"chain {self.chain_id}: {faulty} nodes flagged faulty, more than f={self.f}")
 
     def node_ids(self) -> list[str]:
         return [f"{self.chain_id}:node{i}" for i in range(self.n)]
@@ -310,7 +318,8 @@ class Chain:
 
     Block 0 registers `contracts`, active from height 0, and then runs
     `calls` in order, each seeing the writes before it; all of it commits in
-    block 0's state root."""
+    block 0's state root.  produce_block makes block 0 like any other block,
+    certified under the node behaviour flags of the config."""
 
     def __init__(
         self, cfg: ChainConfig, contracts: Sequence[Contract] = (), calls: Sequence[GenesisCall] = ()
@@ -331,8 +340,6 @@ class Chain:
 
         # versioned state
         self._current: dict[str, tuple[Value, Version]] = {}
-        # writes committed at each height, in version order (one entry per block)
-        self._writes_at: list[tuple[tuple[Version, str, Value], ...]] = []
         # authenticated state at the current height
         self._tree = MerkleMap({})
 
@@ -353,14 +360,17 @@ class Chain:
         # verified bus events by inbox transaction id, until their block commits
         self._inbox: dict[bytes, Event] = {}
 
-        # execution overlay, populated only while a block is being produced
+        # execution overlay and receipts, in use only while a block is produced
         self._overlay: Optional[dict[str, tuple[Value, Version]]] = None
-        self._overlay_log: list[tuple[Version, str, Value]] = []
+        self._receipts: list[Receipt] = []
 
-        # hook installed by the simulation
-        self.observer = None  # RunLog-ish sink with on_block(chain, block)
-
-        self._produce_genesis(contracts, calls)
+        # block 0: a sys.registry registration per contract, then `calls`
+        for contract in contracts:
+            self._add_contract(contract)
+        self.mempool = [self._call("sys", "sys.registry", "register", [c.contract_id]) for c in contracts]
+        self.mempool += [self._call(*call) for call in calls]
+        self._nonces.update((txn.caller_chain, txn.caller_id, txn.nonce) for txn in self.mempool)
+        self.produce_block(tick=0)
 
     # ------------------------------------------------------------------ state
 
@@ -393,13 +403,15 @@ class Chain:
             raise InvalidRange(
                 f"bad range [{from_height}, {to_height}] at height {self.height}"
             )
-        logs = self._writes_at[from_height : to_height + 1]
+        # a write's version is (height, index of its transaction's receipt)
+        logs = [(block.header.height, block.receipts) for block in self.blocks[from_height : to_height + 1]]
         if to_height > self.height:
-            logs.append(self._overlay_log)
+            logs.append((self.height + 1, self._receipts))
         out = [
-            (key, value, version)
-            for log in logs
-            for version, key, value in log
+            (key, value, (height, idx))
+            for height, receipts in logs
+            for idx, receipt in enumerate(receipts)
+            for key, value in receipt.writes
             if key.startswith(key_prefix)
         ]
         out.sort(key=lambda e: (e[2], e[0]))
@@ -434,12 +446,6 @@ class Chain:
         if height > self.height:
             raise FutureHeight(f"height {height} > current {self.height}")
         return self.blocks[height].header.state_root
-
-    def header_at(self, height: int) -> BlockHeader:
-        return self.blocks[height].header
-
-    def cert_at(self, height: int) -> QuorumCert:
-        return self.blocks[height].cert
 
     # ------------------------------------------------------------- contracts
 
@@ -524,55 +530,18 @@ class Chain:
 
     # ------------------------------------------------------------ production
 
-    def _produce_genesis(self, contracts: Sequence[Contract], calls: Sequence[GenesisCall]) -> None:
-        """Block 0: a `sys.registry` registration per contract, then `calls`.
-
-        A call that fails, emits an event or leaves an after-commit effect
-        raises ConfigError: genesis has no bus and no run loop yet."""
-        for contract in contracts:
-            self._add_contract(contract)
-        txns = [self._call("sys", "sys.registry", "register", [c.contract_id]) for c in contracts]
-        txns += [self._call(*call) for call in calls]
-        # genesis writes are committed state at once: a contract is active,
-        # and a policy in force, for the genesis calls after it
-        self._overlay = self._current
-        receipts = []
-        for idx, txn in enumerate(txns):
-            receipt, events, effects = self._execute(txn, 0, idx)
-            if receipt.status != "ok" or events or effects:
-                what = receipt.error or "it emits events or after-commit effects"
-                raise ConfigError(f"genesis call {txn.target_contract}.{txn.method} on {self.chain_id}: {what}")
-            self._nonces.add((txn.caller_chain, txn.caller_id, txn.nonce))
-            receipts.append(receipt)
-        self._overlay = None
-        self._writes_at.append(tuple(self._overlay_log))
-        self._overlay_log = []
-        self._tree = MerkleMap({k.encode("utf-8"): v for k, (v, _) in self._current.items()})
-        header = BlockHeader(
-            chain_id=self.chain_id,
-            height=0,
-            prev_digest=ZERO_DIGEST,
-            txn_root=root_of_digests([t.txn_id for t in txns]),
-            state_root=self._tree.root,
-            tick=0,
-        )
-        # genesis is a config artifact; behavior flags model runtime faults
-        cert = self._certify(header, honest=True)
-        self.blocks.append(Block(header=header, txns=tuple(txns), receipts=tuple(receipts), cert=cert))
-
-    def node_signatures(self, message: bytes, honest: bool = False) -> tuple[tuple[str, bytes], ...]:
+    def node_signatures(self, message: bytes) -> tuple[tuple[str, bytes], ...]:
         """Every node's signature over `message`, in node order, per its behavior:
-        silent nodes skip and equivocators sign the complement.  `honest`
-        ignores the behavior flags.
+        silent nodes skip and equivocators sign the complement.
 
         The nodes and their keys come from `signing_keys`, built with the
         chain, so no call rebuilds the node list."""
         sign = self.scheme.sign  # looked up per call: tracing patches the scheme class
-        if honest or not self.byzantine:
+        if not self.byzantine:
             return tuple([(node_id, sign(key, message)) for node_id, key in self.signing_keys.items()])
         sigs = []
         for node_id, key in self.signing_keys.items():
-            behavior = Behavior.HONEST if honest else self.byzantine.get(node_id, Behavior.HONEST)
+            behavior = self.byzantine.get(node_id, Behavior.HONEST)
             if behavior == Behavior.SILENT:
                 continue
             target = message
@@ -581,12 +550,12 @@ class Chain:
             sigs.append((node_id, sign(key, target)))
         return tuple(sigs)
 
-    def _certify(self, header: BlockHeader, honest: bool = False) -> QuorumCert:
+    def _certify(self, header: BlockHeader) -> QuorumCert:
         hd = header.digest
         verify, verify_keys = self.scheme.verify, self.verify_keys
         valid = [
             (node_id, sig)
-            for node_id, sig in self.node_signatures(hd, honest)
+            for node_id, sig in self.node_signatures(hd)
             if verify(verify_keys[node_id], hd, sig)
         ]
         if len(valid) < self.cfg.quorum:
@@ -596,7 +565,12 @@ class Chain:
         return QuorumCert(header_digest=hd, signatures=tuple(sorted(valid)))
 
     def produce_block(self, tick: int = 0) -> Optional[tuple[Block, list[EventDraft]]]:
-        if not self.mempool:
+        """Execute, certify and commit the mempool as the next block; None if
+        it is empty, save for block 0.  Block 0's writes are committed state at
+        once, so a contract is active, and a policy in force, for the genesis
+        calls after it; a genesis call that fails, emits an event or leaves an
+        after-commit effect is a ConfigError: there is no bus or run loop yet."""
+        if not self.mempool and self.blocks:
             return None
         txns = tuple(self.mempool)
         self.mempool = []
@@ -606,16 +580,18 @@ class Chain:
         # policies and contract registrations this block executes under.
         # Locks change in place (prepares in one block see each other's), so
         # a rollback restores them from this copy.
-        self._overlay = {}
-        self._overlay_log = []
+        self._overlay = {} if height else self._current
         locks = (dict(self.locks.exact), dict(self.locks.prefix))
-        receipts = []
+        receipts = self._receipts = []
         out_events: list[EventDraft] = []
         # effects outside the ledger, run only once the block commits
         effects: list[Callable[[], None]] = []
         try:
             for idx, txn in enumerate(txns):
                 receipt, events, txn_effects = self._execute(txn, height, idx)
+                if not height and (receipt.status != "ok" or events or txn_effects):
+                    what = receipt.error or "it emits events or after-commit effects"
+                    raise ConfigError(f"genesis call {txn.target_contract}.{txn.method} on {self.chain_id}: {what}")
                 receipts.append(receipt)
                 out_events.extend(events)
                 effects.extend(txn_effects)
@@ -626,7 +602,7 @@ class Chain:
             header = BlockHeader(
                 chain_id=self.chain_id,
                 height=height,
-                prev_digest=self.blocks[-1].header.digest,
+                prev_digest=self.blocks[-1].header.digest if height else ZERO_DIGEST,
                 txn_root=root_of_digests([t.txn_id for t in txns]),
                 state_root=tree.root,
                 tick=tick,
@@ -635,16 +611,13 @@ class Chain:
         except QuorumFailure:
             self.mempool = list(txns) + self.mempool
             self._overlay = None
-            self._overlay_log = []
             self.locks.exact, self.locks.prefix = locks
             raise
 
         # commit: fold the overlay into current state
         self._current.update(self._overlay)
-        self._writes_at.append(tuple(self._overlay_log))
         self._tree = tree
         self._overlay = None
-        self._overlay_log = []
         if self._inbox:  # a block lost to QuorumFailure keeps its events for the retry
             for txn in txns:
                 self._inbox.pop(txn.txn_id, None)
@@ -655,8 +628,6 @@ class Chain:
         self.blocks.append(block)
         for effect in effects:
             effect()
-        if self.observer is not None:
-            self.observer.on_block(self, block)
         return block, out_events
 
     def _execute(
@@ -703,7 +674,6 @@ class Chain:
         version = (height, idx)
         for key, value in ctx.writes.items():
             self._overlay[key] = (value, version)
-            self._overlay_log.append((version, key, value))
         receipt = Receipt(txn.txn_id, "ok", writes=tuple(ctx.writes.items()), xchain_txn=ctx.xchain_txn)
         return receipt, ctx.events, ctx.effects
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -101,27 +101,57 @@ _BEHAVIORS = {
 
 DEFAULT_BROKERS = {"b0": {}, "b1": {}}
 
+# value kinds of the key checks: (test, what the value must be)
+_STR = (lambda v: type(v) is str, "a string")
+_BOOL = (lambda v: type(v) is bool, "true or false")
+_INT = (lambda v: type(v) is int, "an int")
+_COUNT = (lambda v: type(v) is int and v >= 0, "an int >= 0")
+_RATE = (lambda v: type(v) in (int, float) and 0 <= v <= 1, "a number in [0, 1]")
+_ANY = (lambda v: True, "")
+
 # SimConfig fields a scenario sets at its top level
 _TUNABLES = ("latency_jitter", "direct_drop_rate")
-_TOP_KEYS = frozenset(
-    {"seed", "mode", "max_ticks", "scheme", "chain", "broker", "script", "auction", "rates", "balances", *_TUNABLES}
-)
+# the keys of each part of a scenario and their kinds: from_dict checks the
+# top level, build_world and _schedule_script each section they read
+_TOP_KEYS = {
+    "seed": _INT, "max_ticks": _COUNT, "latency_jitter": _COUNT, "direct_drop_rate": _RATE,
+    **dict.fromkeys(("mode", "scheme", "chain", "broker", "script", "auction", "rates", "balances"), _ANY),
+}
+_CHAIN_KEYS = {"n": _INT, "f": _INT, "scheme": _STR, "byzantine": _STR}
+_BROKER_KEYS = {"drop_rate": _RATE, "duplicate_rate": _RATE, "replay_rate": _RATE, "forge": _BOOL}
+_AUCTION_KEYS = {"ticket_chain": _STR, "bidder_chains": _STR, "seller": _STR, "ticket": _STR, "start_limit": _COUNT}
+_SCRIPT_KEYS = {"tick": _COUNT, "action": _STR}
 
-# keys each script action requires; "tick" defaults to 0
-_ACTION_KEYS = {
-    "start_auction": frozenset(),
-    "submit_bid": frozenset({"chain", "user", "amount"}),
-    "conclude": frozenset(),
-    "submit_txn": frozenset({"chain", "contract", "method"}),
-    "set_byzantine": frozenset({"chain", "node"}),
-    "restart_broker": frozenset({"broker"}),
+# per script action: the keys it requires ("tick" defaults to 0), and the keys it reads
+_ACTIONS = {
+    "start_auction": (frozenset(), {"seller": _STR, "ticket": _STR, "auction": _STR, "close_height": _COUNT}),
+    "submit_bid": (
+        frozenset({"chain", "user", "amount"}), {"chain": _STR, "user": _STR, "amount": _INT, "auction": _STR}
+    ),
+    "conclude": (frozenset(), {"auction": _STR, "retries": _COUNT}),
+    "submit_txn": (
+        frozenset({"chain", "contract", "method"}),
+        {"chain": _STR, "contract": _STR, "method": _STR, "caller": _STR, "args": _ANY},
+    ),
+    "set_byzantine": (frozenset({"chain", "node"}), {"chain": _STR, "node": _STR, "behavior": _STR}),
+    "restart_broker": (frozenset({"broker"}), {"broker": _STR}),
 }
 
 
-def _check_int(name: str, value, minimum: Optional[int] = None) -> None:
-    if type(value) is not int or (minimum is not None and value < minimum):
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise ConfigError(f"{name} must be an int{bound}, not {value!r}")
+def _check_value(where: str, key: str, value, kinds: dict) -> None:
+    if key not in kinds:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    test, kind = kinds[key]
+    if not test(value):
+        raise ConfigError(f"{where}: {key} must be {kind}, not {value!r}")
+
+
+def _check_section(where: str, spec, kinds: dict) -> None:
+    """Refuse a section with a key `kinds` does not name or a value not of its kind."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where} must be a section, not {spec!r}")
+    for key, value in spec.items():
+        _check_value(where, key, value, kinds)
 
 
 def _check_node(chain_id: str, n: int, node: str, behavior: str) -> None:
@@ -134,6 +164,8 @@ def _check_node(chain_id: str, n: int, node: str, behavior: str) -> None:
 
 @functools.lru_cache(maxsize=256)  # a sweep repeats a few texts across many scenarios
 def _check_byzantine(chain_id: str, n: int, byz: str) -> None:
+    if type(byz) is not str:
+        raise ConfigError(f"chain {chain_id!r}: byzantine must be a string, not {byz!r}")
     for assignment in byz.split(","):
         node, _, behavior = assignment.partition(":")
         _check_node(chain_id, n, node, behavior)
@@ -150,10 +182,8 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Scenario":
-        if not raw.keys() <= _TOP_KEYS:
-            raise ConfigError(f"unknown top-level key(s): {', '.join(sorted(raw.keys() - _TOP_KEYS))}")
+        _check_section("top level", raw, _TOP_KEYS)
         seed = raw.get("seed", 0)
-        _check_int("seed", seed)
         mode = raw.get("mode", MODE_OCC)
         if mode not in (MODE_OCC, MODE_LOCKS):
             raise ConfigError(f"unknown mode {mode!r}")
@@ -161,11 +191,6 @@ class Scenario:
         if not chains:
             raise ConfigError("scenario defines no chains")
         max_ticks = raw.get("max_ticks", SimConfig.max_ticks)
-        _check_int("max_ticks", max_ticks, 0)
-        _check_int("latency_jitter", raw.get("latency_jitter", 0), 0)
-        rate = raw.get("direct_drop_rate", 0.0)
-        if type(rate) not in (int, float) or not 0 <= rate <= 1:
-            raise ConfigError(f"direct_drop_rate must be a number in [0, 1], not {rate!r}")
         scheme = raw.get("scheme", "hmac")
         for chain_id, spec in chains.items():
             chain_scheme = spec.get("scheme", scheme)
@@ -176,9 +201,9 @@ class Scenario:
         brokers = raw.get("broker", DEFAULT_BROKERS)
         for entry in raw.get("script", []):
             action = entry.get("action")
-            required = _ACTION_KEYS.get(action)
-            if required is None:
+            if action not in _ACTIONS:
                 raise ConfigError(f"unknown script action {action!r} in {entry}")
+            required = _ACTIONS[action][0]
             if not required <= entry.keys():
                 raise ConfigError(f"script action {action!r} lacks {', '.join(sorted(required - entry.keys()))}")
             ref = entry.get("chain")
@@ -192,13 +217,16 @@ class Scenario:
                 raise ConfigError(f"script action {action!r} needs an [auction] section")
         ticks = [e.get("tick", 0) for e in raw.get("script", [])]
         for tick in ticks:
-            _check_int("script tick", tick, 0)
+            _check_value("script", "tick", tick, _SCRIPT_KEYS)
         if ticks != sorted(ticks):
             raise ConfigError("script ticks must be non-decreasing")
         if "auction" in raw:
             spec = raw["auction"]
             referenced = [spec.get("ticket_chain", "tickets")]
-            referenced += [c for c in spec.get("bidder_chains", "").split(",") if c]
+            bidders = spec.get("bidder_chains", "")
+            if type(bidders) is not str:
+                raise ConfigError(f"bidder_chains must be a comma-separated string, not {bidders!r}")
+            referenced += [c for c in bidders.split(",") if c]
             for cid in referenced:
                 if cid not in chains:
                     raise ConfigError(f"auction references unknown chain {cid!r}")
@@ -217,19 +245,30 @@ def build_world(scn: Scenario, log: Optional[RunLog]) -> tuple[Simulation, XTxnE
     )
     sim = Simulation(sim_cfg, log=log)
     auction = raw.get("auction")
+    bidder_chains: list[str] = []
+    if auction is not None:
+        _check_section("[auction]", auction, _AUCTION_KEYS)
+        bidder_chains = [cid for cid in auction.get("bidder_chains", "").split(",") if cid]
+    # rates and balances are read for bidder chains only
+    balances, rates = raw.get("balances", {}), raw.get("rates", {})
+    _check_section("[balances]", balances, dict.fromkeys(bidder_chains, _ANY))
+    for cid, users in balances.items():
+        _check_section(f"[balances.{cid}]", users, dict.fromkeys(users, _COUNT))
+    _check_section("[rates]", rates, dict.fromkeys(bidder_chains, _ANY))
+    rates = {cid: _rate(cid, value) for cid, value in rates.items()}
     genesis = {}
     if auction is not None:
         ticket_chain = auction.get("ticket_chain", "tickets")
-        bidder_chains = [cid for cid in auction.get("bidder_chains", "").split(",") if cid]
         genesis = AuctionApp.genesis(
             ticket_chain,
             bidder_chains,
-            balances={cid: dict(users) for cid, users in raw.get("balances", {}).items()},
+            balances={cid: dict(users) for cid, users in balances.items()},
             tickets={auction.get("ticket", "t1"): auction.get("seller", "alice")},
             start_limit=auction.get("start_limit", 3),
         )
     # sorted iteration: behavior must not depend on config dict order
     for chain_id, spec in sorted(raw["chain"].items()):
+        _check_section(f"[chain.{chain_id}]", spec, _CHAIN_KEYS)
         cfg = ChainConfig(
             chain_id=chain_id,
             n=spec.get("n", 4),
@@ -243,23 +282,25 @@ def build_world(scn: Scenario, log: Optional[RunLog]) -> tuple[Simulation, XTxnE
                 node, behavior = assignment.split(":")
                 chain.byzantine[f"{chain_id}:{node}"] = _BEHAVIORS[behavior]
     brokers = raw.get("broker", DEFAULT_BROKERS)
-    faults = [f.name for f in fields(BrokerFaults)]
     for broker_id, spec in sorted(brokers.items()):
-        sim.add_broker(Broker(broker_id, BrokerFaults(**{name: spec[name] for name in faults if name in spec})))
+        _check_section(f"[broker.{broker_id}]", spec, _BROKER_KEYS)
+        sim.add_broker(Broker(broker_id, BrokerFaults(**spec)))
     engine = XTxnEngine(sim)
 
     app = None
     if auction is not None:
-        rates = {cid: _rate(cid, value) for cid, value in raw.get("rates", {}).items()}
         app = AuctionApp(sim, engine, ticket_chain, bidder_chains, rates)
     return sim, engine, app
 
 
 def _rate(chain_id: str, value) -> Fraction:
     try:
-        return Fraction(value)
+        rate = Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise ConfigError(f"exchange rate for {chain_id!r} is not a rational number: {value!r}") from None
+    if rate <= 0:
+        raise ConfigError(f"exchange rate for {chain_id!r} must be positive, not {value!r}")
+    return rate
 
 
 def _schedule_script(scn: Scenario, sim: Simulation, engine: XTxnEngine, app, outcomes: list):
@@ -314,6 +355,8 @@ def _schedule_script(scn: Scenario, sim: Simulation, engine: XTxnEngine, app, ou
         return lambda: broker.restart(sim.tick)
 
     for entry in raw.get("script", []):
+        where = f"script action {entry['action']!r} at tick {entry.get('tick', 0)}"
+        _check_section(where, entry, {**_SCRIPT_KEYS, **_ACTIONS[entry["action"]][1]})
         sim.call_at(entry.get("tick", 0), make_action(entry))
 
 

@@ -8,7 +8,9 @@ order is documented at the drawing sites; the per-tick phase order is:
     2. ready tasks                 5. ready tasks again
     3. block production + events (each signed, batched, published at once)
 
-Chains are stepped in creation order throughout.  The run loops
+Chains are stepped in creation order throughout.  The run log gets block 0
+from add_chain and each later block from step(), once produce_block returns
+it: after the lock and xtxn records of its commit effects.  The run loops
 (run_until_quiescent, pump) jump the clock over ticks at which none of these
 phases has work, so a skipped tick is one at which step() would do nothing.
 """
@@ -216,7 +218,6 @@ class Simulation:
         if cfg.chain_id in self.chains:
             raise ConfigError(f"duplicate chain id {cfg.chain_id}")
         chain = Chain(cfg, contracts, calls)
-        chain.observer = self
         self.chains[cfg.chain_id] = chain
         self.chain_order.append(cfg.chain_id)
         self.gateways[cfg.chain_id] = Gateway(cfg.chain_id, cfg.f, self.registry)
@@ -227,7 +228,7 @@ class Simulation:
             chain.verify_keys,
             chain.scheme,
         )
-        self.on_block(chain, chain.blocks[0])
+        self._log_block(chain, chain.blocks[0])
         return chain
 
     def add_broker(self, broker: Broker) -> Broker:
@@ -285,13 +286,12 @@ class Simulation:
             chain = self.chains[chain_id]
             if chain.mempool:
                 try:
-                    produced = chain.produce_block(tick=now)
+                    block, drafts = chain.produce_block(tick=now)
                 except QuorumFailure:
                     self.meter.quorum_failures += 1
                     continue
-                if produced:
-                    _, drafts = produced
-                    self._emit_drafts(chain, drafts)
+                self._log_block(chain, block)
+                self._emit_drafts(chain, drafts)
         for chain_id in self.chain_order:
             self._deliver(chain_id)
         if self.tasks:
@@ -344,8 +344,8 @@ class Simulation:
 
     # ------------------------------------------------- event emission path
 
-    def on_block(self, chain: Chain, block) -> None:
-        """Chain observer hook: record the block for audit/replay."""
+    def _log_block(self, chain: Chain, block) -> None:
+        """Record a committed block for audit/replay."""
         if self.log is None:
             return
         from .runlog import value_to_jsonable
@@ -438,13 +438,17 @@ class Simulation:
             self.handoff.pop(raw, None)  # a copy still queued is verified on arrival
             self._log_giveup(event, "publish", [b.broker_id for b in unacked])
 
+    def record(self, kind: str, **fields) -> None:
+        """Add a record to the run log, if the simulation keeps one."""
+        if self.log is not None:
+            self.log.record(kind, **fields)
+
     def _log_giveup(self, event: Event, stage: str, brokers: list[str]) -> None:
         """Log an event the bus stops sending: never batched, or never acknowledged."""
-        if self.log is not None:
-            self.log.record(
-                "giveup", tick=self.tick, source_chain=event.source_chain, nonce=event.nonce,
-                dest_chain=event.dest_chain, stage=stage, brokers=brokers,
-            )
+        self.record(
+            "giveup", tick=self.tick, source_chain=event.source_chain, nonce=event.nonce,
+            dest_chain=event.dest_chain, stage=stage, brokers=brokers,
+        )
 
     # ------------------------------------------------------- delivery path
 
@@ -467,19 +471,13 @@ class Simulation:
                 batch = self.handoff.get(raw) or verify_batch(raw, self.registry)
                 if batch is None:
                     self.meter.rejected_sig += 1
-                    if self.log is not None:
-                        self.log.record(
-                            "deliver", chain=chain_id, result="rejected_sig"
-                        )
+                    self.record("deliver", chain=chain_id, result="rejected_sig")
                     continue
                 event = batch.event
                 if event.dest_chain != chain_id:
                     # a broker misrouted the batch onto the wrong topic
                     self.meter.rejected_sig += 1
-                    if self.log is not None:
-                        self.log.record(
-                            "deliver", chain=chain_id, result="misrouted"
-                        )
+                    self.record("deliver", chain=chain_id, result="misrouted")
                     continue
                 self.handoff.pop(raw, None)
                 dedupe.verified[raw] = (event.source_chain, event.nonce)
@@ -487,28 +485,15 @@ class Simulation:
                     self._reject_duplicate(chain_id, event.source_chain, event.nonce)
                     continue
                 self.meter.delivered += 1
-                if self.log is not None:
-                    self.log.record(
-                        "deliver",
-                        chain=chain_id,
-                        source_chain=event.source_chain,
-                        nonce=event.nonce,
-                        event_kind=event.kind,
-                        dest_contract=event.dest_contract,
-                        result="accepted",
-                    )
+                self.record(
+                    "deliver", chain=chain_id, source_chain=event.source_chain, nonce=event.nonce,
+                    event_kind=event.kind, dest_contract=event.dest_contract, result="accepted",
+                )
                 chain.enqueue_inbox_event(event)
 
     def _reject_duplicate(self, chain_id: str, source_chain: str, nonce: int) -> None:
         self.meter.rejected_dup += 1
-        if self.log is not None:
-            self.log.record(
-                "deliver",
-                chain=chain_id,
-                source_chain=source_chain,
-                nonce=nonce,
-                result="duplicate",
-            )
+        self.record("deliver", chain=chain_id, source_chain=source_chain, nonce=nonce, result="duplicate")
 
     # ------------------------------------------------ direct req/resp path
 

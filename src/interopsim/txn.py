@@ -319,9 +319,8 @@ class XTxnEngine:
                 raise StaleQuorum("storage-path response lacks a valid signature")
             chain = self.sim.chains[req.target_chain]
             root = chain.state_root_at(resp.anchor_height)
-            cert = chain.cert_at(resp.anchor_height)
-            header_digest = chain.header_at(resp.anchor_height).digest
-            if registry.count_valid(req.target_chain, header_digest, cert.signatures) < 2 * f + 1:
+            block = chain.blocks[resp.anchor_height]
+            if registry.count_valid(req.target_chain, block.header.digest, block.cert.signatures) < 2 * f + 1:
                 raise ProofInvalid("anchor block certificate invalid")
             if proof.root_height != resp.anchor_height:
                 raise ProofInvalid("proof anchored to a different height")
@@ -832,8 +831,7 @@ class XTxnEngine:
     # ------------------------------------------------------------ logging
 
     def _log_lock(self, chain_id: str, op: str, key: str, owner: str) -> None:
-        if self.sim.log is not None:
-            self.sim.log.record("lock", chain=chain_id, op=op, key=key, owner=owner)
+        self.sim.record("lock", chain=chain_id, op=op, key=key, owner=owner)
 
     def _log_xtxn(self, t: XTxn, decision: str) -> None:
         if self.sim.log is None:

@@ -12,6 +12,7 @@ from interopsim.chain import (
     Chain,
     ChainConfig,
     Contract,
+    LockTable,
     Receipt,
     Transaction,
 )
@@ -28,6 +29,7 @@ from interopsim.errors import (
     UnknownContract,
 )
 from interopsim.merkle import EMPTY_ROOT, MEMBERSHIP, MerkleMap, verify_proof
+from interopsim.runlog import RunLog
 from interopsim.sim import Simulation
 from interopsim.values import digest, encode_record
 
@@ -251,6 +253,33 @@ def test_genesis_contract_ids_are_checked_like_register_contract(cid, error):
     assert "alpha" not in sim.chains
 
 
+@pytest.mark.parametrize("flags", [
+    {"alpha:node0": Behavior.SILENT, "alpha:node1": Behavior.SILENT},
+    {"alpha:node0": Behavior.SILENT, "alpha:node3": Behavior.EQUIVOCATE},
+])
+def test_more_than_f_faulty_flags_are_a_config_error(flags):
+    with pytest.raises(ConfigError, match="more than f=1"):
+        mk_chain(byzantine=flags)
+    with pytest.raises(ConfigError, match="more than f=1"):
+        Simulation(log=None).add_chain(ChainConfig(chain_id="alpha", n=4, f=1, byzantine=flags))
+    # a flag that names honest behaviour is no fault
+    mk_chain(byzantine={"alpha:node0": Behavior.SILENT, "alpha:node1": Behavior.HONEST})
+
+
+@pytest.mark.parametrize("behavior", [Behavior.SILENT, Behavior.EQUIVOCATE])
+def test_block_0_is_certified_under_the_config_flags(behavior):
+    # f = 2 flagged nodes of 7; block 0 is certified like every block, by the others
+    flagged = {"alpha:node1": behavior, "alpha:node5": behavior}
+    cfg = ChainConfig(chain_id="alpha", n=7, f=2, byzantine=flagged)
+    ch = Chain(cfg, [KvContract()], [("sys", "kv", "set", ["x", 5])])
+    genesis = ch.blocks[0]
+    assert genesis.header.prev_digest == b"\x00" * 32 and genesis.cert.header_digest == genesis.header.digest
+    signers = [node_id for node_id, _ in genesis.cert.signatures]
+    assert signers == [node_id for node_id in ch.cfg.node_ids() if node_id not in flagged]
+    for node_id, sig in genesis.cert.signatures:
+        assert ch.scheme.verify(ch.verify_keys[node_id], genesis.header.digest, sig)
+
+
 def test_submit_transaction_examples():
     ch = ready_kv(mk_chain())
     txn = Transaction("alpha", "alice", "kv", "set", ("x", 1), nonce=7)
@@ -328,10 +357,26 @@ def test_quorum_failure_restores_mempool():
     assert block.receipts[0].status == "ok"
 
 
+@pytest.mark.parametrize(
+    "prefix, conflicts",
+    [("kv.a", True), ("kv.ab", True), ("kv.", True), ("", True), ("kv.b", False), ("kv.aa", False)],
+    ids=["equal", "extends", "extended-by", "everything", "disjoint", "sibling"],
+)
+def test_prefix_locks_of_two_owners_conflict_when_one_prefix_covers_the_other(prefix, conflicts):
+    locks = LockTable()
+    assert locks.try_lock_prefix("kv.ab", "t1")
+    assert not locks.prefix_conflicts(prefix, "t1")  # an owner never conflicts with itself
+    assert locks.prefix_conflicts(prefix, "t2") is conflicts
+    assert locks.try_lock_prefix(prefix, "t2") is not conflicts
+    locks.release_owner("t1")
+    assert locks.try_lock_prefix(prefix, "t2")
+
+
 def test_quorum_failure_drops_after_commit_effects_and_restores_locks():
-    ch = ready_kv(mk_chain(chain_id="x"))
+    sim = Simulation(log=RunLog())
+    ch = ready_kv(sim.add_chain(ChainConfig(chain_id="x", n=4, f=1)))
     ch.locks.try_lock("kv.held", "t0")
-    ran, seen = [], []
+    ran = []
 
     def handler(ctx):
         chain, txn = ctx.chain, ctx.txn
@@ -339,13 +384,9 @@ def test_quorum_failure_drops_after_commit_effects_and_restores_locks():
         chain.locks.try_lock(f"kv.{txn.args[0]}", "t1")
         chain.locks.try_lock_prefix("kv.p.", "t1")
         ctx.after_commit(lambda: ran.append((txn.args[0], chain.height)))
-
-    class Observer:
-        def on_block(self, chain, block):
-            seen.append(list(ran))
+        ctx.after_commit(lambda: sim.log.record("effect", height=chain.height))
 
     ch.system_handlers["sys.test"] = handler
-    ch.observer = Observer()
     ch.submit_call("sys", "sys.test", "go", ["a"])
     ch.byzantine.update({"x:node1": Behavior.SILENT, "x:node2": Behavior.SILENT})
     with pytest.raises(QuorumFailure):
@@ -353,10 +394,10 @@ def test_quorum_failure_drops_after_commit_effects_and_restores_locks():
     assert ran == []
     assert (ch.locks.exact, ch.locks.prefix) == ({"kv.held": "t0"}, {})
     ch.byzantine.clear()
-    ch.produce_block(tick=1)
-    # effects run once, after the block is appended and before observers hear of it
+    sim.step()
+    # effects run once, after the block is appended and before the run log records it
     assert ran == [("a", 2)]
-    assert seen == [[("a", 2)]]
+    assert [(r["kind"], r["height"]) for r in sim.log.records[-2:]] == [("effect", 2), ("block", 2)]
     assert (ch.locks.exact, ch.locks.prefix) == ({"kv.a": "t1"}, {"kv.p.": "t1"})
     set_kv(ch, "alice", "b", 1)
     assert ran == [("a", 2)]
@@ -663,13 +704,13 @@ def test_each_block_header_hashed_once(monkeypatch):
     ch = ready_kv(mk_chain())
     for i in range(4):
         set_kv(ch, "alice", "k", i)
-        assert ch.header_at(ch.height).digest  # as a read check reads it
+        assert ch.blocks[ch.height].header.digest  # as a read check reads it
     headers = [encode_record(b.header) for b in ch.blocks[1:]]
     # certified, linked to by the next block and read back: one hash each
     assert Counter(data for data in hashed if data in headers) == Counter(headers)
     for h in range(1, ch.height + 1):
         header = ch.blocks[h].header
-        assert header.digest == digest(encode_record(header)) == ch.cert_at(h).header_digest
+        assert header.digest == digest(encode_record(header)) == ch.blocks[h].cert.header_digest
 
 # ------------------------------------------------------------ txn ids
 
@@ -716,11 +757,11 @@ def test_produced_block_bytes_unchanged():
     assert block.header.digest.hex() == expected
 
 
-def reference_signatures(chain, message, honest=False):
+def reference_signatures(chain, message):
     """Each node in turn, its key looked up and signed with, per its behavior."""
     sigs = []
     for node_id in chain.cfg.node_ids():
-        behavior = Behavior.HONEST if honest else chain.byzantine.get(node_id, Behavior.HONEST)
+        behavior = chain.byzantine.get(node_id, Behavior.HONEST)
         if behavior == Behavior.SILENT:
             continue
         target = bytes(b ^ 0xFF for b in message) if behavior == Behavior.EQUIVOCATE else message
@@ -736,15 +777,15 @@ def test_node_signatures_match_a_per_node_reference(scheme, n, f, behavior):
     chain = Chain(cfg)
     message = digest(b"block")
     assert chain.node_signatures(message) == reference_signatures(chain, message)
-    honest = chain.node_signatures(message, honest=True)
-    assert honest == reference_signatures(chain, message, honest=True)
-    assert [node_id for node_id, _ in honest] == cfg.node_ids()
     # a behavior set at run time, as the scenario action set_byzantine does
     chain.byzantine[f"alpha:node{n - 1}"] = Behavior.SILENT
     chain.byzantine["alpha:node0"] = Behavior.EQUIVOCATE
     assert chain.node_signatures(message) == reference_signatures(chain, message)
+    # cleared flags: every node signs the message itself, in node order
     chain.byzantine.clear()
-    assert chain.node_signatures(message) == honest
+    honest = chain.node_signatures(message)
+    assert honest == reference_signatures(chain, message)
+    assert [node_id for node_id, _ in honest] == cfg.node_ids()
 
 
 def test_fault_free_block_computes_each_mac_once(monkeypatch):

@@ -8,6 +8,7 @@ from interopsim.audit import audit_records, audit_run
 from interopsim.cli import main as simctl
 from interopsim.errors import ConfigError, CorruptLog
 from interopsim.fixtures import scenario_path
+from interopsim.metrics import RunMetrics
 from interopsim.runlog import RunLog, load_log
 from interopsim.scenario import (
     DEFAULT_BROKERS,
@@ -17,6 +18,9 @@ from interopsim.scenario import (
     parse_scenario_text,
     run_scenario,
 )
+from interopsim.txn import Committed, MiniTxn
+
+from harness import World
 
 
 BROKER_RESTART = Path(__file__).parent / "scenarios" / "broker_restart.scn"
@@ -184,6 +188,20 @@ _FIXTURE_APPEND = '\n[[script]]\ntick = 30\n'
         lambda text: text.replace('coinb = "1/2"', 'coinb = "half"'),
         lambda text: text.replace("tick = 10\n", 'tick = "late"\n'),
         lambda text: text.replace("tick = 2\n", "tick = -1\n"),
+        # every section value is checked where the world is built or the script scheduled
+        lambda text: text.replace("[broker.b1]\ndrop_rate = 0.0", '[broker.b1]\ndrop_rate = "high"'),
+        lambda text: text.replace('bidder_chains = "coinb,coinc"', "bidder_chains = 5"),
+        lambda text: text.replace('coinb = "1/2"', 'coinb = "-1/2"'),
+        lambda text: text.replace("bob = 100", 'bob = "lots"'),
+        lambda text: text.replace("amount = 40", 'amount = "x"'),
+        lambda text: text.replace("[broker.b1]\n", '[broker.b1]\nforge = "yes"\n'),
+        lambda text: text.replace('action = "conclude"\n', 'action = "conclude"\nretries = "many"\n'),
+        lambda text: text.replace("close_height = 200", 'close_height = "soon"'),
+        # misspelt keys must not run with the default
+        lambda text: text.replace("[broker.b1]\n", "[broker.b1]\ndrop_rat = 0.5\n"),
+        lambda text: text.replace("[chain.coinb]\n", "[chain.coinb]\ndrop_rat = 0.5\n"),
+        lambda text: text.replace("[chain.coinb]\nn = 4", "[chain.coinb]\nnn = 4"),
+        lambda text: text.replace('seller = "alice"', 'seler = "alice"'),
     ],
     ids=[
         "unknown_behavior", "restart_broker_without_broker", "byzantine_without_colon",
@@ -191,6 +209,9 @@ _FIXTURE_APPEND = '\n[[script]]\ntick = 30\n'
         "negative_latency_jitter", "str_direct_drop_rate", "direct_drop_rate_above_one", "str_max_ticks",
         "str_seed", "bool_seed", "unknown_scheme", "str_chain_n", "f_too_large_for_n", "str_rate",
         "str_script_tick", "negative_script_tick",
+        "str_broker_drop_rate", "int_bidder_chains", "negative_rate", "str_balance", "str_bid_amount",
+        "str_forge", "str_retries", "str_close_height",
+        "misspelt_broker_key", "unknown_chain_key", "misspelt_chain_n", "misspelt_auction_seller",
     ],
 )
 def test_cli_malformed_scenario_is_a_config_error(tmp_path, capsys, edit):
@@ -446,6 +467,85 @@ def test_audit_detects_injected_orphan_write(tmp_path):
     atomicity = next(c for c in report.checks if c.name == "atomicity")
     assert not atomicity.passed
     assert target_txn in atomicity.detail
+
+
+def _audit_check(records, name):
+    return next(c for c in audit_records(records).checks if c.name == name)
+
+
+def test_audit_detects_a_duplicated_delivery():
+    _, log = run_scenario(auction_scn())
+    assert _audit_check(log.records, "at_most_once").passed
+    records = copy.deepcopy(log.records)
+    i, accepted = next(
+        (i, r) for i, r in enumerate(records) if r["kind"] == "deliver" and r["result"] == "accepted"
+    )
+    records.insert(i + 1, dict(accepted))
+    check = _audit_check(records, "at_most_once")
+    assert not check.passed
+    assert check.detail == f"duplicate accept {(accepted['chain'], accepted['source_chain'], accepted['nonce'])}"
+
+
+def _clear_bid(records, chain, user):
+    """Clear `user`'s bid on `chain` in the block transaction that placed it."""
+    key = f"Bidder.bids.{user}"
+    for rec in records:
+        if rec["kind"] == "block" and rec["chain"] == chain:
+            for txn in rec["txns"]:
+                if any(k == key and v is not None for k, v in txn["writes"]):
+                    txn["writes"].append([key, None])
+                    return
+    raise AssertionError(f"no bid by {user} on {chain}")
+
+
+def _rewrite_winner(records):
+    (settlement,) = [r for r in records if r["kind"] == "xtxn" and r["decision"] == "commit"]
+    for write in settlement["writes"]:
+        if write[1].endswith(".winner_chain"):
+            write[2] = "coinb"
+        elif write[1].endswith(".winner_user"):
+            write[2] = "bob"
+
+
+@pytest.mark.parametrize(
+    "mutate, detail",
+    [
+        (_rewrite_winner, "recorded winner coinb:bob, re-scan says coinc:carol"),
+        (lambda records: _clear_bid(records, "coinc", "carol"), "recorded winner coinc:carol, re-scan says coinb:bob"),
+        (
+            lambda records: (_clear_bid(records, "coinb", "bob"), _clear_bid(records, "coinc", "carol")),
+            "no bids found for recorded winner",
+        ),
+    ],
+    ids=["rewritten_winner", "cleared_winning_bid", "every_bid_cleared"],
+)
+def test_audit_detects_a_wrong_winner(mutate, detail):
+    # the packaged auction: carol's 40 at 3/2 beats bob's 100 at 1/2
+    _, log = run_scenario(auction_scn())
+    assert _audit_check(log.records, "winner_correctness").passed
+    records = copy.deepcopy(log.records)
+    mutate(records)
+    check = _audit_check(records, "winner_correctness")
+    assert not check.passed
+    assert detail in check.detail
+
+
+def test_audit_detects_a_mini_transaction_over_two_round_trips():
+    # no scenario scripts a mini-transaction: a harness world runs one, and
+    # the final record carries the metrics as run_scenario writes them
+    w = World()
+    result = w.engine.execute_minitxn("alpha", MiniTxn((), (), (("alpha", "kv.x", 1), ("beta", "kv.y", 2))))
+    assert isinstance(result, Committed)
+    w.settle()
+    w.sim.log.record("final", locks={}, metrics=RunMetrics.from_sim(w.sim, 0, "", "ok", []).to_dict())
+    records = copy.deepcopy(w.sim.log.records)
+    check = _audit_check(records, "mini_round_trips")
+    assert check.passed and check.detail == "1 committed mini-txns at exactly 2"
+    (txid,) = [r["txn"] for r in records if r["kind"] == "xtxn" and r["type"] == "mini"]
+    records[-1]["metrics"]["round_trips"][txid] = 3
+    check = _audit_check(records, "mini_round_trips")
+    assert not check.passed
+    assert check.detail == f"{txid}: 3 round trips"
 
 
 def test_audit_detects_conservation_violation(tmp_path):

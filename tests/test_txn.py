@@ -554,6 +554,40 @@ def test_a_held_prefix_lock_blocks_a_key_read_until_its_holder_commits():
     assert w.locks_empty()
 
 
+def test_a_held_prefix_lock_blocks_an_enclosing_prefix_read_until_its_holder_commits(monkeypatch):
+    # t1's prefix lock on kv.a extends t2's prefix kv.: beta answers t2 locked
+    w = World()
+    w.set_kv("beta", "ab", 1)
+    beta = w.chains["beta"]
+    statuses = []
+    verify = w.engine.verify_response
+
+    def spy(req, raw):
+        resp = verify(req, raw)
+        if req.method == "__prefix__":
+            statuses.append((req.key, resp.status))
+        return resp
+
+    monkeypatch.setattr(w.engine, "verify_response", spy)
+    t1 = w.engine.begin_general("alpha", MODE_LOCKS)
+    assert [(key, value) for key, value, _ in w.sim.pump(w.engine.txn_read_prefix_async(t1, "beta", "kv.a"))] == [
+        ("kv.ab", 1)
+    ]
+    t2 = w.engine.begin_general("alpha", MODE_LOCKS)
+    rows = w.engine.txn_read_prefix_async(t2, "beta", "kv.")
+    _pending_for(w, rows)
+    assert beta.locks.prefix == {"kv.a": t1.txn_id}
+    assert statuses[0] == ("kv.a", "ok") and set(statuses[1:]) == {("kv.", "locked")}
+    w.engine.txn_write(t1, "beta", "kv.ab", 2)
+    assert isinstance(w.engine.txn_commit(t1), Committed)
+    assert [(key, value) for key, value, _ in w.sim.pump(rows)] == [("kv.ab", 2)]
+    assert statuses[-1] == ("kv.", "ok")
+    assert beta.locks.prefix == {"kv.": t2.txn_id}
+    assert isinstance(w.engine.txn_commit(t2), Committed)
+    w.settle()
+    assert w.locks_empty()
+
+
 def test_an_abort_after_a_lock_timeout_submits_no_second_decide(monkeypatch):
     # the read that times out aborts t2; an agent that then aborts on any read
     # error (as tests/oracles.py's gt_agent does) adds no second decide
@@ -1081,6 +1115,39 @@ def test_restarted_engine_finishes_a_prepared_transaction_from_the_ledger():
     ]
     decided = next(i for i, (_, keys) in enumerate(alpha_txns) if f"sys.2pc.{txid}.decision" in keys)
     assert [method for method, _ in alpha_txns[decided + 1 :] if method == "decide"] == []
+
+
+@pytest.mark.parametrize("mode", [MODE_OCC, MODE_LOCKS])
+def test_a_poll_that_finds_the_coordinator_undecided_polls_again(mode, monkeypatch):
+    # every bus copy is lost once beta holds the prepare: its yes vote never
+    # reaches alpha, whose VoteTimeout abort comes after beta's first poll;
+    # beta learns the abort, and drops its locks, through a later poll
+    w = World()
+    w.set_kv("beta", "x", 5)
+    alpha, beta = w.chains["alpha"], w.chains["beta"]
+    t = w.engine.begin_general("alpha", mode)
+    w.engine.txn_read(t, "beta", "kv.x")
+    w.engine.txn_write(t, "beta", "kv.y", 1)
+    fut = w.engine.txn_commit_async(t)
+    while not any(txn.method == "__event__" for txn in beta.mempool):
+        w.sim.step()
+    for broker in w.sim.brokers:
+        broker.faults.drop_rate = 1.0
+    decision = f"sys.2pc.{t.txn_id}.decision"
+    polls = []
+    poll = w.engine._poll_decision
+
+    def spy(txid, chain_id, coordinator):
+        polls.append((w.sim.tick, alpha.read_state(decision)))
+        poll(txid, chain_id, coordinator)
+
+    monkeypatch.setattr(w.engine, "_poll_decision", spy)
+    assert w.sim.pump(fut) == Aborted("VoteTimeout")
+    w.settle()
+    assert polls[0][1] is None and polls[-1][1] == "abort" and len(polls) >= 2
+    assert beta.read_state(f"sys.applied.{t.txn_id}") == "abort"
+    assert w.kv("beta", "y") is None
+    assert w.locks_empty()
 
 
 def test_a_participant_that_never_hears_the_decide_applies_it_through_a_poll():
