@@ -361,6 +361,11 @@ def _schedule_script(scn: Scenario, sim: Simulation, engine: XTxnEngine, app, ou
 
 
 def run_scenario(scn: Scenario, log: Optional[RunLog] = None) -> tuple[RunMetrics, Optional[RunLog]]:
+    """Build the scenario's world, run it to quiescence or max_ticks, log `final`.
+
+    The world is closed once `final` is written (Simulation.close), so it is
+    freed by reference counting when this returns; only the metrics and the
+    log outlive the run."""
     if log is None:
         log = RunLog()
     log.record("meta", seed=scn.seed, mode=scn.mode, scenario=scn.raw)
@@ -383,4 +388,5 @@ def run_scenario(scn: Scenario, log: Optional[RunLog] = None) -> tuple[RunMetric
         rates={k: str(v) for k, v in (app.rates.items() if app else {})},
         metrics=metrics.to_dict(),
     )
+    sim.close()
     return metrics, log

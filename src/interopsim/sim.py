@@ -13,6 +13,15 @@ from add_chain and each later block from step(), once produce_block returns
 it: after the lock and xtxn records of its commit effects.  The run loops
 (run_until_quiescent, pump) jump the clock over ticks at which none of these
 phases has work, so a skipped tick is one at which step() would do nothing.
+
+A world's lifetime: pending timers and tasks, direct handlers and chain
+system handlers can each lead back to the world (a closure over it, a bound
+method of its engine), so a running world is a reference cycle.  close()
+drops them; nothing else in a world refers back to it, so a closed world is
+freed by reference counting once its last outside reference goes.
+run_scenario closes the world it builds.  A world built by hand and never
+closed, such as tests/harness.World or perfbench's kv_world, is freed by
+the cycle collector.
 """
 
 from __future__ import annotations
@@ -125,7 +134,7 @@ class _Exchange:
     target_chain: str
     payload: bytes
     fut: Future
-    retry: Optional[tuple] = None
+    retry: Optional[tuple[int, int]] = None
 
 
 class MessageMeter:
@@ -135,8 +144,8 @@ class MessageMeter:
     each retransmit round to the brokers that have not acknowledged it.
     """
 
-    def __init__(self, sim: "Simulation"):
-        self._sim = sim
+    def __init__(self, brokers: list[Broker]):
+        self._brokers = brokers  # the simulation's live list, not a copy
         self.sent = 0
         self.delivered = 0
         self.rejected_sig = 0
@@ -149,7 +158,7 @@ class MessageMeter:
         self.aborts: dict[str, int] = {}
 
     def _brokers_total(self, name: str) -> int:
-        return sum(broker.metrics[name] for broker in self._sim.brokers)
+        return sum(broker.metrics[name] for broker in self._brokers)
 
     @property
     def dropped(self) -> int:
@@ -200,7 +209,7 @@ class Simulation:
         self.dedupe: dict[str, InboxDedupe] = {}
         # wire bytes -> the batch a gateway formed from them, until delivered
         self.handoff: dict[bytes, SignedEventBatch] = {}
-        self.meter = MessageMeter(self)
+        self.meter = MessageMeter(self.brokers)
         self.log = log
         self.tasks: list[Task] = []
         self._timers: list[tuple[int, int, Callable]] = []
@@ -242,21 +251,25 @@ class Simulation:
         self.tasks.append(task)
         return task
 
-    def call_at(self, tick: int, fn: Callable) -> tuple:
-        """Arm `fn` for `tick`; returns the timer, for `cancel`."""
+    def call_at(self, tick: int, fn: Callable) -> tuple[int, int]:
+        """Arm `fn` for `tick`; returns the timer's (tick, seq), for `cancel`.
+
+        The handle holds no `fn`, so a caller that keeps it keeps no closure."""
         self._timer_seq += 1
-        timer = (max(tick, self.tick), self._timer_seq, fn)
-        heapq.heappush(self._timers, timer)
+        timer = (max(tick, self.tick), self._timer_seq)
+        heapq.heappush(self._timers, (*timer, fn))
         return timer
 
-    def call_later(self, delay: int, fn: Callable) -> tuple:
+    def call_later(self, delay: int, fn: Callable) -> tuple[int, int]:
         return self.call_at(self.tick + max(1, delay), fn)
 
-    def cancel(self, timer: Optional[tuple]) -> None:
+    def cancel(self, timer: Optional[tuple[int, int]]) -> None:
         """Drop an armed timer; one that fired already is left alone."""
-        if timer in self._timers:  # (tick, seq) is unique, so == stops there
-            self._timers.remove(timer)
-            heapq.heapify(self._timers)
+        for i, (tick, seq, _) in enumerate(self._timers):
+            if (tick, seq) == timer:  # (tick, seq) is unique
+                del self._timers[i]
+                heapq.heapify(self._timers)
+                return
 
     def sleep(self, delay: int) -> Future:
         fut = Future()
@@ -341,6 +354,16 @@ class Simulation:
                 raise MaxTicksExceeded(f"future pending at tick {self.tick}")
             self.step()
         return future.result()
+
+    def close(self) -> None:
+        """End the world: drop its pending timers and tasks and every handler
+        registered on it or on its chains, the references that lead back to
+        it (see the module docstring).  A closed world runs no more."""
+        self._timers.clear()
+        self.tasks.clear()
+        self.direct_handlers.clear()
+        for chain in self.chains.values():
+            chain.system_handlers.clear()
 
     # ------------------------------------------------- event emission path
 

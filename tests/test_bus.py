@@ -517,6 +517,18 @@ def test_meter_fault_counts_sum_the_brokers():
     assert lossy.sim.meter.dropped > 0
 
 
+def test_meter_counts_a_broker_added_after_it_was_built():
+    # the meter sums the simulation's live broker list, not the brokers it
+    # saw when it was built
+    w = World(n_brokers=1, seed=3)
+    emit_via_contract(w, value=b"before")
+    late = w.sim.add_broker(Broker("late", BrokerFaults(drop_rate=0.5, duplicate_rate=1.0, replay_rate=0.5)))
+    for i in range(4):
+        emit_via_contract(w, value=b"after %d" % i)
+    for name in ("dropped", "duplicated", "replayed"):
+        assert getattr(w.sim.meter, name) == late.metrics[name] > 0
+
+
 def test_signed_batch_encoded_once():
     w = World(duplicate=1.0, replay=0.5, seed=3)
     e = sample_event(nonce=555)

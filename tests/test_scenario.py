@@ -1,9 +1,12 @@
 import copy
+import itertools
 import json
+import weakref
 from pathlib import Path
 
 import pytest
 
+import interopsim.scenario as scenario_module
 from interopsim.audit import audit_records, audit_run
 from interopsim.cli import main as simctl
 from interopsim.errors import ConfigError, CorruptLog
@@ -21,6 +24,7 @@ from interopsim.scenario import (
 from interopsim.txn import Committed, MiniTxn
 
 from harness import World
+from test_sim import demo_auction
 
 
 BROKER_RESTART = Path(__file__).parent / "scenarios" / "broker_restart.scn"
@@ -428,6 +432,36 @@ def test_run_log_opens_each_chain_with_its_genesis_block():
         assert rec["state_root"] == sim.chains[cid].blocks[0].header.state_root.hex()
     genesis_writes = [key for txn in first["coinb"]["txns"] for key, _ in txn["writes"]]
     assert "Bidder.balance.bob" in genesis_writes and "sys.policy.Bidder" in genesis_writes
+
+
+def test_run_scenario_frees_its_world_without_the_collector(monkeypatch, collector_off):
+    # once run_scenario returns, its world is freed by reference counting:
+    # nothing in it still refers back to it, even in a run cut off at max_ticks
+    worlds = []
+
+    def capture(scn, log):
+        world = build_world(scn, log)
+        worlds.append(weakref.ref(world[0]))  # the engine and app hold the sim
+        return world
+
+    monkeypatch.setattr(scenario_module, "build_world", capture)
+    base = load_scenario(str(scenario_path("auction")))
+    checked = 0
+    sweep = itertools.product((0.0, 0.3), range(10), ("occ", "locks"), (0.0, 0.1, 0.3))
+    for direct_drop, seed, mode, drop in sweep:
+        raw = copy.deepcopy(base)
+        raw.update(seed=seed, mode=mode, direct_drop_rate=direct_drop)
+        for spec in raw["broker"].values():
+            spec.update(drop_rate=drop, duplicate_rate=0.1, replay_rate=0.1)
+        metrics, _ = run_scenario(Scenario.from_dict(raw))
+        # a conclude ending in error keeps its exception, whose traceback
+        # leads back to the world: that run is left to the collector
+        if all(outcome["status"] != "error" for outcome in metrics.outcomes):
+            assert worlds[-1]() is None, f"direct drop {direct_drop}, seed {seed}, {mode}, drop {drop}"
+            checked += 1
+    assert checked > 100
+    assert demo_auction(max_ticks=30)[0] == "max_ticks"
+    assert worlds[-1]() is None
 
 
 # ------------------------------------------------------------------- audit

@@ -1,5 +1,8 @@
 """Simulation kernel: timers, tasks, and the direct channel."""
 
+import gc
+import itertools
+
 import pytest
 
 import interopsim.sim as sim_module
@@ -108,6 +111,30 @@ def test_direct_channel_gives_up_after_retry_budget(monkeypatch):
     sim.direct_handlers["svc"] = lambda payload, tick: payload
     fut = sim.direct_request("svc", b"m")
     assert sim.pump(fut, max_ticks=2000) is None
+
+
+@pytest.mark.parametrize(
+    "fates,answer",
+    [
+        ((), b"m!"),  # answered at once
+        ((False, True), b"m!"),  # the first response is lost; the retry is answered
+        (itertools.repeat(True), None),  # every request is lost: DIRECT_RETRIES used up
+    ],
+    ids=["at_once", "after_a_retry", "out_of_retries"],
+)
+def test_a_finished_exchange_leaves_no_cycle(monkeypatch, collector_off, fates, answer):
+    # a finished exchange is freed by reference counting: no timer closure
+    # stays reachable from it after it resolves or gives up
+    monkeypatch.setattr(sim_module, "DIRECT_TIMEOUT", 4)
+    sim = Simulation(SimConfig(seed=3))
+    sim.direct_handlers["svc"] = lambda payload, tick: payload + b"!"
+    fates = iter(fates)
+    sim._direct_dropped = lambda: next(fates, False)
+    fut = sim.direct_request("svc", b"m")
+    assert sim.pump(fut, max_ticks=2000) == answer
+    assert sim.quiescent()
+    del fut
+    assert gc.collect() == 0
 
 
 # ------------------------------------------- idle ticks skipped, not changed

@@ -79,6 +79,21 @@ def _calls(tree: ast.AST) -> list[ast.Call]:
     return [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
 
 
+def test_no_module_manages_memory_by_hand():
+    # every world is freed by reference counting (Simulation.close breaks its
+    # cycles), so no module calls the collector or holds a weak reference
+    imported = set()
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert not imported & {"gc", "weakref"}
+    # the walk does see the modules the simulator imports
+    assert {"heapq", "random"} <= imported
+
+
 def test_generated_code_is_executed_only_in_values():
     # values.py generates record __init__s with exec
     callers = {
