@@ -22,7 +22,7 @@ trap 'rm -rf "$out"' EXIT
 smokes=(
   "--seed 1"
   "--seed 2 --mode locks --drop-rate 0.1"
-  "--seed 3 --mode locks --drop-rate 0.3"
+  "--seed 5 --mode locks --drop-rate 0.3"
   "--seed 4 --drop-rate 0.3"
   "--seed 4 --drop-rate 0.6"
 )

@@ -327,8 +327,13 @@ class AuctionApp:
 
 
 def _gather(futures: list[Future]):
-    """Wait for every future, all started already; returns their values in order."""
+    """Wait for every future, all started already; returns their values in order.
+
+    A future leaves the list before it is awaited: this frame is in the
+    traceback of the error an awaited future throws, and must not hold that
+    future, whose `error` it is."""
+    futures = futures[::-1]
     values = []
-    for fut in futures:
-        values.append((yield fut))
+    while futures:
+        values.append((yield futures.pop()))
     return values

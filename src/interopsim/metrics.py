@@ -8,7 +8,7 @@ byte-identical; the CLI reports wall time on stderr instead.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 
 @dataclass
@@ -25,7 +25,10 @@ class RunMetrics:
     outcomes: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields as plain data, each container copied.  A field is a
+        scalar, a flat dict or a list of flat dicts, so a one-level copy gives
+        what dataclasses.asdict would, without its deep copy."""
+        return {name: _copy(value) for name, value in vars(self).items()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -47,3 +50,11 @@ class RunMetrics:
             state_roots=sim.final_state_roots(),
             outcomes=outcomes,
         )
+
+
+def _copy(value):
+    if isinstance(value, dict):
+        return dict(value)
+    if isinstance(value, list):
+        return [dict(item) for item in value]
+    return value

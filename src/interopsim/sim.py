@@ -4,11 +4,18 @@ One Simulation instance is one deterministic world: all randomness (drops,
 duplicates, replays, jitter) comes from a single seeded generator.  Draw
 order is documented at the drawing sites; the per-tick phase order is:
 
-    1. timers due this tick        4. consumer pulls / inbox routing
-    2. ready tasks                 5. ready tasks again
-    3. block production + events (each signed, batched, published at once)
+    1. timers due this tick
+    2. ready tasks
+    3. per chain, in creation order: pull the bus copies due for it into
+       its inbox, then cut its block and publish the block's events (each
+       signed and batched at once)
+    4. ready tasks again
 
-Chains are stepped in creation order throughout.  The run log gets block 0
+So a batch due at tick t runs in its destination's tick-t block, and a bus
+hop takes its drawn latency (BROKER_LATENCY plus jitter), no more.  Pulling
+every chain's copies before cutting any block would do the same: delivery
+draws no RNG, and an event published at t is due at t+1 or later, so no
+chain sees another chain's tick-t events.  The run log gets block 0
 from add_chain and each later block from step(), once produce_block returns
 it: after the lock and xtxn records of its commit effects.  The run loops
 (run_until_quiescent, pump) jump the clock over ticks at which none of these
@@ -103,28 +110,25 @@ class Task:
     def step(self) -> None:
         if self.finished:
             return
-        to_send = None
-        to_throw = None
-        if self.waiting_on is not None:
-            if self.waiting_on.error is not None:
-                to_throw = self.waiting_on.error
-            else:
-                to_send = self.waiting_on.value
-            self.waiting_on = None
+        waited, self.waiting_on = self.waiting_on, None
         try:
-            if to_throw is not None:
-                awaited = self.gen.throw(to_throw)
+            if waited is not None and waited.error is not None:
+                awaited = self.gen.throw(waited.error)
             else:
-                awaited = self.gen.send(to_send)
+                awaited = self.gen.send(waited.value if waited is not None else None)
         except StopIteration as stop:
             self.future.set_result(stop.value)
-            return
         except BaseException as exc:
             self.future.set_error(exc)
-            return
-        if not isinstance(awaited, Future):
-            raise TypeError(f"task yielded {type(awaited).__name__}, wanted Future")
-        self.waiting_on = awaited
+        else:
+            if not isinstance(awaited, Future):
+                raise TypeError(f"task yielded {type(awaited).__name__}, wanted Future")
+            self.waiting_on = awaited
+        finally:
+            # this frame is in the traceback of whatever the generator raises;
+            # held here, the task (whose future stores that error) or the
+            # future thrown would lead the error back to itself
+            self = waited = None
 
 
 @dataclass(eq=False)
@@ -289,6 +293,8 @@ class Simulation:
             self.tasks = [t for t in self.tasks if not t.finished]
 
     def step(self) -> None:
+        """Run one tick: due timers, ready tasks, then for each chain its due
+        bus copies and its block, then ready tasks again (module docstring)."""
         now = self.tick
         while self._timers and self._timers[0][0] <= now:
             _, _, fn = heapq.heappop(self._timers)
@@ -296,6 +302,7 @@ class Simulation:
         if self.tasks:
             self._run_ready_tasks()
         for chain_id in self.chain_order:
+            self._deliver(chain_id)
             chain = self.chains[chain_id]
             if chain.mempool:
                 try:
@@ -305,8 +312,6 @@ class Simulation:
                     continue
                 self._log_block(chain, block)
                 self._emit_drafts(chain, drafts)
-        for chain_id in self.chain_order:
-            self._deliver(chain_id)
         if self.tasks:
             self._run_ready_tasks()
         self.tick = now + 1
@@ -476,7 +481,10 @@ class Simulation:
     # ------------------------------------------------------- delivery path
 
     def _deliver(self, chain_id: str) -> None:
-        """Classify each due copy: bytes that passed here before are a duplicate;
+        """Pull the copies due for `chain_id` into its inbox, right before its
+        block, which then executes the events accepted here.
+
+        Classify each due copy: bytes that passed here before are a duplicate;
         else the batch is the gateway's, from `handoff`, or verify_batch's.  The
         first copy at its destination takes the entry out; a misrouted one leaves it."""
         chain = self.chains[chain_id]

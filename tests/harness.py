@@ -82,6 +82,20 @@ class World:
         return all(c.locks.empty() for c in self.chains.values())
 
 
+def step_until(sim, done, ticks: int = 100) -> None:
+    """Step `sim` until `done()` holds; fail once `ticks` steps have not made it."""
+    for _ in range(ticks):
+        if done():
+            return
+        sim.step()
+    assert done(), f"not done after {ticks} steps"
+
+
+def queued_for(sim, chain_id: str) -> bool:
+    """Whether a broker holds a copy for `chain_id` that is not pulled yet."""
+    return any(broker.next_due(chain_id) is not None for broker in sim.brokers)
+
+
 def mk_auction_world(
     seed: int = 0,
     drop: float = 0.0,

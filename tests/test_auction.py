@@ -280,9 +280,10 @@ def test_packaged_conclude_reads_in_one_wave(mode):
         if any(key.endswith(".decision") for key, _ in txn["writes"])
     ]
     # the read wave (the auction record; bids, escrows and balances on each
-    # bidder chain) costs a request and a response leg, and 2PC takes 4;
-    # locks mode spends 2 more on the write locks no prefix lock covers
-    assert decided_at == [conclude_at + {MODE_OCC: 6, MODE_LOCKS: 8}[mode]]
+    # bidder chain) costs a request and a response leg, and 2PC takes 2, a
+    # bus hop for the prepare and one for the vote; locks mode spends 2 more
+    # on the write locks no prefix lock covers
+    assert decided_at == [conclude_at + {MODE_OCC: 4, MODE_LOCKS: 6}[mode]]
     k = 3 * 2  # bids, escrow and balance prefixes on two remote bidder chains
     assert [v for v in metrics.round_trips.values() if v > 2] == [k + 2]
     if mode == MODE_OCC:  # the auction record's prefix read, and k more

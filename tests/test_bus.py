@@ -16,7 +16,7 @@ from interopsim.sim import BROKER_LATENCY, BUS_BACKOFF, BUS_RETRIES
 from interopsim.txn import Committed, MiniTxn
 from interopsim.values import decode_record, digest, encode_record
 
-from harness import World
+from harness import World, step_until
 
 
 def sample_event(nonce=7, payload=b"\x01\x02"):
@@ -556,8 +556,7 @@ def test_fault_free_batch_published_once():
     contract.handlers = dict(contract.handlers)
     contract.handlers["emit"] = lambda self, ctx, args: ctx.emit("beta", "kv", 16, b"once")
     chain.submit_call("alice", "kv", "emit", [])
-    while not w.chains["beta"].state_items("kv.inbox."):
-        w.sim.step()
+    step_until(w.sim, lambda: w.chains["beta"].state_items("kv.inbox."))
     assert not w.sim._timers  # no bus retransmit is armed
     w.settle()
     batches = len({raw for broker in w.sim.brokers for _, raw in broker.history})
@@ -682,17 +681,15 @@ def test_inbox_event_survives_a_lost_block():
     w = World()
     beta = w.chains["beta"]
     w.sim.emit_event(w.chains["alpha"], sample_event(nonce=77, payload=b"again"))
-    for _ in range(20):  # step until the event is delivered to beta
-        if beta._inbox:
-            break
-        w.sim.step()
-    (txid,) = beta._inbox
+    step_until(w.sim, lambda: w.sim.brokers[0].next_due("beta") == w.sim.tick)
+    assert not beta._inbox
     nodes = beta.cfg.node_ids()[:2]
     beta.byzantine.update({node: Behavior.SILENT for node in nodes})
     failures = w.sim.meter.quorum_failures
-    w.sim.step()  # the block holding the inbox transaction rolls back
+    w.sim.step()  # the event is delivered, and the block holding it rolls back
     assert w.sim.meter.quorum_failures == failures + 1
-    assert list(beta._inbox) == [txid]
+    (txid,) = beta._inbox
+    assert [txn.txn_id for txn in beta.mempool] == [txid]
     for node in nodes:
         del beta.byzantine[node]
     w.settle()

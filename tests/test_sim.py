@@ -6,11 +6,12 @@ import itertools
 import pytest
 
 import interopsim.sim as sim_module
-from interopsim.errors import MaxTicksExceeded
+from interopsim.chain import Chain
+from interopsim.errors import MaxTicksExceeded, QuorumFailure
 from interopsim.fixtures import scenario_path
 from interopsim.scenario import Scenario, load_scenario, run_scenario
 from interopsim.sim import Future, SimConfig, Simulation
-from interopsim.txn import MiniTxn
+from interopsim.txn import Committed, MiniTxn
 
 from harness import World
 
@@ -50,6 +51,26 @@ def test_task_exception_propagates_through_pump():
     task = sim.spawn(boom())
     with pytest.raises(RuntimeError, match="kaput"):
         sim.pump(task.future)
+
+
+def test_an_error_thrown_from_task_to_task_leaves_no_cycle(collector_off):
+    # the error a task raises is stored in its future and thrown into the
+    # task awaiting that future; no task's step frame, in the error's
+    # traceback, leads back to the error
+    sim = Simulation(SimConfig(seed=1))
+
+    def boom():
+        yield sim.sleep(1)
+        raise RuntimeError("kaput")
+
+    def waiter():
+        try:
+            yield sim.spawn(boom()).future
+        except RuntimeError as exc:
+            return str(exc)
+
+    assert sim.pump(sim.spawn(waiter()).future) == "kaput"
+    assert gc.collect() == 0
 
 
 def test_pump_respects_max_ticks():
@@ -211,8 +232,9 @@ def test_max_ticks_exceeded_at_the_same_tick(monkeypatch):
     (fast, ref), _ = both_loops(monkeypatch, lambda: demo_auction(max_ticks=30))
     assert fast[:2] == ("max_ticks", 30)
     assert fast == ref
-    (fast, ref), _ = both_loops(monkeypatch, lambda: mini_series(max_ticks=3))
-    assert fast[0] == ["future pending at tick 4"]
+    # the first mini decides 3 ticks after it is submitted: 2 is too few
+    (fast, ref), _ = both_loops(monkeypatch, lambda: mini_series(max_ticks=2))
+    assert fast[0] == ["future pending at tick 3"]
     assert fast == ref
 
 
@@ -226,3 +248,100 @@ def test_run_loops_jump_to_their_limit_with_nothing_due():
     assert sim.tick == 20
     sim.run_until_quiescent(1000)
     assert sim.tick == 501
+
+
+# ------------------------------------------- one bus hop, one modelled latency
+
+
+def test_a_bus_event_executes_at_its_emit_tick_plus_its_drawn_latency():
+    # each chain pulls its inbox before it cuts its block, so an event
+    # emitted at tick t runs in its destination's block at t + 1 + jitter
+    w = World(seed=3, jitter=2)
+    alpha, beta = w.chains["alpha"], w.chains["beta"]
+    contract = alpha.contracts["kv"]
+    contract.handlers = dict(contract.handlers)
+    contract.handlers["emit"] = lambda self, ctx, args: ctx.emit("beta", "kv", 16, b"hop")
+    emitted = {}  # nonce -> (emit tick, drawn latency)
+    for _ in range(12):
+        alpha.submit_call("alice", "kv", "emit", [])
+        nonce, tick = alpha.event_nonce, w.sim.tick
+        w.sim.step()
+        assert alpha.blocks[-1].header.tick == tick
+        (due,) = {due for broker in w.sim.brokers for due, _ in broker.queues["beta"]}
+        emitted[nonce] = (tick, due - tick)
+        w.settle()
+    executed = {
+        key: block.header.tick
+        for block in beta.blocks
+        for receipt in block.receipts
+        for key, _ in receipt.writes
+        if key.startswith("kv.inbox.alpha.")
+    }
+    assert executed == {f"kv.inbox.alpha.{n}": tick + latency for n, (tick, latency) in emitted.items()}
+    assert {latency for _, latency in emitted.values()} == {1, 2, 3}
+
+
+def test_a_fault_free_mini_decides_three_ticks_after_it_is_submitted():
+    # the begin block sends the prepare, the participant's block votes a tick
+    # later, and the coordinator's block a tick after that decides; the
+    # client hears the decision at the end of that tick
+    w = World()
+    mt = MiniTxn(compares=(), reads=(("alpha", "kv.a"),), writes=(("alpha", "kv.a", 1), ("beta", "kv.b", 2)))
+    submitted = w.sim.tick
+    fut = w.engine.execute_minitxn_async("alpha", mt)
+    assert isinstance(w.sim.pump(fut), Committed)
+    assert w.sim.tick == submitted + 3
+    txid = list(w.engine.records)[-1]
+    decided = [
+        block.header.tick
+        for block in w.chains["alpha"].blocks
+        for receipt in block.receipts
+        if any(key == f"sys.2pc.{txid}.decision" for key, _ in receipt.writes)
+    ]
+    assert decided == [submitted + 2]
+
+
+@pytest.mark.parametrize("mode", ["occ", "locks"])
+def test_a_delivered_event_waits_in_a_mempool_only_behind_a_lost_block(monkeypatch, mode):
+    # delivery comes right before each chain's block, so between two steps a
+    # delivered __event__ is still queued only where that block rolled back
+    lost = set()  # (chain, tick) of each block lost to QuorumFailure
+    real_produce, real_step = Chain.produce_block, Simulation.step
+
+    def produce(chain, tick):
+        try:
+            return real_produce(chain, tick=tick)
+        except QuorumFailure:
+            lost.add((chain.chain_id, tick))
+            raise
+
+    kept = []
+
+    def step(sim):
+        real_step(sim)
+        for chain_id, chain in sim.chains.items():
+            if any(txn.method == "__event__" for txn in chain.mempool):
+                assert (chain_id, sim.tick - 1) in lost
+                kept.append(chain_id)
+
+    monkeypatch.setattr(Chain, "produce_block", produce)
+    monkeypatch.setattr(Simulation, "step", step)
+    # two of four nodes on tickets, then on coinb, go silent for two ticks
+    # in four, over the conclude's 2PC
+    silence = [
+        {"tick": start + offset + lag, "action": "set_byzantine", "chain": chain, "node": node, "behavior": behavior}
+        for start in range(25, 45, 4)
+        for offset, chain in ((0, "tickets"), (1, "coinb"))
+        for lag, behavior in ((0, "silent"), (2, "honest"))
+        for node in ("node0", "node1")
+    ]
+    for seed in range(4):
+        raw = load_scenario(str(scenario_path("auction")))
+        raw.update(seed=seed, mode=mode, latency_jitter=1)
+        raw["script"] = sorted(raw["script"] + silence, key=lambda entry: entry["tick"])
+        for spec in raw["broker"].values():
+            spec.update(drop_rate=0.2, duplicate_rate=0.1, replay_rate=0.1)
+        metrics, _ = run_scenario(Scenario.from_dict(raw))
+        assert metrics.status == "ok"
+    assert lost, "no block was lost"
+    assert kept, "no lost block held a delivered event"

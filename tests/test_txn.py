@@ -35,7 +35,7 @@ from interopsim.txn import (
 )
 from interopsim.values import decode_record, encode_record
 
-from harness import World
+from harness import World, queued_for, step_until
 
 
 # ------------------------------------------------------------ verified reads
@@ -670,8 +670,7 @@ def test_occ_prefix_phantom_earlier_in_the_prepare_block_aborts():
     beta.byzantine.update({"beta:node1": Behavior.SILENT, "beta:node2": Behavior.SILENT})
     beta.submit_call("mallory", "kv", "set", ["p.z", 1])
     fut = w.engine.txn_commit_async(t)
-    while not any(txn.method == "__event__" for txn in beta.mempool):
-        w.sim.step()
+    step_until(w.sim, lambda: any(txn.method == "__event__" for txn in beta.mempool))
     beta.byzantine.clear()
     assert w.sim.pump(fut) == Aborted("VersionConflict: kv.p.*")
     w.settle()
@@ -783,12 +782,8 @@ def _audit(w):
     return audit_records(w.sim.log.records)
 
 
-def _step_until_voted_yes(w, chain, txid, ticks=100):
-    for _ in range(ticks):
-        if chain.read_state(f"sys.xt.{txid}.vote") == "yes":
-            return
-        w.sim.step()
-    assert chain.read_state(f"sys.xt.{txid}.vote") == "yes"
+def _step_until_voted_yes(w, chain, txid):
+    step_until(w.sim, lambda: chain.read_state(f"sys.xt.{txid}.vote") == "yes")
 
 
 @pytest.mark.parametrize(
@@ -1016,8 +1011,7 @@ def test_a_no_vote_on_the_coordinator_aborts_and_releases_its_locks(kind):
         alpha.attach_policy("kv", "allow read on *;")
         w.settle()
         fut, txid, reason = w.engine.txn_commit_async(t), t.txn_id, "PolicyDenied"
-    while alpha.read_state(f"sys.xt.{txid}.vote") is None:
-        w.sim.step()
+    step_until(w.sim, lambda: alpha.read_state(f"sys.xt.{txid}.vote") is not None)
     # the begin block holds alpha's no vote and released alpha's locks
     assert alpha.read_state(f"sys.2pc.{txid}.vote.alpha").startswith(f"no:{reason}")
     assert alpha.locks.empty()
@@ -1119,9 +1113,10 @@ def test_restarted_engine_finishes_a_prepared_transaction_from_the_ledger():
 
 @pytest.mark.parametrize("mode", [MODE_OCC, MODE_LOCKS])
 def test_a_poll_that_finds_the_coordinator_undecided_polls_again(mode, monkeypatch):
-    # every bus copy is lost once beta holds the prepare: its yes vote never
-    # reaches alpha, whose VoteTimeout abort comes after beta's first poll;
-    # beta learns the abort, and drops its locks, through a later poll
+    # every bus copy is lost once the prepare is queued for beta: its yes
+    # vote never reaches alpha, whose VoteTimeout abort comes after beta's
+    # first poll; beta learns the abort, and drops its locks, through a
+    # later poll
     w = World()
     w.set_kv("beta", "x", 5)
     alpha, beta = w.chains["alpha"], w.chains["beta"]
@@ -1129,8 +1124,7 @@ def test_a_poll_that_finds_the_coordinator_undecided_polls_again(mode, monkeypat
     w.engine.txn_read(t, "beta", "kv.x")
     w.engine.txn_write(t, "beta", "kv.y", 1)
     fut = w.engine.txn_commit_async(t)
-    while not any(txn.method == "__event__" for txn in beta.mempool):
-        w.sim.step()
+    step_until(w.sim, lambda: queued_for(w.sim, "beta"))
     for broker in w.sim.brokers:
         broker.faults.drop_rate = 1.0
     decision = f"sys.2pc.{t.txn_id}.decision"
@@ -1489,10 +1483,13 @@ def test_coordinator_vote_block_lost_to_quorum_failure_still_decides():
     w = World()
     txid, fut = _start_txn(w, "mini")
     alpha = w.chains["alpha"]
-    while not any(t.method == "__event__" for t in alpha.mempool):
-        w.sim.step()
+    step_until(w.sim, lambda: queued_for(w.sim, "alpha"))  # beta's vote
     _lose_one_block(w, "alpha")
     assert w.sim.meter.quorum_failures == 1
+    # the lost block held beta's vote, which is left in alpha's mempool
+    assert [t.method for t in alpha.mempool] == ["__event__"]
+    assert [event.kind for event in alpha._inbox.values()] == [KIND_VOTE]
+    assert alpha.read_state(f"sys.2pc.{txid}.decision") is None
     _assert_settled_agrees_with_ledger(w, txid, fut)
 
 
