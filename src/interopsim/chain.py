@@ -40,7 +40,8 @@ from .errors import (
     UnknownContract,
 )
 from .merkle import MerkleMap, MerkleProof, root_of_digests
-from .policy import Decision
+from . import policy  # parse_policy and evaluate are called through the module
+from .policy import AccessRequest, ChainEvalContext, Decision
 from .values import (
     INT64_MAX,
     INT64_MIN,
@@ -77,6 +78,8 @@ class ChainConfig:
     def validate(self) -> None:
         if not self.chain_id:
             raise ConfigError("chain_id must be non-empty")
+        if "," in self.chain_id:  # a 2PC coordinator keeps its participants comma-joined
+            raise ConfigError(f"chain_id {self.chain_id!r} must not contain ','")
         if type(self.n) is not int or type(self.f) is not int:
             raise ConfigError(f"chain {self.chain_id}: n and f must be ints, not n={self.n!r}, f={self.f!r}")
         if self.n < 3 * self.f + 1:
@@ -684,9 +687,7 @@ class Chain:
 
         Unparseable text raises ParseError and leaves the ledger untouched.
         """
-        from .policy import parse_policy
-
-        parse_policy(src)  # ParseError propagates before anything is queued
+        policy.parse_policy(src)  # ParseError propagates before anything is queued
         return self.submit_call("sys", "sys.policy", "attach", [contract_id, src])
 
     def policy_source(self, contract_id: str) -> Optional[str]:
@@ -720,12 +721,10 @@ class Chain:
         height: Optional[int] = None,
     ):
         """Evaluate the attached policy; no policy attached means ungated."""
-        from .policy import AccessRequest, ChainEvalContext, evaluate, parse_policy
-
         src = self.policy_source(contract_id)
         if src is None:
             return Decision(True, "")
-        ast = parse_policy(src)
+        ast = policy.parse_policy(src)
         if height is None:
             height = self.height
         req = AccessRequest(
@@ -736,7 +735,7 @@ class Chain:
             height=height,
         )
         ctx = ChainEvalContext(self, contract_id, height)
-        return evaluate(ast, req, ctx)
+        return policy.evaluate(ast, req, ctx)
 
     # ---------------------------------------------------------- query path
 
@@ -757,9 +756,7 @@ def _register_contract(ctx: ExecContext) -> None:  # sys.registry register(cid)
 
 
 def _attach_policy(ctx: ExecContext) -> None:  # sys.policy attach(cid, src)
-    from .policy import parse_policy
-
     if ctx.txn.method != "attach":
         raise UnknownContract("sys.policy")
-    parse_policy(ctx.txn.args[1])  # text that does not parse never reaches the ledger
+    policy.parse_policy(ctx.txn.args[1])  # text that does not parse never reaches the ledger
     ctx.put(f"sys.policy.{ctx.txn.args[0]}", ctx.txn.args[1])

@@ -50,7 +50,7 @@ from .bus import (
 )
 from .chain import Chain, ChainConfig, Contract, EventDraft, GenesisCall
 from .errors import ConfigError, MaxTicksExceeded, QuorumFailure
-from .runlog import RunLog
+from .runlog import RunLog, value_to_jsonable
 
 
 BROKER_LATENCY = 1
@@ -376,8 +376,6 @@ class Simulation:
         """Record a committed block for audit/replay."""
         if self.log is None:
             return
-        from .runlog import value_to_jsonable
-
         self.log.record(
             "block",
             chain=chain.chain_id,

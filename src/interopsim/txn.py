@@ -15,10 +15,15 @@ versions and held locks, takes its write locks and votes.  Every abort is a
 `decide` on the coordinator; before commit it follows a `begin` that carries
 no prepares.  Locks are released only by a no vote or an applied decision,
 and a chain that applied one takes no more locks for the transaction.  The
-ledger is the only copy of the 2PC state: the coordinator keeps the
-participants, votes and decision under `sys.2pc.<txid>.`, a participant
-its vote (`sys.xt.<txid>.vote`, yes or no), on a yes its coordinator and
-the writes it will apply (`sys.xt.<txid>.writes`), and `sys.applied.<txid>`.
+ledger is the only copy of the 2PC state.  Each participant keeps one
+`VoteRecord` under `sys.xt.<txid>.vote` (its vote, the no vote's reason,
+the coordinator, and the writes a commit applies) and `sys.applied.<txid>`.
+The coordinator keeps `sys.2pc.<txid>.participants`, each remote
+participant's vote as `sys.2pc.<txid>.vote.<chain>` (its own is its vote
+record), `sys.2pc.<txid>.decision`, and `sys.2pc.<txid>.phase`.  No
+protocol code reads `phase`: it is written only for `perfbench`'s `tally`,
+which times each decision from the begin block that wrote it, and it can
+go once the benchmark reads decisions from the run log instead.
 Protocol messages are bus events signed by f+1 nodes of their source chain,
 which names the coordinator to a participant and the voter to the
 coordinator; once a chain votes yes, only its coordinator's decide counts.
@@ -56,6 +61,7 @@ from .errors import (
 )
 from .merkle import MerkleProof, verify_proof
 from .policy import AggExpr, ChainEvalContext, eval_aggregate
+from .runlog import value_to_jsonable
 from .sim import Future, Simulation
 from .values import Value, check_entry, decode_record, digest, encode_record, encode_value, record
 
@@ -206,6 +212,17 @@ class Vote:
 
 
 @record
+class VoteRecord:
+    """A participant's vote as its ledger keeps it: on a yes, only the decide
+    of `coordinator` counts, and a commit applies `writes`."""
+
+    vote: str  # yes | no
+    reason: str  # why the vote is no; "" on a yes
+    coordinator: str
+    writes: tuple[tuple[str, Value], ...] = ()  # (key, value)
+
+
+@record
 class Outcome:
     """The coordinator's decision on a transaction, as each participant hears it."""
 
@@ -224,7 +241,6 @@ class Outcome:
 # in it, decoded and checked with the response.
 
 PrefixRows = tuple[tuple[str, Value, Version], ...]  # (key, value, version)
-PreparedWrites = tuple[str, tuple[tuple[str, Value], ...]]  # a yes vote's coordinator, (key, value) writes
 
 def _answer(
     req: ReadRequest,
@@ -665,7 +681,6 @@ class XTxnEngine:
             return
         ctx.xchain_txn = txid
         ctx.put(f"sys.2pc.{txid}.decision", decision)
-        ctx.put(f"sys.2pc.{txid}.reason", reason)
         ctx.after_commit(partial(self._complete, txid, decision, reason))
         payload = encode_record(Outcome(txid, decision))
         for part in participants.split(","):
@@ -698,10 +713,9 @@ class XTxnEngine:
             return
         reason = self._prepare_checks(ctx, coordinator, p)
         vote = "no" if reason else "yes"
-        ctx.put(vote_key, vote)
+        ctx.put(vote_key, encode_record(VoteRecord(vote, reason, coordinator, () if reason else p.writes)))
         reads = () if reason else tuple((key, ctx.get(key)) for key in p.reads)
         if not reason:
-            ctx.put(f"sys.xt.{txid}.writes", encode_record((coordinator, p.writes)))
             if coordinator != chain.chain_id:  # the coordinator applies its share as it decides
                 ctx.after_commit(partial(self._arm_decision_poll, txid, chain.chain_id, coordinator))
         elif chain.locks.release_owner(txid):  # a no-vote releases every lock this txn holds here
@@ -749,17 +763,28 @@ class XTxnEngine:
         if part not in parts:  # an unknown txid, or a chain the transaction never asked
             return
         ctx.xchain_txn = txid
-        ctx.put(f"sys.2pc.{txid}.vote.{part}", f"{v.vote}:{v.reason}")
+        coordinator = ctx.chain.chain_id
+        if part != coordinator:  # the coordinator's own vote is its vote record
+            ctx.put(f"sys.2pc.{txid}.vote.{part}", f"{v.vote}:{v.reason}")
         if ctx.get(f"sys.2pc.{txid}.decision") is not None:
             return
         ctx.after_commit(partial(self._merge_reads, txid, {(part, k): value for k, value in v.reads}))
-        all_in = all(ctx.get(f"sys.2pc.{txid}.vote.{p}") is not None for p in parts)
+        all_in = all(
+            self._voted_here(ctx, txid) if p == coordinator else ctx.get(f"sys.2pc.{txid}.vote.{p}") is not None
+            for p in parts
+        )
         if all_in:
             ctx.after_commit(partial(self.sim.meter.round_trip, txid))
         if v.vote != "yes":  # the first no decides abort, the last yes commit
             self._exec_decide(ctx, txid, "abort", v.reason)
         elif all_in:
             self._exec_decide(ctx, txid, "commit", "")
+
+    def _voted_here(self, ctx: ExecContext, txid: str) -> bool:
+        """Whether the coordinator's own share has voted: its vote record names
+        this chain, not another chain that sent a prepare under the same txid."""
+        stored = ctx.get(f"sys.xt.{txid}.vote")
+        return stored is not None and decode_record(stored, VoteRecord).coordinator == ctx.chain.chain_id
 
     def _merge_reads(self, txid: str, read_values: dict) -> None:
         t = self.records.get(txid)
@@ -770,15 +795,18 @@ class XTxnEngine:
         chain = ctx.chain
         ctx.xchain_txn = txid
         marker = f"sys.applied.{txid}"
-        stored = ctx.get(f"sys.xt.{txid}.writes")
-        coordinator, writes = ("", None) if stored is None else decode_record(stored, PreparedWrites)
-        if ctx.get(marker) is not None or (source and coordinator and source != coordinator):
-            return  # applied already, or a decide from other than the coordinator a yes vote stored
+        if ctx.get(marker) is not None:
+            return  # applied already
+        stored = ctx.get(f"sys.xt.{txid}.vote")
+        voted = None if stored is None else decode_record(stored, VoteRecord)
+        yes = voted is not None and voted.vote == "yes"
+        if source and yes and source != voted.coordinator:
+            return  # a decide from other than the coordinator a yes vote names
         ctx.put(marker, decision)
         if decision == "commit":  # every participant voted yes, so stored its writes
-            if writes is None:
+            if not yes:
                 raise InvalidState(f"commit of {txid} without a yes vote here")
-            for key, value in writes:
+            for key, value in voted.writes:
                 ctx.put(key, value)
         if chain.locks.release_owner(txid):
             ctx.after_commit(partial(self._log_lock, chain.chain_id, "release", "*", txid))
@@ -836,8 +864,6 @@ class XTxnEngine:
     def _log_xtxn(self, t: XTxn, decision: str) -> None:
         if self.sim.log is None:
             return
-        from .runlog import value_to_jsonable
-
         self.sim.log.record(
             "xtxn",
             txn=t.txn_id,

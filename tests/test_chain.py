@@ -91,6 +91,13 @@ def test_create_chain_rejects_small_n():
         mk_chain(n=3, f=1)
 
 
+def test_a_chain_id_with_a_comma_is_a_config_error():
+    # a 2PC coordinator keeps its participants comma-joined: "a,b" would
+    # split into two chains, and every transaction through it would hang
+    with pytest.raises(ConfigError, match="must not contain ','"):
+        World(chain_ids=("a,b", "c"))
+
+
 def test_quorum_size_arithmetic():
     ch = mk_chain(n=7, f=2)
     assert ch.cfg.quorum == 5

@@ -111,6 +111,29 @@ def test_caller_identity_bound_in_conditions():
     assert [r.status for r in block.receipts] == ["ok", "failed"]
 
 
+def test_a_gated_write_reaches_the_patched_policy_module(monkeypatch):
+    # a tracer patches evaluate and parse_policy on interopsim.policy; the
+    # chain calls both through that module, so each patch sees every call
+    calls = {"evaluate": 0, "parse_policy": 0}
+    for name in calls:
+        real = getattr(interopsim.policy, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(interopsim.policy, name, counted)
+    chain = mk_chain()
+    chain.attach_policy("gkv", "allow write on k.*;")
+    chain.produce_block(tick=0)
+    assert calls == {"evaluate": 0, "parse_policy": 2}  # at submit, then in the block
+    chain.submit_call("alice", "gkv", "set", ["k.a", 1])
+    chain.submit_call("alice", "gkv", "set", ["other", 2])
+    block, _ = chain.produce_block(tick=1)
+    assert [r.status for r in block.receipts] == ["ok", "failed"]
+    assert calls == {"evaluate": 2, "parse_policy": 4}
+
+
 # ------------------------------------------------------------ parse cache
 
 _SHARED_TEXT = 'allow read on x when caller.chain == "alpha";  # shared by text'

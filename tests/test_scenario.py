@@ -207,6 +207,8 @@ _FIXTURE_APPEND = '\n[[script]]\ntick = 30\n'
         lambda text: text.replace("[chain.coinb]\n", "[chain.coinb]\ndrop_rat = 0.5\n"),
         lambda text: text.replace("[chain.coinb]\nn = 4", "[chain.coinb]\nnn = 4"),
         lambda text: text.replace('seller = "alice"', 'seler = "alice"'),
+        # a chain id is a participant of a comma-joined list
+        lambda text: text + '\n[chain."a,b"]\nn = 4\nf = 1\n',
     ],
     ids=[
         "unknown_behavior", "restart_broker_without_broker", "byzantine_without_colon",
@@ -217,6 +219,7 @@ _FIXTURE_APPEND = '\n[[script]]\ntick = 30\n'
         "str_broker_drop_rate", "int_bidder_chains", "negative_rate", "str_balance", "str_bid_amount",
         "str_forge", "str_retries", "str_close_height",
         "misspelt_broker_key", "unknown_chain_key", "misspelt_chain_n", "misspelt_auction_seller",
+        "comma_in_chain_id",
     ],
 )
 def test_cli_malformed_scenario_is_a_config_error(tmp_path, capsys, edit):

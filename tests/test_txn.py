@@ -30,6 +30,7 @@ from interopsim.txn import (
     Outcome,
     ReadResponse,
     Vote,
+    VoteRecord,
     XTxnEngine,
     read_response_digest,
 )
@@ -772,6 +773,59 @@ def test_two_pc_record_on_coordinator_ledger():
     assert alpha.read_state(f"sys.2pc.{t.txn_id}.vote.beta").partition(":")[0] == "yes"
 
 
+def _vote(chain, txid):
+    """The VoteRecord `chain` keeps for `txid`, or None before it votes."""
+    stored = chain.read_state(f"sys.xt.{txid}.vote")
+    return None if stored is None else decode_record(stored, VoteRecord)
+
+
+def _voted_yes(chain, txid):
+    vote = _vote(chain, txid)
+    return vote is not None and vote.vote == "yes"
+
+
+def _sys_footprint(records, txid):
+    """Per chain, the `sys.` keys its blocks wrote for `txid`, with `txid` shown as T."""
+    out = {}
+    for rec in records:
+        if rec["kind"] != "block":
+            continue
+        for txn in rec["txns"]:
+            if txn["xchain"] == txid:
+                keys = out.setdefault(rec["chain"], set())
+                keys.update(key.replace(txid, "T") for key, _ in txn["writes"] if key.startswith("sys."))
+    return out
+
+
+@pytest.mark.parametrize("role", ["mini", "occ", "remote-no"])
+def test_each_roles_2pc_footprint(role):
+    # the coordinator keeps its own vote only in its vote record, and no
+    # decision reason; a participant keeps one vote record and its marker
+    w = World()
+    alpha, beta = w.chains["alpha"], w.chains["beta"]
+    if role == "occ":
+        w.set_kv("beta", "x", 1)
+        t = w.engine.begin_general("alpha", MODE_OCC)
+        w.engine.txn_write(t, "alpha", "kv.y", w.engine.txn_read(t, "beta", "kv.x"))
+        w.engine.txn_write(t, "beta", "kv.z", 2)
+        result, txid = w.engine.txn_commit(t), t.txn_id
+    else:
+        compares = (("beta", "kv.x", 5),) if role == "remote-no" else ()
+        mt = MiniTxn(compares=compares, reads=(), writes=(("alpha", "kv.a", 1), ("beta", "kv.b", 2)))
+        result, txid = w.engine.execute_minitxn("alpha", mt), list(w.engine.records)[-1]
+    w.settle()
+    assert type(result) is (Aborted if role == "remote-no" else Committed)
+    coordinator = {"sys.2pc.T.phase", "sys.2pc.T.participants", "sys.2pc.T.vote.beta", "sys.2pc.T.decision"}
+    participant = {"sys.xt.T.vote", "sys.applied.T"}
+    assert _sys_footprint(w.sim.log.records, txid) == {"alpha": coordinator | participant, "beta": participant}
+    assert _vote(alpha, txid) == VoteRecord("yes", "", "alpha", (("kv.y", 1),) if role == "occ" else (("kv.a", 1),))
+    if role == "remote-no":
+        assert _vote(beta, txid) == VoteRecord("no", "CompareFailed: beta:kv.x", "alpha")
+        assert result == Aborted("CompareFailed: beta:kv.x")
+    else:
+        assert _vote(beta, txid).vote == "yes"
+
+
 def _audit(w):
     """Audit the world's run log, closed by a final record as run_scenario writes it."""
     w.sim.log.record(
@@ -783,7 +837,7 @@ def _audit(w):
 
 
 def _step_until_voted_yes(w, chain, txid):
-    step_until(w.sim, lambda: chain.read_state(f"sys.xt.{txid}.vote") == "yes")
+    step_until(w.sim, lambda: _voted_yes(chain, txid))
 
 
 @pytest.mark.parametrize(
@@ -881,7 +935,7 @@ def test_late_prepare_after_applied_abort_takes_no_locks(seed, monkeypatch):
     assert w.locks_empty()
     # no yes vote on beta is left without its applied decision
     beta = w.chains["beta"]
-    if beta.read_state(f"sys.xt.{t.txn_id}.vote") == "yes":
+    if _voted_yes(beta, t.txn_id):
         assert beta.read_state(f"sys.applied.{t.txn_id}") is not None
     report = _audit(w)
     assert report.ok, report.render()
@@ -1013,7 +1067,10 @@ def test_a_no_vote_on_the_coordinator_aborts_and_releases_its_locks(kind):
         fut, txid, reason = w.engine.txn_commit_async(t), t.txn_id, "PolicyDenied"
     step_until(w.sim, lambda: alpha.read_state(f"sys.xt.{txid}.vote") is not None)
     # the begin block holds alpha's no vote and released alpha's locks
-    assert alpha.read_state(f"sys.2pc.{txid}.vote.alpha").startswith(f"no:{reason}")
+    vote = _vote(alpha, txid)
+    assert (vote.vote, vote.coordinator, vote.writes) == ("no", "alpha", ())
+    assert vote.reason.startswith(reason)
+    assert alpha.read_state(f"sys.2pc.{txid}.vote.alpha") is None
     assert alpha.locks.empty()
     result = w.sim.pump(fut)
     assert isinstance(result, Aborted) and result.reason.startswith(reason)
@@ -1088,12 +1145,7 @@ def test_restarted_engine_finishes_a_prepared_transaction_from_the_ledger():
     mt = MiniTxn(compares=(), reads=(), writes=(("alpha", "kv.a", 1), ("beta", "kv.b", 2)))
     w.engine.execute_minitxn_async("alpha", mt)
     txid = list(w.engine.records)[-1]
-    vote_key = f"sys.xt.{txid}.vote"
-    for _ in range(20):
-        if all(chain.read_state(vote_key) == "yes" for chain in w.chains.values()):
-            break
-        w.sim.step()
-    assert all(chain.read_state(vote_key) == "yes" for chain in w.chains.values())
+    step_until(w.sim, lambda: all(_voted_yes(chain, txid) for chain in w.chains.values()), ticks=20)
     XTxnEngine(w.sim)
     w.settle()
     assert w.chains["alpha"].read_state(f"sys.2pc.{txid}.decision") == "commit"
@@ -1204,8 +1256,7 @@ def test_prepare_answers_to_its_source_chain():
     w.settle()
     _emit_sys_txn(w, "gamma", "beta", KIND_PREPARE, Prepare("t1", "client", writes=(("kv.x", 1),)))
     w.settle()
-    assert beta.read_state("sys.xt.t1.vote") == "no"
-    assert beta.read_state("sys.xt.t1.writes") is None
+    assert _vote(beta, "t1") == VoteRecord("no", "PolicyDenied: rule 2: condition false", "gamma")
     assert w.locks_empty()
     votes = [
         (r["source_chain"], r["chain"])
@@ -1213,6 +1264,26 @@ def test_prepare_answers_to_its_source_chain():
         if r["kind"] == "deliver" and r.get("event_kind") == KIND_VOTE
     ]
     assert votes == [("beta", "gamma")]
+
+
+def test_a_prepare_from_another_chain_is_not_the_coordinators_own_vote():
+    # gamma's prepare reaches alpha under the txid alpha's next transaction
+    # takes, so alpha skips its own prepare; its vote record names gamma, and
+    # counting it as alpha's own vote would commit without alpha's writes
+    w = World(chain_ids=("alpha", "beta", "gamma"))
+    seq = w.engine._txn_seq
+    txid = w.engine.new_txn_id("mt|alpha")
+    w.engine._txn_seq = seq
+    _emit_sys_txn(w, "gamma", "alpha", KIND_PREPARE, Prepare(txid, "client", writes=(("kv.z", 9),)))
+    step_until(w.sim, lambda: _vote(w.chains["alpha"], txid) is not None)
+    assert _vote(w.chains["alpha"], txid).coordinator == "gamma"
+    mt = MiniTxn(compares=(), reads=(), writes=(("alpha", "kv.a", 1), ("beta", "kv.b", 2)))
+    fut = w.engine.execute_minitxn_async("alpha", mt)
+    assert list(w.engine.records) == [txid]
+    assert w.sim.pump(fut) == Aborted("VoteTimeout")
+    step_until(w.sim, lambda: w.chains["beta"].read_state(f"sys.applied.{txid}") is not None)
+    assert w.chains["beta"].read_state(f"sys.applied.{txid}") == "abort"
+    assert (w.kv("alpha", "a"), w.kv("beta", "b")) == (None, None)
 
 
 def test_vote_from_a_non_participant_is_ignored():
