@@ -24,14 +24,13 @@ from .errors import SimError
 from .merkle import MerkleMap, MerkleProof, verify_proof
 from .policy import AccessRequest, AggExpr, Decision, eval_aggregate, evaluate, parse_policy, print_policy
 from .sim import Future, SimConfig, Simulation
+from .systxn import ReadRequest, ReadResponse
 from .txn import (
     Aborted,
     Committed,
     MiniTxn,
     MODE_LOCKS,
     MODE_OCC,
-    ReadRequest,
-    ReadResponse,
     XTxn,
     XTxnEngine,
 )

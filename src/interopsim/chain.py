@@ -359,6 +359,9 @@ class Chain:
         }
 
         self.locks = LockTable()
+        # the 2PC client that systxn tells what happened here; set by
+        # XTxnEngine.attach_chain, dropped by Simulation.close
+        self.client = None
         self.event_nonce = 0
         # verified bus events by inbox transaction id, until their block commits
         self._inbox: dict[bytes, Event] = {}

@@ -21,11 +21,13 @@ it: after the lock and xtxn records of its commit effects.  The run loops
 (run_until_quiescent, pump) jump the clock over ticks at which none of these
 phases has work, so a skipped tick is one at which step() would do nothing.
 
-A world's lifetime: pending timers and tasks, direct handlers and chain
-system handlers can each lead back to the world (a closure over it, a bound
-method of its engine), so a running world is a reference cycle.  close()
-drops them; nothing else in a world refers back to it, so a closed world is
-freed by reference counting once its last outside reference goes.
+A world's lifetime: pending timers and tasks and each chain's 2PC client
+can each lead back to the world (a closure over it, an engine that holds
+it), so a running world is a reference cycle.  The handlers add_chain
+installs, `sys.txn` and the direct read server, are module functions of
+their chain and hold no client.  close() drops the timers, the tasks and
+the clients; nothing else in a world refers back to it, so a closed world
+is freed by reference counting once its last outside reference goes.
 run_scenario closes the world it builds.  A world built by hand and never
 closed, such as tests/harness.World or perfbench's kv_world, is freed by
 the cycle collector.
@@ -36,6 +38,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .bus import (
@@ -51,6 +54,7 @@ from .bus import (
 from .chain import Chain, ChainConfig, Contract, EventDraft, GenesisCall
 from .errors import ConfigError, MaxTicksExceeded, QuorumFailure
 from .runlog import RunLog, value_to_jsonable
+from .systxn import serve_direct, sys_txn_exec
 
 
 BROKER_LATENCY = 1
@@ -226,13 +230,16 @@ class Simulation:
     def add_chain(
         self, cfg: ChainConfig, contracts: Sequence[Contract] = (), calls: Sequence[GenesisCall] = ()
     ) -> Chain:
-        """Add a chain whose block 0 holds `contracts` and `calls` (see Chain);
-        block 0 is logged like any other block, at height 0 and tick 0."""
+        """Add a chain whose block 0 holds `contracts` and `calls` (see Chain),
+        with systxn's `sys.txn` contract and direct read server; block 0 is
+        logged like any other block, at height 0 and tick 0."""
         if cfg.chain_id in self.chains:
             raise ConfigError(f"duplicate chain id {cfg.chain_id}")
         chain = Chain(cfg, contracts, calls)
+        chain.system_handlers["sys.txn"] = sys_txn_exec
         self.chains[cfg.chain_id] = chain
         self.chain_order.append(cfg.chain_id)
+        self.direct_handlers[cfg.chain_id] = partial(serve_direct, chain)
         self.gateways[cfg.chain_id] = Gateway(cfg.chain_id, cfg.f, self.registry)
         self.dedupe[cfg.chain_id] = InboxDedupe()
         self.registry.register_chain(
@@ -361,14 +368,13 @@ class Simulation:
         return future.result()
 
     def close(self) -> None:
-        """End the world: drop its pending timers and tasks and every handler
-        registered on it or on its chains, the references that lead back to
-        it (see the module docstring).  A closed world runs no more."""
+        """End the world: drop its pending timers and tasks and each chain's
+        client, the references that lead back to it (see the module
+        docstring).  A closed world runs no more."""
         self._timers.clear()
         self.tasks.clear()
-        self.direct_handlers.clear()
         for chain in self.chains.values():
-            chain.system_handlers.clear()
+            chain.client = None
 
     # ------------------------------------------------- event emission path
 

@@ -17,14 +17,8 @@ import pytest
 from interopsim.bus import KIND_DECIDE, KIND_PREPARE, KIND_VOTE, Event, SignedEventBatch, verify_batch
 from interopsim.errors import EncodingError
 from interopsim.merkle import MerkleProof
-from interopsim.txn import (
-    MODE_OCC,
-    Outcome,
-    Prepare,
-    ReadRequest,
-    ReadResponse,
-    Vote,
-)
+from interopsim.systxn import Outcome, Prepare, ReadRequest, ReadResponse, Vote
+from interopsim.txn import MODE_OCC
 from interopsim.values import decode_record, encode_record, join_record
 
 from harness import World
@@ -122,7 +116,7 @@ def test_type_swapped_fields_are_refused(captured, cls):
         elif cls is SignedEventBatch:
             assert verify_batch(bad, w.sim.registry) is None
         elif cls is ReadRequest:
-            out = w.engine._serve_direct(bad, w.sim.tick)
+            out = w.sim.direct_handlers["beta"](bad, w.sim.tick)
             assert out is None or decode_record(out, ReadResponse).status == "error", name
         elif cls is ReadResponse:
             req = decode_record(wires[ReadRequest], ReadRequest)

@@ -11,7 +11,8 @@ import pytest
 import interopsim
 from interopsim.bus import Signatures
 from interopsim.errors import EncodingError
-from interopsim.txn import Committed, PrefixRows, ReadRequest
+from interopsim.systxn import PrefixRows, ReadRequest
+from interopsim.txn import Committed
 from interopsim.values import MAX_RECORD_DEPTH, decode_record, encode_record, join_record, record
 
 from test_codec_fuzz import CLASSES, capture

@@ -158,6 +158,16 @@ def test_a_finished_exchange_leaves_no_cycle(monkeypatch, collector_off, fates, 
     assert gc.collect() == 0
 
 
+def test_close_drops_each_chains_client_and_keeps_its_handlers():
+    # the chain's handlers refer to no client, so close leaves them in place
+    w = World()
+    handlers = dict(w.sim.direct_handlers)
+    w.sim.close()
+    assert [chain.client for chain in w.chains.values()] == [None, None]
+    assert w.sim.direct_handlers == handlers
+    assert all("sys.txn" in chain.system_handlers for chain in w.chains.values())
+
+
 # ------------------------------------------- idle ticks skipped, not changed
 
 

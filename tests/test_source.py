@@ -114,12 +114,12 @@ def _function(rel: str, name: str) -> ast.FunctionDef:
 def test_signing_paths_use_the_chain_signer_tables():
     # the node_id -> key tables are built once per chain; the hot paths never
     # rebuild the node list
-    for rel, name in (("chain.py", "node_signatures"), ("chain.py", "_certify"), ("txn.py", "_serve_read")):
+    for rel, name in (("chain.py", "node_signatures"), ("chain.py", "_certify"), ("systxn.py", "_serve_read")):
         fn = _function(rel, name)
         attrs = [c.func.attr for c in _calls(fn) if isinstance(c.func, ast.Attribute)]
         assert "node_ids" not in attrs, f"{rel}:{name} calls node_ids()"
     assert any(
-        isinstance(n, ast.Attribute) and n.attr == "signing_keys" for n in ast.walk(_function("txn.py", "_serve_read"))
+        isinstance(n, ast.Attribute) and n.attr == "signing_keys" for n in ast.walk(_function("systxn.py", "_serve_read"))
     )
 
 
@@ -139,25 +139,25 @@ def test_only_chain_maps_a_key_to_its_contract():
 
 
 def test_sys_txn_handlers_read_only_their_exec_context():
-    # 2PC state lives on the ledger: no handler reaches the client's records,
-    # engine-side pending state or another chain; what the client hears goes
-    # through ctx.after_commit callbacks
-    handlers = (
-        "_sys_txn_exec",
-        "_send",
-        "_receive",
-        "_exec_begin",
-        "_exec_decide",
-        "_exec_prepare",
-        "_prepare_checks",
-        "_exec_vote",
-        "_exec_apply",
-    )
-    for name in handlers:
-        attrs = {n.attr for n in ast.walk(_function("txn.py", name)) if isinstance(n, ast.Attribute)}
-        assert not attrs & {"records", "_pending", "chains"}, f"txn.py:{name}"
-    # the walk does see an engine attribute where one is read
-    assert "records" in {n.attr for n in ast.walk(_function("txn.py", "_complete")) if isinstance(n, ast.Attribute)}
+    # the chain side of 2PC knows no client: it imports nothing from the
+    # client module and reaches no engine, simulation or other chain; what
+    # the client hears goes through Chain.client
+    tree = ast.parse((SRC / "systxn.py").read_text(encoding="utf-8"))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    assert not imported & {"txn", "interopsim.txn"}
+    assert "chain" in imported  # the walk does see the module's imports
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "XTxnEngine" not in names | attrs
+    assert not attrs & {"sim", "records", "chains"}
+    assert "client" in attrs  # the walk does see an attribute where one is read
+
+
+def test_only_systxn_knows_the_2pc_ledger_layout():
+    # the client reads 2PC ledger keys through systxn's decision_key and
+    # applied_marker, so one module lays the keys out
+    assert _modules_matching(re.compile(r"sys\.(?:2pc|applied|xt)\.")) == ["systxn.py"]
 
 
 def test_only_a_no_vote_or_an_applied_decision_releases_locks():
@@ -170,14 +170,14 @@ def test_only_a_no_vote_or_an_applied_decision_releases_locks():
         for fn in ast.walk(tree):
             if isinstance(fn, ast.FunctionDef) and any(c in releases for c in _calls(fn)):
                 callers.append(f"{path.relative_to(SRC).as_posix()}:{fn.name}")
-    assert sorted(callers) == ["txn.py:_exec_apply", "txn.py:_exec_prepare"]
+    assert sorted(callers) == ["systxn.py:_exec_apply", "systxn.py:_exec_prepare"]
     assert _modules_matching(re.compile("__unlock__")) == []
 
 
 def test_protocol_events_are_staged_only_by_send():
     # _send runs a message to the executing chain in place; a 2PC event
     # staged anywhere else could reach the bus addressed to its own source
-    tree = ast.parse((SRC / "txn.py").read_text(encoding="utf-8"))
+    tree = ast.parse((SRC / "systxn.py").read_text(encoding="utf-8"))
     makers, stagers = set(), set()
     for fn in ast.walk(tree):
         if isinstance(fn, ast.FunctionDef):

@@ -3,10 +3,11 @@ import random
 
 import pytest
 
+import interopsim.systxn as systxn
 import interopsim.txn as txn_module
 from interopsim.audit import audit_records
-from interopsim.bus import KIND_DECIDE, KIND_PREPARE, KIND_VOTE, Event
-from interopsim.chain import Behavior, Contract
+from interopsim.bus import KIND_DECIDE, KIND_PREPARE, KIND_VOTE, Broker, Event
+from interopsim.chain import Behavior, ChainConfig, Contract
 from interopsim.errors import (
     EncodingError,
     InvalidState,
@@ -19,24 +20,12 @@ from interopsim.fixtures import scenario_path
 from interopsim.merkle import MerkleProof
 from interopsim.metrics import RunMetrics
 from interopsim.scenario import Scenario, load_scenario, run_scenario
-from interopsim.txn import (
-    Aborted,
-    Committed,
-    MODE_LOCKS,
-    MODE_OCC,
-    MiniTxn,
-    Prepare,
-    ReadRequest,
-    Outcome,
-    ReadResponse,
-    Vote,
-    VoteRecord,
-    XTxnEngine,
-    read_response_digest,
-)
+from interopsim.sim import SimConfig, Simulation
+from interopsim.systxn import Outcome, Prepare, ReadRequest, ReadResponse, Vote, VoteRecord, read_response_digest
+from interopsim.txn import Aborted, Committed, MODE_LOCKS, MODE_OCC, MiniTxn, XTxnEngine
 from interopsim.values import decode_record, encode_record
 
-from harness import World, queued_for, step_until
+from harness import KvContract, World, queued_for, step_until
 
 
 # ------------------------------------------------------------ verified reads
@@ -255,7 +244,7 @@ def test_every_storage_path_check_refuses_its_forgery(case):
 
 def _serve(w, req):
     """The target chain's response to `req`, decoded, without the channel."""
-    return decode_record(w.engine._serve_direct(encode_record(req), w.sim.tick), ReadResponse)
+    return decode_record(w.sim.direct_handlers[req.target_chain](encode_record(req), w.sim.tick), ReadResponse)
 
 
 _REFUSAL_RAISES = {"denied": PolicyDenied, "error": StaleQuorum}
@@ -337,7 +326,7 @@ def test_every_name_of_a_gated_key_is_gated():
             if any(key.startswith(prefix) for key in set(stored) - set(opened)):
                 _assert_refused(w, req, "denied")
             else:
-                rows = {key: value for key, value, _ in decode_record(_serve(w, req).value, txn_module.PrefixRows)}
+                rows = {key: value for key, value, _ in decode_record(_serve(w, req).value, systxn.PrefixRows)}
                 assert rows == {k: v for k, v in opened.items() if k.startswith(prefix)}, prefix
         for dot in [i for i, ch in enumerate(full) if ch == "."]:
             contract, rest = full[:dot], full[dot + 1 :]
@@ -1163,6 +1152,21 @@ def test_restarted_engine_finishes_a_prepared_transaction_from_the_ledger():
     assert [method for method, _ in alpha_txns[decided + 1 :] if method == "decide"] == []
 
 
+def test_a_chain_added_after_the_engine_takes_part_in_2pc():
+    # sys.txn and the read server come with the chain, not with a client:
+    # beta, added after the engine and so without one, still votes and applies
+    sim = Simulation(SimConfig())
+    sim.add_chain(ChainConfig("alpha", 4, 1), [KvContract()])
+    engine = XTxnEngine(sim)
+    beta = sim.add_chain(ChainConfig("beta", 4, 1), [KvContract()])
+    sim.add_broker(Broker("b0"))
+    mt = MiniTxn(compares=(), reads=(), writes=(("alpha", "kv.x", 1), ("beta", "kv.x", 1)))
+    assert isinstance(engine.execute_minitxn("alpha", mt), Committed)
+    sim.run_until_quiescent()
+    assert [sim.chains[cid].read_state("kv.x") for cid in ("alpha", "beta")] == [1, 1]
+    assert (sim.chains["alpha"].client, beta.client) == (engine, None)
+
+
 @pytest.mark.parametrize("mode", [MODE_OCC, MODE_LOCKS])
 def test_a_poll_that_finds_the_coordinator_undecided_polls_again(mode, monkeypatch):
     # every bus copy is lost once the prepare is queued for beta: its yes
@@ -1363,7 +1367,7 @@ def test_read_request_codec_round_trip():
 def test_serve_direct_refuses_ill_typed_read_request(req):
     w = World()
     w.set_kv("beta", "x", 1)
-    out = w.engine._serve_direct(encode_record(req), w.sim.tick)
+    out = w.sim.direct_handlers["beta"](encode_record(req), w.sim.tick)
     assert out is None or decode_record(out, ReadResponse).status == "error"
 
 
@@ -1408,6 +1412,18 @@ def test_read_request_decode_rejects_ill_typed_fields(field, bad):
         decode_record(encode_record(dataclasses.replace(req, **{field: bad})), ReadRequest)
 
 
+def test_a_direct_request_is_answered_only_by_the_chain_it_was_sent_to():
+    # each chain's read server serves its own state: alpha's handler gives a
+    # request for beta no answer, as it gives one for an unknown chain
+    w = World()
+    w.set_kv("beta", "y", 1)
+    raw = encode_record(ReadRequest(1, "beta", key="kv.y"))
+    assert w.sim.direct_handlers["alpha"](raw, w.sim.tick) is None
+    assert w.sim.direct_handlers["alpha"](encode_record(ReadRequest(1, "gamma", key="kv.y")), w.sim.tick) is None
+    resp = decode_record(w.sim.direct_handlers["beta"](raw, w.sim.tick), ReadResponse)
+    assert (resp.status, resp.value) == ("ok", 1)
+
+
 @pytest.mark.parametrize(
     "args",
     [("sum",), ("sum", 5), (5, "bids."), ("sum", "bids.", 1), ("sum", "bids.", 1, True)],
@@ -1416,7 +1432,7 @@ def test_aggregate_read_with_ill_typed_args_is_an_error_refusal(args):
     w = World()
     w.set_kv("beta", "bids.a", 3)
     req = w.engine.make_read_request("beta", contract="kv", method="__agg__", args=args)
-    resp = decode_record(w.engine._serve_direct(encode_record(req), w.sim.tick), ReadResponse)
+    resp = decode_record(w.sim.direct_handlers["beta"](encode_record(req), w.sim.tick), ReadResponse)
     assert resp.status == "error" and resp.value is None
 
 
@@ -1440,7 +1456,7 @@ def test_read_response_codec_round_trip():
 def test_prefix_rows_codec_round_trip():
     rows = [("kv.a", None, (1, 0)), ("kv.b", b"\x00\xff", (2, 3)), ("kv.c", True, (2, 4)), ("kv.d", 1, (5, 0))]
     raw = encode_record(rows)
-    back = decode_record(raw, txn_module.PrefixRows)
+    back = decode_record(raw, systxn.PrefixRows)
     assert back == tuple(rows)
     assert [type(value) for _, value, _ in back] == [type(None), bytes, bool, int]
     assert encode_record(back) == raw
@@ -1448,13 +1464,13 @@ def test_prefix_rows_codec_round_trip():
 
 def test_vote_and_decide_payloads_round_trip(monkeypatch):
     payloads = []
-    real = txn_module._sys_event
+    real = systxn._sys_event
 
     def capture(dest_chain, kind, payload):
         payloads.append((kind, payload))
         return real(dest_chain, kind, payload)
 
-    monkeypatch.setattr(txn_module, "_sys_event", capture)
+    monkeypatch.setattr(systxn, "_sys_event", capture)
     w = World()
     w.set_kv("beta", "a", True)
     mt = MiniTxn(compares=(), reads=(("beta", "kv.a"),), writes=(("beta", "kv.b", b"\x01"),))
@@ -1493,8 +1509,8 @@ def test_malformed_read_payloads_rejected():
     with pytest.raises(EncodingError):
         decode_record(raw_req + b"\x00", ReadRequest)
     for cut in range(len(raw_req)):
-        assert w.engine._serve_direct(raw_req[:cut], w.sim.tick) is None
-    assert w.engine._serve_direct(raw_req, w.sim.tick) is not None
+        assert w.sim.direct_handlers["beta"](raw_req[:cut], w.sim.tick) is None
+    assert w.sim.direct_handlers["beta"](raw_req, w.sim.tick) is not None
 
 
 def test_unparseable_policy_attached_by_sys_txn_fails_and_reads_still_serve():
@@ -1508,7 +1524,7 @@ def test_unparseable_policy_attached_by_sys_txn_fails_and_reads_still_serve():
     assert receipt.status == "failed" and receipt.error.startswith("ParseError")
     assert beta.policy_source("kv") is None
     req = w.engine.make_read_request("beta", key="kv.x")
-    resp = decode_record(w.engine._serve_direct(encode_record(req), w.sim.tick), ReadResponse)
+    resp = decode_record(w.sim.direct_handlers["beta"](encode_record(req), w.sim.tick), ReadResponse)
     assert (resp.status, resp.value) == ("ok", 1)
 
 
